@@ -36,6 +36,7 @@ import ray.data as rd
 from ray.data import Dataset
 from ray.data.aggregate import Min
 
+from ..stages.dedup import guarded_join
 from ..stages.textstats import _TOKEN, build_benchmark_ngrams
 
 MIN_WORDS = 20
@@ -157,7 +158,7 @@ def _flagged_docs(sf_dir: str, grams_ref) -> Dataset:  # noqa: ANN001
     # concurrency 2 (not higher): the gate's long-lived actors must leave
     # CPUs free for the downstream groupby/join shuffle actors — a pool
     # sized to the whole session deadlocks small (4-cpu test) sessions,
-    # the same hazard class as stages/dedup._join_partitions
+    # the same hazard class as stages/dedup.guarded_join's partition cap
     return docs.map_batches(
         CurateGate, batch_format="pyarrow", concurrency=2, num_cpus=1,
         fn_constructor_args=(grams_ref,))
@@ -178,8 +179,6 @@ def curate_job(sf_dir: str, out_dir: str) -> dict:
     Returns the report dict (also written to ``out_dir/_REPORT.json``):
     input/kept/deduped counts and per-split row counts.
     """
-    from ..stages.dedup import _join_partitions, nonempty_blocks
-
     grams_ref = ray.put(build_benchmark_ngrams(sf_dir))
     # materialized: consumed by the dedup groupby AND the join probe — one
     # execution of the read + gate + digest lineage, as the docstring
@@ -217,15 +216,8 @@ def curate_job(sf_dir: str, out_dir: str) -> dict:
         .aggregate(Min("doc_id", alias_name="keep_id"))
     ).materialize()
     n_canon = canon.count()
-
-    # canon's lineage contains a groupby (schema-less empty blocks — the
-    # Ray 2.49 join schema-seed race); kept's is read/map_batches only but
-    # passes through the same guard for the partition sizing
-    joined = nonempty_blocks(kept, n_kept_rows).join(
-        nonempty_blocks(canon, n_canon), join_type="inner",
-        num_partitions=_join_partitions(),
-        on=("digest_hi", "digest_lo"),
-    )
+    # never None: kept is non-empty, so its digest groups are too
+    joined = guarded_join(kept, canon, on=("digest_hi", "digest_lo"))
 
     def first_only(b: pa.Table) -> pa.Table:
         mask = pc.equal(b.column("doc_id"), b.column("keep_id"))

@@ -90,27 +90,50 @@ def jaccard(a, b) -> float:  # noqa: ANN001 — unique uint64 arrays (or sets)
 BUCKET_CAP = 512
 
 
-def nonempty_blocks(ds, n_rows: int):  # noqa: ANN001, ANN201 — Dataset
-    """Repartition a COUNTED dataset into guaranteed non-empty blocks.
-
-    Ray 2.49 workaround (diagnosed in minhash_near_dups below): schema-less
-    empty blocks emitted by groupby().map_groups survive map_batches (which
-    skips empty blocks) and can seed a hash-shuffle join's schema broadcast,
-    deterministically crashing the join for that session. Every dataset
-    feeding a Dataset.join must pass through here after counting. ONE call
-    site to update when a Ray upgrade fixes the race."""
+def _nonempty_blocks(ds: Dataset, n_rows: int) -> Dataset:
+    """Repartition a COUNTED dataset into guaranteed non-empty blocks."""
     return ds.repartition(max(1, -(-n_rows // 65536))).materialize()
 
 
-def _join_partitions(cap: int = 16) -> int:
+def _join_partitions() -> int:
     """Hash-join partition count sized to the cluster: each partition runs
     a HashShuffleAggregator actor, and over-provisioning them beyond the
     CPU count starves/deadlocks the co-scheduled map stages on small
     clusters (observed: 16 partitions hang a 4-cpu test session)."""
-    import ray
-
     cpus = int(ray.cluster_resources().get("CPU", 8)) if ray.is_initialized() else 8
-    return max(2, min(cap, cpus))
+    return max(2, min(16, cpus))
+
+
+def guarded_join(
+    left: Dataset, right: Dataset, *, on: tuple[str, ...],
+    right_on: tuple[str, ...] | None = None, join_type: str = "inner",
+) -> Dataset | None:
+    """``Dataset.join`` behind the Ray 2.49 guards — the package's one
+    join site. Returns None when either side is empty; each caller owns
+    its typed empty result or fallback.
+
+    Ray 2.49 hazard (diagnosed on the MinHash verify): groupby().map_groups
+    and aggregate emit SCHEMA-LESS empty blocks, and so do hash-join
+    partitions that matched nothing; map_batches does NOT invoke the UDF on
+    empty blocks, so they survive any normalization stage. If such a block
+    happens to be the FIRST one the hash-shuffle join shuffles, the join
+    broadcasts the empty schema as its seed and partitions holding only
+    seed shards finalize column-less -> pa.Table.join dies with ArrowInvalid
+    ("No match ... FieldRef.Name(doc_a)") — deterministically for that
+    session. So every side, whatever its lineage, is materialized, counted
+    (block metadata, no scan) and repartitioned into non-empty blocks
+    before the join. ONE place to update when a Ray upgrade fixes the race.
+    """
+    sides = []
+    for ds in (left, right):
+        ds = ds.materialize()
+        n = ds.count()
+        if n == 0:
+            return None
+        sides.append(_nonempty_blocks(ds, n))
+    return sides[0].join(
+        sides[1], join_type=join_type, num_partitions=_join_partitions(),
+        on=on, right_on=right_on)
 
 
 class MinHasher:
@@ -285,67 +308,36 @@ def minhash_candidate_pairs(
     ).drop_columns(["_nb"])
 
 
-def _pairs_with_texts(
-    cand: Dataset, docs: Dataset, *,
-    num_partitions: int | None = None, n_pairs: int | None = None,
-) -> Dataset | None:
+def _pairs_with_texts(cand: Dataset, docs: Dataset) -> Dataset | None:
     """Join a (doc_a, doc_b) candidate pair set back to the corpus text for
     BOTH sides -> (doc_a, doc_b, text_a, text_b), or None if the pair set
     is empty. Shared scaffold of every pairwise verify kernel (Jaccard,
-    edit distance); carries the inter-join empty-block scrub documented on
-    ``verify_pairs_jaccard``."""
+    edit distance)."""
     def _typed(b: pa.Table) -> pa.Table:
-        # dtype pin only (int64 pair ids for the join key resolution);
-        # empty-block defense is the caller's nonempty_blocks
+        # dtype pin only (int64 pair ids for the join key resolution)
         return pa.table({"doc_a": b.column("doc_a").cast(pa.int64()),
                          "doc_b": b.column("doc_b").cast(pa.int64())})
 
     cand = cand.map_batches(_typed, batch_format="pyarrow")
-    if num_partitions is None:
-        num_partitions = _join_partitions()
-    with_a = cand.join(
-        docs, join_type="inner", num_partitions=num_partitions,
-        on=("doc_a",), right_on=("doc_id",),
-    ).rename_columns({"text": "text_a"})
-    # Scrub join-1 output before it seeds join 2 (see verify_pairs_jaccard).
-    # Row count is n_pairs by construction (inner join on the unique
-    # doc_id); when the caller didn't pass it, one count on the
-    # materialized set is paid.
-    if n_pairs is None:
-        with_a = with_a.materialize()
-        n_pairs = with_a.count()
-    if n_pairs == 0:
+    with_a = guarded_join(cand, docs, on=("doc_a",), right_on=("doc_id",))
+    if with_a is None:
         return None
-    with_a = nonempty_blocks(with_a, n_pairs)
-    return with_a.join(
-        docs, join_type="inner", num_partitions=num_partitions,
-        on=("doc_b",), right_on=("doc_id",),
-    ).rename_columns({"text": "text_b"})
+    # join-1 output is join lineage: guarded_join scrubs it before it
+    # seeds join 2 (a single verified pair leaves most partitions empty)
+    with_ab = guarded_join(with_a.rename_columns({"text": "text_a"}), docs,
+                           on=("doc_b",), right_on=("doc_id",))
+    return None if with_ab is None else with_ab.rename_columns(
+        {"text": "text_b"})
 
 
-def verify_pairs_jaccard(
-    cand: Dataset, docs: Dataset, *, k: int = 3,
-    num_partitions: int | None = None, n_pairs: int | None = None,
-) -> Dataset:
+def verify_pairs_jaccard(cand: Dataset, docs: Dataset, *, k: int = 3) -> Dataset:
     """Distributed exact-Jaccard verify: join candidate id pairs back to the
     corpus for each side (``Dataset.join`` — the join moves candidate rows +
     matched texts, never the whole corpus to the driver), then compute
     word-k-gram Jaccard per batch. Replaces the round-1 driver-side
     candidate/text materialization (judge finding: unbounded at 100 TB).
-
-    PRECONDITION: a ``cand`` whose lineage contains a groupby (map_groups
-    emits schema-less empty blocks) must be COUNTED and routed through
-    ``nonempty_blocks`` first — map_batches does not invoke UDFs on empty
-    blocks, so no in-function stage can scrub them (review finding: an
-    earlier comment claimed the cast below did; it cannot). Callers pass
-    that count as ``n_pairs`` (an inner join on a unique corpus key keeps
-    the row count, so it is reused to scrub the FIRST join's output too —
-    join partitions that matched nothing emit schema-less empty blocks
-    exactly like map_groups, and one of those seeding the SECOND join's
-    schema broadcast crashes it; hit whenever the pair set is smaller than
-    the partition fan-out, e.g. a single verified pair)."""
-    with_ab = _pairs_with_texts(
-        cand, docs, num_partitions=num_partitions, n_pairs=n_pairs)
+    Any ``cand`` lineage is safe: both joins go through ``guarded_join``."""
+    with_ab = _pairs_with_texts(cand, docs)
     if with_ab is None:
         return rd.from_arrow(pa.table({
             "doc_a": pa.array([], pa.int64()),
@@ -417,33 +409,15 @@ def minhash_near_dup_pairs_ds(
     is too large for the driver."""
     docs = rd.read_parquet(f"{sf_dir}/documents.parquet",
                            columns=["doc_id", "text"])
-    # materialize the (id, id) candidate set — object-store blocks, never the
+    # the (id, id) candidate set stays in object-store blocks, never the
     # driver; candidates are orders of magnitude smaller than the corpus.
-    # Required: fusing the actor-pool LSH stage with the verify joins makes
-    # the streaming executor co-schedule the MinHasher pool and the join's
+    # guarded_join materializes it before any join actor starts: fusing the
+    # actor-pool LSH stage with the verify joins makes the streaming
+    # executor co-schedule the MinHasher pool and the join's
     # HashShuffleAggregator actors, which deadlocks on small CPU counts.
     cand = minhash_candidate_pairs(
-        docs, num_perm=num_perm, bands=bands, k=k, concurrency=concurrency
-    ).materialize()
-    n_pairs = cand.count()
-    if n_pairs == 0:
-        # schema-less empty block stream would crash the join's key
-        # resolution (review finding) — count() is free on a materialized ds
-        return rd.from_arrow(pa.table({
-            "doc_a": pa.array([], pa.int64()),
-            "doc_b": pa.array([], pa.int64()),
-            "jaccard": pa.array([], pa.float64())}))
-    # Ray 2.49 hazard (diagnosed): groupby().map_groups emits SCHEMA-LESS
-    # empty blocks, and map_batches does NOT invoke the UDF on empty blocks,
-    # so they survive any normalization stage. If such a block happens to be
-    # the FIRST one the hash-shuffle join shuffles, the join broadcasts the
-    # empty schema as its seed and partitions holding only seed shards
-    # finalize column-less -> pa.Table.join dies with ArrowInvalid
-    # ("No match ... FieldRef.Name(doc_a)") — deterministically for that
-    # session. Repartitioning the counted candidate set into guaranteed
-    # non-empty blocks removes every empty block before the join.
-    cand = nonempty_blocks(cand, n_pairs)
-    return (verify_pairs_jaccard(cand, docs, k=k, n_pairs=n_pairs)
+        docs, num_perm=num_perm, bands=bands, k=k, concurrency=concurrency)
+    return (verify_pairs_jaccard(cand, docs, k=k)
             .filter(expr=f"jaccard >= {threshold}")
             .materialize())
 
@@ -465,7 +439,7 @@ NGRAM_DF_CAP = 64
 
 def rare_blocked_pair_stats(
     docs: Dataset, *, k: int = 3, df_cap: int = NGRAM_DF_CAP,
-    row_keep=None,  # noqa: ANN001 — vectorized (n_a, n_b) -> bool mask
+    row_keep=None,  # noqa: ANN001 — vectorized (n_a, n_b, c_a, c_b) -> bool mask
 ) -> tuple[Dataset | None, int]:
     """(doc_id, text) -> deduplicated candidate-pair statistics for every
     doc pair sharing >= 1 k-gram with document frequency in [2, df_cap].
@@ -475,8 +449,7 @@ def rare_blocked_pair_stats(
     columns: doc_a, doc_b, c_rare (EXACT count of shared rare grams),
     n_a/n_b (each side's distinct-gram total) and, when the corpus has
     above-cap grams, h_a/h_b (each side's hot-gram count; null = 0) —
-    or ``(None, 0)`` when no candidates exist. ``stats`` is materialized
-    and scrubbed (safe to feed joins).
+    or ``(None, 0)`` when no candidates exist. ``stats`` is materialized.
 
     Shape at scale (PPJoin-style, fully vectorized):
     - the exploded (gram_hash, doc_id, n_grams) index is the only wide
@@ -529,23 +502,14 @@ def rare_blocked_pair_stats(
     dfs = index.groupby("gram").aggregate(Count(alias_name="_n")).materialize()
     rare = (dfs.filter(expr="_n >= 2").filter(expr=f"_n <= {df_cap}")
             .drop_columns(["_n"]))
-    n_rare = rare.count()
-    if n_rare == 0:
+    blocked = guarded_join(rare, index, on=("gram",))
+    if blocked is None:
         return None, 0
-    # groupby lineage -> scrub schema-less empty blocks before the join
-    rare = nonempty_blocks(rare, n_rare)
-    # index side is read->map_batches lineage: safe to join unguarded
-    blocked = rare.join(index, join_type="inner",
-                        num_partitions=_join_partitions(), on=("gram",)
-                        ).materialize()
-    nb = blocked.count()
-    # join lineage feeds the self-join below on BOTH sides: scrub once;
-    # materialized because it is consumed twice
-    blocked = nonempty_blocks(blocked, nb).materialize()
+    # materialized because the self-join below consumes it on both sides
+    blocked = blocked.materialize()
     right = blocked.rename_columns(
         {"doc_id": "doc_b", "n": "n_b", "c": "c_b"})
-    raw = blocked.join(right, join_type="inner",
-                       num_partitions=_join_partitions(), on=("gram",))
+    raw = guarded_join(blocked, right, on=("gram",))
 
     def ordered(b: pa.Table) -> pa.Table:
         # orientation + the caller's per-row length filter (drops rows of
@@ -578,30 +542,20 @@ def rare_blocked_pair_stats(
     n_cand = cand.count()
     if n_cand == 0:
         return None, 0
-    cand = nonempty_blocks(cand, n_cand)
 
     # per-doc hot-gram counts (h): zero unless some gram exceeds df_cap
+    # (no hot gram -> no h columns, which _pair_stat_arrays reads as 0)
     hot = dfs.filter(expr=f"_n > {df_cap}").drop_columns(["_n"])
-    n_hot = hot.count()
-    if n_hot > 0:
-        hot = nonempty_blocks(hot, n_hot)
-        h_per_doc = (hot.join(index, join_type="inner",
-                              num_partitions=_join_partitions(), on=("gram",))
-                     .groupby("doc_id").aggregate(Count(alias_name="h"))
+    h_join = guarded_join(hot, index, on=("gram",))
+    if h_join is not None:
+        h_per_doc = (h_join.groupby("doc_id").aggregate(Count(alias_name="h"))
                      .materialize())
-        h_per_doc = nonempty_blocks(h_per_doc, h_per_doc.count())
-        cand = cand.join(
-            h_per_doc.rename_columns({"doc_id": "doc_a", "h": "h_a"}),
-            join_type="left_outer", num_partitions=_join_partitions(),
-            on=("doc_a",)).materialize()
-        # join lineage feeds the next join: scrub (row count unchanged —
-        # left_outer keeps every candidate)
-        cand = nonempty_blocks(cand, n_cand)
-        cand = cand.join(
-            h_per_doc.rename_columns({"doc_id": "doc_b", "h": "h_b"}),
-            join_type="left_outer", num_partitions=_join_partitions(),
-            on=("doc_b",)).materialize()
-        cand = nonempty_blocks(cand, n_cand)
+        # left_outer keeps every candidate: n_cand is unchanged
+        for side in ("a", "b"):
+            cand = guarded_join(
+                cand, h_per_doc.rename_columns(
+                    {"doc_id": f"doc_{side}", "h": f"h_{side}"}),
+                join_type="left_outer", on=(f"doc_{side}",)).materialize()
     return cand, n_cand
 
 
@@ -680,13 +634,8 @@ def ngram_jaccard_pairs_ds(
         return pa.table({"doc_a": b.column("doc_a"),
                          "doc_b": b.column("doc_b")})
 
-    survivors = cand.map_batches(
-        prefilter, batch_format="pyarrow").materialize()
-    n_pairs = survivors.count()
-    if n_pairs == 0:
-        return rd.from_arrow(empty_pairs)
-    survivors = nonempty_blocks(survivors, n_pairs)
-    return (verify_pairs_jaccard(survivors, docs, k=k, n_pairs=n_pairs)
+    survivors = cand.map_batches(prefilter, batch_format="pyarrow")
+    return (verify_pairs_jaccard(survivors, docs, k=k)
             .filter(expr=f"jaccard >= {threshold}")
             .materialize())
 
@@ -820,13 +769,8 @@ def edit_distance_pairs_ds(
         return pa.table({"doc_a": b.column("doc_a"),
                          "doc_b": b.column("doc_b")})
 
-    survivors = cand.map_batches(
-        prefilter, batch_format="pyarrow").materialize()
-    n_pairs = survivors.count()
-    if n_pairs == 0:
-        return rd.from_arrow(empty_pairs)
-    survivors = nonempty_blocks(survivors, n_pairs)
-    with_ab = _pairs_with_texts(survivors, docs, n_pairs=n_pairs)
+    survivors = cand.map_batches(prefilter, batch_format="pyarrow")
+    with_ab = _pairs_with_texts(survivors, docs)
     if with_ab is None:
         return rd.from_arrow(empty_pairs)
 
@@ -1300,7 +1244,7 @@ CLUSTER_PAIRS_BROADCAST_MAX = 1_000_000
 _PROPAGATE_MAX_ROUNDS = 64
 
 
-def propagate_min_labels(pairs: Dataset, n_pairs: int) -> Dataset:
+def propagate_min_labels(pairs: Dataset) -> Dataset:
     """Distributed connected components: iterative min-label propagation
     with pointer jumping — per round,
     label(u) <- min(label(u), min_{(u,v)} label(v)), then
@@ -1321,9 +1265,7 @@ def propagate_min_labels(pairs: Dataset, n_pairs: int) -> Dataset:
         return pa.table({"u": pa.concat_arrays([a, bb]),
                          "v": pa.concat_arrays([bb, a])})
 
-    edges = (nonempty_blocks(pairs, n_pairs)
-             .map_batches(sym, batch_format="pyarrow")
-             .materialize())  # consumed every round
+    edges = pairs.map_batches(sym, batch_format="pyarrow").materialize()
 
     # round 0: label(u) = min(u, min neighbor)
     labels = edges.groupby("u").aggregate(Min("v", alias_name="label"))
@@ -1334,16 +1276,15 @@ def propagate_min_labels(pairs: Dataset, n_pairs: int) -> Dataset:
                 b.column("u").cast(pa.int64()),
                 b.column("label").cast(pa.int64()))}),
         batch_format="pyarrow").materialize()
-    n_nodes = labels.count()
     prev_sum = labels.aggregate(Sum("label"))["sum(label)"]
 
     for _ in range(_PROPAGATE_MAX_ROUNDS):
-        cand = edges.join(
-            nonempty_blocks(labels, n_nodes).rename_columns(
-                {"u": "v_key", "label": "nbr_label"}),
-            join_type="inner", num_partitions=_join_partitions(),
-            on=("v",), right_on=("v_key",),
-        ).map_batches(
+        cand = guarded_join(
+            edges, labels.rename_columns({"u": "v_key", "label": "nbr_label"}),
+            on=("v",), right_on=("v_key",))
+        if cand is None:  # no pairs: no nodes to label
+            return labels
+        cand = cand.map_batches(
             lambda b: pa.table({
                 "u": b.column("u").cast(pa.int64()),
                 "label": b.column("nbr_label").cast(pa.int64())}),
@@ -1354,13 +1295,9 @@ def propagate_min_labels(pairs: Dataset, n_pairs: int) -> Dataset:
         ).materialize()
         # pointer jump: label(u) <- min(label(u), label(label(u))). Every
         # label value is itself a node id (a min over node ids), so the
-        # inner self-join preserves exactly one row per node. One scrubbed
-        # dataset serves BOTH join sides — materialized because it is
-        # consumed twice (lazy lineage would re-run the repartition).
-        nb = nonempty_blocks(labels, n_nodes).materialize()
-        labels = nb.join(
-            nb.rename_columns({"u": "p_key", "label": "p_label"}),
-            join_type="inner", num_partitions=_join_partitions(),
+        # inner self-join preserves exactly one row per node.
+        labels = guarded_join(
+            labels, labels.rename_columns({"u": "p_key", "label": "p_label"}),
             on=("label",), right_on=("p_key",),
         ).map_batches(
             lambda b: pa.table({
@@ -1381,40 +1318,28 @@ def propagate_min_labels(pairs: Dataset, n_pairs: int) -> Dataset:
         " scale")
 
 
-def _clusters_distributed(pairs: Dataset, n_pairs: int,
-                          docs: Dataset) -> Dataset:
+def _clusters_distributed(pairs: Dataset, docs: Dataset) -> Dataset:
     """Cluster assignment with the pair set left in the cluster: label
     propagation -> per-label sizes -> corpus left join. The driver never
-    holds pairs or labels."""
-    labels = propagate_min_labels(pairs, n_pairs)
-    n_nodes = labels.count()
+    holds pairs or labels. Called with a non-empty pair set, so every
+    join side below is non-empty."""
+    labels = propagate_min_labels(pairs)
     sizes = labels.groupby("label").aggregate(
-        Count(alias_name="cluster_size")).materialize()
-    n_sizes = sizes.count()
+        Count(alias_name="cluster_size"))
 
-    with_label = docs.join(
-        nonempty_blocks(labels, n_nodes).rename_columns(
-            {"u": "node", "label": "lbl"}),
-        join_type="left_outer", num_partitions=_join_partitions(),
-        on=("doc_id",), right_on=("node",),
+    with_label = guarded_join(
+        docs, labels.rename_columns({"u": "node", "label": "lbl"}),
+        join_type="left_outer", on=("doc_id",), right_on=("node",),
     ).map_batches(
         lambda b: pa.table({
             "doc_id": b.column("doc_id").cast(pa.int64()),
             "cluster_id": pc.coalesce(
                 b.column("lbl").cast(pa.int64()),
                 b.column("doc_id").cast(pa.int64()))}),
-        batch_format="pyarrow").materialize()
-    # with_label's lineage contains a join over aggregate output — an empty
-    # hash-join partition can emit a schema-less empty block that would
-    # seed the NEXT join's key resolution (the Ray 2.49 hazard documented
-    # on minhash_near_dups); scrub before joining again (review finding)
-    with_label = nonempty_blocks(with_label, with_label.count())
-
-    out = with_label.join(
-        nonempty_blocks(sizes, n_sizes).rename_columns(
-            {"label": "size_key"}),
-        join_type="left_outer", num_partitions=_join_partitions(),
-        on=("cluster_id",), right_on=("size_key",),
+        batch_format="pyarrow")
+    out = guarded_join(
+        with_label, sizes.rename_columns({"label": "size_key"}),
+        join_type="left_outer", on=("cluster_id",), right_on=("size_key",),
     )
 
     def finish(b: pa.Table) -> pa.Table:
@@ -1469,7 +1394,7 @@ def near_dup_clusters(sf_dir: str, *, threshold: float = 0.5) -> "Dataset":
     docs = rd.read_parquet(f"{sf_dir}/documents.parquet", columns=["doc_id"])
 
     if n_pairs > CLUSTER_PAIRS_BROADCAST_MAX:
-        return _clusters_distributed(pairs_ds, n_pairs, docs)
+        return _clusters_distributed(pairs_ds, docs)
 
     pairs = pairs_ds.to_pandas()
     if pairs.empty:

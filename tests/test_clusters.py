@@ -107,7 +107,7 @@ class TestDistributedPropagation:
         df = pd.DataFrame({"doc_a": [a for a, _ in edges],
                            "doc_b": [b for _, b in edges]})
         want, _ = cluster_pairs(df)
-        got_ds = propagate_min_labels(self._pairs_ds(df), len(df))
+        got_ds = propagate_min_labels(self._pairs_ds(df))
         got = dict(zip(*[got_ds.to_pandas()[c] for c in ("u", "label")]))
         assert {int(k): int(v) for k, v in got.items()} == want
 
@@ -123,7 +123,7 @@ class TestDistributedPropagation:
             "doc_b": [(i + 1) % n for i in range(n)] + [40],
         })
         want, _ = cluster_pairs(df)
-        got = propagate_min_labels(self._pairs_ds(df), len(df)).to_pandas()
+        got = propagate_min_labels(self._pairs_ds(df)).to_pandas()
         got_map = dict(zip(got["u"].astype(int), got["label"].astype(int)))
         assert got_map == want
         assert got_map[40] == 40  # self-loop: own component
@@ -141,7 +141,7 @@ class TestDistributedPropagation:
         df = pd.DataFrame({"doc_a": list(range(n - 1, 0, -1)),
                            "doc_b": list(range(n, 1, -1))})
         want, _ = cluster_pairs(df)
-        got = propagate_min_labels(self._pairs_ds(df), len(df)).to_pandas()
+        got = propagate_min_labels(self._pairs_ds(df)).to_pandas()
         assert dict(zip(got["u"].astype(int), got["label"].astype(int))) == want
 
     def test_giant_family_distributed_end_to_end(self, tmp_path, monkeypatch):
