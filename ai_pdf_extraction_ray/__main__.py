@@ -57,7 +57,6 @@ def main(argv: list[str] | None = None) -> int:
     p_extract.add_argument("--no-resume", action="store_true")
     p_extract.add_argument("--repair", action="store_true",
                            help="append the rule-driven completion stage")
-    p_extract.add_argument("--concurrency", type=int, default=4)
 
     p_query = sub.add_parser("query", help="run a catalog query")
     p_query.add_argument("name")
@@ -89,7 +88,6 @@ def main(argv: list[str] | None = None) -> int:
             manifests = extract_job(
                 files, args.output, _load_schema(args.schema),
                 resume=not args.no_resume, repair=args.repair,
-                concurrency=args.concurrency,
             )
             print(json.dumps(manifests, indent=2))
         elif args.cmd == "query":
@@ -110,7 +108,7 @@ def main(argv: list[str] | None = None) -> int:
             from .pipelines.extract_pipeline import pages_dataset, run_extraction
 
             schema = _load_schema(args.schema)
-            ext = run_extraction(pages_dataset(args.input), schema, concurrency=4)
+            ext = run_extraction(pages_dataset(args.input), schema)
             if args.format == "csv":
                 n = export_csv(ext, schema, args.output)
                 print(f"wrote {n} rows to {args.output}")

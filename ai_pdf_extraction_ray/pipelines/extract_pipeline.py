@@ -4,14 +4,19 @@ Ray-Data restatement of the reference's batch-extraction lifecycle
 (SURVEY.md §3.1; reference routers/batches.py:64-254):
 
     read_parquet(documents shards)
-      -> map_batches(synthesize_pages_batch)            # corpus lane (tests)
-      -> map_batches(DocumentExtractor, concurrency=N)  # actor pool
+      -> map_batches(synthesize_pages_batch)      # corpus lane (tests)
+      -> map_batches(DocumentExtractor(schema))   # task stage
       -> write_parquet(out/shard=…) + _MANIFEST.json    # failure-is-data
+
+Every stage after the read is a task-based map, so Ray fuses them into one
+operator (``MapBatches(<lambda>)->MapBatches(DocumentExtractor)->Write``):
+a block is synthesized, extracted and written by the same task, and no
+stage reserves CPUs the others need.
 
 At 100 TB the unit of work is the input **file shard**: each shard is an
 independent streaming Dataset job whose output directory + manifest make the
 whole run idempotently resumable (skip-if-valid). Within a shard the
-streaming executor pipelines read -> synth -> extract -> write with
+streaming executor pipelines read -> (synth -> extract -> write) with
 backpressure; no stage materializes the dataset.
 
 Skew note (north rule): the corpus deliberately gives one host ~1/3 of rows.
@@ -23,12 +28,14 @@ by host (e.g. per-host aggregates) and for writing host-partitioned output.
 
 from __future__ import annotations
 
+import os
 import time
 from typing import Any
 
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
+import pyarrow.parquet as pq
 
 import ray.data as rd
 from ray.data import Dataset
@@ -40,6 +47,8 @@ from ..stages.extract import DocumentExtractor
 from ..state.manifest import lineage_id, manifest_is_valid, write_manifest_atomic
 
 DEFAULT_BATCH_SIZE = 256
+# Not read by the pipeline (extraction runs as tasks); perfbench/run.py
+# imports it for its reported pool_size.
 DEFAULT_CONCURRENCY = 4
 
 
@@ -57,8 +66,8 @@ def pages_dataset(
     leave storage. ``replicate`` reads the input N times (bench-only knob to
     scale work volume; urls repeat across replicas). ``override_num_blocks``
     controls read fan-out — at test scale the single parquet file yields too
-    few blocks to keep an actor pool in steady state (aim for >= 4 blocks
-    per actor so waves pipeline with the write stage).
+    few blocks to keep every CPU busy (aim for >= 4 blocks per CPU so
+    task waves overlap).
     """
     ds = rd.read_parquet(
         [f"{sf_dir}/documents.parquet"] * max(1, replicate),
@@ -77,59 +86,24 @@ def run_extraction(
     pages: Dataset,
     schema: SchemaDefinition | None = None,
     *,
-    concurrency: int | tuple[int, int] = DEFAULT_CONCURRENCY,
     batch_size: int | None = None,
 ) -> Dataset:
-    """Attach the actor-pool extraction stage to a pages Dataset.
+    """Attach the extraction stage to a pages Dataset, as Ray tasks.
 
-    Tuning (measured on 32 cpus, see BASELINE.md):
-    - ``batch_size=None``: one batch per block — re-batching blocks into
-      small slices cost ~40% throughput;
-    - ``max_tasks_in_flight_per_actor=4``: queue tasks on each actor so
-      driver dispatch latency overlaps with compute (actors were idle
-      ~30% at 1 task in flight);
-    - pool size: ~85% of CPUs (callers), leaving headroom for read/write
-      tasks so the pool never starves the pipeline ends.
+    The stage is a ``DocumentExtractor`` *instance*: Ray runs a callable
+    instance as plain tasks, so the stage fuses with the map before it and
+    the write after it into one operator, payloads never cross the object
+    store between them, every CPU extracts, and worker processes stay warm
+    across Datasets. The instance's only set-up is a compiled schema
+    (~0.1 ms), far below what an actor pool's start-up costs.
+
+    ``batch_size=None`` runs one batch per block: re-batching blocks into
+    small slices cost ~40% throughput (BASELINE.md).
     """
-    from ray.data import ActorPoolStrategy
-
-    # deadlock guard: a pool reserving EVERY cluster CPU starves the read/
-    # write task operators and the pipeline never progresses (observed on a
-    # 4-cpu cluster with the default pool of 4). Clamp to cpus-1.
-    import ray as _ray
-
-    try:
-        avail = int(_ray.cluster_resources().get("CPU", 0)) if _ray.is_initialized() else 0
-    except Exception:  # noqa: BLE001 — resource introspection is best-effort
-        avail = 0
-
-    def _clamp(n: int) -> int:
-        # floor of 1: on a single-cpu cluster no split avoids contention —
-        # a 1-actor pool is the least-bad option (Ray time-slices the read
-        # tasks between actor batches there)
-        return max(1, min(n, avail - 1)) if avail else n
-
-    if isinstance(concurrency, int):
-        compute = ActorPoolStrategy(size=_clamp(concurrency),
-                                    max_tasks_in_flight_per_actor=4)
-    else:
-        compute = ActorPoolStrategy(
-            min_size=_clamp(concurrency[0]), max_size=_clamp(concurrency[1]),
-            max_tasks_in_flight_per_actor=4,
-        )
-    import json as _json
-
     return pages.map_batches(
-        DocumentExtractor,
-        # json string: hashable constructor args (Ray dedupes without the
-        # "Failed to hash the schemas" log noise a dict causes)
-        fn_constructor_kwargs={
-            "schema_dict": _json.dumps(schema.to_dict(), sort_keys=True) if schema else None
-        },
+        DocumentExtractor(schema.to_dict() if schema else None),
         batch_format="pyarrow",
         batch_size=batch_size,
-        compute=compute,
-        num_cpus=1,
     )
 
 
@@ -172,6 +146,10 @@ def write_host_partitioned(
     bucketed.write_parquet(out_dir, partition_cols=["host_bucket"])
 
 
+_NO_DOCUMENTS = {"total_documents": 0, "successful_documents": 0,
+                 "failed_documents": 0, "average_confidence": 0.0}
+
+
 def run_metrics(extractions: Dataset) -> dict[str, Any]:
     """Run-level counters (reference batch counters A5–A7,
     routers/batches.py:222-241, 511): small aggregate result — safe to
@@ -196,10 +174,26 @@ def run_metrics(extractions: Dataset) -> dict[str, Any]:
     if agg is None or agg.get("total_documents") in (None, 0):
         # Dataset.aggregate returns None on empty input (documented
         # hazard); subscripting it raised TypeError (review finding)
-        return {"total_documents": 0, "successful_documents": 0,
-                "failed_documents": 0, "average_confidence": 0.0}
+        return dict(_NO_DOCUMENTS)
     agg["average_confidence"] = round(float(agg["average_confidence"]), 3)
     return agg
+
+
+def shard_metrics(shard_dir: str) -> dict[str, Any]:
+    """``run_metrics`` counters of one written shard, read from its parquet
+    files in the calling process: a Ray aggregate per shard cost 0.3-3.5 s
+    of scheduling to count two columns."""
+    has_parts = any(f.endswith(".parquet") for f in os.listdir(shard_dir))
+    t = pq.read_table(shard_dir, columns=["error", "confidence"]) if has_parts else None
+    if t is None or t.num_rows == 0:
+        return dict(_NO_DOCUMENTS)
+    ok = t.column("error").null_count
+    return {
+        "total_documents": t.num_rows,
+        "successful_documents": ok,
+        "failed_documents": t.num_rows - ok,
+        "average_confidence": round(float(pc.mean(t.column("confidence")).as_py()), 3),
+    }
 
 
 def extract_job(
@@ -210,7 +204,6 @@ def extract_job(
     synthesize: bool = True,
     resume: bool = True,
     repair: bool = False,
-    concurrency: int | tuple[int, int] = DEFAULT_CONCURRENCY,
     batch_size: int = DEFAULT_BATCH_SIZE,
 ) -> list[dict[str, Any]]:
     """Resumable multi-shard extraction run.
@@ -221,8 +214,6 @@ def extract_job(
     routers/documents.py:80-201, as a pipeline flag — SURVEY §2.10).
     Returns the manifest list (one per shard).
     """
-    import os
-
     manifests: list[dict[str, Any]] = []
     for idx, path in enumerate(input_files):
         # index prefix: input files may share basenames across directories
@@ -257,22 +248,16 @@ def extract_job(
             )
         else:
             ds = rd.read_parquet(path)
-        ext = run_extraction(
-            ds, schema, concurrency=concurrency, batch_size=batch_size
-        )
+        ext = run_extraction(ds, schema, batch_size=batch_size)
         if repair and schema is not None:
             from ..stages.repair import repair_extractions
 
             ext = repair_extractions(ext, schema)
         ext.write_parquet(shard_dir)
-        if not os.path.isdir(shard_dir):
-            # zero-row shard: write_parquet creates nothing; an empty shard
-            # is still a completed shard (failure-is-data, resumable)
-            os.makedirs(shard_dir, exist_ok=True)
-            metrics = {"total_documents": 0, "successful_documents": 0,
-                       "failed_documents": 0, "average_confidence": 0.0}
-        else:
-            metrics = run_metrics(rd.read_parquet(shard_dir))
+        # zero-row shard: write_parquet creates nothing; an empty shard is
+        # still a completed shard (failure-is-data, resumable)
+        os.makedirs(shard_dir, exist_ok=True)
+        metrics = shard_metrics(shard_dir)
         manifest = {
             "lineage": lineage,
             "shard": shard_name,

@@ -266,19 +266,6 @@ def q_extract_counters_by_lang(sf_dir: str) -> Dataset:
     return agg.map_batches(finish, batch_format="pyarrow")
 
 
-def _pool_size(cap: int = 16) -> int:
-    """Actor-pool size for stateful query stages: half the cluster's CPUs,
-    never the full CPU count (a pool reserving every CPU starves the
-    co-scheduled read/map tasks — a 4-actor pool deadlocked a 4-cpu test
-    session). Floor 1, not 2: an unconditional floor of 2 would itself
-    reserve every CPU of a 1-2 cpu session (review finding)."""
-    try:
-        cpus = int(ray.cluster_resources().get("CPU", 8)) if ray.is_initialized() else 8
-    except Exception:  # noqa: BLE001 — resource introspection is best-effort
-        cpus = 8
-    return max(1, min(cap, cpus // 2, cpus - 1))
-
-
 # per-worker-process compile cache for broadcast gram sets: a task-based
 # map_batches re-invokes its UDF per batch in the same worker processes, so
 # caching by ObjectRef gives compile-once-per-worker without paying actor
@@ -303,7 +290,7 @@ _PAGE_STATS_MAX_PAGES = 7
 
 
 class _PageStatsKernel:
-    """Actor-pool stage for q_pdf_page_stats: builds a multi-page PDF with
+    """Task stage for q_pdf_page_stats: builds a multi-page PDF with
     a KNOWN page structure per doc and runs the real extraction kernel's
     oversize routing — S4 (page_count) + M2 (payload clamp) driver
     coverage (judge round-4 item 6; reference pdf_service.py:148-179 page
@@ -371,8 +358,7 @@ def q_pdf_page_stats(sf_dir: str) -> Dataset:
     newline prefixed to every payload).
     """
     return _docs(sf_dir, ["doc_id", "text"]).map_batches(
-        _PageStatsKernel, batch_format="pyarrow", concurrency=_pool_size(),
-        num_cpus=1)
+        _PageStatsKernel(), batch_format="pyarrow")
 
 
 _BOILERPLATE_LINKS: int | None = None

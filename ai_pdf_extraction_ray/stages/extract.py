@@ -3,11 +3,12 @@
 This is the Ray-Data restatement of the reference's per-document pipeline
 (reference: app/backend/routers/batches.py:95-190 `process_single_document`
 plus services/ai/extraction.py:437-513 `extract_data`): a **callable class**
-for ``ds.map_batches(DocumentExtractor, concurrency=N, batch_size=B,
-batch_format="pyarrow")`` — schema compilation happens ONCE per actor in
-``__init__`` (the reference's lazy per-process client singleton,
-services/ai/__init__.py:117-133, is the precedent for load-once state),
-per-batch work in ``__call__``.
+whose *instance* runs as a task stage,
+``ds.map_batches(DocumentExtractor(schema_dict), batch_format="pyarrow")``.
+Schema compilation happens once, in ``__init__`` where the stage is built
+(~0.1 ms), and the compiled instance ships with the tasks; per-batch work
+is ``__call__``. Being tasks, the stage fuses with the maps and the write
+around it.
 
 Failure-is-data semantics throughout (reference routers/batches.py:152-162:
 failed documents become rows with confidence=0.0 and a warning, the batch
@@ -81,16 +82,16 @@ warning recorded. Guarantees one 200 MB row cannot stall a block
 
 
 class DocumentExtractor:
-    """Actor-pool stage: Arrow batch of pages -> Arrow batch of extractions.
+    """Task stage: Arrow batch of pages -> Arrow batch of extractions.
 
     Parameters
     ----------
     schema_dict:
-        Optional ``SchemaDefinition.to_dict()`` payload (or its JSON string
-        — hashable, which lets Ray dedupe actor constructor args without
-        warnings). Broadcast by value through the constructor (the classic
-        broadcast-small-side pattern; the reference likewise passes the
-        schema by value into its background task, routers/batches.py:414-420).
+        Optional ``SchemaDefinition.to_dict()`` payload (or its JSON
+        string). Broadcast by value inside the instance the tasks run (the
+        classic broadcast-small-side pattern; the reference likewise passes
+        the schema by value into its background task,
+        routers/batches.py:414-420).
         When present, label field extraction + validation run and typed
         ``field_<name>`` columns are emitted.
     max_payload_bytes:

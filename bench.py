@@ -127,22 +127,10 @@ def run_bench() -> dict:
     docs_meta = pq.read_table(f"{SF_DIR}/documents.parquet", columns=["doc_id", "n_chars"])
     n_docs = docs_meta.num_rows
 
-    # ~85% of CPUs to the extractor pool at every level (same fraction at
-    # both scaling levels => fair N-vs-4N comparison); the rest feed
-    # read/write tasks so the pool never starves
-    pool = max(2, int(NUM_CPUS * 0.85))
-
-    # warmup (untimed): spin worker processes + imports at the same pool size
-    warm = run_extraction(
-        pages_dataset(SF_DIR), INVOICE_SCHEMA, concurrency=pool, batch_size=None
-    )
+    # warmup (untimed): spin worker processes + imports
+    warm = run_extraction(pages_dataset(SF_DIR), INVOICE_SCHEMA, batch_size=None)
     for _ in warm.iter_batches(batch_size=4096, batch_format="pyarrow"):
         pass
-    del warm
-    import gc
-
-    gc.collect()
-    time.sleep(5)  # let the warmup actor pool tear down before the timed run
 
     # headline: full extraction pipeline (synth -> extract -> validate -> sink)
     out_dir = "/tmp/bench_extract_out"
@@ -153,7 +141,6 @@ def run_bench() -> dict:
         pages_dataset(SF_DIR, replicate=REPLICATE, override_num_blocks=nb,
                       inflate=HEAVY),
         INVOICE_SCHEMA,
-        concurrency=pool,
         batch_size=None,
     )
     ext.write_parquet(out_dir)

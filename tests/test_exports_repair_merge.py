@@ -19,6 +19,7 @@ from ai_pdf_extraction_ray.stages.discovery import (
     propose_rules,
 )
 from ai_pdf_extraction_ray.stages.repair import repair_record, solve_rule
+from tests.conftest import SF_SMOKE
 
 
 @pytest.fixture
@@ -203,7 +204,7 @@ class TestExportEndToEnd:
         )
         from ai_pdf_extraction_ray.pipelines.queries import INVOICE_SCHEMA
 
-        ext = run_extraction(pages_dataset("/root/testdata/sf0.001"), INVOICE_SCHEMA, concurrency=2)
+        ext = run_extraction(pages_dataset(SF_SMOKE), INVOICE_SCHEMA)
         ext = ext.limit(20)
         csv_path = str(tmp_path / "out.csv")
         n = export_csv(ext, INVOICE_SCHEMA, csv_path)

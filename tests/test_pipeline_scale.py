@@ -9,6 +9,7 @@ import pytest
 from ai_pdf_extraction_ray.sources.corpus import build_pdf
 from ai_pdf_extraction_ray.stages.extract import DocumentExtractor
 from ai_pdf_extraction_ray.state.manifest import lineage_id, manifest_is_valid, write_manifest_atomic
+from tests.conftest import SF_SMOKE
 
 
 def _pages(rows):
@@ -128,7 +129,7 @@ class TestFailureRows:
         from ai_pdf_extraction_ray.pipelines.extract_pipeline import run_extraction
 
         ds = rd.from_arrow(edge_rows_table())
-        out = run_extraction(ds, concurrency=2).to_pandas().set_index("url")
+        out = run_extraction(ds).to_pandas().set_index("url")
         assert len(out) == 5  # every input row came out
 
         assert out.loc["https://edge.example.com/empty", "error"] == "empty payload"
@@ -187,14 +188,98 @@ class TestEmptyShard:
         })
         path = str(tmp_path / "empty.parquet")
         pq.write_table(empty, path)
-        # default concurrency (4) on the 4-cpu test cluster: the clamp must
-        # prevent the all-cpus-reserved deadlock this test once hit
         manifests = extract_job([path], str(tmp_path / "out"))
         assert manifests[0]["rows"] == 0
         assert manifests[0]["skipped"] is False
         # resume: the empty shard is now a valid checkpoint
-        again = extract_job([path], str(tmp_path / "out"), concurrency=2)
+        again = extract_job([path], str(tmp_path / "out"))
         assert again[0]["skipped"] is True
+
+
+class TestTaskStage:
+    """Extraction runs as task-based maps that Ray fuses with the maps and
+    the write around them; no stage holds CPUs the others need."""
+
+    def test_extract_fuses_with_write(self, ray_session, tmp_path):
+        from ray.data._internal.execution.operators.actor_pool_map_operator import (
+            ActorPoolMapOperator,
+        )
+        from ray.data._internal.logical.optimizers import get_execution_plan
+
+        from ai_pdf_extraction_ray.pipelines.extract_pipeline import (
+            pages_dataset,
+            run_extraction,
+        )
+
+        ext = run_extraction(pages_dataset(SF_SMOKE))
+        ops, todo = [], [get_execution_plan(ext._logical_plan).dag]
+        while todo:
+            op = todo.pop()
+            ops.append(op)
+            todo.extend(op.input_dependencies)
+        assert not [op.name for op in ops if isinstance(op, ActorPoolMapOperator)]
+
+        ext.write_parquet(str(tmp_path / "out"))
+        names = [line.split(":")[0] for line in ext.stats().splitlines()
+                 if line.startswith("Operator ")]
+        assert any("MapBatches(DocumentExtractor)" in n and "Write" in n
+                   for n in names), names
+
+    def test_one_cpu_cluster_completes(self, tmp_path):
+        """A stage that reserves the only CPU starves the read and the
+        pipeline never progresses; tasks share it."""
+        import subprocess
+        import sys
+
+        import pyarrow.parquet as pq
+
+        from tests.conftest import REPO_ROOT
+
+        script = (
+            "import ray\n"
+            "ray.init(address='local', num_cpus=1, include_dashboard=False,\n"
+            "         logging_level='ERROR', object_store_memory=100 * 2**20)\n"
+            "from ai_pdf_extraction_ray.pipelines.extract_pipeline import (\n"
+            "    pages_dataset, run_extraction)\n"
+            "from ai_pdf_extraction_ray.pipelines.queries import INVOICE_SCHEMA\n"
+            f"n = run_extraction(pages_dataset({SF_SMOKE!r}), INVOICE_SCHEMA).count()\n"
+            "print('ROWS', n)\n"
+            "ray.shutdown()\n"
+        )
+        done = subprocess.run([sys.executable, "-c", script], cwd=str(REPO_ROOT),
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr[-2000:]
+        rows = pq.read_metadata(f"{SF_SMOKE}/documents.parquet").num_rows
+        assert f"ROWS {rows}" in done.stdout.splitlines()
+
+    def test_manifest_counters_match_run_metrics(self, ray_session, tmp_path):
+        import os
+
+        import pyarrow.parquet as pq
+        import ray.data as rd
+
+        from ai_pdf_extraction_ray.pipelines.extract_pipeline import (
+            extract_job,
+            run_metrics,
+        )
+        from ai_pdf_extraction_ray.pipelines.queries import INVOICE_SCHEMA
+        from ai_pdf_extraction_ray.sources.corpus import edge_rows_table
+
+        src = pq.read_table(f"{SF_SMOKE}/documents.parquet",
+                            columns=["doc_id", "text", "lang"])
+        f1, f2 = str(tmp_path / "s1.parquet"), str(tmp_path / "s2.parquet")
+        pq.write_table(src.slice(0, 120), f1)
+        pq.write_table(edge_rows_table(), f2)
+        out = str(tmp_path / "out")
+        m1 = extract_job([f1], out, INVOICE_SCHEMA)[0]
+        m2 = extract_job([f2], out, INVOICE_SCHEMA, synthesize=False)[0]
+        assert m2["failed_documents"] > 0  # the edge rows include failures
+        for m in (m1, m2):
+            ref = run_metrics(rd.read_parquet(os.path.join(out, f"shard={m['shard']}")))
+            assert (m["rows"], m["successful_documents"], m["failed_documents"],
+                    m["average_confidence"]) == (
+                ref["total_documents"], ref["successful_documents"],
+                ref["failed_documents"], ref["average_confidence"])
 
 
 class TestInterruptedRunResumes:
@@ -220,7 +305,7 @@ class TestInterruptedRunResumes:
         pq.write_table(src.slice(120, 120), f2)
 
         ref_dir, out_dir = str(tmp_path / "ref"), str(tmp_path / "out")
-        EP.extract_job([f1, f2], ref_dir, concurrency=2)
+        EP.extract_job([f1, f2], ref_dir)
 
         calls = {"n": 0}
         real = EP.write_manifest_atomic
@@ -233,7 +318,7 @@ class TestInterruptedRunResumes:
 
         monkeypatch.setattr(EP, "write_manifest_atomic", dying)
         with pytest.raises(RuntimeError, match="simulated kill"):
-            EP.extract_job([f1, f2], out_dir, concurrency=2)
+            EP.extract_job([f1, f2], out_dir)
         monkeypatch.setattr(EP, "write_manifest_atomic", real)
 
         shard1 = os.path.join(out_dir, "shard=00000-s1")
@@ -243,7 +328,7 @@ class TestInterruptedRunResumes:
         assert os.path.isdir(shard2)
         assert not os.path.exists(os.path.join(shard2, "_MANIFEST.json"))
 
-        m = EP.extract_job([f1, f2], out_dir, concurrency=2)
+        m = EP.extract_job([f1, f2], out_dir)
         assert m[0]["skipped"] is True
         assert m[1]["skipped"] is False
         for shard in ("shard=00000-s1", "shard=00001-s2"):
@@ -286,7 +371,7 @@ class TestHostPartitionedSink:
         import os
         import ray.data as rd
 
-        ext = run_extraction(pages_dataset("/root/testdata/sf0.001"), concurrency=2)
+        ext = run_extraction(pages_dataset(SF_SMOKE))
         out = str(tmp_path / "by_host")
         write_host_partitioned(ext.limit(200), out, num_buckets=8)
         parts = sorted(d for d in os.listdir(out) if d.startswith("host_bucket="))
@@ -333,7 +418,7 @@ class TestFileIngestion:
         bad_df = bad.to_pandas()
         assert set(bad_df.columns) == {"url", "ingest_error"}
         assert bad_df.ingest_error.notna().all()
-        out = run_extraction(ok, concurrency=2).to_pandas().set_index("url")
+        out = run_extraction(ok).to_pandas().set_index("url")
         assert out.loc[f"file://{tmp_path}/a.html", "text"] == "file lane html content"
         assert out.loc[f"file://{tmp_path}/b.pdf", "text"] == "file lane pdf content"
         # rejected files never reach extraction
@@ -351,13 +436,13 @@ class TestRepairFlag:
 
         out = str(tmp_path / "rj")
         m = extract_job(["/root/testdata/sf0.001/documents.parquet"], out,
-                        INVOICE_SCHEMA, repair=True, concurrency=2)
+                        INVOICE_SCHEMA, repair=True)
         assert m[0]["rows"] == 500
         back = rd.read_parquet(out).to_pandas()
         assert "repaired_json" in back.columns  # audit column present
         # repair and non-repair runs have different lineages (no stale reuse)
         m2 = extract_job(["/root/testdata/sf0.001/documents.parquet"], out,
-                         INVOICE_SCHEMA, repair=False, concurrency=2)
+                         INVOICE_SCHEMA, repair=False)
         assert m2[0]["skipped"] is False
 
 
@@ -382,7 +467,7 @@ class TestEverythingTogether:
         # 1. resumable job with repair
         out = str(tmp_path / "job")
         m = extract_job(["/root/testdata/sf0.001/documents.parquet"], out,
-                        INVOICE_SCHEMA, repair=True, concurrency=2)
+                        INVOICE_SCHEMA, repair=True)
         assert m[0]["rows"] == 500 and m[0]["failed_documents"] == 0
 
         # 2. job output feeds the host-partitioned sink
@@ -393,7 +478,7 @@ class TestEverythingTogether:
 
         # 3. exports from a fresh extraction of the same corpus
         ext2 = run_extraction(pages_dataset("/root/testdata/sf0.001"),
-                              INVOICE_SCHEMA, concurrency=2).limit(50)
+                              INVOICE_SCHEMA).limit(50)
         n = export_csv(ext2, INVOICE_SCHEMA, str(tmp_path / "r.csv"))
         env = export_json(ext2, INVOICE_SCHEMA, str(tmp_path / "r.json"),
                           batch_id="it", exported_at="2024-01-01T00:00:00Z")
