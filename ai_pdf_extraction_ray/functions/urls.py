@@ -16,13 +16,15 @@ safe without fetching — each is order-dependent, applied as listed):
 1. lowercase the scheme and authority (host[:port]) — never the path;
 2. drop the fragment (``#...``);
 3. drop explicit default ports (``https://h:443`` -> ``https://h``,
-   ``http://h:80`` -> ``http://h``);
+   ``http://h:80`` -> ``http://h``), also behind userinfo
+   (``https://u:p@h:443``) and on bracketed IPv6 hosts
+   (``https://[::1]:443``);
 4. collapse duplicate slashes in the PATH (``//p//x`` -> ``/p/x``) and
    strip trailing slashes (``/p/1/`` -> ``/p/1``; the root path ``/`` is
    preserved, and an empty path becomes ``/``);
-5. remove tracking params (``utm_[A-Za-z0-9_]+``, ``fbclid``, ``gclid``)
-   and SORT the surviving params lexicographically; an emptied query
-   loses its ``?``.
+5. remove tracking params (``utm_[A-Za-z0-9_]+``, ``fbclid``, ``gclid``,
+   with or without a value) and SORT the surviving params
+   lexicographically; an emptied query loses its ``?``.
 
 Everything is vectorized: scheme/authority/path/query splitting and the
 regex rewrites are Arrow (RE2) kernels; the per-param filter+sort runs in
@@ -43,7 +45,9 @@ _SPLIT_RE = (
     r"(?:\?(?P<query>[^#]*))?"
     r"(?:#.*)?$"
 )
-_TRACKER_RE = r"^(?:utm_[A-Za-z0-9_]+|fbclid|gclid)="
+_TRACKER_RE = r"^(?:utm_[A-Za-z0-9_]+|fbclid|gclid)(?:=|$)"
+# [userinfo@] then a bracketed IPv6 literal or a reg-name/IPv4 host
+_HOST_RE = r"(?:[^/?#@]*@)?(?:\[[^\]/?#]*\]|[^:/?#@\[\]]+)"
 
 
 def _clean_query(query: pa.Array) -> pa.Array:
@@ -86,10 +90,10 @@ def canonicalize_urls(urls: pa.Array | pa.ChunkedArray) -> pa.Array:
 
     # authority: lowercase, then strip explicit default ports
     auth = pc.utf8_lower(auth)
-    auth = pc.replace_substring_regex(
-        auth, pattern=r"^(https://[^:/?#]+):443$", replacement=r"\1")
-    auth = pc.replace_substring_regex(
-        auth, pattern=r"^(http://[^:/?#]+):80$", replacement=r"\1")
+    for scheme, port in (("https", 443), ("http", 80)):
+        auth = pc.replace_substring_regex(
+            auth, pattern=rf"^({scheme}://{_HOST_RE}):{port}$",
+            replacement=r"\1")
 
     # path: collapse duplicate slashes, strip trailing slashes, seed root
     path = pc.replace_substring_regex(path, pattern=r"/{2,}", replacement="/")

@@ -582,16 +582,18 @@ def q_exact_dedup(sf_dir: str) -> Dataset:
 def q_revenue_by_nation(sf_dir: str) -> Dataset:
     """J2-shape join + A5 aggregate: orders ⋈ customer ⋈ nation revenue.
 
-    Orders pre-aggregate to customer grain, then hash-join customer (both
-    sides scale with SF). Only nation is broadcast: its 25-row key->name
-    map rides in the per-batch lookup's closure. Partial sums per batch,
-    then a 25-row groupby.
+    Orders pre-aggregate to customer grain, then join customer through
+    ``guarded_join``, which picks the physical join from the sides' sizes:
+    a customer-grain side under its broadcast threshold (every test scale)
+    is broadcast with no shuffle, a large one is hash-shuffled. nation's
+    25-row key->name map rides in the per-batch lookup's closure. Partial
+    sums per batch, then a 25-row groupby.
     """
-    # nation is the ONLY broadcast side: 25 rows, fixed — the round-2
-    # version broadcast the whole customer table as a Python dict with a
-    # per-row .get loop on the orders hot path (customer scales with SF:
-    # gigabytes per worker at 100x; judge finding). customer now joins by
-    # hash like any SF-scaled table. Read with pyarrow, not Ray: an empty
+    # nation is the only side broadcast by hand: 25 rows, fixed. customer
+    # scales with SF, so it goes through guarded_join, never a call-site
+    # dict (the round-2 version broadcast the whole customer table as a
+    # Python dict with a per-row .get loop on the orders hot path:
+    # gigabytes per worker at 100x). Read with pyarrow, not Ray: an empty
     # Ray read loses the columns.
     import pyarrow.parquet as pq
 
@@ -801,10 +803,10 @@ def q_corrections_upsert(sf_dir: str) -> Dataset:
     The delta (synthesized: upper-cased text for every doc_id % 20 == 3)
     stays DISTRIBUTED end to end: filter + transform as Dataset stages, then
     a left_outer ``Dataset.join`` back onto the corpus with last-writer-wins
-    coalesce per batch. No driver materialization at any size — round-1
-    built the delta as a driver dict, corpus-proportional at 100 TB (judge
-    finding). A truly tiny delta could broadcast instead; the join is the
-    general shape.
+    coalesce per batch. A delta under ``guarded_join``'s broadcast
+    threshold is joined by broadcast (the right side of a left_outer), a
+    larger one by hash shuffle; it is never collected into a driver dict
+    (round-1 did that, corpus-proportional at 100 TB).
     """
     docs = _docs(sf_dir, ["doc_id", "text"])
 
@@ -2494,19 +2496,25 @@ def q_sessionize(sf_dir: str) -> Dataset:
 
 
 def q_props_json(sf_dir: str) -> Dataset:
-    """JSON scalar extraction over the events props column (per-record json
-    decode, reference extraction.py:256-277 shape), aggregated by type."""
-    import json as _json
+    """JSON scalar extraction over the events props column (reference
+    extraction.py:256-277 shape), aggregated by type.
 
+    ``k`` is read with one RE2 kernel over the column, not a per-row
+    ``json.loads``. A row without an integer ``k`` gives a null ``k``, as
+    DuckDB's ``json_extract`` does: it still counts in ``n`` and adds
+    nothing to ``sum_k``.
+    """
     ds = _events(sf_dir, ["event_type", "props"])
 
     def partial(batch: pa.Table) -> pa.Table:
-        ks = [int(_json.loads(p)["k"]) for p in batch.column("props").to_pylist()]
+        k = pc.struct_field(pc.extract_regex(
+            batch.column("props"), r'"k"\s*:\s*(?P<k>-?\d+)\s*[,}]'), "k")
         t = pa.table({
             "event_type": batch.column("event_type"),
-            "k": pa.array(ks, pa.int64()),
+            "k": k.cast(pa.int64()),
         })
-        return t.group_by("event_type").aggregate([("k", "sum"), ("k", "count")])
+        return t.group_by("event_type").aggregate(
+            [("k", "sum"), ("k", "count", pc.CountOptions(mode="all"))])
 
     agg = (
         ds.map_batches(partial, batch_format="pyarrow")

@@ -96,12 +96,20 @@ def _nonempty_blocks(ds: Dataset, n_rows: int) -> Dataset:
 
 
 def _join_partitions() -> int:
-    """Hash-join partition count sized to the cluster: each partition runs
-    a HashShuffleAggregator actor, and over-provisioning them beyond the
-    CPU count starves/deadlocks the co-scheduled map stages on small
-    clusters (observed: 16 partitions hang a 4-cpu test session)."""
+    """Hash-join partition count sized to the cluster, for the shuffle path
+    only (a side small enough to broadcast starts no actors): each
+    partition runs a HashShuffleAggregator actor, and over-provisioning
+    them beyond the CPU count starves/deadlocks the co-scheduled map stages
+    on small clusters (observed: 16 partitions hang a 4-cpu test session)."""
     cpus = int(ray.cluster_resources().get("CPU", 8)) if ray.is_initialized() else 8
     return max(2, min(16, cpus))
+
+
+# A materialized side at or below this size is broadcast instead of
+# hash-shuffled. Same order as Spark's 10 MB autoBroadcastJoinThreshold:
+# one object-store copy read by each probe worker is cheap next to starting
+# min(16, cpus) HashShuffleAggregator actors (~2 s per join at 4 cpus).
+_BROADCAST_MAX_BYTES = 8 << 20
 
 
 def guarded_join(
@@ -112,6 +120,23 @@ def guarded_join(
     join site. Returns None when either side is empty; each caller owns
     its typed empty result or fallback.
 
+    Both sides are materialized and counted (block metadata, no scan);
+    then the join takes one of two physical paths, chosen from each
+    side's ``size_bytes()`` (also block metadata):
+
+    - broadcast: when a side is at most ``_BROADCAST_MAX_BYTES`` — for
+      ``inner`` the smaller side, for ``left_outer`` only the right side —
+      it is fetched once into one Arrow table, and every block of the
+      other side is joined against it with ``pa.Table.join``, the call
+      Ray's own shuffle join finalizes with. The small side stays on the
+      left of that call when it is the left input, so columns come out in
+      the order, and with the key coalescing, of ``Dataset.join``. No
+      shuffle, no aggregator actors.
+    - hash shuffle: ``Dataset.join`` over ``_join_partitions()`` actors,
+      for everything else: two large sides, or a ``left_outer`` whose
+      right side is large (a broadcast left side would emit each
+      unmatched left row once per probe block).
+
     Ray 2.49 hazard (diagnosed on the MinHash verify): groupby().map_groups
     and aggregate emit SCHEMA-LESS empty blocks, and so do hash-join
     partitions that matched nothing; map_batches does NOT invoke the UDF on
@@ -120,9 +145,12 @@ def guarded_join(
     broadcasts the empty schema as its seed and partitions holding only
     seed shards finalize column-less -> pa.Table.join dies with ArrowInvalid
     ("No match ... FieldRef.Name(doc_a)") — deterministically for that
-    session. So every side, whatever its lineage, is materialized, counted
-    (block metadata, no scan) and repartitioned into non-empty blocks
-    before the join. ONE place to update when a Ray upgrade fixes the race.
+    session. So every shuffled side, whatever its lineage, is repartitioned
+    into non-empty blocks before the join. The broadcast path's probe side
+    goes through the same repartition: an empty block would pass the probe
+    untransformed, and a later stage (e.g. ``rename_columns``) would then
+    emit blocks of two schemas. ONE place to update when a Ray upgrade
+    fixes the race.
     """
     sides = []
     for ds in (left, right):
@@ -130,10 +158,30 @@ def guarded_join(
         n = ds.count()
         if n == 0:
             return None
-        sides.append(_nonempty_blocks(ds, n))
-    return sides[0].join(
-        sides[1], join_type=join_type, num_partitions=_join_partitions(),
-        on=on, right_on=right_on)
+        sides.append((ds, n))
+    (lds, ln), (rds, rn) = sides
+    lbytes, rbytes = lds.size_bytes(), rds.size_bytes()
+    broadcast_left = join_type == "inner" and lbytes < rbytes
+    small_bytes = lbytes if broadcast_left else rbytes
+    if (join_type not in ("inner", "left_outer")
+            or small_bytes > _BROADCAST_MAX_BYTES):
+        return _nonempty_blocks(lds, ln).join(
+            _nonempty_blocks(rds, rn), join_type=join_type,
+            num_partitions=_join_partitions(), on=on, right_on=right_on)
+
+    (small_ds, _), (big_ds, big_n) = sides if broadcast_left else sides[::-1]
+    small = pa.concat_tables(
+        [t for t in ray.get(small_ds.to_arrow_refs()) if t.num_rows],
+        promote_options="default")
+    keys, right_keys = list(on), list(right_on or on)
+    arrow_join_type = join_type.replace("_", " ")
+
+    def probe(batch: pa.Table) -> pa.Table:
+        left_t, right_t = (small, batch) if broadcast_left else (batch, small)
+        return left_t.join(right_t, keys, right_keys, join_type=arrow_join_type)
+
+    return _nonempty_blocks(big_ds, big_n).map_batches(
+        probe, batch_format="pyarrow", batch_size=None)
 
 
 class MinHasher:

@@ -26,6 +26,28 @@ def _rows(out) -> int:  # noqa: ANN001 — Dataset or DataFrame
     return len(out) if isinstance(out, pd.DataFrame) else len(out.take_all())
 
 
+def _execute(ds) -> tuple[pa.Table, bool]:  # noqa: ANN001 — Dataset
+    """Run ``ds``: its rows, and whether Ray's hash-shuffle join operator
+    ran to produce them."""
+    import ray
+
+    ds = ds.materialize()
+    rows = pa.concat_tables(ray.get(ds.to_arrow_refs()),
+                            promote_options="default")
+    return rows, "Join" in ds.stats()
+
+
+JOIN_TYPES = [("inner", "inner"), ("left_outer", "left outer")]
+
+
+@pytest.fixture
+def force_shuffle(monkeypatch) -> None:
+    """No side is small enough to broadcast: every join hash-shuffles."""
+    from ai_pdf_extraction_ray.stages import dedup
+
+    monkeypatch.setattr(dedup, "_BROADCAST_MAX_BYTES", -1)
+
+
 class TestEmptySides:
     @pytest.mark.parametrize("join_type", ["inner", "left_outer"])
     @pytest.mark.parametrize("empty_side", ["left", "right"])
@@ -43,10 +65,8 @@ class TestEmptySides:
 
 
 class TestLineage:
-    @pytest.mark.parametrize("join_type,arrow_type", [
-        ("inner", "inner"), ("left_outer", "left outer")])
-    def test_groupby_side_against_read_side(self, ray_session, tmp_path,
-                                            join_type, arrow_type):
+    @staticmethod
+    def _check(tmp_path, join_type: str, arrow_type: str) -> None:
         """A groupby output (schema-less empty blocks when there are fewer
         keys than shuffle partitions) joined to a parquet-read side gives
         the pyarrow reference join."""
@@ -75,6 +95,145 @@ class TestLineage:
         got = got[cols].sort_values("name_k").reset_index(drop=True)
         want = want[cols].sort_values("name_k").reset_index(drop=True)
         assert got.astype(str).equals(want.astype(str))
+
+    @pytest.mark.parametrize("join_type,arrow_type", JOIN_TYPES)
+    def test_groupby_side_against_read_side(self, ray_session, tmp_path,
+                                            join_type, arrow_type):
+        self._check(tmp_path, join_type, arrow_type)
+
+    @pytest.mark.parametrize("join_type,arrow_type", JOIN_TYPES)
+    def test_groupby_side_against_read_side_shuffled(
+            self, ray_session, force_shuffle, tmp_path, join_type, arrow_type):
+        """The same join on the hash-shuffle path, where the schema-less
+        seed hazard lives; small sides would otherwise never reach it."""
+        self._check(tmp_path, join_type, arrow_type)
+
+
+def _sorted_frame(t: pa.Table) -> pd.DataFrame:
+    """Order-insensitive comparison form: every value as text, rows sorted."""
+    df = t.to_pandas().astype(str)
+    return df.sort_values(list(df.columns)).reset_index(drop=True)
+
+
+def _blocks(t: pa.Table, *cuts: int) -> list[pa.Table]:
+    """``t`` as several blocks, a zero-row block first."""
+    bounds = [0, *cuts, len(t)]
+    return [t.slice(0, 0)] + [t.slice(a, b - a)
+                              for a, b in zip(bounds, bounds[1:])]
+
+
+# keys with duplicates and nulls on both sides; a second key column; the
+# right side names its keys differently
+LEFT = pa.table({
+    "k": pa.array([1, 1, 2, None, 3, 4, 4, 7], pa.int64()),
+    "g": ["a", "a", "b", "a", "c", "d", "e", "a"],
+    "lv": pa.array(range(8), pa.int64()),
+})
+RIGHT = pa.table({
+    "rk": pa.array([1, 1, 2, 2, None, 4, 5, 3, 3, 1, 9, 4, None, 2, 6,
+                    1, 2, 3, 4, 5], pa.int64()),
+    "rg": ["a", "a", "b", "x", "a", "d", "a", "c", "c", "b", "a", "e",
+           "a", "b", "a", "a", "b", "c", "d", "e"],
+    "rv": [f"r{i}" for i in range(20)],
+})
+
+
+class TestPathParity:
+    """Broadcast and hash-shuffle joins agree with ``pa.Table.join``."""
+
+    @staticmethod
+    def _join(left: pa.Table, right: pa.Table, *, hashed: bool,
+              **kw) -> pd.DataFrame:
+        import ray.data as rd
+
+        from ai_pdf_extraction_ray.stages.dedup import guarded_join
+
+        rows, hash_joined = _execute(guarded_join(
+            rd.from_arrow(_blocks(left, 3)),
+            rd.from_arrow(_blocks(right, 5, 11)), **kw))
+        assert hash_joined == hashed
+        return _sorted_frame(rows)
+
+    @pytest.mark.parametrize("join_type,arrow_type,small_side", [
+        ("inner", "inner", "left"), ("inner", "inner", "right"),
+        ("left_outer", "left outer", "right")])
+    @pytest.mark.parametrize("on,right_on", [
+        (("k",), ("rk",)), (("k", "g"), ("rk", "rg"))], ids=["one", "two"])
+    def test_paths_match_reference(self, ray_session, monkeypatch, join_type,
+                                   arrow_type, small_side, on, right_on):
+        from ai_pdf_extraction_ray.stages import dedup
+
+        left, right = (LEFT, RIGHT) if small_side == "left" else (
+            RIGHT.rename_columns(["k", "g", "lv"]),
+            LEFT.rename_columns(["rk", "rg", "rv"]))
+        kw = dict(on=on, right_on=right_on, join_type=join_type)
+        want = _sorted_frame(left.join(right, list(on), list(right_on),
+                                       join_type=arrow_type))
+        broadcast = self._join(left, right, hashed=False, **kw)
+        monkeypatch.setattr(dedup, "_BROADCAST_MAX_BYTES", -1)
+        shuffled = self._join(left, right, hashed=True, **kw)
+        assert broadcast.equals(want)  # also compares the column order
+        assert shuffled.equals(want)
+
+    def test_left_outer_small_left_shuffles(self, ray_session):
+        """Only the right side of a left_outer may broadcast: a small left
+        side against a right side above the threshold is hash-shuffled,
+        and keeps every unmatched left row exactly once."""
+        import numpy as np
+        import ray.data as rd
+
+        from ai_pdf_extraction_ray.stages import dedup
+        from ai_pdf_extraction_ray.stages.dedup import guarded_join
+
+        n = dedup._BROADCAST_MAX_BYTES // 16 + 4096  # two int64 columns
+        big = pa.table({"rk": pa.array(np.arange(n) % 1000, pa.int64()),
+                        "rv": pa.array(np.arange(n), pa.int64())})
+        small = pa.table({"k": pa.array([1, 2, 5000, None], pa.int64()),
+                          "lv": ["a", "b", "c", "d"]})
+        rows, hash_joined = _execute(guarded_join(
+            rd.from_arrow(small), rd.from_arrow(big),
+            on=("k",), right_on=("rk",), join_type="left_outer"))
+        assert hash_joined
+        want = small.join(big, "k", "rk", join_type="left outer")
+        assert _sorted_frame(rows).equals(_sorted_frame(want))
+
+    def test_broadcast_blocks_share_one_schema(self, ray_session):
+        """A broadcast join whose probe side has zero-row blocks, then a
+        rename: every output block has the renamed joined schema (an
+        empty probe block would skip the probe and keep its own)."""
+        import ray
+        import ray.data as rd
+
+        from ai_pdf_extraction_ray.stages.dedup import guarded_join
+
+        docs = pa.table({"doc_id": pa.array(range(40), pa.int64()),
+                         "text": [f"t{i}" for i in range(40)]})
+        pairs = pa.table({"doc_a": pa.array([1, 3, 5, 39], pa.int64()),
+                          "doc_b": pa.array([2, 4, 6, 38], pa.int64())})
+        probe = rd.from_arrow([docs.slice(0, 0), docs.slice(0, 20),
+                               docs.slice(0, 0), docs.slice(20)])
+        out = guarded_join(probe, rd.from_arrow(pairs), on=("doc_id",),
+                           right_on=("doc_a",)).rename_columns(
+            {"doc_id": "doc_a", "text": "text_a"}).materialize()
+        schemas = {ray.get(ref).schema for ref in out.to_arrow_refs()}
+        assert len(schemas) == 1
+        assert out.count() == 4
+
+
+class TestPlanShape:
+    """Small sides broadcast with no hash-join operator; a forced threshold
+    puts the hash-shuffle join back (a regression that stops broadcasting
+    fails here, not only in the benchmark)."""
+
+    def test_revenue_by_nation_broadcasts(self, ray_session):
+        from ai_pdf_extraction_ray.pipelines.queries import q_revenue_by_nation
+
+        assert not _execute(q_revenue_by_nation(SF_SMOKE))[1]
+
+    def test_revenue_by_nation_forced_shuffle(self, ray_session, force_shuffle):
+        from ai_pdf_extraction_ray.pipelines.queries import q_revenue_by_nation
+
+        assert _execute(q_revenue_by_nation(SF_SMOKE))[1]
 
 
 @pytest.fixture(scope="module")

@@ -246,3 +246,33 @@ class TestDimensionRollups:
         part = q_part_brand_stats(SF_SMOKE).to_pandas()
         assert part.n_parts.sum() == n_part      # every part attributed
         assert (part.min_size <= part.max_size).all()
+
+
+@pytest.mark.usefixtures("ray_session")
+class TestPropsJson:
+    def test_missing_k_is_null_like_duckdb(self, tmp_path):
+        """A props row without an integer ``k`` counts in ``n`` and adds
+        nothing to ``sum_k`` (DuckDB json_extract gives NULL), instead of
+        failing the task."""
+        import duckdb
+        import pyarrow as pa
+        import pyarrow.parquet as pq
+
+        from ai_pdf_extraction_ray.pipelines.queries import QUERIES, q_props_json
+
+        props = ['{"k": 3}', '{"x": 1}', '{"y": 2, "k":-4}', '{"kk": 5}',
+                 '{"k": 10, "z": [1]}', '{}']
+        pq.write_table(pa.table({
+            "event_type": ["a", "a", "a", "b", "b", "b"], "props": props}),
+            tmp_path / "events.parquet")
+        got = _df(q_props_json(str(tmp_path))).sort_values("event_type")
+        assert got.sum_k.tolist() == [-1, 10]
+        assert got.n.tolist() == [3, 3]
+
+        con = duckdb.connect()
+        con.execute(f"CREATE VIEW events AS SELECT * FROM "
+                    f"read_parquet('{tmp_path}/events.parquet')")
+        want = con.sql(QUERIES["props_json"]["sql"]).df()
+        want = want.sort_values("event_type")
+        assert want.sum_k.tolist() == got.sum_k.tolist()
+        assert want.n.tolist() == got.n.tolist()
