@@ -10,8 +10,8 @@ nothing here (or in the library) calls ``ray.init()``/``ray.shutdown()``.
 NOTE: Ray WORKER processes must also be able to import
 ``ai_pdf_extraction_ray`` — run the driver with cwd=/root/repo (or the repo
 on PYTHONPATH before ``ray.init``). A driver-side ``sys.path`` insert alone
-reaches only the driver process; actor-pool stages deserialize the kernel
-classes by module reference inside workers.
+reaches only the driver process; task stages deserialize the kernel
+instances by module reference inside workers.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ SF_SMOKE = "/root/testdata/sf0.001"
 
 
 def entry() -> Any:
-    """Flagship: pages -> actor-pool extraction -> validated records."""
+    """Flagship: pages -> extraction tasks -> validated records."""
     from ai_pdf_extraction_ray.pipelines.extract_pipeline import (
         pages_dataset,
         run_extraction,

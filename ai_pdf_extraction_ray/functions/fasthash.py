@@ -18,7 +18,7 @@ Scheme (public building blocks):
   the standard splitmix64 finalizer (Steele et al., public domain), with
   the span length mixed in;
 - power tables ``B^i`` / ``Binv^i`` are grown once and cached per process
-  (actors reuse them across batches).
+  (worker processes reuse them across batches).
 
 All values are uint64 with natural mod-2^64 wraparound (numpy uint64
 arithmetic wraps silently — verified; no Mersenne split needed because no

@@ -37,7 +37,7 @@ from ray.data import Dataset
 from ray.data.aggregate import Min
 
 from ..stages.dedup import guarded_join
-from ..stages.textstats import _TOKEN, build_benchmark_ngrams
+from ..stages.textstats import _TOKEN, build_benchmark_ngrams, cached_gram_set
 
 MIN_WORDS = 20
 MIN_TTR = 0.4
@@ -121,25 +121,24 @@ def assign_split(doc_id: int) -> str:
 
 
 class CurateGate:
-    """Actor-pool gate stage: the benchmark matcher (GramSet — per-gram C
-    scan or Aho-Corasick automaton) compiles ONCE per actor in
-    ``__init__``; each batch runs the vectorized funnel
+    """Task gate stage: the benchmark matcher (GramSet — per-gram C scan
+    or Aho-Corasick automaton) compiles once per worker process
+    (``cached_gram_set``); each batch runs the vectorized funnel
     (``curation_stages_vec``) and emits the surviving rows with a 128-bit
     content digest (two int64 columns ``digest_hi``/``digest_lo`` —
     8-byte shuffle keys, computed only for survivors, vectorized over one
     byte buffer per batch)."""
 
     def __init__(self, grams_ref) -> None:  # noqa: ANN001 — ObjectRef
-        from ..stages.textstats import GramSet
-
-        self.gram_set = GramSet(ray.get(grams_ref))
+        self.grams_ref = grams_ref
 
     def __call__(self, b: pa.Table) -> pa.Table:
         from ..functions.fasthash import hash128_strs
 
         stage = curation_stages_vec(
             b.column("lang").combine_chunks(),
-            b.column("text").combine_chunks(), self.gram_set)
+            b.column("text").combine_chunks(),
+            cached_gram_set(self.grams_ref))
         # typed mask: an untyped pa.array([]) from a zero-row batch is
         # null-type and Table.filter raises on it (review finding)
         kept = b.filter(pa.array(stage == STAGE_KEEP, pa.bool_()))
@@ -152,16 +151,10 @@ class CurateGate:
 
 
 def _flagged_docs(sf_dir: str, grams_ref) -> Dataset:  # noqa: ANN001
-    """Gate-surviving rows with content digests — CurateGate actor pool."""
+    """Gate-surviving rows with content digests — CurateGate tasks."""
     docs = rd.read_parquet(f"{sf_dir}/documents.parquet",
                            columns=["doc_id", "lang", "text"])
-    # concurrency 2 (not higher): the gate's long-lived actors must leave
-    # CPUs free for the downstream groupby/join shuffle actors — a pool
-    # sized to the whole session deadlocks small (4-cpu test) sessions,
-    # the same hazard class as stages/dedup.guarded_join's partition cap
-    return docs.map_batches(
-        CurateGate, batch_format="pyarrow", concurrency=2, num_cpus=1,
-        fn_constructor_args=(grams_ref,))
+    return docs.map_batches(CurateGate(grams_ref), batch_format="pyarrow")
 
 
 def _with_split(ds: Dataset) -> Dataset:

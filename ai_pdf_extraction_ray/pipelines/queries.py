@@ -266,25 +266,6 @@ def q_extract_counters_by_lang(sf_dir: str) -> Dataset:
     return agg.map_batches(finish, batch_format="pyarrow")
 
 
-# per-worker-process compile cache for broadcast gram sets: a task-based
-# map_batches re-invokes its UDF per batch in the same worker processes, so
-# caching by ObjectRef gives compile-once-per-worker without paying actor
-# pool startup (one entry — a new broadcast evicts the old)
-_GRAM_SET_CACHE: dict[bytes, object] = {}
-
-
-def _cached_gram_set(grams_ref):  # noqa: ANN001, ANN201 — ObjectRef -> GramSet
-    from ..stages.textstats import GramSet
-
-    key = grams_ref.binary()
-    gs = _GRAM_SET_CACHE.get(key)
-    if gs is None:
-        gs = GramSet(ray.get(grams_ref))
-        _GRAM_SET_CACHE.clear()
-        _GRAM_SET_CACHE[key] = gs
-    return gs
-
-
 PAGE_STATS_CAP_BYTES = 300   # oversize cap sized so both lanes occur at sf0.01
 _PAGE_STATS_MAX_PAGES = 7
 
@@ -459,7 +440,7 @@ def q_host_reputation(sf_dir: str) -> Dataset:
     scaled-int helpers on both sides.
     """
     from ..sources.corpus import host_ids_for
-    from ..stages.textstats import build_benchmark_ngrams
+    from ..stages.textstats import build_benchmark_ngrams, cached_gram_set
     from .curate import STAGE_KEEP, curation_stages_vec
 
     grams_ref = ray.put(build_benchmark_ngrams(sf_dir))
@@ -471,7 +452,7 @@ def q_host_reputation(sf_dir: str) -> Dataset:
         stage = curation_stages_vec(
             b.column("lang").combine_chunks(),
             b.column("text").combine_chunks(),
-            _cached_gram_set(grams_ref))
+            cached_gram_set(grams_ref))
         kept = (stage == STAGE_KEEP).astype(np.int64)
         chars = pc.fill_null(pc.utf8_length(b.column("text")), 0).to_numpy(
             zero_copy_only=False).astype(np.int64)
@@ -532,18 +513,33 @@ def q_first_event_per_user(sf_dir: str) -> Dataset:
     map_groups over the full table; judge efficiency note)."""
     ds = _events(sf_dir, ["event_id", "ts", "user_id", "event_type"])
 
-    def local_first(b: pd.DataFrame) -> pd.DataFrame:
-        return (b.sort_values(["ts", "event_id"], kind="mergesort")
-                .groupby("user_id", as_index=False).head(1))
-
-    def first(g: pd.DataFrame) -> pd.DataFrame:
-        return g.sort_values(["ts", "event_id"], kind="mergesort").head(1)
+    def first(t: pa.Table) -> pa.Table:
+        return _first_rows_per_key(t, "user_id", 1)
 
     return (
-        ds.map_batches(local_first, batch_format="pandas")
+        ds.map_batches(first, batch_format="pyarrow")
         .groupby("user_id")
-        .map_groups(first, batch_format="pandas")
+        .map_groups(first, batch_format="pyarrow")
     )
+
+
+def _first_rows_per_key(t: pa.Table, key: str, n: int) -> pa.Table:
+    """The first ``n`` rows of each ``key`` in (ts, event_id) order: one
+    Arrow sort, then a rank-within-run mask. Nulls form one key, as in
+    SQL ``PARTITION BY``. Serves as both the per-batch partial and the
+    per-group step."""
+    t = t.sort_by([(key, "ascending"), ("ts", "ascending"),
+                   ("event_id", "ascending")])
+    if t.num_rows == 0:
+        return t
+    k = t.column(key).combine_chunks()
+    prev, cur = k.slice(0, len(k) - 1), k.slice(1)
+    same = pc.coalesce(pc.equal(prev, cur),
+                       pc.and_(pc.is_null(prev), pc.is_null(cur)))
+    start = np.concatenate([[True], ~same.to_numpy(zero_copy_only=False)])
+    idx = np.arange(len(k))
+    rank = idx - np.maximum.accumulate(np.where(start, idx, 0))
+    return t.filter(pa.array(rank < n))
 
 
 def q_exact_dedup(sf_dir: str) -> Dataset:
@@ -1351,7 +1347,7 @@ def q_curation_funnel(sf_dir: str):  # noqa: ANN201 — DataFrame
     count(DISTINCT md5(text)) matches because any collision-free digest
     partitions texts identically."""
     from ..functions.fasthash import hash128_strs
-    from ..stages.textstats import GramSet, build_benchmark_ngrams
+    from ..stages.textstats import build_benchmark_ngrams, cached_gram_set
     from .curate import (
         STAGE_CONTAMINATED,
         STAGE_KEEP,
@@ -1368,14 +1364,10 @@ def q_curation_funnel(sf_dir: str):  # noqa: ANN201 — DataFrame
         # curate_job so the funnel counts describe what the job ships —
         # the vectorized stage codes (curation_stages_vec; judge round-4
         # item 4), reduced to per-batch partial sums. The gram matcher
-        # compiles ONCE per worker process via _cached_gram_set (at
+        # compiles ONCE per worker process via cached_gram_set (at
         # benchmark scale GramSet builds an Aho-Corasick automaton —
-        # rebuilding it per batch rivals the scan; review finding). A
-        # plain task map beats an actor pool here: the stage is stateless
-        # beyond the cached matcher, and a measured actor-pool variant
-        # cost more in pool startup than it saved (4.1 s vs 1.4 s at
-        # 600k docs).
-        return _funnel_flags_batch(b, _cached_gram_set(grams_ref))
+        # rebuilding it per batch rivals the scan; review finding).
+        return _funnel_flags_batch(b, cached_gram_set(grams_ref))
 
     def _funnel_flags_batch(b: pa.Table, gram_set) -> pa.Table:  # noqa: ANN001
         text_arr = b.column("text").combine_chunks()
@@ -3060,17 +3052,13 @@ def q_stratified_sample(sf_dir: str) -> Dataset:
     sampler (pdf_service.py:203-283) restated as a per-key dataset op."""
     ds = _events(sf_dir, ["event_id", "ts", "user_id", "event_type"])
 
-    def local_head(b: pd.DataFrame) -> pd.DataFrame:
-        return (b.sort_values(["ts", "event_id"], kind="mergesort")
-                .groupby("event_type", as_index=False).head(5))
-
-    def head5(g: pd.DataFrame) -> pd.DataFrame:
-        return g.sort_values(["ts", "event_id"], kind="mergesort").head(5)
+    def head5(t: pa.Table) -> pa.Table:
+        return _first_rows_per_key(t, "event_type", 5)
 
     return (
-        ds.map_batches(local_head, batch_format="pandas")
+        ds.map_batches(head5, batch_format="pyarrow")
         .groupby("event_type")
-        .map_groups(head5, batch_format="pandas")
+        .map_groups(head5, batch_format="pyarrow")
     )
 
 

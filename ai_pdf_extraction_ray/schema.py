@@ -15,8 +15,8 @@ guards (reference: app/backend/models.py:14-156):
   (drop rules referencing names outside the schema)
 - confidence rounding to 3dp    — models.py:201-205
 
-Schemas are plain dataclasses (no runtime deps); they are broadcast to
-extractor actors by value via the ``map_batches`` callable-class constructor.
+Schemas are plain dataclasses (no runtime deps); they ship to the
+extraction tasks by value inside the ``DocumentExtractor`` instance.
 """
 
 from __future__ import annotations

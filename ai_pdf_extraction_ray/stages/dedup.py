@@ -185,14 +185,13 @@ def guarded_join(
 
 
 class MinHasher:
-    """Actor-pool stage: text -> minhash signature + band hashes.
+    """Task stage: text -> minhash signature + band hashes.
 
-    State (permutation tables) built once per actor (__init__), mirroring
-    the reference's load-once client singleton pattern
-    (services/ai/__init__.py:117-133). Also emits ``sig_digest`` (64-bit
-    fold of the full signature) so oversized buckets can collapse
-    identical-signature groups to a representative instead of
-    materializing O(n^2) pairs.
+    The permutation tables (2 x num_perm uint64) are built once in
+    ``__init__`` and ship with the instance to every task. Also emits
+    ``sig_digest`` (64-bit fold of the full signature) so oversized
+    buckets can collapse identical-signature groups to a representative
+    instead of materializing O(n^2) pairs.
 
     Band hashes and the signature digest are int64 (vectorized splitmix64
     folds down the batch) — 8-byte shuffle keys where the md5 version
@@ -307,7 +306,7 @@ def _hot_bucket_rows(banded: Dataset, hash_col: str,
 
 def minhash_candidate_pairs(
     docs: Dataset, *, num_perm: int = 64, bands: int = 16, k: int = 3,
-    concurrency: int = 2, bucket_cap: int = BUCKET_CAP,
+    bucket_cap: int = BUCKET_CAP,
 ) -> Dataset:
     """documents(doc_id, text) -> candidate near-dup pairs (doc_a < doc_b).
 
@@ -316,13 +315,8 @@ def minhash_candidate_pairs(
     shuffle payload is (band_id, band_hash, doc_id, sig_digest) quads and
     then bare id pairs — never text.
     """
-    banded = docs.map_batches(
-        MinHasher,
-        fn_constructor_kwargs={"num_perm": num_perm, "bands": bands, "k": k},
-        batch_format="pyarrow",
-        concurrency=concurrency,
-        num_cpus=1,
-    ).materialize()
+    banded = docs.map_batches(MinHasher(num_perm, bands, k),
+                              batch_format="pyarrow").materialize()
 
     # Singleton buckets are ~all buckets (corpus_size x bands keys) and can
     # produce no pair, yet per-group pandas map_groups pays a Python UDF
@@ -426,7 +420,7 @@ def verify_pairs_jaccard(cand: Dataset, docs: Dataset, *, k: int = 3) -> Dataset
 
 def minhash_near_dups(
     sf_dir: str, *, threshold: float = 0.8, num_perm: int = 64, bands: int = 16,
-    k: int = 3, concurrency: int = 2,
+    k: int = 3,
 ) -> pd.DataFrame:
     """MinHash LSH candidates + distributed exact-Jaccard verify.
 
@@ -437,8 +431,8 @@ def minhash_near_dups(
     equals the SQL all-pairs form exactly (queries.py minhash_near_dups).
     """
     out = minhash_near_dup_pairs_ds(
-        sf_dir, threshold=threshold, num_perm=num_perm, bands=bands, k=k,
-        concurrency=concurrency).to_pandas()
+        sf_dir, threshold=threshold, num_perm=num_perm, bands=bands,
+        k=k).to_pandas()
     if out.empty:
         return pd.DataFrame({"doc_a": pd.Series(dtype="int64"),
                              "doc_b": pd.Series(dtype="int64"),
@@ -449,7 +443,7 @@ def minhash_near_dups(
 
 def minhash_near_dup_pairs_ds(
     sf_dir: str, *, threshold: float = 0.8, num_perm: int = 64,
-    bands: int = 16, k: int = 3, concurrency: int = 2,
+    bands: int = 16, k: int = 3,
 ) -> Dataset:
     """``minhash_near_dups`` with the verified pair set left IN THE
     CLUSTER: returns the materialized (doc_a, doc_b, jaccard) Dataset so
@@ -459,12 +453,9 @@ def minhash_near_dup_pairs_ds(
                            columns=["doc_id", "text"])
     # the (id, id) candidate set stays in object-store blocks, never the
     # driver; candidates are orders of magnitude smaller than the corpus.
-    # guarded_join materializes it before any join actor starts: fusing the
-    # actor-pool LSH stage with the verify joins makes the streaming
-    # executor co-schedule the MinHasher pool and the join's
-    # HashShuffleAggregator actors, which deadlocks on small CPU counts.
-    cand = minhash_candidate_pairs(
-        docs, num_perm=num_perm, bands=bands, k=k, concurrency=concurrency)
+    # The verified set is materialized once here: near_dup_clusters
+    # counts it and then reads it.
+    cand = minhash_candidate_pairs(docs, num_perm=num_perm, bands=bands, k=k)
     return (verify_pairs_jaccard(cand, docs, k=k)
             .filter(expr=f"jaccard >= {threshold}")
             .materialize())
@@ -929,7 +920,7 @@ def simhash64(text: str) -> int:
 
 
 class SimHasher:
-    """Actor-pool stage: text -> (doc_id, simhash, 4x16-bit sub-bands)."""
+    """Task stage: text -> (doc_id, simhash, 4x16-bit sub-bands)."""
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         sigs = _simhash_batch(batch.column("text").to_pylist())
@@ -945,11 +936,9 @@ class SimHasher:
         return pa.table(cols)
 
 
-def simhash_signatures(sf_dir: str, *, concurrency: int = 2) -> Dataset:
+def simhash_signatures(sf_dir: str) -> Dataset:
     docs = rd.read_parquet(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"])
-    return docs.map_batches(
-        SimHasher, batch_format="pyarrow", concurrency=concurrency, num_cpus=1
-    )
+    return docs.map_batches(SimHasher(), batch_format="pyarrow")
 
 
 _POPCOUNT8 = np.array([bin(i).count("1") for i in range(256)], dtype=np.int64)
@@ -1012,7 +1001,6 @@ def _simhash_bucket_pairs(
 
 
 def simhash_near_dups(sf_dir: str, *, max_hamming: int = 3,
-                      concurrency: int = 2,
                       bucket_cap: int = BUCKET_CAP) -> pd.DataFrame:
     """Banded SimHash near-dup: docs sharing any 16-bit sub-band are
     candidates (guarantees recall for Hamming distance <= 3 over 4 bands),
@@ -1033,7 +1021,7 @@ def simhash_near_dups(sf_dir: str, *, max_hamming: int = 3,
     multiple bands — fully distributed union (the round-1 version re-ran
     the signature stage 4x and concatenated per-band pandas frames on the
     driver; judge finding)."""
-    sigs = simhash_signatures(sf_dir, concurrency=concurrency)
+    sigs = simhash_signatures(sf_dir)
 
     def explode(b: pa.Table) -> pa.Table:
         n = b.num_rows
@@ -1096,14 +1084,14 @@ def simhash_near_dups(sf_dir: str, *, max_hamming: int = 3,
 # ---------------------------------------------------------------------------
 
 class HyperplaneHasher:
-    """Actor-pool stage: embedding -> (table_id, bucket, vec_id) rows.
+    """Task stage: embedding -> (table_id, bucket, vec_id) rows.
 
     ``tables`` independent sign-random-projection tables of ``bits``
-    hyperplanes each (seeded; planes generated once per actor on the first
-    batch, when the dimensionality is known). Collision probability per
-    table for angle theta is (1 - theta/pi)^bits — multiple tables buy
-    recall. The shuffle carries only (int16, int32, int64) triples; vectors
-    never move."""
+    hyperplanes each (seeded, so every task draws the same planes; drawn
+    on the first batch, when the dimensionality is known). Collision
+    probability per table for angle theta is (1 - theta/pi)^bits —
+    multiple tables buy recall. The shuffle carries only (int16, int32,
+    int64) triples; vectors never move."""
 
     def __init__(self, bits: int = 8, tables: int = 8, seed: int = 7,
                  carry_vectors: bool = False) -> None:
@@ -1145,7 +1133,7 @@ class HyperplaneHasher:
 
 def embedding_near_dups_lsh(
     sf_dir: str, *, threshold: float = 0.9, bits: int = 8, tables: int = 8,
-    concurrency: int = 2, bucket_cap: int = BUCKET_CAP,
+    bucket_cap: int = BUCKET_CAP,
 ) -> pd.DataFrame:
     """Embedding-cosine near-dup pairs via hyperplane LSH blocking + exact
     cosine verify — the content-blind scale path next to the label-blocked
@@ -1165,11 +1153,8 @@ def embedding_near_dups_lsh(
     (1-(1-(1-theta/pi)^bits)^tables per pair)."""
     emb = rd.read_parquet(f"{sf_dir}/embeddings.parquet", columns=["vec_id", "embedding"])
     banded = emb.map_batches(
-        HyperplaneHasher,
-        fn_constructor_kwargs={"bits": bits, "tables": tables,
-                               "carry_vectors": True},
-        batch_format="pyarrow", concurrency=concurrency, num_cpus=1,
-    )
+        HyperplaneHasher(bits, tables, carry_vectors=True),
+        batch_format="pyarrow")
 
     _PAIR_TILE = 1 << 16  # bound per-bucket pair-array memory
 

@@ -459,7 +459,7 @@ def bind_array_field(field_name: str, tables: dict[str, dict]) -> list[dict] | N
 def compile_field_patterns(schema: SchemaDefinition) -> dict[str, re.Pattern]:
     """Field name -> compiled label pattern (``invoice_number`` ->
     ``Invoice Number\\s*[:=]\\s*<value to end of line>``), built ONCE per
-    actor in ``__init__`` (mirrors reference prompt compilation,
+    kernel instance in ``__init__`` (mirrors reference prompt compilation,
     services/ai/extraction.py:128-199)."""
     patterns: dict[str, re.Pattern] = {}
     for f in schema.fields:

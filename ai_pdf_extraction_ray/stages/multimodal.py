@@ -1,7 +1,7 @@
 """Multimodal columns: image / audio / video as opaque binary + typed metadata.
 
 Large-scale training pipelines carry media payloads next to text. This module
-provides the Ray-side plumbing — schemas, batch sizing, actor-pool stage
+provides the Ray-side plumbing — schemas, batch sizing, task stage
 signatures, output layout — with the codec boundary isolated behind
 ``_decode_*`` functions:
 
@@ -23,8 +23,9 @@ SyntheticMedia byte layouts (deterministic, generated from integer seeds):
 
 Memory posture (the part that matters at 100 TB): media rows are large, so
 these stages run with SMALL ``batch_size`` (default 16) and the block size
-budget is payload-aware — a batch of 16 x 8 MB rows = 128 MB per actor in
-flight, matching the default target block size. Feature outputs are small
+budget is payload-aware — a batch of 16 x 8 MB rows = 128 MB per task in
+flight, matching the default target block size. Ray runs up to one task per
+CPU, so decoded payload in worker heaps is bounded by 128 MB per CPU. Feature outputs are small
 fixed-width columns, so downstream stages re-batch freely.
 """
 
@@ -113,14 +114,13 @@ def _decode_video_frame_count(payload: bytes) -> tuple[int, int, int]:
 
 
 # ---------------------------------------------------------------------------
-# actor-pool stages
+# task stages
 # ---------------------------------------------------------------------------
 
 class ImageFeatures:
     """payload -> (width, height, channels, mean_pixel, std_pixel).
 
-    Actor pool: decode tables / codec state held per actor; small batches
-    (payloads are the large thing, outputs are 5 scalars).
+    Small batches: payloads are the large thing, outputs are 5 scalars.
     """
 
     def __call__(self, batch: pa.Table) -> pa.Table:
@@ -330,22 +330,19 @@ def media_dataset(sf_dir: str, kind: str | None = None) -> Dataset:
                             batch_size=DEFAULT_MEDIA_BATCH * 8)
 
 
-def image_features(sf_dir: str, *, concurrency: int = 2) -> Dataset:
+def image_features(sf_dir: str) -> Dataset:
     ds = media_dataset(sf_dir, kind="image")
-    return ds.map_batches(ImageFeatures, batch_format="pyarrow",
-                          batch_size=DEFAULT_MEDIA_BATCH,
-                          concurrency=concurrency, num_cpus=1)
+    return ds.map_batches(ImageFeatures(), batch_format="pyarrow",
+                          batch_size=DEFAULT_MEDIA_BATCH)
 
 
-def audio_features(sf_dir: str, *, concurrency: int = 2) -> Dataset:
+def audio_features(sf_dir: str) -> Dataset:
     ds = media_dataset(sf_dir, kind="audio")
-    return ds.map_batches(AudioFeatures, batch_format="pyarrow",
-                          batch_size=DEFAULT_MEDIA_BATCH,
-                          concurrency=concurrency, num_cpus=1)
+    return ds.map_batches(AudioFeatures(), batch_format="pyarrow",
+                          batch_size=DEFAULT_MEDIA_BATCH)
 
 
-def video_frames(sf_dir: str, *, stride: int = 10, concurrency: int = 2) -> Dataset:
+def video_frames(sf_dir: str, *, stride: int = 10) -> Dataset:
     ds = media_dataset(sf_dir, kind="video")
-    return ds.map_batches(VideoFrameSampler, fn_constructor_kwargs={"stride": stride},
-                          batch_format="pyarrow", batch_size=DEFAULT_MEDIA_BATCH,
-                          concurrency=concurrency, num_cpus=1)
+    return ds.map_batches(VideoFrameSampler(stride), batch_format="pyarrow",
+                          batch_size=DEFAULT_MEDIA_BATCH)

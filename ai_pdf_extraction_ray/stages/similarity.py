@@ -10,8 +10,8 @@ Two paths over the ``embeddings`` table:
 
 - IVF (inverted-file) approximate search: k-means coarse quantizer trained
   on a deterministic systematic sample (every stride-th vec_id — unbiased
-  across the corpus, unlike a file-head slice), centroids broadcast; an
-  actor-pool stage assigns rows to their nearest centroid (the "list") and
+  across the corpus, unlike a file-head slice); a task stage carrying the
+  centroid matrix assigns rows to their nearest centroid (the "list") and
   the assignment is PERSISTED as parquet partitioned by ``list_id``.
   Queries read ONLY the ``nprobe`` probed partitions — bytes touched scale
   with nprobe/nlist, not corpus size (the round-1 version scanned
@@ -173,10 +173,11 @@ def train_centroids(X: np.ndarray, nlist: int, iters: int = 10, seed: int = 42) 
 
 
 class IvfAssigner:
-    """Actor-pool stage: embedding -> nearest-centroid list id."""
+    """Task stage: embedding -> nearest-centroid list id. The centroid
+    matrix (nlist x dim) is small and ships by value with the instance."""
 
-    def __init__(self, centroids_ref) -> None:  # noqa: ANN001 — ObjectRef
-        self.centroids = ray.get(centroids_ref)
+    def __init__(self, centroids: np.ndarray) -> None:
+        self.centroids = centroids
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         X = _normalize(_emb_matrix(batch))
@@ -201,7 +202,6 @@ def _train_sample(sf_dir: str, sample_n: int) -> np.ndarray:
 
 def build_ivf_index(
     sf_dir: str, index_dir: str, *, nlist: int = 16, sample_n: int = 2048,
-    concurrency: int = 2,
 ) -> np.ndarray:
     """Train the coarse quantizer, assign every vector, and persist the
     assignment as parquet PARTITIONED BY list_id (one directory per list).
@@ -217,16 +217,9 @@ def build_ivf_index(
 
     X = _train_sample(sf_dir, sample_n)
     cents = train_centroids(X, nlist)
-    cents_ref = ray.put(cents)
 
     ds = rd.read_parquet(f"{sf_dir}/embeddings.parquet", columns=["vec_id", "embedding"])
-    assigned = ds.map_batches(
-        IvfAssigner,
-        fn_constructor_kwargs={"centroids_ref": cents_ref},
-        batch_format="pyarrow",
-        concurrency=concurrency,
-        num_cpus=1,
-    )
+    assigned = ds.map_batches(IvfAssigner(cents), batch_format="pyarrow")
     scratch = f"{index_dir}.build.{os.getpid()}"
     shutil.rmtree(scratch, ignore_errors=True)
     assigned.write_parquet(scratch, partition_cols=["list_id"])
@@ -280,7 +273,7 @@ def read_probed_lists(index_dir: str, probe: list[int]) -> Dataset:
 
 def knn_ivf(
     sf_dir: str, query: np.ndarray, k: int = 10, *, nlist: int = 16,
-    nprobe: int = 4, exclude: set[int] | None = None, concurrency: int = 2,
+    nprobe: int = 4, exclude: set[int] | None = None,
 ) -> pd.DataFrame:
     """Approximate top-k: read only the nprobe partitions nearest the query.
 
@@ -292,8 +285,7 @@ def knn_ivf(
     if os.path.isfile(os.path.join(index_dir, "centroids.npy")):
         cents = np.load(os.path.join(index_dir, "centroids.npy"))
     else:
-        cents = build_ivf_index(sf_dir, index_dir, nlist=nlist,
-                                concurrency=concurrency)
+        cents = build_ivf_index(sf_dir, index_dir, nlist=nlist)
     q = _normalize(np.asarray(query, dtype=np.float64))
     probe = np.argsort(-(cents @ q))[:nprobe].tolist()
     excl = exclude or set()

@@ -57,7 +57,7 @@ class TestMinHash:
         texts.append(texts[0] + " tail")   # planted near-dup of doc 0 -> id 40
         texts.append(texts[5])             # exact dup of doc 5 -> id 41
         df = pd.DataFrame({"doc_id": range(len(texts)), "text": texts})
-        pairs = minhash_candidate_pairs(rd.from_pandas(df), concurrency=2).to_pandas()
+        pairs = minhash_candidate_pairs(rd.from_pandas(df)).to_pandas()
         found = set(map(tuple, pairs[["doc_a", "doc_b"]].to_numpy()))
         assert (0, 40) in found
         assert (5, 41) in found
@@ -136,7 +136,7 @@ class TestBucketCaps:
         t0 = time.time()
         sigs = (
             rd.from_pandas(df)
-            .map_batches(SimHasher, batch_format="pyarrow", concurrency=2)
+            .map_batches(SimHasher(), batch_format="pyarrow")
             .to_pandas()
         )
         pairs = _simhash_bucket_pairs(
@@ -161,7 +161,7 @@ class TestIvfPruning:
         sf = SF
         idx = _ivf_index_dir(sf, 16)
         shutil.rmtree(idx, ignore_errors=True)
-        build_ivf_index(sf, idx, nlist=16, concurrency=2)
+        build_ivf_index(sf, idx, nlist=16)
         total = 500
         rows_2 = read_probed_lists(idx, list(range(2))).count()
         rows_8 = read_probed_lists(idx, list(range(8))).count()
@@ -360,7 +360,7 @@ class TestTextNorm:
         df = pd.DataFrame({"doc_id": [1, 2], "text": ["ok text", "dirty  a@b.co  x"]})
         out = (
             rd.from_pandas(df)
-            .map_batches(TextCleaner, batch_format="pyarrow", concurrency=2)
+            .map_batches(TextCleaner(), batch_format="pyarrow")
             .to_pandas()
             .set_index("doc_id")
         )

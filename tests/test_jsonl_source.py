@@ -75,7 +75,7 @@ class TestJsonlSource:
         self._write(p, [{"doc_id": i, "text": "alpha beta gamma alpha"}
                         for i in range(5)])
         ds = read_jsonl_corpus(str(p)).map_batches(
-            GopherSignals, batch_format="pyarrow", concurrency=1)
+            GopherSignals(), batch_format="pyarrow")
         df = ds.to_pandas()
         assert len(df) == 5
         assert (df["n_words"] == 4).all()

@@ -19,6 +19,30 @@ def _pages(rows):
     })
 
 
+def _rows_on_small_cluster(num_cpus, body, *, timeout):
+    """Run ``body`` (which sets ``n``) in a fresh process on a Ray session
+    of ``num_cpus`` CPUs and return ``n``."""
+    import subprocess
+    import sys
+
+    from tests.conftest import REPO_ROOT
+
+    script = (
+        "import ray\n"
+        f"ray.init(address='local', num_cpus={num_cpus}, include_dashboard=False,\n"
+        "         logging_level='ERROR', object_store_memory=100 * 2**20)\n"
+        + body +
+        "print('ROWS', n)\n"
+        "ray.shutdown()\n"
+    )
+    done = subprocess.run([sys.executable, "-c", script], cwd=str(REPO_ROOT),
+                          capture_output=True, text=True, timeout=timeout)
+    assert done.returncode == 0, done.stderr[-2000:]
+    rows = [line for line in done.stdout.splitlines() if line.startswith("ROWS ")]
+    assert rows, done.stdout[-2000:]
+    return int(rows[-1].split()[1])
+
+
 class TestOversizeLane:
     def test_giant_html_truncated_not_stalled(self):
         # content inside the budget; megabytes of trailing boilerplate beyond it
@@ -197,8 +221,8 @@ class TestEmptyShard:
 
 
 class TestTaskStage:
-    """Extraction runs as task-based maps that Ray fuses with the maps and
-    the write around them; no stage holds CPUs the others need."""
+    """Every kernel runs as task-based maps that Ray fuses with the maps
+    and the write around them; no stage holds CPUs the others need."""
 
     def test_extract_fuses_with_write(self, ray_session, tmp_path):
         from ray.data._internal.execution.operators.actor_pool_map_operator import (
@@ -225,32 +249,77 @@ class TestTaskStage:
         assert any("MapBatches(DocumentExtractor)" in n and "Write" in n
                    for n in names), names
 
-    def test_one_cpu_cluster_completes(self, tmp_path):
+    def test_one_cpu_cluster_completes(self):
         """A stage that reserves the only CPU starves the read and the
         pipeline never progresses; tasks share it."""
-        import subprocess
-        import sys
-
         import pyarrow.parquet as pq
 
-        from tests.conftest import REPO_ROOT
-
-        script = (
-            "import ray\n"
-            "ray.init(address='local', num_cpus=1, include_dashboard=False,\n"
-            "         logging_level='ERROR', object_store_memory=100 * 2**20)\n"
+        rows = _rows_on_small_cluster(
+            1,
             "from ai_pdf_extraction_ray.pipelines.extract_pipeline import (\n"
             "    pages_dataset, run_extraction)\n"
             "from ai_pdf_extraction_ray.pipelines.queries import INVOICE_SCHEMA\n"
-            f"n = run_extraction(pages_dataset({SF_SMOKE!r}), INVOICE_SCHEMA).count()\n"
-            "print('ROWS', n)\n"
-            "ray.shutdown()\n"
-        )
-        done = subprocess.run([sys.executable, "-c", script], cwd=str(REPO_ROOT),
-                              capture_output=True, text=True, timeout=120)
-        assert done.returncode == 0, done.stderr[-2000:]
-        rows = pq.read_metadata(f"{SF_SMOKE}/documents.parquet").num_rows
-        assert f"ROWS {rows}" in done.stdout.splitlines()
+            f"n = run_extraction(pages_dataset({SF_SMOKE!r}), INVOICE_SCHEMA).count()\n",
+            timeout=120)
+        assert rows == pq.read_metadata(f"{SF_SMOKE}/documents.parquet").num_rows
+
+    @pytest.mark.parametrize("query", [
+        "minhash_near_dups", "quality_scores", "contamination_flags",
+        "knn_ivf", "media_image_features",
+    ])
+    def test_two_cpu_cluster_completes(self, query):
+        """Every former actor-pool stage shares two CPUs with its read and
+        returns the rows its DuckDB oracle does."""
+        import shutil
+        from pathlib import Path
+
+        import duckdb
+
+        from ai_pdf_extraction_ray.pipelines.queries import QUERIES
+        from ai_pdf_extraction_ray.stages.similarity import _ivf_index_dir
+
+        # a cached IVF index would skip knn_ivf's assignment stage
+        shutil.rmtree(_ivf_index_dir(SF_SMOKE, 16), ignore_errors=True)
+        rows = _rows_on_small_cluster(
+            2,
+            "from ai_pdf_extraction_ray.pipelines.queries import QUERIES\n"
+            f"out = QUERIES[{query!r}]['fn']({SF_SMOKE!r})\n"
+            "n = len(out) if hasattr(out, 'iloc') else out.count()\n",
+            timeout=60)
+        con = duckdb.connect()
+        for table in Path(SF_SMOKE).glob("*.parquet"):
+            con.execute(f"CREATE VIEW {table.stem} AS SELECT * FROM "
+                        f"read_parquet('{table}')")
+        expected = len(con.execute(QUERIES[query]["sql"]).fetchall())
+        assert expected > 0
+        assert rows == expected
+
+    def test_no_actor_pool_in_package(self):
+        """Every kernel runs as a task instance: no call sizes a pool or
+        passes constructor arguments, and no map_batches gets a class."""
+        import ast
+
+        from tests.conftest import REPO_ROOT
+
+        pkg = REPO_ROOT / "ai_pdf_extraction_ray"
+        trees = {p: ast.parse(p.read_text()) for p in sorted(pkg.rglob("*.py"))}
+        classes = {n.name for t in trees.values() for n in ast.walk(t)
+                   if isinstance(n, ast.ClassDef)}
+        pool_kws = {"concurrency", "fn_constructor_args", "fn_constructor_kwargs"}
+        stray = []
+        for path, tree in trees.items():
+            for node in ast.walk(tree):
+                if not isinstance(node, ast.Call):
+                    continue
+                where = f"{path.relative_to(REPO_ROOT)}:{node.lineno}"
+                if pool_kws & {k.arg for k in node.keywords}:
+                    stray.append(where)
+                fn = node.args[:1] + [k.value for k in node.keywords if k.arg == "fn"]
+                if (getattr(node.func, "attr", "") == "map_batches" and fn
+                        and getattr(fn[0], "id", getattr(fn[0], "attr", None))
+                        in classes):
+                    stray.append(where)
+        assert stray == []
 
     def test_manifest_counters_match_run_metrics(self, ray_session, tmp_path):
         import os

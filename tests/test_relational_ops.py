@@ -276,3 +276,24 @@ class TestPropsJson:
         want = want.sort_values("event_type")
         assert want.sum_k.tolist() == got.sum_k.tolist()
         assert want.n.tolist() == got.n.tolist()
+
+
+class TestFirstRowsPerKey:
+    """The Arrow first-n-per-key kernel behind first_event_per_user and
+    stratified_sample: (ts, event_id) order within each key, nulls one key."""
+
+    def test_tie_order_and_null_key(self):
+        import pyarrow as pa
+
+        from ai_pdf_extraction_ray.pipelines.queries import _first_rows_per_key
+
+        t = pa.table({
+            "event_id": [5, 2, 9, 1, 7, 3],
+            "ts": pa.array([1, 1, 0, 2, 3, 3], pa.timestamp("us")),
+            "user_id": pa.array([10, 10, 11, None, None, 11], pa.int64()),
+        })
+        got = _first_rows_per_key(t, "user_id", 1)
+        assert got.column("event_id").to_pylist() == [2, 9, 1]
+        two = _first_rows_per_key(t, "user_id", 2)
+        assert two.column("event_id").to_pylist() == [2, 5, 9, 3, 1, 7]
+        assert _first_rows_per_key(t.slice(0, 0), "user_id", 1).num_rows == 0

@@ -17,7 +17,7 @@ import pandas as pd
 
 REPO = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO))
-# Ray actor workers import kernels by module reference and do NOT see the
+# Ray workers import kernels by module reference and do NOT see the
 # driver's sys.path — propagate via env BEFORE ray.init (review finding;
 # same note as __ray_entry__.py)
 import os
