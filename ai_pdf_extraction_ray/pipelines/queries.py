@@ -10,8 +10,10 @@ value-hash comparison is stable under summation order.
 Operator provenance is cited per query (SURVEY.md §2 ids).
 
 Scale notes (100 TB posture) are attached per query:
-- aggregations pre-combine inside ``map_batches`` before the (small) global
-  ``groupby`` — the shuffle moves partial sums, not rows;
+- decomposable aggregations go through ``stages/dedup.partial_groupby``:
+  per-block Arrow partials before the (small) global ``groupby`` — the
+  shuffle moves partial sums, not rows; bounded driver-side reads go
+  through ``stages/dedup.collect_table``;
 - small sides (dimension tables, correction deltas, query vectors) are
   broadcast once via ``ray.put`` and read inside the stage, never shuffled;
 - the only row-moving shuffles are the dedup hash groupby and explicit
@@ -32,7 +34,7 @@ import pyarrow.compute as pc
 import ray
 import ray.data as rd
 from ray.data import Dataset
-from ray.data.aggregate import Count, Max, Mean, Min, Sum
+from ray.data.aggregate import Count, Max, Min, Sum
 
 from ..schema import FieldDefinition, FieldType, SchemaDefinition
 from .extract_pipeline import pages_dataset, run_extraction
@@ -61,7 +63,9 @@ from ..sources.corpus import N_HOSTS as _N_HOSTS  # noqa: E402
 from ..stages.dedup import (  # noqa: E402
     EDIT_DIST_MAX as _EDIT_DIST_MAX,
     NGRAM_DF_CAP as _NGRAM_DF_CAP,
+    collect_table,
     guarded_join,
+    partial_groupby,
 )
 
 # rare-k-gram-blocked candidate pairs, single-sourced: the candidacy
@@ -241,16 +245,12 @@ def q_extract_counters_by_lang(sf_dir: str) -> Dataset:
     """
     ext = run_extraction(pages_dataset(sf_dir)).select_columns(["lang", "text"])
 
-    def partial(batch: pa.Table) -> pa.Table:
-        chars = pc.utf8_length(batch.column("text"))
-        t = pa.table({"lang": batch.column("lang"), "chars": chars})
-        return t.group_by("lang").aggregate([("chars", "sum"), ("chars", "count")])
+    def chars(batch: pa.Table) -> pa.Table:
+        return pa.table({"lang": batch.column("lang"),
+                         "chars": pc.utf8_length(batch.column("text"))})
 
-    parts = ext.map_batches(partial, batch_format="pyarrow")
-    agg = parts.groupby("lang").aggregate(
-        Sum("chars_sum", alias_name="total_chars"),
-        Sum("chars_count", alias_name="n_docs"),
-    )
+    agg = partial_groupby(ext.map_batches(chars, batch_format="pyarrow"), "lang",
+                          total_chars=("chars", "sum"), n_docs=("chars", "count"))
 
     def finish(batch: pa.Table) -> pa.Table:
         total = batch.column("total_chars").cast(pa.float64())
@@ -258,7 +258,7 @@ def q_extract_counters_by_lang(sf_dir: str) -> Dataset:
         avg = _pc_round(pc.divide(total, n), 4)
         return pa.table({
             "lang": batch.column("lang"),
-            "n_docs": batch.column("n_docs").cast(pa.int64()),
+            "n_docs": batch.column("n_docs"),
             "total_chars": batch.column("total_chars").cast(pa.int64()),
             "avg_chars": avg,
         })
@@ -446,7 +446,7 @@ def q_host_reputation(sf_dir: str) -> Dataset:
     grams_ref = ray.put(build_benchmark_ngrams(sf_dir))
     docs = _docs(sf_dir, ["doc_id", "lang", "text"])
 
-    def partial(b: pa.Table) -> pa.Table:
+    def gated(b: pa.Table) -> pa.Table:
         d = b.column("doc_id").to_numpy(zero_copy_only=False).astype(np.int64)
         host_id = host_ids_for(d)
         stage = curation_stages_vec(
@@ -456,25 +456,15 @@ def q_host_reputation(sf_dir: str) -> Dataset:
         kept = (stage == STAGE_KEEP).astype(np.int64)
         chars = pc.fill_null(pc.utf8_length(b.column("text")), 0).to_numpy(
             zero_copy_only=False).astype(np.int64)
-        t = pa.table({
+        return pa.table({
             "host_id": pa.array(host_id, pa.int64()),
             "kept": pa.array(kept, pa.int64()),
             "chars": pa.array(chars, pa.int64()),
         })
-        agg = t.group_by("host_id").aggregate(
-            [([], "count_all"), ("kept", "sum"), ("chars", "sum")])
-        return pa.table({
-            "host_id": agg.column("host_id"),
-            "n_part": agg.column("count_all").cast(pa.int64()),
-            "kept_part": agg.column("kept_sum").cast(pa.int64()),
-            "chars_part": agg.column("chars_sum").cast(pa.int64()),
-        })
 
-    agg = (docs.map_batches(partial, batch_format="pyarrow")
-           .groupby("host_id")
-           .aggregate(Sum("n_part", alias_name="n_docs"),
-                      Sum("kept_part", alias_name="n_kept"),
-                      Sum("chars_part", alias_name="chars")))
+    agg = partial_groupby(docs.map_batches(gated, batch_format="pyarrow"),
+                          "host_id", n_docs=(None, "count_all"),
+                          n_kept=("kept", "sum"), chars=("chars", "sum"))
 
     def finish(b: pa.Table) -> pa.Table:
         n = b.column("n_docs").cast(pa.float64())
@@ -482,7 +472,7 @@ def q_host_reputation(sf_dir: str) -> Dataset:
                  for h in b.column("host_id").to_pylist()]  # <= N_HOSTS rows
         return pa.table({
             "host": pa.array(hosts, pa.string()),
-            "n_docs": b.column("n_docs").cast(pa.int64()),
+            "n_docs": b.column("n_docs"),
             "kept_share": _pc_round(
                 pc.divide(b.column("n_kept").cast(pa.float64()), n), 6),
             "avg_chars": _pc_round(
@@ -576,15 +566,8 @@ def q_exact_dedup(sf_dir: str) -> Dataset:
 
 
 def q_revenue_by_nation(sf_dir: str) -> Dataset:
-    """J2-shape join + A5 aggregate: orders ⋈ customer ⋈ nation revenue.
-
-    Orders pre-aggregate to customer grain, then join customer through
-    ``guarded_join``, which picks the physical join from the sides' sizes:
-    a customer-grain side under its broadcast threshold (every test scale)
-    is broadcast with no shuffle, a large one is hash-shuffled. nation's
-    25-row key->name map rides in the per-batch lookup's closure. Partial
-    sums per batch, then a 25-row groupby.
-    """
+    """J2-shape join + A5 aggregate: orders ⋈ customer ⋈ nation revenue
+    (``_revenue_rollup`` with nation's 25-row key->name map)."""
     # nation is the only side broadcast by hand: 25 rows, fixed. customer
     # scales with SF, so it goes through guarded_join, never a call-site
     # dict (the round-2 version broadcast the whole customer table as a
@@ -598,62 +581,60 @@ def q_revenue_by_nation(sf_dir: str) -> Dataset:
     nation_keys = np.sort(nation["n_nationkey"].to_numpy())
     nation_names = nation.set_index("n_nationkey").loc[
         nation_keys, "n_name"].to_numpy()
+    return _revenue_rollup(sf_dir, nation_keys, nation_names, "n_name")
 
+
+def _revenue_rollup(sf_dir: str, nation_keys: np.ndarray,
+                    names: np.ndarray, name_col: str) -> Dataset:
+    """Order revenue rolled up to a nation-keyed dimension name.
+
+    Orders pre-aggregate to customer grain, then join customer through
+    ``guarded_join``, which picks the physical join from the sides' sizes:
+    a customer-grain side under its broadcast threshold (every test scale)
+    is broadcast with no shuffle, a large one is hash-shuffled. The
+    dimension's sorted nationkeys and aligned ``names`` ride in the
+    per-batch lookup's closure (miss -> dropped, inner-join semantics).
+    Partial sums per batch, then a groupby over at most 25 names.
+    """
     orders = rd.read_parquet(f"{sf_dir}/orders.parquet",
                              columns=["o_custkey", "o_totalprice"])
-
-    def partial(batch: pa.Table) -> pa.Table:
-        t = pa.table({
-            "o_custkey": batch.column("o_custkey"),
-            "price": batch.column("o_totalprice"),
-        })
-        return t.group_by("o_custkey").aggregate([("price", "sum"),
-                                                  ("price", "count")])
-
     # pre-aggregate to customer grain BEFORE the join: the hash exchange
     # then moves one row per customer, not one per order
-    per_cust = (
-        orders.map_batches(partial, batch_format="pyarrow")
-        .groupby("o_custkey")
-        .aggregate(Sum("price_sum", alias_name="rev_raw"),
-                   Sum("price_count", alias_name="n_orders"))
-    )
+    per_cust = partial_groupby(orders, "o_custkey",
+                               rev_raw=("o_totalprice", "sum"),
+                               n_orders=("o_totalprice", "count"))
     cust = rd.read_parquet(f"{sf_dir}/customer.parquet",
                            columns=["c_custkey", "c_nationkey"])
     joined = guarded_join(per_cust, cust,
                           on=("o_custkey",), right_on=("c_custkey",))
     if joined is None:
         return rd.from_arrow(pa.table({
-            "n_name": pa.array([], pa.string()),
+            name_col: pa.array([], pa.string()),
             "n_orders": pa.array([], pa.int64()),
             "revenue": pa.array([], pa.float64())}))
 
-    def nation_partial(b: pa.Table) -> pa.Table:
+    def named(b: pa.Table) -> pa.Table:
         nk = b.column("c_nationkey").to_numpy(zero_copy_only=False)
         # vectorized 25-key lookup (searchsorted, not a per-row dict .get);
-        # the equality mask drops nationkeys absent from nation — the inner
-        # join's semantics — instead of clipping them onto the last nation
+        # the equality mask drops nationkeys absent from the dimension —
+        # the inner join's semantics — instead of clipping them onto the
+        # last key
         idx = np.clip(np.searchsorted(nation_keys, nk),
                       0, len(nation_keys) - 1)
         valid = nation_keys[idx] == nk
-        t = pa.table({
-            "n_name": pa.array(nation_names[idx[valid]], pa.string()),
+        return pa.table({
+            name_col: pa.array(names[idx[valid]], pa.string()),
             "rev_raw": b.column("rev_raw").filter(pa.array(valid)),
             "n_orders": b.column("n_orders").filter(pa.array(valid)),
         })
-        return t.group_by("n_name").aggregate([("rev_raw", "sum"),
-                                               ("n_orders", "sum")])
 
-    agg = (
-        joined.map_batches(nation_partial, batch_format="pyarrow")
-        .groupby("n_name")
-        .aggregate(Sum("rev_raw_sum", alias_name="revenue_raw"),
-                   Sum("n_orders_sum", alias_name="n_orders"))
-    )
+    agg = partial_groupby(
+        joined.map_batches(named, batch_format="pyarrow"), name_col,
+        revenue_raw=("rev_raw", "sum"), n_orders=("n_orders", "sum"))
     return agg.map_batches(
         lambda b: pa.table({
-            "n_name": b.column("n_name"),
-            "n_orders": b.column("n_orders").cast(pa.int64()),
+            name_col: b.column(name_col),
+            "n_orders": b.column("n_orders"),
             "revenue": _pc_round(b.column("revenue_raw"), 2),
         }),
         batch_format="pyarrow",
@@ -665,19 +646,8 @@ def q_topk_customers(sf_dir: str) -> Dataset:
     (sort/limit shape of O1 over an aggregate)."""
     orders = rd.read_parquet(f"{sf_dir}/orders.parquet", columns=["o_custkey", "o_totalprice"])
 
-    def partial(batch: pa.Table) -> pa.Table:
-        t = pa.table({
-            "o_custkey": batch.column("o_custkey"),
-            "price": batch.column("o_totalprice"),
-        })
-        return t.group_by("o_custkey").aggregate([("price", "sum")])
-
-    agg = (
-        orders.map_batches(partial, batch_format="pyarrow")
-        .groupby("o_custkey")
-        .aggregate(Sum("price_sum", alias_name="revenue_raw"))
-    )
-
+    agg = partial_groupby(orders, "o_custkey",
+                          revenue_raw=("o_totalprice", "sum"))
     rounded = agg.map_batches(
         lambda b: pa.table({
             "o_custkey": b.column("o_custkey"),
@@ -699,37 +669,24 @@ def q_pricing_summary(sf_dir: str) -> Dataset:
             "l_discount", "l_tax"]
     ds = rd.read_parquet(f"{sf_dir}/lineitem.parquet", columns=cols)
 
-    def partial(batch: pa.Table) -> pa.Table:
+    def prices(batch: pa.Table) -> pa.Table:
         disc_price = pc.multiply(
             batch.column("l_extendedprice"),
             pc.subtract(pa.scalar(1.0), batch.column("l_discount")),
         )
         charge = pc.multiply(disc_price, pc.add(pa.scalar(1.0), batch.column("l_tax")))
-        t = pa.table({
-            "l_returnflag": batch.column("l_returnflag"),
-            "l_linestatus": batch.column("l_linestatus"),
-            "qty": batch.column("l_quantity"),
-            "base": batch.column("l_extendedprice"),
-            "disc_price": disc_price,
-            "charge": charge,
-            "disc": batch.column("l_discount"),
-        })
-        return t.group_by(["l_returnflag", "l_linestatus"]).aggregate([
-            ("qty", "sum"), ("base", "sum"), ("disc_price", "sum"),
-            ("charge", "sum"), ("disc", "sum"), ("qty", "count"),
-        ])
+        return batch.append_column("disc_price", disc_price).append_column(
+            "charge", charge)
 
-    agg = (
-        ds.map_batches(partial, batch_format="pyarrow")
-        .groupby(["l_returnflag", "l_linestatus"])
-        .aggregate(
-            Sum("qty_sum", alias_name="sum_qty"),
-            Sum("base_sum", alias_name="sum_base_price"),
-            Sum("disc_price_sum", alias_name="sum_disc_price"),
-            Sum("charge_sum", alias_name="sum_charge"),
-            Sum("disc_sum", alias_name="s_disc"),
-            Sum("qty_count", alias_name="count_order"),
-        )
+    agg = partial_groupby(
+        ds.map_batches(prices, batch_format="pyarrow"),
+        ["l_returnflag", "l_linestatus"],
+        sum_qty=("l_quantity", "sum"),
+        sum_base_price=("l_extendedprice", "sum"),
+        sum_disc_price=("disc_price", "sum"),
+        sum_charge=("charge", "sum"),
+        s_disc=("l_discount", "sum"),
+        count_order=("l_quantity", "count"),
     )
 
     def finish(batch: pa.Table) -> pa.Table:
@@ -752,7 +709,7 @@ def q_pricing_summary(sf_dir: str) -> Dataset:
                 _pc_round(batch.column("sum_base_price"), 2), n), 4),
             "avg_disc": _pc_round(pc.divide(
                 _pc_round(batch.column("s_disc"), 2), n), 4),
-            "count_order": batch.column("count_order").cast(pa.int64()),
+            "count_order": batch.column("count_order"),
         })
 
     return agg.map_batches(finish, batch_format="pyarrow")
@@ -764,28 +721,21 @@ def q_events_daily(sf_dir: str) -> Dataset:
     SURVEY §2.9 — the engine's window primitive)."""
     ds = _events(sf_dir, ["ts", "event_type", "value"])
 
-    def partial(batch: pa.Table) -> pa.Table:
-        day = pc.strftime(batch.column("ts"), format="%Y-%m-%d")
-        t = pa.table({
-            "day": day,
+    def daily(batch: pa.Table) -> pa.Table:
+        return pa.table({
+            "day": pc.strftime(batch.column("ts"), format="%Y-%m-%d"),
             "event_type": batch.column("event_type"),
             "value": batch.column("value"),
         })
-        return t.group_by(["day", "event_type"]).aggregate([
-            ("value", "sum"), ("value", "count")
-        ])
 
-    agg = (
-        ds.map_batches(partial, batch_format="pyarrow")
-        .groupby(["day", "event_type"])
-        .aggregate(Sum("value_sum", alias_name="sv"),
-                   Sum("value_count", alias_name="n_events"))
-    )
+    agg = partial_groupby(ds.map_batches(daily, batch_format="pyarrow"),
+                          ["day", "event_type"],
+                          sv=("value", "sum"), n_events=("value", "count"))
     return agg.map_batches(
         lambda b: pa.table({
             "day": b.column("day"),
             "event_type": b.column("event_type"),
-            "n_events": b.column("n_events").cast(pa.int64()),
+            "n_events": b.column("n_events"),
             "sum_value": _pc_round(b.column("sv"), 2),
         }),
         batch_format="pyarrow",
@@ -988,22 +938,17 @@ def _user_type_flags(sf_dir: str) -> Dataset:
     tiny shuffle of flags, the events themselves never move)."""
     ds = _events(sf_dir, ["user_id", "event_type", "value"])
 
-    def partial(b: pa.Table) -> pa.Table:
+    def flags(b: pa.Table) -> pa.Table:
         et, v = b.column("event_type"), b.column("value")
         hi = pc.greater(v, _SETOP_THRESHOLD)
-        t = pa.table({
+        return pa.table({
             "user_id": b.column("user_id"),
             "hp": pc.cast(pc.and_(pc.equal(et, "purchase"), hi), pa.int64()),
             "he": pc.cast(pc.and_(pc.equal(et, "error"), hi), pa.int64()),
         })
-        return t.group_by("user_id").aggregate([("hp", "max"), ("he", "max")])
 
-    return (
-        ds.map_batches(partial, batch_format="pyarrow")
-        .groupby("user_id")
-        .aggregate(Max("hp_max", alias_name="hp"),
-                   Max("he_max", alias_name="he"))
-    )
+    return partial_groupby(ds.map_batches(flags, batch_format="pyarrow"),
+                           "user_id", hp=("hp", "max"), he=("he", "max"))
 
 
 def _setop_select(flags: Dataset, want_error: int) -> Dataset:
@@ -1053,16 +998,9 @@ def _binned_counts(ds: Dataset) -> tuple[Dataset, pd.DataFrame]:
 
     bds = ds.map_batches(binned, batch_format="pyarrow").materialize()
 
-    def bin_partial(b: pa.Table) -> pa.Table:
-        t = pa.table({"event_type": b.column("event_type"),
-                      "bin": b.column("bin"),
-                      "one": pa.array(np.ones(b.num_rows, dtype=np.int64))})
-        return t.group_by(["event_type", "bin"]).aggregate([("one", "sum")])
-
-    totals = (bds.map_batches(bin_partial, batch_format="pyarrow")
-              .groupby(["event_type", "bin"])
-              .aggregate(Sum("one_sum", alias_name="c"))
-              ).to_pandas()  # bounded: |types| x NTILE_VALUE_RANGES rows
+    totals = collect_table(partial_groupby(
+        bds, ["event_type", "bin"], c=(None, "count_all"),
+    )).to_pandas()  # bounded: |types| x NTILE_VALUE_RANGES rows
     return bds, totals.sort_values(["event_type", "bin"])
 
 
@@ -1137,56 +1075,11 @@ def _nation_region_maps(sf_dir: str):
 
 def q_region_revenue(sf_dir: str) -> Dataset:
     """TPC-H Q5 flavor: order revenue rolled up to customer REGION —
-    orders pre-aggregate to customer grain, hash-join customer (both
-    SF-scaled), then the 25-row nation⋈region map resolves each customer
-    to a region name with a vectorized lookup (miss -> dropped, inner-join
-    semantics). Exercises the region dimension + two-level rollup."""
+    ``_revenue_rollup`` with the 25-row nation⋈region map resolving each
+    customer to a region name. Exercises the region dimension + two-level
+    rollup."""
     keys, _, rnames = _nation_region_maps(sf_dir)
-    orders = rd.read_parquet(f"{sf_dir}/orders.parquet",
-                             columns=["o_custkey", "o_totalprice"])
-
-    def partial(batch: pa.Table) -> pa.Table:
-        t = pa.table({"o_custkey": batch.column("o_custkey"),
-                      "price": batch.column("o_totalprice")})
-        return t.group_by("o_custkey").aggregate([("price", "sum"),
-                                                  ("price", "count")])
-
-    per_cust = (orders.map_batches(partial, batch_format="pyarrow")
-                .groupby("o_custkey")
-                .aggregate(Sum("price_sum", alias_name="rev_raw"),
-                           Sum("price_count", alias_name="n_orders")))
-    cust = rd.read_parquet(f"{sf_dir}/customer.parquet",
-                           columns=["c_custkey", "c_nationkey"])
-    joined = guarded_join(per_cust, cust,
-                          on=("o_custkey",), right_on=("c_custkey",))
-    if joined is None:
-        return rd.from_arrow(pa.table({
-            "r_name": pa.array([], pa.string()),
-            "n_orders": pa.array([], pa.int64()),
-            "revenue": pa.array([], pa.float64())}))
-
-    def region_partial(b: pa.Table) -> pa.Table:
-        nk = b.column("c_nationkey").to_numpy(zero_copy_only=False)
-        idx = np.clip(np.searchsorted(keys, nk), 0, len(keys) - 1)
-        valid = keys[idx] == nk
-        t = pa.table({
-            "r_name": pa.array(rnames[idx[valid]], pa.string()),
-            "rev_raw": b.column("rev_raw").filter(pa.array(valid)),
-            "n_orders": b.column("n_orders").filter(pa.array(valid)),
-        })
-        return t.group_by("r_name").aggregate([("rev_raw", "sum"),
-                                               ("n_orders", "sum")])
-
-    agg = (joined.map_batches(region_partial, batch_format="pyarrow")
-           .groupby("r_name")
-           .aggregate(Sum("rev_raw_sum", alias_name="revenue_raw"),
-                      Sum("n_orders_sum", alias_name="n_orders")))
-    return agg.map_batches(
-        lambda b: pa.table({
-            "r_name": b.column("r_name"),
-            "n_orders": b.column("n_orders").cast(pa.int64()),
-            "revenue": _pc_round(b.column("revenue_raw"), 2)}),
-        batch_format="pyarrow")
+    return _revenue_rollup(sf_dir, keys, rnames, "r_name")
 
 
 def q_supplier_balance_by_region(sf_dir: str) -> Dataset:
@@ -1198,21 +1091,18 @@ def q_supplier_balance_by_region(sf_dir: str) -> Dataset:
     sup = rd.read_parquet(f"{sf_dir}/supplier.parquet",
                           columns=["s_nationkey", "s_acctbal"])
 
-    def partial(b: pa.Table) -> pa.Table:
+    def with_region(b: pa.Table) -> pa.Table:
         nk = b.column("s_nationkey").to_numpy(zero_copy_only=False)
         idx = np.clip(np.searchsorted(keys, nk), 0, len(keys) - 1)
         valid = keys[idx] == nk
-        t = pa.table({
+        return pa.table({
             "r_name": pa.array(rnames[idx[valid]], pa.string()),
             "bal": b.column("s_acctbal").filter(pa.array(valid)),
         })
-        return t.group_by("r_name").aggregate([("bal", "sum"),
-                                               ("bal", "count")])
 
-    agg = (sup.map_batches(partial, batch_format="pyarrow")
-           .groupby("r_name")
-           .aggregate(Sum("bal_sum", alias_name="bal_raw"),
-                      Sum("bal_count", alias_name="n_suppliers")))
+    agg = partial_groupby(sup.map_batches(with_region, batch_format="pyarrow"),
+                          "r_name", bal_raw=("bal", "sum"),
+                          n_suppliers=("bal", "count"))
 
     def finish(b: pa.Table) -> pa.Table:
         tot = b.column("bal_raw").to_numpy(zero_copy_only=False)
@@ -1221,7 +1111,7 @@ def q_supplier_balance_by_region(sf_dir: str) -> Dataset:
         # rounded sum so both sides round the identical quotient
         return pa.table({
             "r_name": b.column("r_name"),
-            "n_suppliers": b.column("n_suppliers").cast(pa.int64()),
+            "n_suppliers": b.column("n_suppliers"),
             "total_bal": pa.array(tot_r, pa.float64()),
             "avg_bal": pa.array(_np_round(tot_r / n, 2), pa.float64()),
         })
@@ -1236,27 +1126,17 @@ def q_part_brand_stats(sf_dir: str) -> Dataset:
     part = rd.read_parquet(f"{sf_dir}/part.parquet",
                            columns=["p_brand", "p_retailprice", "p_size"])
 
-    def partial(b: pa.Table) -> pa.Table:
-        t = pa.table({"p_brand": b.column("p_brand"),
-                      "price": b.column("p_retailprice"),
-                      "size": b.column("p_size")})
-        return t.group_by("p_brand").aggregate([
-            ("price", "sum"), ("price", "count"),
-            ("size", "min"), ("size", "max")])
-
-    agg = (part.map_batches(partial, batch_format="pyarrow")
-           .groupby("p_brand")
-           .aggregate(Sum("price_sum", alias_name="price_raw"),
-                      Sum("price_count", alias_name="n_parts"),
-                      Min("size_min", alias_name="min_size"),
-                      Max("size_max", alias_name="max_size")))
+    agg = partial_groupby(part, "p_brand",
+                          price_raw=("p_retailprice", "sum"),
+                          n_parts=("p_retailprice", "count"),
+                          min_size=("p_size", "min"), max_size=("p_size", "max"))
 
     def finish(b: pa.Table) -> pa.Table:
         tot = b.column("price_raw").to_numpy(zero_copy_only=False)
         n = b.column("n_parts").to_numpy(zero_copy_only=False)
         return pa.table({
             "p_brand": b.column("p_brand"),
-            "n_parts": b.column("n_parts").cast(pa.int64()),
+            "n_parts": b.column("n_parts"),
             "avg_price": pa.array(
                 _np_round(_np_round(tot, 2) / n, 2), pa.float64()),
             "min_size": b.column("min_size").cast(pa.int64()),
@@ -1443,23 +1323,13 @@ def q_curation_splits(sf_dir: str) -> Dataset:
         .aggregate(_Min("doc_id", alias_name="keep_id"))
     )
 
-    def split_partial(b: pa.Table) -> pa.Table:
+    def split(b: pa.Table) -> pa.Table:
         splits = assign_split_vec(
             b.column("keep_id").to_numpy(zero_copy_only=False))
-        t = pa.table({"split": pa.array(splits, pa.string()),
-                      "one": pa.array(np.ones(len(b), dtype=np.int64))})
-        return t.group_by("split").aggregate([("one", "sum")])
+        return pa.table({"split": pa.array(splits, pa.string())})
 
-    out = (
-        canon.map_batches(split_partial, batch_format="pyarrow")
-        .groupby("split")
-        .aggregate(Sum("one_sum", alias_name="n_docs"))
-    )
-    return out.map_batches(
-        lambda b: pa.table({"split": b.column("split"),
-                            "n_docs": b.column("n_docs").cast(pa.int64())}),
-        batch_format="pyarrow",
-    )
+    return partial_groupby(canon.map_batches(split, batch_format="pyarrow"),
+                           "split", n_docs=(None, "count_all"))
 
 
 def q_incremental_new_docs(sf_dir: str) -> Dataset:
@@ -1521,25 +1391,21 @@ def q_monthly_revenue_delta(sf_dir: str):  # noqa: ANN201 — DataFrame
     ds = rd.read_parquet(f"{sf_dir}/orders.parquet",
                          columns=["o_orderdate", "o_totalprice"])
 
-    def partial(b: pa.Table) -> pa.Table:
-        months = pc.strftime(b.column("o_orderdate"), format="%Y-%m")
-        t = pa.table({"month": months,
-                      "rev": b.column("o_totalprice"),
-                      "one": pa.array(np.ones(len(b), dtype=np.int64))})
-        return t.group_by("month").aggregate([("rev", "sum"), ("one", "sum")])
+    def month(b: pa.Table) -> pa.Table:
+        return pa.table({
+            "month": pc.strftime(b.column("o_orderdate"), format="%Y-%m"),
+            "rev": b.column("o_totalprice")})
 
-    monthly = (
-        ds.map_batches(partial, batch_format="pyarrow")
-        .groupby("month")
-        .aggregate(Sum("rev_sum", alias_name="raw"),
-                   Sum("one_sum", alias_name="n_orders"))
-    ).to_pandas().sort_values("month")  # bounded by the calendar
+    monthly = collect_table(partial_groupby(
+        ds.map_batches(month, batch_format="pyarrow"), "month",
+        raw=("rev", "sum"), n_orders=(None, "count_all"),
+    )).to_pandas().sort_values("month")  # bounded by the calendar
     rev = _np_round(monthly["raw"].to_numpy(), 2)
     prev = np.concatenate([[np.nan], rev[:-1]])
     delta = _np_round(rev - prev, 2)
     return pd.DataFrame({
         "month": monthly["month"].to_numpy(),
-        "n_orders": monthly["n_orders"].astype("int64").to_numpy(),
+        "n_orders": monthly["n_orders"].to_numpy(),
         "revenue": rev,
         "delta": [None if np.isnan(x) else float(x) for x in delta],
     })
@@ -1555,26 +1421,19 @@ def q_lineitem_corr(sf_dir: str) -> Dataset:
     ds = rd.read_parquet(f"{sf_dir}/lineitem.parquet",
                          columns=["l_returnflag", "l_quantity", "l_extendedprice"])
 
-    def partial(b: pa.Table) -> pa.Table:
+    def moments(b: pa.Table) -> pa.Table:
         x, y = b.column("l_quantity"), b.column("l_extendedprice")
-        t = pa.table({
+        return pa.table({
             "l_returnflag": b.column("l_returnflag"),
             "x": x, "y": y,
             "xx": pc.multiply(x, x), "yy": pc.multiply(y, y),
             "xy": pc.multiply(x, y),
-            "one": pa.array(np.ones(len(b), dtype=np.int64)),
         })
-        return t.group_by("l_returnflag").aggregate(
-            [("x", "sum"), ("y", "sum"), ("xx", "sum"),
-             ("yy", "sum"), ("xy", "sum"), ("one", "sum")])
 
-    agg = (
-        ds.map_batches(partial, batch_format="pyarrow")
-        .groupby("l_returnflag")
-        .aggregate(Sum("x_sum", alias_name="sx"), Sum("y_sum", alias_name="sy"),
-                   Sum("xx_sum", alias_name="sxx"), Sum("yy_sum", alias_name="syy"),
-                   Sum("xy_sum", alias_name="sxy"), Sum("one_sum", alias_name="n"))
-    )
+    agg = partial_groupby(
+        ds.map_batches(moments, batch_format="pyarrow"), "l_returnflag",
+        sx=("x", "sum"), sy=("y", "sum"), sxx=("xx", "sum"),
+        syy=("yy", "sum"), sxy=("xy", "sum"), n=(None, "count_all"))
 
     def finalize(b: pa.Table) -> pa.Table:
         n = b.column("n").to_numpy(zero_copy_only=False).astype(np.float64)
@@ -1589,7 +1448,7 @@ def q_lineitem_corr(sf_dir: str) -> Dataset:
         r = cov / np.sqrt(np.maximum(vx, 0.0) * np.maximum(vy, 0.0))
         return pa.table({
             "l_returnflag": b.column("l_returnflag"),
-            "n": b.column("n").cast(pa.int64()),
+            "n": b.column("n"),
             "corr": pa.array(_np_round(r, 6), pa.float64()),
         })
 
@@ -1604,23 +1463,15 @@ def q_value_zscore(sf_dir: str) -> Dataset:
     sumsq/n - mean^2 on BOTH sides so the oracle restates the arithmetic."""
     ds = _events(sf_dir, ["event_id", "event_type", "value"])
 
-    def stat_partial(b: pa.Table) -> pa.Table:
+    def squares(b: pa.Table) -> pa.Table:
         v = b.column("value")
-        t = pa.table({
-            "event_type": b.column("event_type"),
-            "s": v,
-            "s2": pc.multiply(v, v),
-        })
-        return t.group_by("event_type").aggregate(
-            [("s", "sum"), ("s2", "sum"), ("s", "count")])
+        return pa.table({"event_type": b.column("event_type"),
+                         "v": v, "v2": pc.multiply(v, v)})
 
-    stats = (
-        ds.map_batches(stat_partial, batch_format="pyarrow")
-        .groupby("event_type")
-        .aggregate(Sum("s_sum", alias_name="s"),
-                   Sum("s2_sum", alias_name="s2"),
-                   Sum("s_count", alias_name="n"))
-    ).to_pandas()  # one row per event type
+    stats = collect_table(partial_groupby(
+        ds.map_batches(squares, batch_format="pyarrow"), "event_type",
+        s=("v", "sum"), s2=("v2", "sum"), n=("v", "count"),
+    )).to_pandas()  # one row per event type
     # variance clamped at 0 (float cancellation can go ~-1e-18); a
     # zero-variance key emits NULL z, matching DuckDB's x/0.0 -> NULL
     table = {
@@ -1707,32 +1558,25 @@ def q_profile_orders(sf_dir: str):  # noqa: ANN201 — DataFrame
         .groupby(["col", "val"]).aggregate(Count(alias_name="c"))
     )
 
-    def count_partial(b: pa.Table) -> pa.Table:
-        return (b.select(["col"]).append_column(
-                    "one", pa.array([1] * len(b), pa.int64()))
-                .group_by("col").aggregate([("one", "sum")]))
-
-    nd = (
-        distinct_pairs.map_batches(count_partial, batch_format="pyarrow")
-        .groupby("col")
-        .aggregate(Sum("one_sum", alias_name="n_distinct"))
-    ).to_pandas().set_index("col")  # one row per column
+    nd = collect_table(partial_groupby(
+        distinct_pairs, "col", n_distinct=(None, "count_all"),
+    )).to_pandas().set_index("col")  # one row per column
 
     # null/min/max meta partials: one row per column per BATCH — bounded by
     # batch count, so the driver merge is on sketch-sized data. min/max are
     # merged on the column's native type (string min over numeric reprs
     # would be wrong), stringified only at the end.
-    meta = mixed.filter(expr="kind == 'm'").to_pandas()
+    meta = collect_table(mixed.filter(expr="kind == 'm'")).to_pylist()
     numeric = {"o_orderkey": int, "o_custkey": int, "o_totalprice": float}
     rows = []
     for c in _PROFILE_COLS:
-        g = meta[meta.col == c]
+        g = [r for r in meta if r["col"] == c]
         conv = numeric.get(c, str)
-        vmins = [conv(v) for v in g["vmin"].dropna()]
-        vmaxs = [conv(v) for v in g["vmax"].dropna()]
+        vmins = [conv(r["vmin"]) for r in g if r["vmin"] is not None]
+        vmaxs = [conv(r["vmax"]) for r in g if r["vmax"] is not None]
         rows.append({
             "col": c,
-            "n_null": int(g["n_null"].sum()),
+            "n_null": sum(r["n_null"] for r in g),
             "n_distinct": int(nd.loc[c, "n_distinct"]) if c in nd.index else 0,
             "vmin": str(min(vmins)) if vmins else None,
             "vmax": str(max(vmaxs)) if vmaxs else None,
@@ -1796,18 +1640,16 @@ def q_tfidf_top_terms(sf_dir: str) -> Dataset:
     docs = _docs(sf_dir, ["doc_id", "text"])
     n_docs = docs.count()  # parquet metadata, no scan
 
-    def df_partial(b: pa.Table) -> pa.Table:
+    def doc_terms(b: pa.Table) -> pa.Table:
+        # distinct (doc, term) pairs: a term's rows then count its docs
         toks, row_idx = flat_tokens(b.column("text"))
-        agg = (pa.table({"r": row_idx, "token": toks})
-               .group_by("token").aggregate([("r", "count_distinct")]))
-        return pa.table({"token": agg.column("token"),
-                         "df": agg.column("r_count_distinct").cast(pa.int64())})
+        return (pa.table({"r": row_idx, "token": toks})
+                .group_by(["r", "token"]).aggregate([]))
 
-    df_tbl = (
-        docs.map_batches(df_partial, batch_format="pyarrow")
-        .groupby("token")
-        .aggregate(Sum("df", alias_name="df"))
-    ).to_pandas()  # bounded by vocabulary size (see docstring)
+    df_tbl = collect_table(partial_groupby(
+        docs.map_batches(doc_terms, batch_format="pyarrow"), "token",
+        df=(None, "count_all"),
+    )).to_pandas()  # bounded by vocabulary size (see docstring)
     # idf table computed ONCE driver-side with math.log (bit-exact with
     # the scalar loop it replaced; np.log drifts ~1 ulp from libm)
     import math
@@ -1860,33 +1702,14 @@ def q_daily_active_users(sf_dir: str) -> Dataset:
     ds = _events(sf_dir, ["ts", "user_id"])
 
     def day_user(b: pa.Table) -> pa.Table:
-        t = pa.table({
+        return pa.table({
             "day": pc.strftime(b.column("ts"), format="%Y-%m-%d"),
             "user_id": b.column("user_id"),
         })
-        return t.group_by(["day", "user_id"]).aggregate([([], "count_all")])
 
-    pairs = (
-        ds.map_batches(day_user, batch_format="pyarrow")
-        .groupby(["day", "user_id"])
-        .aggregate(Count(alias_name="c"))
-    )
-
-    def count_partial(b: pa.Table) -> pa.Table:
-        t = pa.table({"day": b.column("day"),
-                      "one": pa.array(np.ones(len(b), dtype=np.int64))})
-        return t.group_by("day").aggregate([("one", "sum")])
-
-    out = (
-        pairs.map_batches(count_partial, batch_format="pyarrow")
-        .groupby("day")
-        .aggregate(Sum("one_sum", alias_name="n_users"))
-    )
-    return out.map_batches(
-        lambda b: pa.table({"day": b.column("day"),
-                            "n_users": b.column("n_users").cast(pa.int64())}),
-        batch_format="pyarrow",
-    )
+    pairs = partial_groupby(ds.map_batches(day_user, batch_format="pyarrow"),
+                            ["day", "user_id"], c=(None, "count_all"))
+    return partial_groupby(pairs, "day", n_users=(None, "count_all"))
 
 
 def q_cohort_retention(sf_dir: str) -> Dataset:
@@ -1897,15 +1720,9 @@ def q_cohort_retention(sf_dir: str) -> Dataset:
     themselves locally — no self-join shuffle."""
     ds = _events(sf_dir, ["ts", "user_id"])
 
-    def min_partial(b: pa.Table) -> pa.Table:
-        t = pa.table({"user_id": b.column("user_id"), "ts": b.column("ts")})
-        return t.group_by("user_id").aggregate([("ts", "min")])
-
-    firsts = (
-        ds.map_batches(min_partial, batch_format="pyarrow")
-        .groupby("user_id")
-        .aggregate(Min("ts_min", alias_name="first_ts"))
-    ).to_pandas()  # bounded by |users| — the broadcast dimension
+    firsts = collect_table(partial_groupby(
+        ds, "user_id", first_ts=("ts", "min"),
+    )).to_pandas()  # bounded by |users| — the broadcast dimension
     first_map = dict(zip(firsts["user_id"].astype(int),
                          firsts["first_ts"].to_numpy()))
     first_ref = ray.put(first_map)
@@ -1917,44 +1734,17 @@ def q_cohort_retention(sf_dir: str) -> Dataset:
         first = np.array([fm[int(u)] for u in uid], dtype="datetime64[us]")
         week_off = ((ts - first) // np.timedelta64(7, "D")).astype(np.int64)
         cohort = pd.Series(first).dt.strftime("%Y-%m-%d").to_numpy()
-        # partial dedupe of (cohort, week_off, user) within the batch
-        t = pa.table({
+        return pa.table({
             "cohort_first_day": pa.array(cohort, pa.string()),
             "week_offset": pa.array(week_off, pa.int64()),
             "user_id": b.column("user_id"),
         })
-        return t.group_by(
-            ["cohort_first_day", "week_offset", "user_id"]
-        ).aggregate([([], "count_all")])
 
-    tagged = (
-        ds.map_batches(tag, batch_format="pyarrow")
-        .groupby(["cohort_first_day", "week_offset", "user_id"])
-        .aggregate(Count(alias_name="c"))
-    )
-
-    def count_partial(b: pa.Table) -> pa.Table:
-        t = pa.table({
-            "cohort_first_day": b.column("cohort_first_day"),
-            "week_offset": b.column("week_offset"),
-            "one": pa.array(np.ones(len(b), dtype=np.int64)),
-        })
-        return t.group_by(["cohort_first_day", "week_offset"]).aggregate(
-            [("one", "sum")])
-
-    out = (
-        tagged.map_batches(count_partial, batch_format="pyarrow")
-        .groupby(["cohort_first_day", "week_offset"])
-        .aggregate(Sum("one_sum", alias_name="n_users"))
-    )
-    return out.map_batches(
-        lambda b: pa.table({
-            "cohort_first_day": b.column("cohort_first_day"),
-            "week_offset": b.column("week_offset").cast(pa.int64()),
-            "n_users": b.column("n_users").cast(pa.int64()),
-        }),
-        batch_format="pyarrow",
-    )
+    # distinct (cohort, week_off, user) rows, then users per (cohort, week)
+    keys = ["cohort_first_day", "week_offset"]
+    tagged = partial_groupby(ds.map_batches(tag, batch_format="pyarrow"),
+                             keys + ["user_id"], c=(None, "count_all"))
+    return partial_groupby(tagged, keys, n_users=(None, "count_all"))
 
 
 def q_dataset_split(sf_dir: str) -> Dataset:
@@ -2014,15 +1804,9 @@ def q_sequence_packing(sf_dir: str) -> Dataset:
     # materializing avoids tokenizing every document twice
     cds = docs.map_batches(counts, batch_format="pyarrow").materialize()
 
-    def range_partial(b: pa.Table) -> pa.Table:
-        return (b.select(["range_id", "n_tokens"])
-                 .group_by("range_id").aggregate([("n_tokens", "sum")]))
-
-    totals = (
-        cds.map_batches(range_partial, batch_format="pyarrow")
-        .groupby("range_id")
-        .aggregate(Sum("n_tokens_sum", alias_name="s"))
-    ).to_pandas()  # bounded: one row per range, not per doc
+    totals = collect_table(partial_groupby(
+        cds, "range_id", s=("n_tokens", "sum"),
+    )).to_pandas()  # bounded: one row per range, not per doc
     totals = totals.sort_values("range_id")
     offsets: dict[int, int] = {}
     acc = 0
@@ -2189,25 +1973,21 @@ def q_orders_lineitem_join(sf_dir: str) -> Dataset:
             "n_items": pa.array([], pa.int64()),
             "revenue": pa.array([], pa.float64())}))
 
-    def partial(batch: pa.Table) -> pa.Table:
+    def revenue(batch: pa.Table) -> pa.Table:
         rev = pc.multiply(batch.column("l_extendedprice"),
                           pc.subtract(pa.scalar(1.0), batch.column("l_discount")))
-        t = pa.table({
+        return pa.table({
             "o_orderpriority": batch.column("o_orderpriority"),
             "rev": rev,
         })
-        return t.group_by("o_orderpriority").aggregate([("rev", "sum"), ("rev", "count")])
 
-    agg = (
-        joined.map_batches(partial, batch_format="pyarrow")
-        .groupby("o_orderpriority")
-        .aggregate(Sum("rev_sum", alias_name="raw"),
-                   Sum("rev_count", alias_name="n_items"))
-    )
+    agg = partial_groupby(joined.map_batches(revenue, batch_format="pyarrow"),
+                          "o_orderpriority",
+                          raw=("rev", "sum"), n_items=("rev", "count"))
     return agg.map_batches(
         lambda b: pa.table({
             "o_orderpriority": b.column("o_orderpriority"),
-            "n_items": b.column("n_items").cast(pa.int64()),
+            "n_items": b.column("n_items"),
             "revenue": _pc_round(b.column("raw"), 2),
         }),
         batch_format="pyarrow",
@@ -2329,89 +2109,34 @@ def q_customers_anti_join(sf_dir: str) -> Dataset:
 
 
 _ROLLUP_ALL = "ALL"
+_ORDER_DIMS = ("o_orderstatus", "o_orderpriority")
 
 
-def q_orders_rollup(sf_dir: str):  # noqa: ANN201 — DataFrame
-    """ROLLUP(status, priority) grouped aggregate: per-(status, priority)
-    counts + revenue, per-status subtotals, and a grand total — the OLAP
-    subtotal surface over the engine's partial-aggregate groupby.
+def _orders_grouping_sets(sf_dir: str, subtotals: list[str]) -> pd.DataFrame:
+    """Order count + revenue per (status, priority), one subtotal level
+    per key in ``subtotals`` (the other key reads ``_ROLLUP_ALL``), and a
+    grand total — the shared body of ROLLUP and CUBE.
 
-    Scale shape: rows are reduced to the FINEST level distributed (per-batch
-    partials -> small groupby); the coarser rollup levels are re-aggregated
-    from that materialized finest level, which is bounded by
-    |status| x |priority| (~15 rows), never by the input."""
+    Scale shape: rows are reduced to the FINEST level distributed
+    (``partial_groupby``); the coarser levels are re-aggregated from that
+    materialized finest level, which is bounded by |status| x |priority|
+    (~15 rows), never by the input."""
     ds = rd.read_parquet(f"{sf_dir}/orders.parquet",
-                         columns=["o_orderstatus", "o_orderpriority", "o_totalprice"])
-
-    def partial(batch: pa.Table) -> pa.Table:
-        t = pa.table({
-            "o_orderstatus": batch.column("o_orderstatus"),
-            "o_orderpriority": batch.column("o_orderpriority"),
-            "price": batch.column("o_totalprice"),
-        })
-        return t.group_by(["o_orderstatus", "o_orderpriority"]).aggregate(
-            [("price", "sum"), ("price", "count")])
-
-    fine = (
-        ds.map_batches(partial, batch_format="pyarrow")
-        .groupby(["o_orderstatus", "o_orderpriority"])
-        .aggregate(Sum("price_sum", alias_name="raw"),
-                   Sum("price_count", alias_name="n_orders"))
-    ).to_pandas()  # bounded: one row per (status, priority) combination
-
+                         columns=[*_ORDER_DIMS, "o_totalprice"])
+    fine = collect_table(partial_groupby(
+        ds, list(_ORDER_DIMS),
+        raw=("o_totalprice", "sum"), n_orders=("o_totalprice", "count"),
+    )).to_pandas()
     levels = [fine]
-    by_status = fine.groupby("o_orderstatus", as_index=False).agg(
-        raw=("raw", "sum"), n_orders=("n_orders", "sum"))
-    by_status["o_orderpriority"] = _ROLLUP_ALL
-    levels.append(by_status)
-    total = pd.DataFrame({
-        "o_orderstatus": [_ROLLUP_ALL], "o_orderpriority": [_ROLLUP_ALL],
-        "raw": [fine["raw"].sum()], "n_orders": [fine["n_orders"].sum()],
-    })
-    levels.append(total)
-    out = pd.concat(levels, ignore_index=True)
-    return pd.DataFrame({
-        "o_orderstatus": out["o_orderstatus"],
-        "o_orderpriority": out["o_orderpriority"],
-        "n_orders": out["n_orders"].astype("int64"),
-        "revenue": _np_round(out["raw"].to_numpy(), 2),
-    })
-
-
-def q_orders_cube(sf_dir: str):  # noqa: ANN201 — DataFrame
-    """CUBE(status, priority): every grouping-set combination — leaves,
-    each single-key subtotal, and the grand total. Same scale shape as
-    ROLLUP: rows reduce to the finest level distributed; the three
-    coarser levels re-aggregate the bounded materialized result."""
-    ds = rd.read_parquet(f"{sf_dir}/orders.parquet",
-                         columns=["o_orderstatus", "o_orderpriority", "o_totalprice"])
-
-    def partial(batch: pa.Table) -> pa.Table:
-        t = pa.table({
-            "o_orderstatus": batch.column("o_orderstatus"),
-            "o_orderpriority": batch.column("o_orderpriority"),
-            "price": batch.column("o_totalprice"),
-        })
-        return t.group_by(["o_orderstatus", "o_orderpriority"]).aggregate(
-            [("price", "sum"), ("price", "count")])
-
-    fine = (
-        ds.map_batches(partial, batch_format="pyarrow")
-        .groupby(["o_orderstatus", "o_orderpriority"])
-        .aggregate(Sum("price_sum", alias_name="raw"),
-                   Sum("price_count", alias_name="n_orders"))
-    ).to_pandas()  # bounded by |status| x |priority|
-
-    levels = [fine]
-    for keep, drop in [("o_orderstatus", "o_orderpriority"),
-                       ("o_orderpriority", "o_orderstatus")]:
+    for keep in subtotals:
         sub = fine.groupby(keep, as_index=False).agg(
             raw=("raw", "sum"), n_orders=("n_orders", "sum"))
-        sub[drop] = _ROLLUP_ALL
+        sub[next(d for d in _ORDER_DIMS if d != keep)] = _ROLLUP_ALL
         levels.append(sub)
+    # SUM over no rows is NULL in SQL: min_count=1
     levels.append(pd.DataFrame({
         "o_orderstatus": [_ROLLUP_ALL], "o_orderpriority": [_ROLLUP_ALL],
-        "raw": [fine["raw"].sum()], "n_orders": [fine["n_orders"].sum()],
+        "raw": [fine["raw"].sum(min_count=1)], "n_orders": [fine["n_orders"].sum()],
     }))
     out = pd.concat(levels, ignore_index=True)
     return pd.DataFrame({
@@ -2420,6 +2145,21 @@ def q_orders_cube(sf_dir: str):  # noqa: ANN201 — DataFrame
         "n_orders": out["n_orders"].astype("int64"),
         "revenue": _np_round(out["raw"].to_numpy(), 2),
     })
+
+
+def q_orders_rollup(sf_dir: str):  # noqa: ANN201 — DataFrame
+    """ROLLUP(status, priority) grouped aggregate: per-(status, priority)
+    counts + revenue, per-status subtotals, and a grand total — the OLAP
+    subtotal surface over the engine's partial-aggregate groupby
+    (``_orders_grouping_sets``)."""
+    return _orders_grouping_sets(sf_dir, ["o_orderstatus"])
+
+
+def q_orders_cube(sf_dir: str):  # noqa: ANN201 — DataFrame
+    """CUBE(status, priority): every grouping-set combination — leaves,
+    each single-key subtotal, and the grand total. Same scale shape as
+    ROLLUP (``_orders_grouping_sets``)."""
+    return _orders_grouping_sets(sf_dir, list(_ORDER_DIMS))
 
 
 _PIVOT_EVENT_TYPES = ["click", "error", "purchase", "signup", "view"]
@@ -2439,28 +2179,22 @@ def q_events_pivot(sf_dir: str) -> Dataset:
         cols = {"user_id": batch.column("user_id")}
         for t in _PIVOT_EVENT_TYPES:
             cols[f"n_{t}"] = pc.cast(pc.equal(et, t), pa.int64())
-        # count(*) rides as its own partial so n_total matches the oracle
-        # even if an event_type outside the fixed pivot contract appears
-        # (advisor round-2 finding: summing the five pivot columns would
-        # silently undercount such rows)
-        cols["n_row"] = pa.array(np.ones(len(batch), dtype=np.int64))
-        t2 = pa.table(cols)
-        return t2.group_by("user_id").aggregate(
-            [(f"n_{t}", "sum") for t in _PIVOT_EVENT_TYPES] + [("n_row", "sum")])
+        return pa.table(cols)
 
-    agg = (
-        ds.map_batches(indicators, batch_format="pyarrow")
-        .groupby("user_id")
-        .aggregate(*[Sum(f"n_{t}_sum", alias_name=f"n_{t}")
-                     for t in _PIVOT_EVENT_TYPES],
-                   Sum("n_row_sum", alias_name="n_total"))
-    )
+    # count(*) rides as its own partial so n_total matches the oracle
+    # even if an event_type outside the fixed pivot contract appears
+    # (advisor round-2 finding: summing the five pivot columns would
+    # silently undercount such rows)
+    agg = partial_groupby(
+        ds.map_batches(indicators, batch_format="pyarrow"), "user_id",
+        **{f"n_{t}": (f"n_{t}", "sum") for t in _PIVOT_EVENT_TYPES},
+        n_total=(None, "count_all"))
 
     def finalize(b: pa.Table) -> pa.Table:
         cols = {"user_id": b.column("user_id")}
         for t in _PIVOT_EVENT_TYPES:
             cols[f"n_{t}"] = b.column(f"n_{t}").cast(pa.int64())
-        cols["n_total"] = b.column("n_total").cast(pa.int64())
+        cols["n_total"] = b.column("n_total")
         return pa.table(cols)
 
     return agg.map_batches(finalize, batch_format="pyarrow")
@@ -2498,27 +2232,21 @@ def q_props_json(sf_dir: str) -> Dataset:
     """
     ds = _events(sf_dir, ["event_type", "props"])
 
-    def partial(batch: pa.Table) -> pa.Table:
+    def extract_k(batch: pa.Table) -> pa.Table:
         k = pc.struct_field(pc.extract_regex(
             batch.column("props"), r'"k"\s*:\s*(?P<k>-?\d+)\s*[,}]'), "k")
-        t = pa.table({
+        return pa.table({
             "event_type": batch.column("event_type"),
             "k": k.cast(pa.int64()),
         })
-        return t.group_by("event_type").aggregate(
-            [("k", "sum"), ("k", "count", pc.CountOptions(mode="all"))])
 
-    agg = (
-        ds.map_batches(partial, batch_format="pyarrow")
-        .groupby("event_type")
-        .aggregate(Sum("k_sum", alias_name="sum_k"),
-                   Sum("k_count", alias_name="n"))
-    )
+    agg = partial_groupby(ds.map_batches(extract_k, batch_format="pyarrow"),
+                          "event_type", sum_k=("k", "sum"), n=(None, "count_all"))
     return agg.map_batches(
         lambda b: pa.table({
             "event_type": b.column("event_type"),
             "sum_k": b.column("sum_k").cast(pa.int64()),
-            "n": b.column("n").cast(pa.int64()),
+            "n": b.column("n"),
         }),
         batch_format="pyarrow",
     )
@@ -2534,32 +2262,9 @@ def q_distinct_event_types(sf_dir: str) -> Dataset:
     the full event table through a sort; judge efficiency note)."""
     ds = _events(sf_dir, ["user_id", "event_type"])
 
-    def dedup_batch(b: pa.Table) -> pa.Table:
-        return b.group_by(["user_id", "event_type"]).aggregate([])
-
-    pairs = (
-        ds.map_batches(dedup_batch, batch_format="pyarrow")
-        .groupby(["user_id", "event_type"])
-        .aggregate(Count(alias_name="n_dup"))
-    )
-
-    def partial_count(b: pa.Table) -> pa.Table:
-        return pa.table({"user_id": b.column("user_id")}).group_by(
-            "user_id"
-        ).aggregate([("user_id", "count")])
-
-    agg = (
-        pairs.map_batches(partial_count, batch_format="pyarrow")
-        .groupby("user_id")
-        .aggregate(Sum("user_id_count", alias_name="n_types_raw"))
-    )
-    return agg.map_batches(
-        lambda b: pa.table({
-            "user_id": b.column("user_id"),
-            "n_types": b.column("n_types_raw").cast(pa.int64()),
-        }),
-        batch_format="pyarrow",
-    )
+    pairs = partial_groupby(ds, ["user_id", "event_type"],
+                            n_dup=(None, "count_all"))
+    return partial_groupby(pairs, "user_id", n_types=("user_id", "count"))
 
 
 def q_clean_text(sf_dir: str) -> Dataset:
@@ -2635,20 +2340,15 @@ def q_range_join(sf_dir: str) -> Dataset:
         idx = np.searchsorted(edges, v, side="right") - 1
         idx = np.clip(idx, 0, len(_BAND_LABELS) - 1)
         labels = np.array(_BAND_LABELS, dtype=object)[idx]
-        t = pa.table({"band": pa.array(labels, pa.string()),
-                      "value": batch.column("value")})
-        return t.group_by("band").aggregate([("value", "sum"), ("value", "count")])
+        return pa.table({"band": pa.array(labels, pa.string()),
+                         "value": batch.column("value")})
 
-    agg = (
-        ds.map_batches(band, batch_format="pyarrow")
-        .groupby("band")
-        .aggregate(Sum("value_sum", alias_name="sv"),
-                   Sum("value_count", alias_name="n"))
-    )
+    agg = partial_groupby(ds.map_batches(band, batch_format="pyarrow"), "band",
+                          sv=("value", "sum"), n=("value", "count"))
     return agg.map_batches(
         lambda b: pa.table({
             "band": b.column("band"),
-            "n": b.column("n").cast(pa.int64()),
+            "n": b.column("n"),
             "sum_value": _pc_round(b.column("sv"), 2),
         }),
         batch_format="pyarrow",
@@ -2678,23 +2378,12 @@ def q_union_events(sf_dir: str) -> Dataset:
     errors = _events(sf_dir, ["event_id", "event_type", "value"]).filter(
         expr="event_type == 'error'"
     )
-    both = purchases.union(errors)
-
-    def partial(batch: pa.Table) -> pa.Table:
-        t = pa.table({"event_type": batch.column("event_type"),
-                      "value": batch.column("value")})
-        return t.group_by("event_type").aggregate([("value", "sum"), ("value", "count")])
-
-    agg = (
-        both.map_batches(partial, batch_format="pyarrow")
-        .groupby("event_type")
-        .aggregate(Sum("value_sum", alias_name="sv"),
-                   Sum("value_count", alias_name="n"))
-    )
+    agg = partial_groupby(purchases.union(errors), "event_type",
+                          sv=("value", "sum"), n=("value", "count"))
     return agg.map_batches(
         lambda b: pa.table({
             "event_type": b.column("event_type"),
-            "n": b.column("n").cast(pa.int64()),
+            "n": b.column("n"),
             "sum_value": _pc_round(b.column("sv"), 2),
         }),
         batch_format="pyarrow",
@@ -2791,21 +2480,16 @@ def q_pages_per_host(sf_dir: str) -> Dataset:
     ext = run_extraction(pages_dataset(sf_dir)).select_columns(["host", "text"])
     ext = repartition_by_host(ext, 8)
 
-    def partial(batch: pa.Table) -> pa.Table:
-        chars = pc.utf8_length(batch.column("text"))
-        t = pa.table({"host": batch.column("host"), "chars": chars})
-        return t.group_by("host").aggregate([("chars", "sum"), ("chars", "count")])
+    def chars(batch: pa.Table) -> pa.Table:
+        return pa.table({"host": batch.column("host"),
+                         "chars": pc.utf8_length(batch.column("text"))})
 
-    agg = (
-        ext.map_batches(partial, batch_format="pyarrow")
-        .groupby("host")
-        .aggregate(Sum("chars_sum", alias_name="total_chars"),
-                   Sum("chars_count", alias_name="n_pages"))
-    )
+    agg = partial_groupby(ext.map_batches(chars, batch_format="pyarrow"), "host",
+                          total_chars=("chars", "sum"), n_pages=("chars", "count"))
     return agg.map_batches(
         lambda b: pa.table({
             "host": b.column("host"),
-            "n_pages": b.column("n_pages").cast(pa.int64()),
+            "n_pages": b.column("n_pages"),
             "total_chars": b.column("total_chars").cast(pa.int64()),
         }),
         batch_format="pyarrow",
@@ -2818,7 +2502,7 @@ def q_sliding_windows(sf_dir: str) -> Dataset:
     combine, small groupby). SQL twin = cross join with offsets 0..2."""
     ds = _events(sf_dir, ["ts", "value"])
 
-    def partial(batch: pa.Table) -> pa.Table:
+    def windows(batch: pa.Table) -> pa.Table:
         hours = pc.floor_temporal(batch.column("ts"), unit="hour")
         frames = []
         for k in range(3):
@@ -2830,19 +2514,15 @@ def q_sliding_windows(sf_dir: str) -> Dataset:
                 "window_start": shifted,
                 "value": batch.column("value"),
             }))
-        t = pa.concat_tables(frames)
-        return t.group_by("window_start").aggregate([("value", "sum"), ("value", "count")])
+        return pa.concat_tables(frames)
 
-    agg = (
-        ds.map_batches(partial, batch_format="pyarrow")
-        .groupby("window_start")
-        .aggregate(Sum("value_sum", alias_name="sv"),
-                   Sum("value_count", alias_name="n_events"))
-    )
+    agg = partial_groupby(ds.map_batches(windows, batch_format="pyarrow"),
+                          "window_start",
+                          sv=("value", "sum"), n_events=("value", "count"))
     return agg.map_batches(
         lambda b: pa.table({
             "window_start": b.column("window_start"),
-            "n_events": b.column("n_events").cast(pa.int64()),
+            "n_events": b.column("n_events"),
             "sum_value": _pc_round(b.column("sv"), 2),
         }),
         batch_format="pyarrow",
@@ -2878,32 +2558,20 @@ def q_media_audio_video(sf_dir: str) -> pd.DataFrame:
     (the round-1 version to_pandas()'d every sampled frame's bytes)."""
     from ..stages.multimodal import audio_features, video_frames
 
-    audio = audio_features(sf_dir).select_columns(["media_id", "rms"]).to_pandas()
+    def summary(kind: str, col: str):  # noqa: ANN202 — batch fn
+        return lambda b: pa.table({
+            "media_id": b.column("media_id"),
+            "kind": pa.array([kind] * len(b), pa.string()),
+            "value": b.column(col).cast(pa.float64())})
 
-    def partial_counts(b: pa.Table) -> pa.Table:
-        return pa.table({"media_id": b.column("media_id")}).group_by(
-            "media_id"
-        ).aggregate([("media_id", "count")])
-
-    frame_counts = (
-        video_frames(sf_dir, stride=5)
-        .select_columns(["media_id"])
-        .map_batches(partial_counts, batch_format="pyarrow")
-        .groupby("media_id")
-        .aggregate(Sum("media_id_count", alias_name="n_sampled_frames"))
-        .to_pandas()
-    )
-    audio_summary = pd.DataFrame({
-        "media_id": audio.media_id,
-        "kind": "audio",
-        "value": audio.rms,
-    })
-    video_summary = pd.DataFrame({
-        "media_id": frame_counts.media_id.astype("int64"),
-        "kind": "video",
-        "value": frame_counts.n_sampled_frames.to_numpy().astype("float64"),
-    })
-    return pd.concat([audio_summary, video_summary], ignore_index=True)
+    audio = audio_features(sf_dir).map_batches(
+        summary("audio", "rms"), batch_format="pyarrow")
+    frame_counts = partial_groupby(
+        video_frames(sf_dir, stride=5).select_columns(["media_id"]),
+        "media_id", n_sampled_frames=("media_id", "count"))
+    video = frame_counts.map_batches(
+        summary("video", "n_sampled_frames"), batch_format="pyarrow")
+    return collect_table(audio.union(video)).to_pandas()
 
 
 def q_embedding_near_dups_lsh(sf_dir: str) -> pd.DataFrame:
@@ -3215,28 +2883,25 @@ def q_passage_dedup(sf_dir: str) -> Dataset:
             "n_dup_passages": pa.array([], pa.int64()),
             "dup_frac": pa.array([], pa.float64())}))
 
-    def per_doc_partial(b: pa.Table) -> pa.Table:
+    def per_doc(b: pa.Table) -> pa.Table:
         rank = b.column("rank").to_numpy(zero_copy_only=False)
         first = b.column("first_rank").to_numpy(zero_copy_only=False)
-        t = pa.table({
+        return pa.table({
             "doc_id": pa.array(rank >> _PASSAGE_SHIFT, pa.int64()),
-            "one": pa.array(np.ones(len(rank), dtype=np.int64)),
             "dup": pa.array((rank != first).astype(np.int64)),
         })
-        return t.group_by("doc_id").aggregate([("one", "sum"), ("dup", "sum")])
 
-    agg = (joined.map_batches(per_doc_partial, batch_format="pyarrow")
-           .groupby("doc_id")
-           .aggregate(Sum("one_sum", alias_name="n_passages"),
-                      Sum("dup_sum", alias_name="n_dup_passages")))
+    agg = partial_groupby(joined.map_batches(per_doc, batch_format="pyarrow"),
+                          "doc_id", n_passages=(None, "count_all"),
+                          n_dup_passages=("dup", "sum"))
 
     def finish(b: pa.Table) -> pa.Table:
         n = b.column("n_passages").to_numpy(zero_copy_only=False).astype(np.float64)
         d = b.column("n_dup_passages").to_numpy(zero_copy_only=False).astype(np.float64)
         return pa.table({
             "doc_id": b.column("doc_id"),
-            "n_passages": b.column("n_passages").cast(pa.int64()),
-            "n_dup_passages": b.column("n_dup_passages").cast(pa.int64()),
+            "n_passages": b.column("n_passages"),
+            "n_dup_passages": b.column("n_dup_passages"),
             "dup_frac": pa.array(_np_round(d / n, 4), pa.float64()),
         })
 
@@ -4116,22 +3781,9 @@ def q_host_boilerplate(sf_dir: str) -> Dataset:
             "n_boiler_passages": pa.array([], pa.int64()),
             "boiler_frac": pa.array([], pa.float64())}))
 
-    def per_doc(b: pa.Table) -> pa.Table:
-        t = pa.table({
-            "doc_id": b.column("doc_id"),
-            "host_id": b.column("host_id"),
-            "n_uniq": b.column("n_uniq"),
-            "one": pa.array(np.ones(len(b), dtype=np.int64)),
-        })
-        return t.group_by(["doc_id", "host_id"]).aggregate(
-            [("n_uniq", "max"), ("one", "sum")])
-
-    agg = (
-        joined.map_batches(per_doc, batch_format="pyarrow")
-        .groupby(["doc_id", "host_id"])
-        .aggregate(Max("n_uniq_max", alias_name="n_unique_passages"),
-                   Sum("one_sum", alias_name="n_boiler_passages"))
-    )
+    agg = partial_groupby(joined, ["doc_id", "host_id"],
+                          n_unique_passages=("n_uniq", "max"),
+                          n_boiler_passages=(None, "count_all"))
 
     def finish(b: pa.Table) -> pa.Table:
         host_id = b.column("host_id").to_numpy(zero_copy_only=False)
@@ -4290,14 +3942,9 @@ def q_training_shuffle(sf_dir: str) -> Dataset:
 
     kds = docs.map_batches(keyed, batch_format="pyarrow").materialize()
 
-    def bin_partial(b: pa.Table) -> pa.Table:
-        t = pa.table({"bin": b.column("bin"),
-                      "one": pa.array(np.ones(b.num_rows, dtype=np.int64))})
-        return t.group_by("bin").aggregate([("one", "sum")])
-
-    totals = (kds.map_batches(bin_partial, batch_format="pyarrow")
-              .groupby("bin").aggregate(Sum("one_sum", alias_name="c"))
-              ).to_pandas().sort_values("bin")   # <= 256 rows
+    totals = collect_table(partial_groupby(
+        kds, "bin", c=(None, "count_all"),
+    )).to_pandas().sort_values("bin")   # <= 256 rows
     if totals.empty:
         return rd.from_arrow(pa.table({"doc_id": pa.array([], pa.int64()),
                                        "pos": pa.array([], pa.int64())}))
@@ -4357,14 +4004,9 @@ def q_curriculum_order(sf_dir: str) -> Dataset:
 
     kds = docs.map_batches(keyed, batch_format="pyarrow").materialize()
 
-    def grp_partial(b: pa.Table) -> pa.Table:
-        t = pa.table({"grp": b.column("grp"),
-                      "one": pa.array(np.ones(b.num_rows, dtype=np.int64))})
-        return t.group_by("grp").aggregate([("one", "sum")])
-
-    totals = (kds.map_batches(grp_partial, batch_format="pyarrow")
-              .groupby("grp").aggregate(Sum("one_sum", alias_name="c"))
-              ).to_pandas().sort_values("grp")   # <= 1024 rows
+    totals = collect_table(partial_groupby(
+        kds, "grp", c=(None, "count_all"),
+    )).to_pandas().sort_values("grp")   # <= 1024 rows
     if totals.empty:
         return rd.from_arrow(pa.table({
             "doc_id": pa.array([], pa.int64()),
@@ -4449,22 +4091,14 @@ def q_top_terms_per_lang(sf_dir: str) -> Dataset:
 
     docs = _docs(sf_dir, ["lang", "text"])
 
-    def partial(b: pa.Table) -> pa.Table:
+    def terms(b: pa.Table) -> pa.Table:
         toks, row_idx = flat_tokens(b.column("text"))
         langs = b.column("lang").combine_chunks().take(
             pa.array(row_idx, pa.int64()))
-        agg = (pa.table({"lang": langs, "term": toks})
-               .group_by(["lang", "term"])
-               .aggregate([([], "count_all")]))
-        return pa.table({
-            "lang": agg.column("lang"),
-            "term": agg.column("term"),
-            "n": agg.column("count_all").cast(pa.int64()),
-        })
+        return pa.table({"lang": langs, "term": toks})
 
-    agg = (docs.map_batches(partial, batch_format="pyarrow")
-           .groupby(["lang", "term"])
-           .aggregate(Sum("n", alias_name="n")))
+    agg = partial_groupby(docs.map_batches(terms, batch_format="pyarrow"),
+                          ["lang", "term"], n=(None, "count_all"))
 
     def topk(g: pd.DataFrame) -> pd.DataFrame:
         # g is one language's aggregated vocab — bounded, see docstring

@@ -34,7 +34,7 @@ import pyarrow.compute as pc
 import ray
 import ray.data as rd
 from ray.data import Dataset
-from ray.data.aggregate import Count, Min, Sum
+from ray.data.aggregate import Count, Max, Min, Sum
 
 from ..functions.fasthash import (
     fold_rows,
@@ -170,9 +170,7 @@ def guarded_join(
             num_partitions=_join_partitions(), on=on, right_on=right_on)
 
     (small_ds, _), (big_ds, big_n) = sides if broadcast_left else sides[::-1]
-    small = pa.concat_tables(
-        [t for t in ray.get(small_ds.to_arrow_refs()) if t.num_rows],
-        promote_options="default")
+    small = collect_table(small_ds)
     keys, right_keys = list(on), list(right_on or on)
     arrow_join_type = join_type.replace("_", " ")
 
@@ -182,6 +180,67 @@ def guarded_join(
 
     return _nonempty_blocks(big_ds, big_n).map_batches(
         probe, batch_format="pyarrow", batch_size=None)
+
+
+def collect_table(ds: Dataset) -> pa.Table:
+    """Every row of a bounded ``ds`` as one Arrow table on the driver —
+    the package's driver-side read. Ray 2.49's ``Dataset.to_pandas()``
+    drops every column of a zero-row Dataset, even a typed one, so a
+    caller indexing a key column raises; this read keeps the columns of
+    a typed zero-row block (``partial_groupby`` returns one). Blocks that
+    lost their columns upstream (a map over a zero-row read emits
+    column-less blocks) give a column-less table."""
+    blocks = ray.get(ds.to_arrow_refs())
+    keep = ([t for t in blocks if t.num_rows]
+            or [t for t in blocks if t.num_columns][:1])
+    return (pa.concat_tables(keep, promote_options="default") if keep
+            else pa.table({}))
+
+
+# partial function per aggregate -> the Ray aggregate that merges partials
+_MERGES = {"sum": Sum, "count": Sum, "count_all": Sum, "min": Min, "max": Max}
+
+
+def partial_groupby(ds: Dataset, keys: str | list[str],
+                    **aggs: tuple[str | None, str]) -> Dataset:
+    """Grouped aggregate as per-block Arrow partials merged by one Ray
+    ``groupby`` — the package's one decomposable-aggregate site.
+
+    Each ``aggs`` entry is ``name=(col, fn)`` with ``fn`` one of ``sum``,
+    ``count`` (non-null values of ``col``), ``count_all`` (rows; ``col``
+    is ignored, pass None), ``min`` or ``max``. Every block runs one
+    ``pa.Table.group_by(keys).aggregate``, so the shuffle moves one row
+    per key per block, never the rows themselves; the partials are
+    materialized and counted, then merged with ``Sum`` (sums and both
+    counts), ``Min`` or ``Max``. The output holds the keys and one column
+    per ``aggs`` name; counts are int64. Null keys form one group, as in
+    SQL ``GROUP BY``.
+
+    On zero partial rows it returns one typed empty block: Ray 2.49
+    aggregates zero rows into a Dataset whose ``schema()`` is None. The
+    block is the partial applied to an empty table of ``ds.schema()``;
+    a column the input no longer types (a map over a zero-row read
+    emits column-less blocks) keeps its name with the null type.
+    """
+    keys = [keys] if isinstance(keys, str) else list(keys)
+    names = list(aggs)
+    specs = [([], "count_all") if fn == "count_all" else (col, fn)
+             for col, fn in aggs.values()]
+
+    def partial(t: pa.Table) -> pa.Table:
+        # pyarrow emits the keys first, then one column per spec in order
+        return t.group_by(keys).aggregate(specs).rename_columns(keys + names)
+
+    parts = ds.map_batches(partial, batch_format="pyarrow").materialize()
+    if parts.count() == 0:
+        schema = ds.schema()
+        types = dict(zip(schema.names, schema.types)) if schema else {}
+        cols = dict.fromkeys(keys + [c for c, _ in aggs.values() if c])
+        return rd.from_arrow(partial(pa.table(
+            {c: pa.array([], types.get(c, pa.null())) for c in cols})))
+    return parts.groupby(keys).aggregate(
+        *(_MERGES[fn](name, alias_name=name)
+          for name, (_, fn) in zip(names, aggs.values())))
 
 
 class MinHasher:

@@ -220,9 +220,8 @@ def heavy_hitters(
 
     import ray
 
-    from ray.data.aggregate import Sum
-
     from ..functions.tokenize import token_counts
+    from .dedup import collect_table, partial_groupby
 
     def count_batch(b: pa.Table) -> pa.Table:
         toks, cnts = token_counts(b.column(tokenize_col))
@@ -253,13 +252,12 @@ def heavy_hitters(
             "sketch": [json.dumps(m, sort_keys=True)],
         })
 
-    bucket_rows = (
+    bucket_rows = collect_table(                # <= _MERGE_BUCKETS rows
         partials.map_batches(sketch_block, batch_format="pyarrow")
         .groupby("bucket")
         .map_groups(merge_bucket, batch_format="pandas")
-        .to_pandas()                      # <= _MERGE_BUCKETS rows
-    )
-    merged = mg_merge([json.loads(s) for s in bucket_rows.sketch], capacity)
+    ).to_pylist()
+    merged = mg_merge([json.loads(r["sketch"]) for r in bucket_rows], capacity)
     cand_ref = ray.put(pa.array(sorted(merged), pa.string()))
 
     def exact_partial(b: pa.Table) -> pa.Table:
@@ -271,12 +269,10 @@ def heavy_hitters(
             "n_part": b.column("n_part").combine_chunks().filter(keep),
         })
 
-    exact = (
-        partials.map_batches(exact_partial, batch_format="pyarrow")
-        .groupby("token")
-        .aggregate(Sum("n_part", alias_name="n"))
-        .to_pandas()
-    )
+    exact = collect_table(partial_groupby(
+        partials.map_batches(exact_partial, batch_format="pyarrow"), "token",
+        n=("n_part", "sum"),
+    )).to_pandas()
     exact["n"] = exact["n"].astype("int64")
     return (
         exact.sort_values(["n", "token"], ascending=[False, True])
@@ -354,9 +350,10 @@ def approx_quantiles_hist(
     import pyarrow.compute as pc
 
     import ray.data as rd
-    from ray.data.aggregate import Max as _Max, Min as _Min, Sum as _Sum
+    from ray.data.aggregate import Max as _Max, Min as _Min
 
     from ..functions.rounding import py_round as _pyr
+    from .dedup import partial_groupby
 
     ds = rd.read_parquet(f"{sf_dir}/events.parquet",
                          columns=["event_type", "value"])
@@ -371,7 +368,7 @@ def approx_quantiles_hist(
     mn, mx = float(mm["min(value)"]), float(mm["max(value)"])
     width = (mx - mn) / float(nbins)
 
-    def partial(b: pa.Table) -> pa.Table:
+    def binned(b: pa.Table) -> pa.Table:
         # drop NULL values (SQL aggregate semantics); without this a NaN
         # rides (v-mn)/width into int64 garbage bins (review finding)
         b = b.filter(pc.is_valid(b.column("value")))
@@ -382,14 +379,10 @@ def approx_quantiles_hist(
         else:
             bins = np.minimum(np.floor((v - mn) / width),
                               nbins - 1).astype(np.int64)
-        t = pa.table({"event_type": b.column("event_type"), "bin": bins})
-        return t.group_by(["event_type", "bin"]).aggregate([("bin", "count")])
+        return pa.table({"event_type": b.column("event_type"), "bin": bins})
 
-    agg = (
-        ds.map_batches(partial, batch_format="pyarrow")
-        .groupby(["event_type", "bin"])
-        .aggregate(_Sum("bin_count", alias_name="c"))
-    )
+    agg = partial_groupby(ds.map_batches(binned, batch_format="pyarrow"),
+                          ["event_type", "bin"], c=(None, "count_all"))
 
     def cdf_walk(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values("bin")

@@ -491,39 +491,21 @@ def vocab_bigrams(sf_dir: str, *, k: int = 30) -> Dataset:
     heavy_hitters' exact pass, here with full-ordering output. The map
     side is vectorized (functions/tokenize.py): adjacent same-row token
     pairs joined and counted by Arrow kernels, no per-token Python."""
-    from ray.data.aggregate import Sum as _Sum
-
     from ..functions.tokenize import flat_tokens
+    from .dedup import partial_groupby
 
     docs = rd.read_parquet(f"{sf_dir}/documents.parquet", columns=["text"])
 
-    def partial(batch: pa.Table) -> pa.Table:
+    def bigrams(batch: pa.Table) -> pa.Table:
         toks, row_idx = flat_tokens(batch.column("text"))
-        empty = pa.table({"bigram": pa.array([], pa.string()),
-                          "n": pa.array([], pa.int64())})
         if len(toks) < 2:
-            return empty
+            return pa.table({"bigram": pa.array([], pa.string())})
         adj = pa.array(row_idx[1:] == row_idx[:-1])
         left = toks.slice(0, len(toks) - 1).filter(adj)
         right = toks.slice(1).filter(adj)
-        if len(left) == 0:
-            return empty
-        bigrams = pc.binary_join_element_wise(left, right, " ")
-        agg = (pa.table({"bigram": bigrams}).group_by("bigram")
-               .aggregate([([], "count_all")]))
         return pa.table({
-            "bigram": agg.column("bigram"),
-            "n": agg.column("count_all").cast(pa.int64()),
-        })
+            "bigram": pc.binary_join_element_wise(left, right, " ")})
 
-    agg = (
-        docs.map_batches(partial, batch_format="pyarrow")
-        .groupby("bigram")
-        .aggregate(_Sum("n", alias_name="n"))
-    )
-    top = agg.sort(["n", "bigram"], descending=[True, False]).limit(k)
-    return top.map_batches(
-        lambda b: pa.table({"bigram": b.column("bigram"),
-                            "n": b.column("n").cast(pa.int64())}),
-        batch_format="pyarrow",
-    )
+    agg = partial_groupby(docs.map_batches(bigrams, batch_format="pyarrow"),
+                          "bigram", n=(None, "count_all"))
+    return agg.sort(["n", "bigram"], descending=[True, False]).limit(k)

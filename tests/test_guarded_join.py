@@ -1,8 +1,11 @@
-"""guarded_join: the package's single Dataset.join entry point."""
+"""guarded_join and partial_groupby: the package's single Dataset.join
+entry point and its single decomposable-aggregate site."""
 
 from __future__ import annotations
 
 import ast
+import inspect
+import re
 from pathlib import Path
 
 import pandas as pd
@@ -15,11 +18,27 @@ from tests.conftest import REPO_ROOT, SF_SMOKE
 
 PKG = REPO_ROOT / "ai_pdf_extraction_ray"
 
-# queries whose own body calls guarded_join (found by name, so a new
-# direct caller joins the degenerate-input sweep automatically)
+def _calls(fn, callee: str) -> bool:  # noqa: ANN001 — query function
+    """``fn``'s body, or a module-level helper it names, calls ``callee``."""
+    names = fn.__code__.co_names
+    return callee in names or any(
+        inspect.isfunction(fn.__globals__.get(n))
+        and callee in fn.__globals__[n].__code__.co_names
+        for n in names)
+
+
+# queries whose body (or a helper it names) calls guarded_join, found by
+# name, so a new direct caller joins the degenerate-input sweep
+# automatically
 DIRECT_CALLERS = sorted(
-    name for name, q in QUERIES.items()
-    if "guarded_join" in q["fn"].__code__.co_names)
+    name for name, q in QUERIES.items() if _calls(q["fn"], "guarded_join"))
+
+# queries that aggregate through partial_groupby (found the same way), plus
+# heavy_hitters (it reaches the helper through a stage function) and
+# media_audio_video, listed by hand so both stay in the zero-row sweep
+PARTIAL_GROUPBY_CALLERS = sorted(
+    {name for name, q in QUERIES.items() if _calls(q["fn"], "partial_groupby")}
+    | {"heavy_hitters", "media_audio_video"})
 
 
 def _rows(out) -> int:  # noqa: ANN001 — Dataset or DataFrame
@@ -245,9 +264,27 @@ def empty_sf(tmp_path_factory) -> str:
     return str(out)
 
 
+def _oracle_rows(sf_dir: str, name: str) -> int:
+    """Rows the query's DuckDB oracle returns on ``sf_dir`` (0 for a
+    rows-only query: no SQL twin)."""
+    import duckdb
+
+    sql = QUERIES[name]["sql"]
+    if sql is None:
+        return 0
+    con = duckdb.connect()
+    for table in Path(sf_dir).glob("*.parquet"):
+        con.execute(f"CREATE VIEW {table.stem} AS SELECT * FROM "
+                    f"read_parquet('{table}')")
+    return len(con.execute(sql).fetchall())
+
+
 class TestDegenerateInputs:
     def test_direct_callers_found(self):
         assert len(DIRECT_CALLERS) >= 10
+
+    def test_partial_groupby_callers_found(self):
+        assert len(PARTIAL_GROUPBY_CALLERS) >= 35
 
     def test_pagerank_empty_corpus(self, ray_session, empty_sf):
         assert _rows(q_pagerank(empty_sf)) == 0
@@ -255,6 +292,16 @@ class TestDegenerateInputs:
     @pytest.mark.parametrize("name", DIRECT_CALLERS)
     def test_join_query_on_empty_tables(self, ray_session, empty_sf, name):
         assert _rows(QUERIES[name]["fn"](empty_sf)) == 0
+
+    @pytest.mark.parametrize("name", PARTIAL_GROUPBY_CALLERS)
+    def test_aggregate_query_on_empty_tables(self, ray_session, empty_sf,
+                                             name):
+        """No rows in, no exception out: the rows the oracle gives on the
+        same empty tables — 0, except where SQL aggregates without a
+        GROUP BY (profile_orders' 5 column rows, the ROLLUP/CUBE grand
+        total)."""
+        assert _rows(QUERIES[name]["fn"](empty_sf)) == _oracle_rows(
+            empty_sf, name)
 
 
 class TestSingleJoinSite:
@@ -301,3 +348,144 @@ class TestSingleJoinSite:
             if path != PKG / "stages" / "dedup.py"
             and any(h in text for h in helpers)]
         assert users == []
+
+
+# 3 keys with nulls, a second key, values with nulls (count and count_all
+# differ), strings for min/max; sums are multiples of 0.5, exact in any
+# summation order
+AGG_INPUT = pa.table({
+    "k": pa.array([1, 2, None, 1, 3, None, 2, 1, 3, 2] * 4, pa.int64()),
+    "g": ["a", "b", "a", "b", "a", "a", "b", "a", "b", "a"] * 4,
+    "v": pa.array([0.5, None, 2.0, 1.5, None, 3.0, 4.5, None, 1.0, 2.5] * 4),
+    "s": ["q", "b", None, "z", "m", "c", None, "a", "y", "d"] * 4,
+    "i": pa.array(range(40), pa.int32()),
+})
+AGGS = dict(sv=("v", "sum"), nv=("v", "count"), n=(None, "count_all"),
+            smin=("s", "min"), smax=("s", "max"),
+            imin=("i", "min"), imax=("i", "max"))
+
+
+def _reference(table: pa.Table, keys: list[str]) -> pa.Table:
+    """One ``pa.Table.group_by`` over the whole input."""
+    specs = [([], "count_all") if fn == "count_all" else (col, fn)
+             for col, fn in AGGS.values()]
+    return table.group_by(keys).aggregate(specs).rename_columns(
+        keys + list(AGGS))
+
+
+class TestPartialGroupby:
+    """Per-block partials merged by one Ray groupby equal one Arrow
+    group_by over the concatenated input."""
+
+    @pytest.mark.parametrize("keys", [["k"], ["k", "g"]], ids=["one", "two"])
+    def test_matches_single_group_by(self, ray_session, keys):
+        import ray.data as rd
+
+        from ai_pdf_extraction_ray.stages.dedup import (
+            collect_table, partial_groupby)
+
+        ds = rd.from_arrow(_blocks(AGG_INPUT, *range(4, 40, 4)))
+        assert ds.num_blocks() >= 8
+        got = collect_table(partial_groupby(ds, keys, **AGGS))
+        want = _reference(AGG_INPUT, keys)
+        assert got.column_names == want.column_names
+        assert _sorted_frame(got).equals(_sorted_frame(want))
+        for name in ("nv", "n"):
+            assert got.schema.field(name).type == pa.int64()
+        # the data exercises what it claims to
+        assert None in got.column("k").to_pylist()
+        assert got.column("nv").to_pylist() != got.column("n").to_pylist()
+
+    def test_zero_rows_keep_typed_schema(self, ray_session):
+        import ray.data as rd
+
+        from ai_pdf_extraction_ray.stages.dedup import (
+            collect_table, partial_groupby)
+
+        empty = AGG_INPUT.slice(0, 0)
+        got = collect_table(partial_groupby(rd.from_arrow(empty),
+                                            ["k", "g"], **AGGS))
+        assert got.num_rows == 0
+        assert got.schema == _reference(empty, ["k", "g"]).schema
+
+    def test_pricing_summary_one_aggregate(self, ray_session):
+        """The partials fuse into the map after the read; one Aggregate
+        merges them."""
+        from ai_pdf_extraction_ray.pipelines.queries import q_pricing_summary
+
+        stats = q_pricing_summary(SF_SMOKE).materialize().stats()
+        ops = re.findall(r"^Operator \d+ (.+?):", stats, re.M)
+        assert [op for op in ops if "Aggregate" in op] == ["Aggregate"]
+
+
+# Ray groupbys fed by a hand-written Arrow partial that stay outside
+# partial_groupby, each with the reason its merge is not a Sum/Min/Max
+NON_DECOMPOSABLE = {
+    ("stages/sketches.py", "heavy_hitters"):
+        "Misra-Gries sketches merge by mg_merge compaction in map_groups",
+}
+
+
+class TestSingleAggregateSite:
+    """Decomposable aggregates go through stages/dedup.partial_groupby;
+    no call site hand-writes the partial / merge pair again."""
+
+    @staticmethod
+    def _map_batches_fn(node: ast.AST) -> str | None:
+        """Name of the function ``node`` maps, when it is
+        ``X.map_batches(fn, ...)``."""
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "map_batches" and node.args
+                and isinstance(node.args[0], ast.Name)):
+            return node.args[0].id
+        return None
+
+    @classmethod
+    def _hand_written_sites(cls, tree: ast.AST) -> list[tuple[str, int]]:
+        """(enclosing function, line) of every Ray ``.groupby`` whose input
+        — directly or through a variable — maps a function defined in the
+        same enclosing function that calls pyarrow ``.group_by``."""
+        sites = []
+        for outer in ast.walk(tree):
+            if (not isinstance(outer, ast.FunctionDef)
+                    or outer.name == "partial_groupby"):
+                continue
+            local = {
+                fn.name for fn in ast.walk(outer)
+                if isinstance(fn, ast.FunctionDef) and fn is not outer
+                and any(isinstance(n, ast.Attribute) and n.attr == "group_by"
+                        for n in ast.walk(fn))}
+            mapped = {
+                n.targets[0].id: cls._map_batches_fn(n.value)
+                for n in ast.walk(outer)
+                if isinstance(n, ast.Assign) and len(n.targets) == 1
+                and isinstance(n.targets[0], ast.Name)}
+            for n in ast.walk(outer):
+                if not (isinstance(n, ast.Call)
+                        and isinstance(n.func, ast.Attribute)
+                        and n.func.attr == "groupby"):
+                    continue
+                src = n.func.value
+                fn = cls._map_batches_fn(src) or (
+                    mapped.get(src.id) if isinstance(src, ast.Name) else None)
+                if fn in local:
+                    sites.append((outer.name, n.lineno))
+        return sorted(set(sites))
+
+    def test_no_hand_written_partial_groupby(self):
+        found = {}
+        for path in sorted(PKG.rglob("*.py")):
+            rel = str(path.relative_to(PKG))
+            for fn, line in self._hand_written_sites(ast.parse(path.read_text())):
+                found[(rel, fn)] = line
+        assert sorted(found) == sorted(NON_DECOMPOSABLE)
+
+    def test_no_renamed_partial_merges(self):
+        """No ``Sum("<col>_sum")`` / ``Sum("<col>_count")`` merge of
+        pyarrow's partial column names is left anywhere."""
+        merge = re.compile(r'Sum\("[a-z_]+_(sum|count)"')
+        hits = [f"{path.relative_to(REPO_ROOT)}:{i}"
+                for path in sorted(PKG.rglob("*.py"))
+                for i, line in enumerate(path.read_text().splitlines(), 1)
+                if merge.search(line)]
+        assert hits == []
