@@ -17,9 +17,10 @@ single-call budget (>10 pages => chunks of 5, extraction.py:493-544):
 - nulls stripped from arrays recursively post-merge (extraction.py:410)
 
 Dataset shape: a split document appears as rows sharing ``url`` with a
-``chunk_index``; ``merge_chunked`` is the ``groupby(url).map_groups``
-reduce, sorting each group by chunk_index before applying the same pure
-function (SURVEY §7.4 hard part #6: preserve chunk order inside groups).
+``chunk_index``; ``merge_chunked`` is the url-keyed
+``stages/dedup.segment_window`` reduce, which orders each url's rows by
+chunk_index before applying the same pure function (SURVEY §7.4 hard part
+#6: preserve chunk order inside groups).
 """
 
 from __future__ import annotations
@@ -28,11 +29,13 @@ import json
 import math
 from typing import Any
 
-import pandas as pd
+import numpy as np
+import pyarrow as pa
 
 from ray.data import Dataset
 
 from ..schema import FieldType, SchemaDefinition, round_confidence
+from ..stages.dedup import segment_window
 from .scalars import clean_null_from_arrays
 from .validation import validate_extracted_data
 
@@ -80,9 +83,8 @@ def merge_extraction_chunks(
         if vals:
             field_conf[name] = round(sum(vals) / len(vals), 3)
 
-    # NaN-aware, not just None-aware: the map_groups path hands Arrow
-    # nulls over as pandas NaN, which passed `is not None` and poisoned
-    # the mean to NaN -> clamp 0.0 (review finding)
+    # NaN-aware, not just None-aware: a NaN confidence passes
+    # `is not None` and would poison the mean to NaN -> clamp 0.0
     valid = [c for c in chunk_confidences
              if c is not None and not (isinstance(c, float) and math.isnan(c))]
     confidence = round_confidence(sum(valid) / len(valid)) if valid else 0.0
@@ -92,33 +94,39 @@ def merge_extraction_chunks(
     return vres.validated_data, confidence, field_conf, vres.warnings
 
 
+# merge_chunked output: one row per url
+_MERGED = pa.schema([
+    ("url", pa.string()), ("text", pa.string()), ("n_chunks", pa.int64()),
+    ("fields_json", pa.string()), ("field_confidences_json", pa.string()),
+    ("confidence", pa.float64()), ("warnings", pa.list_(pa.string())),
+])
+
+
 def merge_chunked(extractions: Dataset, schema: SchemaDefinition) -> Dataset:
-    """groupby(url) reduce over chunk rows.
+    """url-keyed reduce over chunk rows, in chunk_index order.
 
     Expects columns: url, chunk_index, fields_json, confidence,
     field_confidences_json, text. Emits one row per url with merged fields
     and chunk texts concatenated in order ("\\n\\n" — same join as block
     assembly).
     """
-    # schema captured by value in the closure — deserialized once per worker,
-    # not rebuilt per url group
-    sch = schema
+    def merge(t: pa.Table, starts: np.ndarray) -> pa.Table:
+        # rows, not columns: on zero rows a map upstream leaves no schema
+        rows = t.to_pylist()
+        out: dict[str, list] = {c: [] for c in _MERGED.names}
+        for lo, hi in zip(starts, np.append(starts[1:], len(rows))):
+            g = rows[lo:hi]
+            data, conf, fconf, warnings = merge_extraction_chunks(
+                [json.loads(r["fields_json"]) for r in g],
+                [r["confidence"] for r in g],
+                [json.loads(r["field_confidences_json"]) for r in g], schema)
+            out["url"].append(g[0]["url"])
+            out["text"].append("\n\n".join(r["text"] for r in g if r["text"]))
+            out["n_chunks"].append(len(g))
+            out["fields_json"].append(json.dumps(data, sort_keys=True))
+            out["field_confidences_json"].append(json.dumps(fconf, sort_keys=True))
+            out["confidence"].append(conf)
+            out["warnings"].append(list(warnings))
+        return pa.table(out, schema=_MERGED)
 
-    def reduce_group(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values("chunk_index", kind="mergesort")
-        chunks = [json.loads(x) for x in g["fields_json"]]
-        confs = list(g["confidence"])
-        fconfs = [json.loads(x) for x in g["field_confidences_json"]]
-        data, conf, fconf, warnings = merge_extraction_chunks(chunks, confs, fconfs, sch)
-        texts = [t for t in g["text"] if t]
-        return pd.DataFrame({
-            "url": [g["url"].iloc[0]],
-            "text": ["\n\n".join(texts)],
-            "n_chunks": [len(g)],
-            "fields_json": [json.dumps(data, sort_keys=True)],
-            "field_confidences_json": [json.dumps(fconf, sort_keys=True)],
-            "confidence": [conf],
-            "warnings": [list(warnings)],
-        })
-
-    return extractions.groupby("url").map_groups(reduce_group, batch_format="pandas")
+    return segment_window(extractions, "url", merge, order=("chunk_index",))

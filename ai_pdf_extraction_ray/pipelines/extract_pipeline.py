@@ -43,6 +43,7 @@ from ray.data.aggregate import Count, Mean, Sum
 
 from ..schema import SchemaDefinition
 from ..sources.corpus import synthesize_pages_batch
+from ..stages.dedup import segment_window
 from ..stages.extract import DocumentExtractor
 from ..state.manifest import lineage_id, manifest_is_valid, write_manifest_atomic
 
@@ -123,15 +124,11 @@ def repartition_by_host(ds: Dataset, num_partitions: int) -> Dataset:
         return batch.append_column("host_bucket",
                                    pa.array(buckets, pa.int64()))
 
-    # groupby + identity map_groups = portable key-based co-location (every
-    # output block holds exactly one host_bucket). Dataset.repartition(keys=)
-    # requires the global HASH_SHUFFLE DataContext strategy; this form works
-    # under any shuffle strategy with identical placement guarantees.
-    return (
-        ds.map_batches(add_bucket, batch_format="pyarrow")
-        .groupby("host_bucket")
-        .map_groups(lambda t: t, batch_format="pyarrow")
-    )
+    # segment_window co-locates by sort, so every host_bucket sits in one
+    # block under any shuffle strategy (Dataset.repartition(keys=) needs
+    # the global HASH_SHUFFLE DataContext strategy)
+    return segment_window(ds.map_batches(add_bucket, batch_format="pyarrow"),
+                          "host_bucket", lambda t, starts: t)
 
 
 def write_host_partitioned(

@@ -65,7 +65,12 @@ from ..stages.dedup import (  # noqa: E402
     NGRAM_DF_CAP as _NGRAM_DF_CAP,
     collect_table,
     guarded_join,
+    key_runs,
     partial_groupby,
+    run_ids,
+    run_ranks,
+    segment_window,
+    typed_map,
 )
 
 # rare-k-gram-blocked candidate pairs, single-sourced: the candidacy
@@ -493,43 +498,33 @@ def q_events_sort_limit(sf_dir: str) -> Dataset:
     return ds.sort(["ts", "event_id"], descending=[True, True]).limit(100)
 
 
+# event-time order with a unique tie-break (ORDER BY ts, event_id)
+_TIME_ORDER = ("ts", "event_id")
+
+
 def q_first_event_per_user(sf_dir: str) -> Dataset:
     """O4: first row per group (reference routers/batches.py:503-507 uses
     'first extraction per document').
 
     Partial min-by-key per batch BEFORE the shuffle: each block contributes
-    at most one candidate row per user, so the groupby moves <= users x
-    blocks rows instead of every event (round-1 used a bare sort-based
-    map_groups over the full table; judge efficiency note)."""
+    at most one candidate row per user, so the shuffle moves <= users x
+    blocks rows instead of every event."""
     ds = _events(sf_dir, ["event_id", "ts", "user_id", "event_type"])
+    return segment_window(
+        typed_map(ds, lambda t: _first_rows_per_key(t, "user_id", 1)),
+        "user_id", lambda t, starts: _first_rows(t, starts, 1),
+        order=_TIME_ORDER)
 
-    def first(t: pa.Table) -> pa.Table:
-        return _first_rows_per_key(t, "user_id", 1)
 
-    return (
-        ds.map_batches(first, batch_format="pyarrow")
-        .groupby("user_id")
-        .map_groups(first, batch_format="pyarrow")
-    )
+def _first_rows(t: pa.Table, starts: np.ndarray, n: int) -> pa.Table:
+    """The first ``n`` rows of each key run of a ``key_runs``-sorted ``t``."""
+    return t.filter(pa.array(run_ranks(starts, t.num_rows) < n))
 
 
 def _first_rows_per_key(t: pa.Table, key: str, n: int) -> pa.Table:
-    """The first ``n`` rows of each ``key`` in (ts, event_id) order: one
-    Arrow sort, then a rank-within-run mask. Nulls form one key, as in
-    SQL ``PARTITION BY``. Serves as both the per-batch partial and the
-    per-group step."""
-    t = t.sort_by([(key, "ascending"), ("ts", "ascending"),
-                   ("event_id", "ascending")])
-    if t.num_rows == 0:
-        return t
-    k = t.column(key).combine_chunks()
-    prev, cur = k.slice(0, len(k) - 1), k.slice(1)
-    same = pc.coalesce(pc.equal(prev, cur),
-                       pc.and_(pc.is_null(prev), pc.is_null(cur)))
-    start = np.concatenate([[True], ~same.to_numpy(zero_copy_only=False)])
-    idx = np.arange(len(k))
-    rank = idx - np.maximum.accumulate(np.where(start, idx, 0))
-    return t.filter(pa.array(rank < n))
+    """The first ``n`` rows of each ``key`` in (ts, event_id) order: the
+    per-batch partial of first_event_per_user and stratified_sample."""
+    return _first_rows(*key_runs(t, [key], _TIME_ORDER), n)
 
 
 def q_exact_dedup(sf_dir: str) -> Dataset:
@@ -873,35 +868,32 @@ def q_embedding_dup_pairs(sf_dir: str) -> Dataset:
     block costs O(B^2) compute but only O(B * tile) memory — a full B x B
     matrix for a hot block would blow the worker heap (judge round-1
     block-size note)."""
+    from ..stages.similarity import emb_matrix
+
     ds = rd.read_parquet(f"{sf_dir}/embeddings.parquet", columns=["vec_id", "label", "embedding"])
     tile = 1024
 
-    def pairs(g: pd.DataFrame) -> pd.DataFrame:
-        ids = g["vec_id"].to_numpy()
-        order = np.argsort(ids)
-        ids = ids[order]
-        X = np.stack(g["embedding"].to_numpy()[order]).astype(np.float64)
+    def pairs(t: pa.Table, starts: np.ndarray) -> pa.Table:
+        X = emb_matrix(t)
         Xn = X / np.linalg.norm(X, axis=1, keepdims=True)
-        n = len(ids)
-        frames = []
-        for s in range(0, n, tile):
-            e = min(s + tile, n)
-            S = Xn[s:e] @ Xn.T          # (tile, n) strip, never (n, n)
-            ii, jj = np.nonzero(S > 0.3)
-            keep = (ii + s) < jj        # upper triangle only
-            ii, jj = ii[keep], jj[keep]
-            frames.append(pd.DataFrame({
-                "vec_a": ids[ii + s].astype("int64"),
-                "vec_b": ids[jj].astype("int64"),
-                "label": g["label"].iloc[0],
-                "cos": _np_round(S[ii, jj], 6),
-            }))
-        return pd.concat(frames, ignore_index=True) if frames else pd.DataFrame({
-            "vec_a": pd.Series(dtype="int64"), "vec_b": pd.Series(dtype="int64"),
-            "label": pd.Series(dtype=g["label"].dtype), "cos": pd.Series(dtype="float64"),
-        })
+        ia, ib, cos = [np.zeros(0, np.int64)], [np.zeros(0, np.int64)], [np.zeros(0)]
+        for lo, hi in zip(starts, np.append(starts[1:], t.num_rows)):
+            G = Xn[lo:hi]
+            for s in range(0, len(G), tile):
+                S = G[s:s + tile] @ G.T          # (tile, n) strip, never (n, n)
+                ii, jj = np.nonzero(S > 0.3)
+                keep = (ii + s) < jj             # upper triangle only
+                ii, jj = ii[keep], jj[keep]
+                ia.append(lo + s + ii)
+                ib.append(lo + jj)
+                cos.append(_np_round(S[ii, jj], 6))
+        ia, ib = pa.array(np.concatenate(ia)), pa.array(np.concatenate(ib))
+        return pa.table({"vec_a": t.column("vec_id").take(ia),
+                         "vec_b": t.column("vec_id").take(ib),
+                         "label": t.column("label").take(ia),
+                         "cos": np.concatenate(cos)})
 
-    return ds.groupby("label").map_groups(pairs, batch_format="pandas")
+    return segment_window(ds, "label", pairs, order=("vec_id",))
 
 
 # ---------------------------------------------------------------------------
@@ -1034,28 +1026,26 @@ def q_value_ntile(sf_dir: str) -> Dataset:
                zip(totals["event_type"], totals["bin"], totals["offset"])}
     bcast = ray.put((offsets, n_by_type))
 
-    def ntile_group(g: pd.DataFrame) -> pd.DataFrame:
+    def ntile(t: pa.Table, starts: np.ndarray) -> pa.Table:
         offs, ns = ray.get(bcast)
-        etype = g["event_type"].iloc[0]
-        g = g.sort_values(["value", "event_id"], kind="mergesort")
-        rank = offs[(etype, int(g["bin"].iloc[0]))] + np.arange(len(g))
-        n = ns[etype]
-        base, rem = divmod(n, 4)
-        boundary = rem * (base + 1)
-        in_first = rank < boundary
-        quart = np.where(
-            in_first,
-            rank // (base + 1),
-            rem + (rank - boundary) // max(base, 1),
-        ) + 1
-        return pd.DataFrame({
-            "event_id": g["event_id"].to_numpy(),
-            "event_type": g["event_type"].to_numpy(),
-            "quartile": quart.astype("int64"),
+        heads = zip(t.column("event_type").take(starts).to_pylist(),
+                    t.column("bin").take(starts).to_pylist())
+        base, n = np.array([(offs[(e, b)], ns[e]) for e, b in heads],
+                           dtype=np.int64).reshape(-1, 2).T
+        run = run_ids(starts, t.num_rows)
+        rank, n = base[run] + run_ranks(starts, t.num_rows), n[run]
+        size, rem = np.divmod(n, 4)
+        boundary = rem * (size + 1)
+        quart = np.where(rank < boundary, rank // (size + 1),
+                         rem + (rank - boundary) // np.maximum(size, 1)) + 1
+        return pa.table({
+            "event_id": t.column("event_id"),
+            "event_type": t.column("event_type"),
+            "quartile": pa.array(quart, pa.int64()),
         })
 
-    return bds.groupby(["event_type", "bin"]).map_groups(
-        ntile_group, batch_format="pandas")
+    return segment_window(bds, ["event_type", "bin"], ntile,
+                          order=("value", "event_id"))
 
 
 def _nation_region_maps(sf_dir: str):
@@ -1169,47 +1159,37 @@ def q_hash_sample(sf_dir: str) -> Dataset:
 def q_label_centroids(sf_dir: str) -> Dataset:
     """Vector aggregate: per-label embedding centroid (the k-means /
     cluster-summary primitive). Per-batch numpy sum + count per label ->
-    one (label, sum_vec, n) row per label per batch; the groupby merges
+    one (label, sum_vec, n) row per label per batch; segment_window merges
     partial sums elementwise and divides once — the shuffle carries
     dim-length float vectors per (label, batch), never the embeddings.
     Output exploded to (label, dim, centroid) rows so the DuckDB oracle
     can restate it with unnest + avg."""
+    from ..stages.similarity import emb_matrix
+
     ds = rd.read_parquet(f"{sf_dir}/embeddings.parquet",
                          columns=["label", "embedding"])
 
     def partial(b: pa.Table) -> pa.Table:
-        from ..stages.similarity import emb_matrix
-
-        labels = b.column("label").to_numpy(zero_copy_only=False)
-        X = emb_matrix(b)  # flat-values-buffer reshape, no Python boxing
-        out_l, out_s, out_n = [], [], []
-        for lab in np.unique(labels):
-            m = labels == lab
-            out_l.append(int(lab))
-            out_s.append(X[m].sum(axis=0).tolist())
-            out_n.append(int(m.sum()))
+        b, starts = key_runs(b, ["label"])
         return pa.table({
-            "label": pa.array(out_l, pa.int64()),
-            "sum_vec": pa.array(out_s, pa.list_(pa.float64())),
-            "n": pa.array(out_n, pa.int64()),
+            "label": b.column("label").take(starts).cast(pa.int64()),
+            "sum_vec": pa.array(list(np.add.reduceat(emb_matrix(b), starts)),
+                                pa.list_(pa.float64())),
+            "n": pa.array(np.diff(np.append(starts, b.num_rows)), pa.int64()),
         })
 
-    def merge(g: pd.DataFrame) -> pd.DataFrame:
-        S = np.stack([np.asarray(v, dtype=np.float64) for v in g["sum_vec"]])
-        total = S.sum(axis=0)
-        n = int(g["n"].sum())
-        cent = _np_round(total / n, 6)
-        return pd.DataFrame({
-            "label": np.full(len(cent), int(g["label"].iloc[0]), dtype="int64"),
-            "dim": np.arange(len(cent), dtype="int64"),
-            "centroid": cent,
+    def merge(t: pa.Table, starts: np.ndarray) -> pa.Table:
+        total = np.add.reduceat(emb_matrix(t, column="sum_vec"), starts)
+        n = np.add.reduceat(t.column("n").to_numpy(zero_copy_only=False), starts)
+        cent = _np_round(total / n[:, None], 6)
+        labels = t.column("label").take(starts).to_numpy(zero_copy_only=False)
+        return pa.table({
+            "label": pa.array(np.repeat(labels, cent.shape[1]), pa.int64()),
+            "dim": pa.array(np.tile(np.arange(cent.shape[1]), len(cent)), pa.int64()),
+            "centroid": pa.array(cent.ravel(), pa.float64()),
         })
 
-    return (
-        ds.map_batches(partial, batch_format="pyarrow")
-        .groupby("label")
-        .map_groups(merge, batch_format="pandas")
-    )
+    return segment_window(typed_map(ds, partial), "label", merge)
 
 
 def q_curation_funnel(sf_dir: str):  # noqa: ANN201 — DataFrame
@@ -1658,38 +1638,25 @@ def q_tfidf_top_terms(sf_dir: str) -> Dataset:
                       dtype=np.float64, count=len(df_tbl))
     df_ref = ray.put((pa.array(df_tbl["token"], pa.string()), idf))
 
-    _out_schema = pa.schema([
-        ("doc_id", pa.int64()), ("term", pa.string()), ("tf", pa.int64()),
-        ("score", pa.float64()), ("rnk", pa.int64())])
-
     def topk(b: pa.Table) -> pa.Table:
         vocab, idf_tbl = ray.get(df_ref)
         toks, row_idx = flat_tokens(b.column("text"))
-        if len(toks) == 0:
-            return _out_schema.empty_table()
         ids = b.column("doc_id").to_numpy(zero_copy_only=False)
         tf_tbl = (pa.table({"r": row_idx, "term": toks})
                   .group_by(["r", "term"]).aggregate([([], "count_all")]))
-        r = tf_tbl.column("r").to_numpy()
         c = tf_tbl.column("count_all").to_numpy().astype(np.int64)
         pos = pc.index_in(tf_tbl.column("term"), value_set=vocab).to_numpy(
             zero_copy_only=False).astype(np.int64)
-        score = c * idf_tbl[pos]  # raw; rounded at output
-        df = pd.DataFrame({"doc_id": ids[r],
-                           "term": tf_tbl.column("term").to_pylist(),
-                           "tf": c, "score": score})
-        df = df.sort_values(["doc_id", "score", "term"],
-                            ascending=[True, False, True], kind="mergesort")
-        df["rnk"] = df.groupby("doc_id").cumcount() + 1
-        df = df[df["rnk"] <= 3]
-        return pa.table({
-            "doc_id": pa.array(df["doc_id"].to_numpy(), pa.int64()),
-            "term": pa.array(df["term"], pa.string()),
-            "tf": pa.array(df["tf"].to_numpy(), pa.int64()),
-            "score": pa.array(_np_round(df["score"].to_numpy(), 4),
-                              pa.float64()),
-            "rnk": pa.array(df["rnk"].to_numpy(), pa.int64()),
-        })
+        t, starts = key_runs(pa.table({
+            "doc_id": pa.array(ids[tf_tbl.column("r").to_numpy()], pa.int64()),
+            "term": tf_tbl.column("term").cast(pa.string()),
+            "tf": c,
+            "score": c * idf_tbl[pos],  # raw; rounded at output
+        }), ["doc_id"], [("score", "descending"), "term"])
+        rnk = run_ranks(starts, t.num_rows) + 1
+        return t.set_column(3, "score", pa.array(_np_round(
+            t.column("score").to_numpy(), 4))).append_column(
+            "rnk", pa.array(rnk)).filter(pa.array(rnk <= 3))
 
     return docs.map_batches(topk, batch_format="pyarrow")
 
@@ -1802,69 +1769,76 @@ def q_sequence_packing(sf_dir: str) -> Dataset:
     # materialized: consumed twice (range totals + pack pass); the counted
     # table is 3 int64 columns — tiny next to the text it replaces, and
     # materializing avoids tokenizing every document twice
-    cds = docs.map_batches(counts, batch_format="pyarrow").materialize()
+    cds = typed_map(docs, counts).materialize()
+    offsets = _key_offsets(cds, "range_id", weight="n_tokens")
 
-    totals = collect_table(partial_groupby(
-        cds, "range_id", s=("n_tokens", "sum"),
-    )).to_pandas()  # bounded: one row per range, not per doc
-    totals = totals.sort_values("range_id")
-    offsets: dict[int, int] = {}
-    acc = 0
-    for rid, s in zip(totals["range_id"], totals["s"]):
-        offsets[int(rid)] = acc
-        acc += int(s)
-    offsets_ref = ray.put(offsets)
-
-    def pack(g: pd.DataFrame) -> pd.DataFrame:
-        offs = ray.get(offsets_ref)
-        g = g.sort_values("doc_id")
-        start = (offs[int(g["range_id"].iloc[0])]
-                 + g["n_tokens"].cumsum().shift(1, fill_value=0)).astype("int64")
-        span = g["n_tokens"].clip(lower=1)  # 0-token doc occupies its start bin
+    def pack(t: pa.Table, starts: np.ndarray) -> pa.Table:
+        n_tok = t.column("n_tokens").to_numpy(zero_copy_only=False)
+        before = np.cumsum(n_tok) - n_tok       # exact int64 prefix sums
+        start = (_row_offsets(offsets, t, starts, "range_id")
+                 + before - before[starts][run_ids(starts, t.num_rows)])
+        span = np.maximum(n_tok, 1)  # 0-token doc occupies its start bin
         first = start // PACK_CAPACITY
         last = (start + span - 1) // PACK_CAPACITY
-        return pd.DataFrame({
-            "doc_id": g["doc_id"],
-            "n_tokens": g["n_tokens"],
-            "tok_start": start,
-            "first_bin": first,
-            "last_bin": last,
-            "n_bins": (last - first + 1).astype("int64"),
+        return pa.table({
+            "doc_id": t.column("doc_id"),
+            "n_tokens": t.column("n_tokens"),
+            "tok_start": pa.array(start, pa.int64()),
+            "first_bin": pa.array(first, pa.int64()),
+            "last_bin": pa.array(last, pa.int64()),
+            "n_bins": pa.array(last - first + 1, pa.int64()),
         })
 
-    return cds.groupby("range_id").map_groups(pack, batch_format="pandas")
+    return segment_window(cds, "range_id", pack, order=("doc_id",))
+
+
+def _key_offsets(ds: Dataset, key: str, weight: str | None = None):  # noqa: ANN202 — ObjectRef
+    """The distributed-rank offset table, broadcast once: {key: rows of
+    ``ds`` (or sum of ``weight``) under every smaller key}."""
+    totals = collect_table(partial_groupby(
+        ds, key, c=(weight, "sum") if weight else (None, "count_all"),
+    )).sort_by(key)
+    c = totals.column("c").to_numpy(zero_copy_only=False).astype(np.int64)
+    return ray.put(dict(zip(totals.column(key).to_pylist(),
+                            (np.cumsum(c) - c).tolist())))
+
+
+def _row_offsets(offsets, t: pa.Table, starts: np.ndarray,  # noqa: ANN001 — ObjectRef
+                 key: str) -> np.ndarray:
+    """Each row's ``_key_offsets`` entry, looked up once per key run."""
+    offs = ray.get(offsets)
+    per_run = np.array([offs[k] for k in t.column(key).take(starts).to_pylist()],
+                       dtype=np.int64)
+    return per_run[run_ids(starts, t.num_rows)]
 
 
 def q_user_event_gaps(sf_dir: str) -> Dataset:
     """Lag/lead analytic: per-user inter-event gaps (event-time ordered) —
-    mean/max silence in seconds. groupby(user) + in-group sort, same
-    partitioning contract as sessionize.
-
-    Per-group memory bound: map_groups materializes ONE user's events in a
-    worker (the bound every ordered-window-by-key operator here accepts —
-    documented, hot-key tested at 10^6 events/user in
-    TestHotKeyGroups; ~40 MB/10^6 rows). A key hotter than worker heap
-    needs the sequence_packing offset-table decomposition instead."""
+    mean/max silence in seconds, one ``segment_window`` pass (per-key
+    memory bound stated there)."""
     ds = _events(sf_dir, ["user_id", "event_id", "ts"])
 
-    def gaps(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(["ts", "event_id"], kind="mergesort")
-        secs = g["ts"].diff().dropna().dt.total_seconds()
-        n = len(secs)
-        return pd.DataFrame({
-            "user_id": [g["user_id"].iloc[0]],
-            "n_gaps": [n],
-            "mean_gap_s": [_py_round(float(secs.mean()), 3) if n else None],
-            "max_gap_s": [_py_round(float(secs.max()), 3) if n else None],
+    def gaps(t: pa.Table, starts: np.ndarray) -> pa.Table:
+        secs = np.diff(_ts_us(t), prepend=0) / 1e6
+        secs[starts] = 0.0              # no gap before a run's first event
+        n = np.diff(np.append(starts, t.num_rows)) - 1
+        none = n == 0
+        return pa.table({
+            "user_id": t.column("user_id").take(starts),
+            "n_gaps": pa.array(n, pa.int64()),
+            "mean_gap_s": pa.array(_np_round(np.add.reduceat(secs, starts)
+                                             / np.maximum(n, 1), 3), mask=none),
+            "max_gap_s": pa.array(
+                _np_round(np.maximum.reduceat(secs, starts), 3), mask=none),
         })
 
-    out = ds.groupby("user_id").map_groups(gaps, batch_format="pandas")
-    return out.map_batches(
-        lambda b: b.cast(pa.schema([
-            ("user_id", pa.int64()), ("n_gaps", pa.int64()),
-            ("mean_gap_s", pa.float64()), ("max_gap_s", pa.float64())])),
-        batch_format="pyarrow",
-    )
+    return segment_window(ds, "user_id", gaps, order=_TIME_ORDER)
+
+
+def _ts_us(t: pa.Table) -> np.ndarray:
+    """The ``ts`` column as int64 microseconds."""
+    return t.column("ts").cast(pa.timestamp("us")).cast(pa.int64()).to_numpy(
+        zero_copy_only=False)
 
 
 def q_approx_quantiles(sf_dir: str) -> Dataset:
@@ -2202,23 +2176,21 @@ def q_events_pivot(sf_dir: str) -> Dataset:
 
 def q_sessionize(sf_dir: str) -> Dataset:
     """Gap-based sessionization (streaming-shaped workload, SURVEY §2.9):
-    per user, a >30-minute silence starts a new session. groupby(user) +
-    in-group sort by event time — the engine's session-window primitive.
-    Per-group memory bound: one user's events in one worker (documented
-    map_groups contract; hot-key tested — see q_user_event_gaps)."""
+    per user, a >30-minute silence starts a new session — the engine's
+    session-window primitive, one ``segment_window`` pass in event-time
+    order."""
     ds = _events(sf_dir, ["user_id", "event_id", "ts"])
 
-    def sessions(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(["ts", "event_id"], kind="mergesort")
-        gaps = g["ts"].diff()
-        new_session = gaps.isna() | (gaps > pd.Timedelta(minutes=30))
-        return pd.DataFrame({
-            "user_id": [g["user_id"].iloc[0]],
-            "n_sessions": [int(new_session.sum())],
-            "n_events": [len(g)],
+    def sessions(t: pa.Table, starts: np.ndarray) -> pa.Table:
+        new = np.diff(_ts_us(t), prepend=0) > 30 * 60 * 1_000_000  # 30 min
+        new[starts] = True
+        return pa.table({
+            "user_id": t.column("user_id").take(starts),
+            "n_sessions": pa.array(np.add.reduceat(new.astype(np.int64), starts)),
+            "n_events": pa.array(np.diff(np.append(starts, t.num_rows))),
         })
 
-    return ds.groupby("user_id").map_groups(sessions, batch_format="pandas")
+    return segment_window(ds, "user_id", sessions, order=_TIME_ORDER)
 
 
 def q_props_json(sf_dir: str) -> Dataset:
@@ -2303,23 +2275,24 @@ def q_clean_text(sf_dir: str) -> Dataset:
 def q_asof_join(sf_dir: str) -> Dataset:
     """As-of join (brief's custom-operator list): attach to every event the
     timestamp of the user's most recent signup AT OR BEFORE the event.
-    Composition: partition by the join key, sort by event time within the
-    group, forward-fill the right side (pd.merge_asof semantics inside
-    map_groups — the documented partitioning assumption is user_id
-    co-location, supplied by the groupby). Per-group memory bound: one
-    user's events in one worker (hot-key tested — see q_user_event_gaps)."""
+    Composition: ``segment_window`` co-locates each user's events in
+    event-time order, and a running maximum over the signup rows' indices
+    forward-fills the latest signup (pd.merge_asof semantics)."""
     ds = _events(sf_dir, ["user_id", "event_id", "ts", "event_type"])
 
-    def asof(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(["ts", "event_id"], kind="mergesort")
-        signup_ts = g["ts"].where(g["event_type"] == "signup")
-        return pd.DataFrame({
-            "event_id": g["event_id"],
-            "user_id": g["user_id"],
-            "last_signup_ts": signup_ts.ffill(),
+    def asof(t: pa.Table, starts: np.ndarray) -> pa.Table:
+        row = np.arange(t.num_rows)
+        signup = pc.fill_null(pc.equal(t.column("event_type"), "signup"), False)
+        last = np.maximum.accumulate(
+            np.where(signup.to_numpy(zero_copy_only=False), row, -1))
+        none = last < starts[run_ids(starts, t.num_rows)]  # not in this run
+        return pa.table({
+            "event_id": t.column("event_id"),
+            "user_id": t.column("user_id"),
+            "last_signup_ts": t.column("ts").take(pa.array(last, mask=none)),
         })
 
-    return ds.groupby("user_id").map_groups(asof, batch_format="pandas")
+    return segment_window(ds, "user_id", asof, order=_TIME_ORDER)
 
 
 _VALUE_BANDS = [0.0, 50.0, 100.0, 150.0]  # band i = [edge_i, edge_i+1)
@@ -2357,16 +2330,13 @@ def q_range_join(sf_dir: str) -> Dataset:
 
 def q_topk_per_group(sf_dir: str) -> Dataset:
     """Per-group top-k: each user's 3 highest-value events (rank within
-    partition — groupby + in-group sort head(k); oracle = row_number
-    window). Distinct from global top-k: the limit applies per key."""
+    partition — the first 3 rows of each user's (value DESC, event_id)
+    run; oracle = row_number window). Distinct from global top-k: the
+    limit applies per key."""
     ds = _events(sf_dir, ["user_id", "event_id", "value"])
-
-    def topk(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(["value", "event_id"], ascending=[False, True],
-                          kind="mergesort").head(3)
-        return g[["user_id", "event_id", "value"]]
-
-    return ds.groupby("user_id").map_groups(topk, batch_format="pandas")
+    return segment_window(ds, "user_id",
+                          lambda t, starts: _first_rows(t, starts, 3),
+                          order=[("value", "descending"), "event_id"])
 
 
 def q_union_events(sf_dir: str) -> Dataset:
@@ -2396,20 +2366,20 @@ def q_running_totals(sf_dir: str) -> Dataset:
     SUM OVER (PARTITION BY ... ORDER BY ...)). Emits the final 3 rows per
     user to keep the result report-sized.
 
-    Per-group memory bound: one user's history materializes in a worker
-    (documented map_groups contract, hot-key tested at 10^6 events/user in
-    TestHotKeyGroups — see q_user_event_gaps)."""
-    from ..functions.rounding import np_round as _npr
-
+    One ``segment_window`` pass in event-time order (per-key memory bound
+    stated there)."""
     ds = _events(sf_dir, ["user_id", "event_id", "ts", "value"])
 
-    def running(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(["ts", "event_id"], kind="mergesort")
-        csum = _npr(g["value"].cumsum().to_numpy(), 2)
-        out = g.assign(running_value=csum).tail(3)
-        return out[["user_id", "event_id", "running_value"]]
+    def running(t: pa.Table, starts: np.ndarray) -> pa.Table:
+        csum = np.cumsum(t.column("value").to_numpy(zero_copy_only=False))
+        run = run_ids(starts, t.num_rows)
+        before = np.concatenate([[0.0], csum])[starts]   # sum before each run
+        to_end = np.append(starts[1:], t.num_rows)[run] - np.arange(t.num_rows)
+        return t.select(["user_id", "event_id"]).append_column(
+            "running_value", pa.array(_np_round(csum - before[run], 2)),
+        ).filter(pa.array(to_end <= 3))
 
-    return ds.groupby("user_id").map_groups(running, batch_format="pandas")
+    return segment_window(ds, "user_id", running, order=_TIME_ORDER)
 
 
 def q_run_report(sf_dir: str) -> pd.DataFrame:
@@ -2484,16 +2454,10 @@ def q_pages_per_host(sf_dir: str) -> Dataset:
         return pa.table({"host": batch.column("host"),
                          "chars": pc.utf8_length(batch.column("text"))})
 
-    agg = partial_groupby(ext.map_batches(chars, batch_format="pyarrow"), "host",
-                          total_chars=("chars", "sum"), n_pages=("chars", "count"))
-    return agg.map_batches(
-        lambda b: pa.table({
-            "host": b.column("host"),
-            "n_pages": b.column("n_pages"),
-            "total_chars": b.column("total_chars").cast(pa.int64()),
-        }),
-        batch_format="pyarrow",
-    )
+    # no map after the aggregate: on zero rows it would drop the columns
+    return partial_groupby(ext.map_batches(chars, batch_format="pyarrow"),
+                           "host", n_pages=("chars", "count"),
+                           total_chars=("chars", "sum"))
 
 
 def q_sliding_windows(sf_dir: str) -> Dataset:
@@ -2638,28 +2602,26 @@ def q_quantiles(sf_dir: str) -> Dataset:
             mask |= (types == etype) & np.isin(bins_np, bset)
         return b.filter(pa.array(mask))
 
-    def extract(g: pd.DataFrame) -> pd.DataFrame:
+    def extract(t: pa.Table, starts: np.ndarray) -> pa.Table:
         tg, _ = ray.get(tref)
-        v = np.sort(g["value"].to_numpy())
-        etype = g["event_type"].iloc[0]
-        wanted = tg[(etype, int(g["bin"].iloc[0]))]
-        return pd.DataFrame({
-            "event_type": [etype] * len(wanted),
-            "which": [lbl for lbl, _ in wanted],
-            "val": [float(v[ix]) for _, ix in wanted],
-        })
+        v = t.column("value").to_numpy(zero_copy_only=False)
+        heads = zip(starts, t.column("event_type").take(starts).to_pylist(),
+                    t.column("bin").take(starts).to_pylist())
+        rows = [(etype, label, v[s + ix]) for s, etype, b in heads
+                for label, ix in tg[(etype, b)]]
+        etypes, which, vals = zip(*rows) if rows else ((), (), ())
+        return pa.table({"event_type": pa.array(etypes, pa.string()),
+                         "which": pa.array(which, pa.string()),
+                         "val": pa.array(vals, pa.float64())})
 
-    picked = (bds.map_batches(keep_target_bins, batch_format="pyarrow")
-              .groupby(["event_type", "bin"])
-              .map_groups(extract, batch_format="pandas")
-              ).to_pandas()  # <= |types| x 3 rows
+    picked = collect_table(segment_window(   # <= |types| x 3 rows
+        bds.map_batches(keep_target_bins, batch_format="pyarrow"),
+        ["event_type", "bin"], extract, order=("value",))).to_pandas()
     wide = picked.pivot(index="event_type", columns="which", values="val")
     out = pd.DataFrame({
         "event_type": wide.index.to_numpy(),
         "n": np.array([n_by_type[t] for t in wide.index], dtype=np.int64),
-        "p50": [_py_round(x, 2) for x in wide["p50"]],
-        "p90": [_py_round(x, 2) for x in wide["p90"]],
-        "p99": [_py_round(x, 2) for x in wide["p99"]],
+        **{label: _np_round(wide[label].to_numpy(), 2) for label, _ in ps},
     })
     return out.sort_values("event_type").reset_index(drop=True)
 
@@ -2716,18 +2678,13 @@ def q_stratified_sample(sf_dir: str) -> Dataset:
     """Stratified deterministic sampling: the first 5 events per event_type
     in (ts, event_id) order — per-batch partial head(5) per stratum before
     the shuffle (same discipline as first_event_per_user), then the
-    per-stratum head in a small groupby. The reference's representative-page
-    sampler (pdf_service.py:203-283) restated as a per-key dataset op."""
+    per-stratum head. The reference's representative-page sampler
+    (pdf_service.py:203-283) restated as a per-key dataset op."""
     ds = _events(sf_dir, ["event_id", "ts", "user_id", "event_type"])
-
-    def head5(t: pa.Table) -> pa.Table:
-        return _first_rows_per_key(t, "event_type", 5)
-
-    return (
-        ds.map_batches(head5, batch_format="pyarrow")
-        .groupby("event_type")
-        .map_groups(head5, batch_format="pyarrow")
-    )
+    return segment_window(
+        typed_map(ds, lambda t: _first_rows_per_key(t, "event_type", 5)),
+        "event_type", lambda t, starts: _first_rows(t, starts, 5),
+        order=_TIME_ORDER)
 
 
 def q_repair_completion(sf_dir: str) -> Dataset:
@@ -2770,9 +2727,9 @@ def q_repair_completion(sf_dir: str) -> Dataset:
 
 def q_merge_chunked(sf_dir: str) -> Dataset:
     """A4 chunk-merge: split each record into two chunk rows (chunk 0 holds
-    only subtotal, chunk 1 the rest), reduce with groupby(url) —
-    first-non-null scalars + appended arrays must reassemble the record
-    (reference extraction.py:337-434)."""
+    only subtotal, chunk 1 the rest), reduce per url — first-non-null
+    scalars + appended arrays must reassemble the record (reference
+    extraction.py:337-434)."""
     import json as _json
 
     from ..functions.merge import merge_chunked
@@ -2817,10 +2774,10 @@ def q_merge_chunked(sf_dir: str) -> Dataset:
             "invoice_number": pa.array([f.get("invoice_number") for f in fields], pa.string()),
             "subtotal": pa.array([f.get("subtotal") for f in fields], pa.string()),
             "total_amount": pa.array([f.get("total_amount") for f in fields], pa.string()),
-            "n_chunks": batch.column("n_chunks").cast(pa.int64()),
+            "n_chunks": batch.column("n_chunks"),
         })
 
-    return merged.map_batches(project, batch_format="pyarrow")
+    return typed_map(merged, project)
 
 
 PASSAGE_WORDS = 20      # fixed-window passage size (paragraph proxy)
@@ -2990,25 +2947,21 @@ def q_dup_spans(sf_dir: str) -> Dataset:
 
     dups = joined.map_batches(dup_rows, batch_format="pyarrow")
 
-    def merge(g: pd.DataFrame) -> pd.DataFrame:
-        # one doc's duplicate windows — bounded by tokens/stride
-        g = g.sort_values(["s", "e"])
-        starts, ends = [], []
-        for s, e in zip(g["s"], g["e"]):
-            if ends and s <= ends[-1]:
-                ends[-1] = max(ends[-1], e)
-            else:
-                starts.append(s)
-                ends.append(e)
-        return pd.DataFrame({"doc_id": g["doc_id"].iloc[0],
-                             "span_start": starts, "span_end": ends})
+    def merge(t: pa.Table, starts: np.ndarray) -> pa.Table:
+        # a window starts a new span when it begins past the furthest end
+        # so far in its doc; shifting each doc's ends by run * (max end + 1)
+        # restarts one running maximum at every doc
+        s, e = (t.column(c).to_numpy(zero_copy_only=False) for c in ("s", "e"))
+        shift = run_ids(starts, t.num_rows) * (int(e.max(initial=0)) + 1)
+        reach = np.maximum.accumulate(e + shift)
+        new = np.concatenate([[True], s[1:] + shift[1:] > reach[:-1]])[:len(s)]
+        span = np.flatnonzero(new)
+        return pa.table({"doc_id": t.column("doc_id").take(span),
+                         "span_start": pa.array(s[span], pa.int64()),
+                         "span_end": pa.array(np.maximum.reduceat(e, span),
+                                              pa.int64())})
 
-    out = dups.groupby("doc_id").map_groups(merge, batch_format="pandas")
-    return out.map_batches(
-        lambda b: pa.table({"doc_id": b.column("doc_id").cast(pa.int64()),
-                            "span_start": b.column("span_start").cast(pa.int64()),
-                            "span_end": b.column("span_end").cast(pa.int64())}),
-        batch_format="pyarrow")
+    return segment_window(dups, "doc_id", merge, order=("s", "e"))
 
 
 def q_dedup_excise(sf_dir: str) -> Dataset:
@@ -3028,7 +2981,7 @@ def q_dedup_excise(sf_dir: str) -> Dataset:
     partial bitmaps, OR-merged; functions/bloom.py) is broadcast instead,
     and the inner join removes the bounded false-positive tail, keeping
     the result exact (judge round-3 finding #3). Per-doc excision runs in
-    map_groups over one doc's few span rows."""
+    ``segment_window`` over one doc's few span rows."""
     from ..functions.bloom import BloomFilter
 
     spans = q_dup_spans(sf_dir).materialize()
@@ -3069,24 +3022,27 @@ def q_dedup_excise(sf_dir: str) -> Dataset:
             return pa.table({"bucket": pa.array([bucket], pa.int64()),
                              "bits": pa.array([bf.to_bytes()], pa.binary())})
 
-        def or_merge(g: pd.DataFrame) -> pd.DataFrame:
-            bf = BloomFilter.from_bytes(g["bits"].iloc[0])
-            for raw in g["bits"].iloc[1:]:
-                bf.merge(BloomFilter.probe_view(raw))
-            return pd.DataFrame({"bucket": [int(g["bucket"].iloc[0])],
-                                 "bits": [bf.to_bytes()]})
+        def or_merge(t: pa.Table, starts: np.ndarray) -> pa.Table:
+            bits = t.column("bits").to_pylist()
+            merged = []
+            for lo, hi in zip(starts, np.append(starts[1:], len(bits))):
+                bf = BloomFilter.from_bytes(bits[lo])
+                for raw in bits[lo + 1:hi]:
+                    bf.merge(BloomFilter.probe_view(raw))
+                merged.append(bf.to_bytes())
+            return pa.table({"bucket": t.column("bucket").take(starts),
+                             "bits": pa.array(merged, pa.binary())})
 
         # OR-merge IN the cluster (64-bucket groupby tree, the MG/HLL
         # sketch-merge shape) so the driver folds <= 64 bitmaps, not one
         # per block (review finding: the driver fold re-created the exact
         # bottleneck this round removed from heavy_hitters)
-        parts = (spans.select_columns(["doc_id"])
-                 .map_batches(bloom_partial, batch_format="pyarrow")
-                 .groupby("bucket")
-                 .map_groups(or_merge, batch_format="pandas")
-                 .to_pandas())
-        bf = BloomFilter.from_bytes(parts["bits"].iloc[0])
-        for raw in parts["bits"].iloc[1:]:
+        parts = collect_table(segment_window(
+            spans.select_columns(["doc_id"])
+            .map_batches(bloom_partial, batch_format="pyarrow"),
+            "bucket", or_merge)).column("bits").to_pylist()
+        bf = BloomFilter.from_bytes(parts[0])
+        for raw in parts[1:]:
             bf.merge(BloomFilter.probe_view(raw))
         bloom_ref = ray.put(bf.to_bytes())
 
@@ -3101,24 +3057,24 @@ def q_dedup_excise(sf_dir: str) -> Dataset:
     if joined is None:
         return rd.from_arrow(empty)
 
-    def excise(g: pd.DataFrame) -> pd.DataFrame:
+    def excise(t: pa.Table, starts: np.ndarray) -> pa.Table:
         # one duplicate doc's span rows — a handful per doc
-        toks = _TOKEN_RE.findall(lower_parity(g["text"].iloc[0] or ""))
-        mask = np.zeros(len(toks), dtype=bool)
-        for s, e in zip(g["span_start"], g["span_end"]):
-            mask[int(s):int(e)] = True
-        return pd.DataFrame({
-            "doc_id": [int(g["doc_id"].iloc[0])],
-            "clean_text": [" ".join(t for t, m in zip(toks, mask) if not m)],
-            "n_removed": [int(mask.sum())],
-        })
+        texts = t.column("text").to_pylist()
+        s, e = (t.column(c).to_numpy(zero_copy_only=False)
+                for c in ("span_start", "span_end"))
+        clean, removed = [], []
+        for lo, hi in zip(starts, np.append(starts[1:], len(texts))):
+            toks = _TOKEN_RE.findall(lower_parity(texts[lo] or ""))
+            mask = np.zeros(len(toks), dtype=bool)
+            for a, b in zip(s[lo:hi], e[lo:hi]):
+                mask[a:b] = True
+            clean.append(" ".join(w for w, m in zip(toks, mask) if not m))
+            removed.append(int(mask.sum()))
+        return pa.table({"doc_id": t.column("doc_id").take(starts),
+                         "clean_text": pa.array(clean, pa.string()),
+                         "n_removed": pa.array(removed, pa.int64())})
 
-    out = joined.groupby("doc_id").map_groups(excise, batch_format="pandas")
-    return out.map_batches(lambda b: pa.table({
-        "doc_id": b.column("doc_id").cast(pa.int64()),
-        "clean_text": b.column("clean_text").cast(pa.string()),
-        "n_removed": b.column("n_removed").cast(pa.int64())}),
-        batch_format="pyarrow")
+    return segment_window(joined, "doc_id", excise)
 
 
 # dedup_excise prefilter switchover: span-row counts at or below this
@@ -3935,35 +3891,23 @@ def q_training_shuffle(sf_dir: str) -> Dataset:
         k = hash64_ints(d + SHUFFLE_SEED)
         return pa.table({
             "doc_id": b.column("doc_id"),
-            "k": pa.array(k.view(np.int64)),
+            "k": pa.array(k),
             "bin": pa.array((k >> np.uint64(SHUFFLE_BINS_SHIFT))
                             .astype(np.int64)),
         })
 
-    kds = docs.map_batches(keyed, batch_format="pyarrow").materialize()
+    kds = typed_map(docs, keyed).materialize()
+    offsets = _key_offsets(kds, "bin")
 
-    totals = collect_table(partial_groupby(
-        kds, "bin", c=(None, "count_all"),
-    )).to_pandas().sort_values("bin")   # <= 256 rows
-    if totals.empty:
-        return rd.from_arrow(pa.table({"doc_id": pa.array([], pa.int64()),
-                                       "pos": pa.array([], pa.int64())}))
-    offsets = dict(zip(totals["bin"].astype(int),
-                       totals["c"].cumsum() - totals["c"]))
-    oref = ray.put(offsets)
-
-    def order_bin(g: pd.DataFrame) -> pd.DataFrame:
-        offs = ray.get(oref)
-        # unsigned order: view the int64 key back as uint64 (hash keys are
-        # uniform uint64; int64 view would rank negatives first)
-        ku = g["k"].to_numpy().view(np.uint64)
-        srt = np.lexsort((g["doc_id"].to_numpy(), ku))
-        return pd.DataFrame({
-            "doc_id": g["doc_id"].to_numpy()[srt],
-            "pos": offs[int(g["bin"].iloc[0])] + np.arange(len(g)),
+    def order_bin(t: pa.Table, starts: np.ndarray) -> pa.Table:
+        return pa.table({
+            "doc_id": t.column("doc_id"),
+            "pos": (_row_offsets(offsets, t, starts, "bin")
+                    + run_ranks(starts, t.num_rows)),
         })
 
-    return kds.groupby("bin").map_groups(order_bin, batch_format="pandas")
+    # k is uint64: hash keys rank in unsigned order
+    return segment_window(kds, "bin", order_bin, order=("k", "doc_id"))
 
 
 CURRICULUM_SEED = 20260818   # within-bucket shuffle seed
@@ -3998,40 +3942,22 @@ def q_curriculum_order(sf_dir: str) -> Dataset:
         return pa.table({
             "doc_id": b.column("doc_id"),
             "bucket": pa.array(bucket),
-            "k": pa.array(k.view(np.int64)),
+            "k": pa.array(k),
             "grp": pa.array(grp),
         })
 
-    kds = docs.map_batches(keyed, batch_format="pyarrow").materialize()
+    kds = typed_map(docs, keyed).materialize()
+    offsets = _key_offsets(kds, "grp")
 
-    totals = collect_table(partial_groupby(
-        kds, "grp", c=(None, "count_all"),
-    )).to_pandas().sort_values("grp")   # <= 1024 rows
-    if totals.empty:
-        return rd.from_arrow(pa.table({
-            "doc_id": pa.array([], pa.int64()),
-            "bucket": pa.array([], pa.int64()),
-            "pos": pa.array([], pa.int64())}))
-    offsets = dict(zip(totals["grp"].astype(int),
-                       totals["c"].cumsum() - totals["c"]))
-    oref = ray.put(offsets)
-
-    def order_grp(g: pd.DataFrame) -> pd.DataFrame:
-        offs = ray.get(oref)
-        ku = g["k"].to_numpy().view(np.uint64)
-        srt = np.lexsort((g["doc_id"].to_numpy(), ku))
-        return pd.DataFrame({
-            "doc_id": g["doc_id"].to_numpy()[srt],
-            "bucket": g["bucket"].to_numpy()[srt],
-            "pos": offs[int(g["grp"].iloc[0])] + np.arange(len(g)),
+    def order_grp(t: pa.Table, starts: np.ndarray) -> pa.Table:
+        return pa.table({
+            "doc_id": t.column("doc_id"),
+            "bucket": t.column("bucket"),
+            "pos": (_row_offsets(offsets, t, starts, "grp")
+                    + run_ranks(starts, t.num_rows)),
         })
 
-    out = kds.groupby("grp").map_groups(order_grp, batch_format="pandas")
-    return out.map_batches(
-        lambda b: b.cast(pa.schema([("doc_id", pa.int64()),
-                                    ("bucket", pa.int64()),
-                                    ("pos", pa.int64())])),
-        batch_format="pyarrow")
+    return segment_window(kds, "grp", order_grp, order=("k", "doc_id"))
 
 
 # data-mixing weights: keep-probability numerators out of 256, by host.
@@ -4083,8 +4009,8 @@ def q_top_terms_per_lang(sf_dir: str) -> Dataset:
     Arrow RE2 split + hash group_by per batch (functions/tokenize.py;
     replaced the per-token Counter loop, judge round-4 finding #2) — so
     the shuffle carries one row per distinct (lang, term) per batch; a
-    groupby sums partials; the final per-lang top-k runs as map_groups over
-    the AGGREGATED (lang, term, n) table — bounded by per-language vocab
+    groupby sums partials; the final per-lang top-k runs in segment_window
+    over the AGGREGATED (lang, term, n) table — bounded by per-language vocab
     (Heaps' law: ~1M terms at 100 TB), never by corpus size. Ties break on
     (n DESC, term ASC) to match the SQL row_number ordering exactly."""
     from ..functions.tokenize import flat_tokens
@@ -4100,17 +4026,10 @@ def q_top_terms_per_lang(sf_dir: str) -> Dataset:
     agg = partial_groupby(docs.map_batches(terms, batch_format="pyarrow"),
                           ["lang", "term"], n=(None, "count_all"))
 
-    def topk(g: pd.DataFrame) -> pd.DataFrame:
-        # g is one language's aggregated vocab — bounded, see docstring
-        g = g.sort_values(["n", "term"], ascending=[False, True])
-        return g.head(TOP_TERMS_K)
-
-    out = agg.groupby("lang").map_groups(topk, batch_format="pandas")
-    return out.map_batches(
-        lambda b: pa.table({"lang": b.column("lang"),
-                            "term": b.column("term"),
-                            "n": b.column("n").cast(pa.int64())}),
-        batch_format="pyarrow")
+    # one language's aggregated vocab per run — bounded, see docstring
+    return segment_window(agg, "lang",
+                          lambda t, starts: _first_rows(t, starts, TOP_TERMS_K),
+                          order=[("n", "descending"), "term"])
 
 
 def q_export_csv_check(sf_dir: str) -> pd.DataFrame:

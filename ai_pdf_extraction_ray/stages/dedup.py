@@ -26,6 +26,8 @@ finding).
 
 from __future__ import annotations
 
+from collections.abc import Callable, Sequence
+
 import numpy as np
 import pandas as pd
 import pyarrow as pa
@@ -241,6 +243,77 @@ def partial_groupby(ds: Dataset, keys: str | list[str],
     return parts.groupby(keys).aggregate(
         *(_MERGES[fn](name, alias_name=name)
           for name, (_, fn) in zip(names, aggs.values())))
+
+
+def typed_map(ds: Dataset, fn: Callable[[pa.Table], pa.Table]) -> Dataset:
+    """``ds.map_batches(fn)`` over Arrow blocks that keeps ``fn``'s columns
+    on zero rows. Ray 2.49 never calls a map on a zero-row block, which
+    then leaves the map without columns, so a ``segment_window`` after it
+    could not type its empty result. One extra zero-row block, ``fn`` of
+    an empty table of ``ds.schema()``, carries them; ``ds`` needs a schema
+    (a read has one)."""
+    return ds.map_batches(fn, batch_format="pyarrow").union(
+        rd.from_arrow(fn(ds.schema().base_schema.empty_table())))
+
+
+def key_runs(t: pa.Table, keys: list[str],
+             order: Sequence[str | tuple[str, str]] = ()) -> tuple[pa.Table, np.ndarray]:
+    """``t`` sorted by ``keys`` then ``order``, and the index of the first
+    row of each run of equal keys. Nulls form one run, as in SQL
+    ``PARTITION BY``. An ``order`` entry is a column name (ascending) or
+    ``(column, "descending")``."""
+    t = t.sort_by([(k, "ascending") for k in keys]
+                  + [(o, "ascending") if isinstance(o, str) else o for o in order])
+    n = t.num_rows
+    same = np.ones(max(n - 1, 0), dtype=bool)
+    for k in keys:
+        col = t.column(k).combine_chunks()
+        prev, cur = col.slice(0, len(same)), col.slice(1)
+        same &= pc.coalesce(pc.equal(prev, cur), pc.and_(
+            pc.is_null(prev), pc.is_null(cur))).to_numpy(zero_copy_only=False)
+    return t, np.flatnonzero(np.concatenate([[n > 0], ~same]))
+
+
+def run_ids(starts: np.ndarray, n: int) -> np.ndarray:
+    """The run number of each of ``n`` rows whose runs begin at ``starts``."""
+    return np.repeat(np.arange(len(starts)), np.diff(np.append(starts, n)))
+
+
+def run_ranks(starts: np.ndarray, n: int) -> np.ndarray:
+    """The 0-based position of each of ``n`` rows within its run."""
+    return np.arange(n) - starts[run_ids(starts, n)]
+
+
+def segment_window(ds: Dataset, keys: str | list[str],
+                   fn: Callable[[pa.Table, np.ndarray], pa.Table],
+                   order: Sequence[str | tuple[str, str]] = ()) -> Dataset:
+    """Per-key ordered work as one Arrow call per block — the package's
+    replacement for ``groupby().map_groups``.
+
+    ``ds.sort(keys)``, the shuffle Ray 2.49's ``map_groups`` uses under the
+    default strategy, co-locates each key in one block. Per block, one task
+    runs ``key_runs`` (sort by ``keys`` then ``order``; where each key run
+    starts) and ``fn(table, starts)``, which returns the block's output
+    table. Memory bound: one key's rows must fit a worker heap (~40 MB per
+    10^6 events; ``TestHotKeyGroups`` runs one user with 10^6).
+
+    The output is materialized and counted; on zero rows it is ``fn`` of
+    an empty table of ``ds.schema()``, so it keeps ``fn``'s columns. A
+    map over zero rows has no schema (see ``typed_map``); ``fn`` then gets
+    a table without columns.
+    """
+    keys = [keys] if isinstance(keys, str) else list(keys)
+
+    def run(t: pa.Table) -> pa.Table:
+        return fn(*key_runs(t, keys, order))
+
+    out = ds.sort(keys).map_batches(
+        run, batch_format="pyarrow", batch_size=None).materialize()
+    if out.count():
+        return out
+    schema = ds.schema()
+    empty = schema.base_schema.empty_table() if schema else pa.table({})
+    return rd.from_arrow(fn(empty, np.zeros(0, np.int64)))
 
 
 class MinHasher:

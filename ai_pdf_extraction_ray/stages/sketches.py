@@ -221,7 +221,7 @@ def heavy_hitters(
     import ray
 
     from ..functions.tokenize import token_counts
-    from .dedup import collect_table, partial_groupby
+    from .dedup import collect_table, partial_groupby, segment_window
 
     def count_batch(b: pa.Table) -> pa.Table:
         toks, cnts = token_counts(b.column(tokenize_col))
@@ -245,18 +245,21 @@ def heavy_hitters(
             "sketch": pa.array([payload], pa.string()),
         })
 
-    def merge_bucket(g: pd.DataFrame) -> pd.DataFrame:
-        m = mg_merge([json.loads(s) for s in g["sketch"]], capacity)
-        return pd.DataFrame({
-            "bucket": [int(g["bucket"].iloc[0])],
-            "sketch": [json.dumps(m, sort_keys=True)],
+    def merge_bucket(t: pa.Table, starts: np.ndarray) -> pa.Table:
+        # rows, not columns: on zero rows the map above leaves no schema
+        rows = t.to_pylist()
+        runs = list(zip(starts, np.append(starts[1:], len(rows))))
+        merged = [mg_merge([json.loads(r["sketch"]) for r in rows[lo:hi]],
+                           capacity) for lo, hi in runs]
+        return pa.table({
+            "bucket": pa.array([rows[lo]["bucket"] for lo, _ in runs], pa.int64()),
+            "sketch": pa.array([json.dumps(m, sort_keys=True) for m in merged],
+                               pa.string()),
         })
 
-    bucket_rows = collect_table(                # <= _MERGE_BUCKETS rows
-        partials.map_batches(sketch_block, batch_format="pyarrow")
-        .groupby("bucket")
-        .map_groups(merge_bucket, batch_format="pandas")
-    ).to_pylist()
+    bucket_rows = collect_table(segment_window(   # <= _MERGE_BUCKETS rows
+        partials.map_batches(sketch_block, batch_format="pyarrow"),
+        "bucket", merge_bucket)).to_pylist()
     merged = mg_merge([json.loads(r["sketch"]) for r in bucket_rows], capacity)
     cand_ref = ray.put(pa.array(sorted(merged), pa.string()))
 
@@ -287,38 +290,30 @@ def approx_distinct(
     """Per-key approximate distinct count of ``value_col``.
 
     Stage 1 (map_batches): one sketch per key per batch.
-    Stage 2 (groupby key): merge sketches, estimate.
+    Stage 2 (``segment_window`` by key): merge sketches, estimate.
     """
-    def partial(batch: pa.Table) -> pa.Table:
-        keys = batch.column(key_col).to_pylist()
-        vals = batch.column(value_col).to_pylist()
-        by_key: dict = {}
-        for k, v in zip(keys, vals):
-            by_key.setdefault(k, []).append(v)
-        out_k, out_s = [], []
-        for k, vs in by_key.items():
-            regs = np.zeros(M, dtype=np.uint8)
-            hll_add(regs, vs)
-            out_k.append(k)
-            out_s.append(regs.tobytes())
-        return pa.table({
-            # pin the key type from the input schema: an empty batch would
-            # otherwise infer null type and break block schema unification
-            key_col: pa.array(out_k, batch.schema.field(key_col).type),
-            "sketch": pa.array(out_s, pa.binary()),
-        })
+    from .dedup import collect_table, key_runs, segment_window, typed_map
 
-    def merge(g: pd.DataFrame) -> pd.DataFrame:
-        regs = hll_merge(list(g["sketch"]))
-        return pd.DataFrame({
-            key_col: [g[key_col].iloc[0]],
-            "approx_distinct": [int(round(hll_estimate(regs)))],
-        })
+    def partial(batch: pa.Table) -> pa.Table:
+        batch, starts = key_runs(batch, [key_col])
+        vals = batch.column(value_col).to_pylist()
+        sketches = []
+        for lo, hi in zip(starts, np.append(starts[1:], len(vals))):
+            regs = np.zeros(M, dtype=np.uint8)
+            hll_add(regs, vals[lo:hi])
+            sketches.append(regs.tobytes())
+        return pa.table({key_col: batch.column(key_col).take(starts),
+                         "sketch": pa.array(sketches, pa.binary())})
+
+    def merge(t: pa.Table, starts: np.ndarray) -> pa.Table:
+        sketches = t.column("sketch").to_pylist()
+        est = [int(round(hll_estimate(hll_merge(sketches[lo:hi])))) for lo, hi
+               in zip(starts, np.append(starts[1:], len(sketches)))]
+        return pa.table({key_col: t.column(key_col).take(starts),
+                         "approx_distinct": pa.array(est, pa.int64())})
 
     return (
-        ds.map_batches(partial, batch_format="pyarrow")
-        .groupby(key_col)
-        .map_groups(merge, batch_format="pandas")
+        collect_table(segment_window(typed_map(ds, partial), key_col, merge))
         .to_pandas()
         .sort_values(key_col)
         .reset_index(drop=True)
@@ -345,15 +340,13 @@ def approx_quantiles_hist(
     Every arithmetic step ((v-mn)/width, floor, clamp, ceil(q*n), upper
     bin edge) is IEEE-double identical in numpy and DuckDB, so the oracle
     restates the sketch exactly rather than pinning a golden."""
-    import math
-
     import pyarrow.compute as pc
 
     import ray.data as rd
     from ray.data.aggregate import Max as _Max, Min as _Min
 
-    from ..functions.rounding import py_round as _pyr
-    from .dedup import partial_groupby
+    from ..functions.rounding import np_round as _npr
+    from .dedup import partial_groupby, run_ids, segment_window
 
     ds = rd.read_parquet(f"{sf_dir}/events.parquet",
                          columns=["event_type", "value"])
@@ -384,17 +377,22 @@ def approx_quantiles_hist(
     agg = partial_groupby(ds.map_batches(binned, batch_format="pyarrow"),
                           ["event_type", "bin"], c=(None, "count_all"))
 
-    def cdf_walk(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values("bin")
-        cum = g["c"].cumsum()
-        n = int(cum.iloc[-1])
-        row: dict = {"event_type": [g["event_type"].iloc[0]], "n": [n]}
+    def cdf_walk(t: pa.Table, starts: np.ndarray) -> pa.Table:
+        c = t.column("c").to_numpy(zero_copy_only=False)
+        bins = t.column("bin").to_numpy(zero_copy_only=False)
+        cum = np.cumsum(c)
+        run = run_ids(starts, t.num_rows)
+        before = (cum - c)[starts]               # rows under earlier keys
+        n = np.add.reduceat(c, starts)
+        cols = {"event_type": t.column("event_type").take(starts),
+                "n": pa.array(n, pa.int64())}
         for q in qs:
-            thr = math.ceil(q * n)
-            b = int(g["bin"].to_numpy()[(cum >= thr).to_numpy().argmax()])
-            edge = mn + (b + 1) * width        # upper edge of the bin
-            row[f"p{int(q * 100)}_approx"] = [_pyr(edge, 4)]
-        return pd.DataFrame(row)
+            thr = np.ceil(q * n)
+            # first bin whose in-key cumulative count reaches ceil(q * n)
+            below = np.add.reduceat(
+                (cum - before[run] < thr[run]).astype(np.int64), starts)
+            edge = mn + (bins[starts + below] + 1) * width  # upper bin edge
+            cols[f"p{int(q * 100)}_approx"] = pa.array(_npr(edge, 4), pa.float64())
+        return pa.table(cols)
 
-    out = agg.groupby("event_type").map_groups(cdf_walk, batch_format="pandas")
-    return out.map_batches(lambda b: b.cast(_schema), batch_format="pyarrow")
+    return segment_window(agg, "event_type", cdf_walk, order=("bin",))

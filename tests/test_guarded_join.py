@@ -1,5 +1,6 @@
-"""guarded_join and partial_groupby: the package's single Dataset.join
-entry point and its single decomposable-aggregate site."""
+"""guarded_join, partial_groupby and segment_window: the package's single
+Dataset.join entry point, its single decomposable-aggregate site and its
+single per-key ordered-work site."""
 
 from __future__ import annotations
 
@@ -8,11 +9,13 @@ import inspect
 import re
 from pathlib import Path
 
+import numpy as np
 import pandas as pd
 import pyarrow as pa
 import pyarrow.parquet as pq
 import pytest
 
+from ai_pdf_extraction_ray.pipelines.goldens import GOLDEN_SQL
 from ai_pdf_extraction_ray.pipelines.queries import QUERIES, q_pagerank
 from tests.conftest import REPO_ROOT, SF_SMOKE
 
@@ -40,9 +43,26 @@ PARTIAL_GROUPBY_CALLERS = sorted(
     {name for name, q in QUERIES.items() if _calls(q["fn"], "partial_groupby")}
     | {"heavy_hitters", "media_audio_video"})
 
+# queries that run per-key ordered work through segment_window (found the
+# same way), plus the callers that reach it through another module
+SEGMENT_WINDOW_CALLERS = sorted(
+    {name for name, q in QUERIES.items() if _calls(q["fn"], "segment_window")}
+    | {"heavy_hitters", "approx_distinct_users", "approx_quantiles",
+       "merge_chunked", "pages_per_host"})
+
 
 def _rows(out) -> int:  # noqa: ANN001 — Dataset or DataFrame
     return len(out) if isinstance(out, pd.DataFrame) else len(out.take_all())
+
+
+def _columns(out) -> tuple[list[str], int]:  # noqa: ANN001 — Dataset or DataFrame
+    """The result's column names, in order, and its row count."""
+    from ai_pdf_extraction_ray.stages.dedup import collect_table
+
+    if isinstance(out, pd.DataFrame):
+        return list(out.columns), len(out)
+    t = collect_table(out)
+    return t.column_names, t.num_rows
 
 
 def _execute(ds) -> tuple[pa.Table, bool]:  # noqa: ANN001 — Dataset
@@ -266,11 +286,12 @@ def empty_sf(tmp_path_factory) -> str:
 
 def _oracle_rows(sf_dir: str, name: str) -> int:
     """Rows the query's DuckDB oracle returns on ``sf_dir`` (0 for a
-    rows-only query: no SQL twin)."""
+    rows-only query, which has no SQL twin, and for a golden-oracle query,
+    whose SQL is its pinned sf0.01 values)."""
     import duckdb
 
     sql = QUERIES[name]["sql"]
-    if sql is None:
+    if sql is None or name in GOLDEN_SQL:
         return 0
     con = duckdb.connect()
     for table in Path(sf_dir).glob("*.parquet"):
@@ -285,6 +306,9 @@ class TestDegenerateInputs:
 
     def test_partial_groupby_callers_found(self):
         assert len(PARTIAL_GROUPBY_CALLERS) >= 35
+
+    def test_segment_window_callers_found(self):
+        assert len(SEGMENT_WINDOW_CALLERS) >= 20
 
     def test_pagerank_empty_corpus(self, ray_session, empty_sf):
         assert _rows(q_pagerank(empty_sf)) == 0
@@ -302,6 +326,16 @@ class TestDegenerateInputs:
         total)."""
         assert _rows(QUERIES[name]["fn"](empty_sf)) == _oracle_rows(
             empty_sf, name)
+
+    @pytest.mark.parametrize("name", SEGMENT_WINDOW_CALLERS)
+    def test_segment_window_query_on_empty_tables(self, ray_session, empty_sf,
+                                                  name):
+        """The oracle's rows on the empty tables, and the columns, in
+        order, the same query gives on the smoke tables."""
+        fn = QUERIES[name]["fn"]
+        cols, rows = _columns(fn(empty_sf))
+        assert rows == _oracle_rows(empty_sf, name)
+        assert cols == _columns(fn(SF_SMOKE))[0]
 
 
 class TestSingleJoinSite:
@@ -418,11 +452,12 @@ class TestPartialGroupby:
         assert [op for op in ops if "Aggregate" in op] == ["Aggregate"]
 
 
-# Ray groupbys fed by a hand-written Arrow partial that stay outside
-# partial_groupby, each with the reason its merge is not a Sum/Min/Max
+# Ray groupbys (or segment_windows) fed by a hand-written Arrow partial
+# that stay outside partial_groupby, each with the reason its merge is not
+# a Sum/Min/Max
 NON_DECOMPOSABLE = {
     ("stages/sketches.py", "heavy_hitters"):
-        "Misra-Gries sketches merge by mg_merge compaction in map_groups",
+        "Misra-Gries sketches merge by mg_merge compaction in segment_window",
 }
 
 
@@ -433,18 +468,23 @@ class TestSingleAggregateSite:
     @staticmethod
     def _map_batches_fn(node: ast.AST) -> str | None:
         """Name of the function ``node`` maps, when it is
-        ``X.map_batches(fn, ...)``."""
+        ``X.map_batches(fn, ...)`` or ``typed_map(X, fn)``."""
         if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
                 and node.func.attr == "map_batches" and node.args
                 and isinstance(node.args[0], ast.Name)):
             return node.args[0].id
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == "typed_map" and len(node.args) > 1
+                and isinstance(node.args[1], ast.Name)):
+            return node.args[1].id
         return None
 
     @classmethod
     def _hand_written_sites(cls, tree: ast.AST) -> list[tuple[str, int]]:
-        """(enclosing function, line) of every Ray ``.groupby`` whose input
-        — directly or through a variable — maps a function defined in the
-        same enclosing function that calls pyarrow ``.group_by``."""
+        """(enclosing function, line) of every Ray ``.groupby`` or
+        ``segment_window`` call whose input — directly or through a
+        variable — maps a function defined in the same enclosing function
+        that calls pyarrow ``.group_by``."""
         sites = []
         for outer in ast.walk(tree):
             if (not isinstance(outer, ast.FunctionDef)
@@ -461,11 +501,16 @@ class TestSingleAggregateSite:
                 if isinstance(n, ast.Assign) and len(n.targets) == 1
                 and isinstance(n.targets[0], ast.Name)}
             for n in ast.walk(outer):
-                if not (isinstance(n, ast.Call)
-                        and isinstance(n.func, ast.Attribute)
-                        and n.func.attr == "groupby"):
+                if not isinstance(n, ast.Call):
                     continue
-                src = n.func.value
+                if (isinstance(n.func, ast.Attribute)
+                        and n.func.attr == "groupby"):
+                    src = n.func.value
+                elif (isinstance(n.func, ast.Name) and n.args
+                        and n.func.id == "segment_window"):
+                    src = n.args[0]
+                else:
+                    continue
                 fn = cls._map_batches_fn(src) or (
                     mapped.get(src.id) if isinstance(src, ast.Name) else None)
                 if fn in local:
@@ -489,3 +534,129 @@ class TestSingleAggregateSite:
                 for i, line in enumerate(path.read_text().splitlines(), 1)
                 if merge.search(line)]
         assert hits == []
+
+
+def _ranked_fn():  # noqa: ANN202
+    """A segment_window fn: each row with its key run's position, the
+    run's size and the ``i`` of the run's first row. Nested, so Ray ships
+    it by value (workers cannot import this test module)."""
+    from ai_pdf_extraction_ray.stages.dedup import run_ids, run_ranks
+
+    def ranked(t: pa.Table, starts: np.ndarray) -> pa.Table:
+        n = t.num_rows
+        run = run_ids(starts, n)
+        size = np.diff(np.append(starts, n))[run]
+        return (t.append_column("rank", pa.array(run_ranks(starts, n), pa.int64()))
+                .append_column("size", pa.array(size, pa.int64()))
+                .append_column("first_i", t.column("i").take(starts[run])))
+
+    return ranked
+
+
+# ties in v (each value repeats) broken by i; nulls in v sort last
+SEG_ORDER = [("v", "descending"), "i"]
+
+
+class TestSegmentWindow:
+    """One Arrow call per sorted block equals a pandas groupby over the
+    sorted whole input."""
+
+    @pytest.mark.parametrize("keys", [["k"], ["k", "g"]], ids=["one", "two"])
+    def test_matches_pandas_groupby(self, ray_session, keys):
+        import ray.data as rd
+
+        from ai_pdf_extraction_ray.stages.dedup import (
+            collect_table, segment_window)
+
+        blocks = _blocks(AGG_INPUT, *range(4, 40, 4))
+        assert len(blocks) >= 8
+        # key 1 appears in every non-empty block
+        assert all(1 in b.column("k").to_pylist() for b in blocks[1:])
+        got = collect_table(segment_window(rd.from_arrow(blocks), keys,
+                                           _ranked_fn(), order=SEG_ORDER))
+
+        df = AGG_INPUT.to_pandas().sort_values(
+            ["v", "i"], ascending=[False, True], na_position="last",
+            kind="mergesort")
+        grp = df.groupby(keys, dropna=False, sort=False)["i"]
+        want = df.assign(rank=grp.cumcount(), size=grp.transform("size"),
+                         first_i=grp.transform("first"))
+        assert got.column_names == list(want.columns)
+        assert _sorted_frame(got).equals(_sorted_frame(
+            pa.Table.from_pandas(want, preserve_index=False)))
+        # the data exercises what it claims to
+        assert None in got.column("k").to_pylist()
+        assert got.num_rows == AGG_INPUT.num_rows
+
+    def test_zero_rows_keep_typed_schema(self, ray_session):
+        import ray.data as rd
+
+        from ai_pdf_extraction_ray.stages.dedup import (
+            collect_table, segment_window)
+
+        empty = AGG_INPUT.slice(0, 0)
+        got = collect_table(segment_window(rd.from_arrow(empty), ["k", "g"],
+                                           _ranked_fn(), order=SEG_ORDER))
+        assert got.num_rows == 0
+        assert got.schema == _ranked_fn()(empty, np.zeros(0, np.int64)).schema
+
+    def test_typed_map_keeps_columns_on_zero_rows(self, ray_session, tmp_path):
+        """A map over an empty read has no schema in Ray 2.49; typed_map
+        gives segment_window the columns it types its empty result by."""
+        import ray.data as rd
+
+        from ai_pdf_extraction_ray.stages.dedup import (
+            collect_table, segment_window, typed_map)
+
+        pq.write_table(AGG_INPUT.slice(0, 0), tmp_path / "t.parquet")
+        read = rd.read_parquet(str(tmp_path / "t.parquet"))
+        assert read.map_batches(lambda t: t, batch_format="pyarrow").schema() is None
+        got = collect_table(segment_window(typed_map(read, lambda t: t),
+                                           "k", _ranked_fn(), order=SEG_ORDER))
+        assert got.column_names == AGG_INPUT.column_names + [
+            "rank", "size", "first_i"]
+
+
+# groupby().map_groups sites outside segment_window, each with its reason
+MAP_GROUPS_SITES = {
+    ("stages/dedup.py", "minhash_candidate_pairs"):
+        "LSH band buckets, Arrow in and out; singleton buckets are pruned "
+        "first by _hot_bucket_rows",
+    ("stages/dedup.py", "simhash_near_dups"):
+        "SimHash sub-band buckets, Arrow in and out, pruned by "
+        "_hot_bucket_rows",
+    ("stages/dedup.py", "embedding_near_dups_lsh"):
+        "hyperplane LSH buckets, Arrow in and out, pruned by "
+        "_hot_bucket_rows",
+}
+
+
+class TestSingleSegmentSite:
+    """Per-key ordered work goes through stages/dedup.segment_window: no
+    other map_groups call and no pandas batch format in the package."""
+
+    @staticmethod
+    def _calls(attr: str):  # noqa: ANN205
+        """(file, outermost enclosing function, line) of every call whose
+        callee ends in ``attr`` or that passes ``batch_format=attr``."""
+        for path in sorted(PKG.rglob("*.py")):
+            tree = ast.parse(path.read_text())
+            for outer in tree.body:
+                for n in ast.walk(outer):
+                    if not isinstance(n, ast.Call):
+                        continue
+                    callee = getattr(n.func, "attr", None)
+                    fmt = [k.value.value for k in n.keywords
+                           if k.arg == "batch_format"
+                           and isinstance(k.value, ast.Constant)]
+                    if callee == attr or fmt == [attr]:
+                        yield (str(path.relative_to(PKG)),
+                               getattr(outer, "name", ""), n.lineno)
+
+    def test_map_groups_only_in_named_sites(self):
+        found = {(rel, fn) for rel, fn, _ in self._calls("map_groups")
+                 if fn != "segment_window"}
+        assert sorted(found) == sorted(MAP_GROUPS_SITES)
+
+    def test_no_pandas_batch_format(self):
+        assert [f"{rel}:{line}" for rel, _, line in self._calls("pandas")] == []
