@@ -34,9 +34,8 @@ import pyarrow.compute as pc
 import ray
 import ray.data as rd
 from ray.data import Dataset
-from ray.data.aggregate import Min
 
-from ..stages.dedup import guarded_join
+from ..stages.dedup import guarded_join, partial_groupby
 from ..stages.textstats import _TOKEN, build_benchmark_ngrams, cached_gram_set
 
 MIN_WORDS = 20
@@ -196,18 +195,16 @@ def curate_job(sf_dir: str, out_dir: str) -> dict:
         (out / "_REPORT.json").write_text(json.dumps(report, sort_keys=True))
         return report
 
-    # exact dedup keep-first, never leaving the cluster: the groupby moves
-    # slim (digest, doc_id) rows — column-pruned BEFORE the exchange so the
-    # shuffle never carries text — and the digest-partitioned hash join
-    # moves each kept row once. No per-worker copy of any id set, no
-    # driver materialization: the shape survives a mass-duplicated corpus
-    # where the round-3 keep-id broadcast (one int64 per kept doc on every
-    # worker) would not.
-    canon = (
-        kept.select_columns(["digest_hi", "digest_lo", "doc_id"])
-        .groupby(["digest_hi", "digest_lo"])
-        .aggregate(Min("doc_id", alias_name="keep_id"))
-    ).materialize()
+    # exact dedup keep-first: the groupby moves slim (digest, doc_id)
+    # rows — column-pruned BEFORE the exchange so the shuffle never
+    # carries text — and the digest-partitioned hash join moves each kept
+    # row once. Only partials of at most 8 MiB merge on the driver; above
+    # that nothing leaves the cluster, so the shape survives a
+    # mass-duplicated corpus where the round-3 keep-id broadcast (one
+    # int64 per kept doc on every worker) would not.
+    canon = partial_groupby(
+        kept.select_columns(["digest_hi", "digest_lo", "doc_id"]),
+        ["digest_hi", "digest_lo"], keep_id=("doc_id", "min")).materialize()
     n_canon = canon.count()
     # never None: kept is non-empty, so its digest groups are too
     joined = guarded_join(kept, canon, on=("digest_hi", "digest_lo"))

@@ -34,7 +34,7 @@ import pyarrow.compute as pc
 import ray
 import ray.data as rd
 from ray.data import Dataset
-from ray.data.aggregate import Count, Max, Min, Sum
+from ray.data.aggregate import Max, Min, Sum
 
 from ..schema import FieldDefinition, FieldType, SchemaDefinition
 from .extract_pipeline import pages_dataset, run_extraction
@@ -552,12 +552,9 @@ def q_exact_dedup(sf_dir: str) -> Dataset:
             "doc_id": batch.column("doc_id"),
         })
 
-    return (
-        ds.map_batches(add_hash, batch_format="pyarrow")
-        .groupby(["digest_hi", "digest_lo"])
-        .aggregate(Min("doc_id", alias_name="doc_id"))
-        .select_columns(["doc_id"])
-    )
+    return partial_groupby(ds.map_batches(add_hash, batch_format="pyarrow"),
+                           ["digest_hi", "digest_lo"],
+                           doc_id=("doc_id", "min")).select_columns(["doc_id"])
 
 
 def q_revenue_by_nation(sf_dir: str) -> Dataset:
@@ -1264,19 +1261,18 @@ def q_curation_funnel(sf_dir: str):  # noqa: ANN201 — DataFrame
             batch_format="pyarrow")
         .aggregate(Sum("n_all"), Sum("n_lang"), Sum("n_qual"), Sum("n_clean"))
     )
-    n_dedup = (
+    n_dedup = partial_groupby(
         mixed.map_batches(
             lambda b: b.filter(pc.is_valid(b.column("digest_hi"))),
-            batch_format="pyarrow")
-        .groupby(["digest_hi", "digest_lo"]).aggregate(Count(alias_name="c"))
-    ).count()
+            batch_format="pyarrow"),
+        ["digest_hi", "digest_lo"], c=(None, "count_all")).count()
+    # a Ray sum over zero rows is None where SQL's count(*) is 0
+    stage_counts = [int(counts[f"sum({c})"] or 0)
+                    for c in ("n_all", "n_lang", "n_qual", "n_clean")]
     return pd.DataFrame({
         "stage_idx": pd.array([1, 2, 3, 4, 5], dtype="int64"),
         "stage": ["all", "lang_en", "quality", "decontaminated", "deduped"],
-        "n_docs": pd.array([
-            int(counts["sum(n_all)"]), int(counts["sum(n_lang)"]),
-            int(counts["sum(n_qual)"]), int(counts["sum(n_clean)"]),
-            int(n_dedup)], dtype="int64"),
+        "n_docs": pd.array(stage_counts + [n_dedup], dtype="int64"),
     })
 
 
@@ -1287,8 +1283,6 @@ def q_curation_splits(sf_dir: str) -> Dataset:
     dedup keep-first, same ``assign_split`` rule, restated end-to-end in
     the SQL oracle. A report the driver can hash-check ties the sink job's
     output to the correctness gate."""
-    from ray.data.aggregate import Min as _Min
-
     from ..stages.textstats import build_benchmark_ngrams
     from .curate import _flagged_docs, assign_split_vec
 
@@ -1297,11 +1291,9 @@ def q_curation_splits(sf_dir: str) -> Dataset:
     # slim (digest, doc_id) exchange — same keep-first rule as curate_job;
     # the 128-bit fasthash digest groups texts exactly as the oracle's
     # md5(text) does (collision-free digests induce the same partition)
-    canon = (
-        kept.select_columns(["digest_hi", "digest_lo", "doc_id"])
-        .groupby(["digest_hi", "digest_lo"])
-        .aggregate(_Min("doc_id", alias_name="keep_id"))
-    )
+    canon = partial_groupby(
+        kept.select_columns(["digest_hi", "digest_lo", "doc_id"]),
+        ["digest_hi", "digest_lo"], keep_id=("doc_id", "min"))
 
     def split(b: pa.Table) -> pa.Table:
         splits = assign_split_vec(
@@ -1346,11 +1338,9 @@ def q_incremental_new_docs(sf_dir: str) -> Dataset:
     d = docs.map_batches(digests, batch_format="pyarrow").materialize()
     new_side = d.filter(expr="is_new == True").select_columns(
         ["doc_id", "digest_hi", "digest_lo"])
-    prior = (
-        d.filter(expr="is_new == False")
-        .groupby(["digest_hi", "digest_lo"])
-        .aggregate(Count(alias_name="n_prior"))
-    )
+    prior = partial_groupby(d.filter(expr="is_new == False"),
+                            ["digest_hi", "digest_lo"],
+                            n_prior=(None, "count_all"))
     joined = guarded_join(new_side, prior, join_type="left_outer",
                           on=("digest_hi", "digest_lo"))
     if joined is None:  # nothing new, or no prior snapshot to dedup against
@@ -1533,10 +1523,8 @@ def q_profile_orders(sf_dir: str):  # noqa: ANN201 — DataFrame
     # distinct counts stay DISTRIBUTED: dedupe (col, val) pairs with a
     # groupby, then per-batch partial counts per col -> tiny groupby sum.
     # The shuffle carries distinct pairs, never the rows.
-    distinct_pairs = (
-        mixed.filter(expr="kind == 'd'")
-        .groupby(["col", "val"]).aggregate(Count(alias_name="c"))
-    )
+    distinct_pairs = partial_groupby(mixed.filter(expr="kind == 'd'"),
+                                     ["col", "val"], c=(None, "count_all"))
 
     nd = collect_table(partial_groupby(
         distinct_pairs, "col", n_distinct=(None, "count_all"),
@@ -1977,18 +1965,17 @@ _EMPTY_SEMI_JOIN_TABLE = pa.table({
 
 def _urgent_custkeys(sf_dir: str) -> Dataset:
     """Distinct custkeys holding >=1 URGENT order, built distributed:
-    filter at the read -> groupby count, materialized. The distinct-key
-    set is produced by the shuffle (never collected on the driver), so the
-    semi/anti join below stays a hash-partitioned join at any scale."""
-    return (
+    filter at the read -> ``partial_groupby`` count, materialized. Above
+    8 MiB of partials the distinct-key set is produced by the shuffle
+    (never collected on the driver), so the semi/anti join below stays a
+    hash-partitioned join at any scale."""
+    return partial_groupby(
         rd.read_parquet(f"{sf_dir}/orders.parquet",
                         columns=["o_custkey"],
                         # predicate pushed into the parquet scan: only
                         # URGENT row groups' custkey column leaves storage
-                        filter=pc.field("o_orderpriority") == "1-URGENT")
-        .groupby("o_custkey")
-        .aggregate(Count(alias_name="n_urgent"))
-    ).materialize()
+                        filter=pc.field("o_orderpriority") == "1-URGENT"),
+        "o_custkey", n_urgent=(None, "count_all")).materialize()
 
 
 def q_customers_semi_join(sf_dir: str) -> Dataset:
@@ -2830,8 +2817,7 @@ def q_passage_dedup(sf_dir: str) -> Dataset:
 
     # consumed twice (winners groupby + join probe)
     seg = docs.map_batches(explode, batch_format="pyarrow").materialize()
-    winners = seg.groupby(["dh", "dl"]).aggregate(
-        Min("rank", alias_name="first_rank"))
+    winners = partial_groupby(seg, ["dh", "dl"], first_rank=("rank", "min"))
     joined = guarded_join(seg, winners, on=("dh", "dl"))
     if joined is None:
         return rd.from_arrow(pa.table({
@@ -2921,9 +2907,8 @@ def q_dup_spans(sf_dir: str) -> Dataset:
     wins = docs.map_batches(explode, batch_format="pyarrow").materialize()
     # only digests seen >= 2 times can produce a duplicate span: the join's
     # build side shrinks to the duplicated population before any row moves
-    hot = (wins.groupby(["dh", "dl"])
-           .aggregate(Min("rank", alias_name="first_rank"),
-                      Count(alias_name="n_occ"))
+    hot = (partial_groupby(wins, ["dh", "dl"], first_rank=("rank", "min"),
+                           n_occ=(None, "count_all"))
            .filter(expr="n_occ >= 2")
            .drop_columns(["n_occ"]))
     joined = guarded_join(wins, hot, on=("dh", "dl"))
@@ -3147,11 +3132,11 @@ def q_url_canonical_dedup(sf_dir: str) -> Dataset:
     correctness the length checksum cannot see.
 
     Scale shape: synthesis + canonicalization are one streaming
-    map_batches pass; keep-latest is a native ``groupby(canon)
-    .aggregate(Max, Count)`` — no per-group Python, and the shuffle key
+    map_batches pass; keep-latest is a ``partial_groupby(canon)`` max
+    and count — no per-group Python, and the shuffle key
     is the canonical URL, so the giant host (h0 owns ~1/3 of rows) does
-    NOT form a hot key; the 41-key host rollup rides Ray's partial
-    pre-aggregation. Output: one row per host.
+    NOT form a hot key; the 41-key host rollup is a second
+    ``partial_groupby``. Output: one row per host.
     """
     from ..functions.urls import canonicalize_urls
     from ..sources.corpus import host_ids_for
@@ -3187,10 +3172,9 @@ def q_url_canonical_dedup(sf_dir: str) -> Dataset:
             "ts_s": pa.array(ts, pa.int64()),
         })
 
-    kept = (docs.map_batches(captures, batch_format="pyarrow")
-            .groupby("canon")
-            .aggregate(Max("ts_s", alias_name="kept_ts_s"),
-                       Count(alias_name="caps")))
+    kept = partial_groupby(docs.map_batches(captures, batch_format="pyarrow"),
+                           "canon", kept_ts_s=("ts_s", "max"),
+                           caps=(None, "count_all"))
 
     def host_stats(b: pa.Table) -> pa.Table:
         canon = b.column("canon")
@@ -3205,13 +3189,12 @@ def q_url_canonical_dedup(sf_dir: str) -> Dataset:
                 pc.match_substring(canon, "?a=1&b=2"), pa.int64()),
         })
 
-    agg = (kept.map_batches(host_stats, batch_format="pyarrow")
-           .groupby("host")
-           .aggregate(Sum("caps", alias_name="n_captures"),
-                      Count(alias_name="n_pages"),
-                      Sum("kept_ts_s", alias_name="sum_kept_ts_s"),
-                      Sum("canon_len", alias_name="sum_canon_len"),
-                      Sum("is_param", alias_name="n_param_pages")))
+    agg = partial_groupby(kept.map_batches(host_stats, batch_format="pyarrow"),
+                          "host", n_captures=("caps", "sum"),
+                          n_pages=(None, "count_all"),
+                          sum_kept_ts_s=("kept_ts_s", "sum"),
+                          sum_canon_len=("canon_len", "sum"),
+                          n_param_pages=("is_param", "sum"))
 
     def finish(b: pa.Table) -> pa.Table:
         return pa.table({
@@ -3340,8 +3323,8 @@ def q_outlink_graph(sf_dir: str) -> Dataset:
     strings; resolution + canonicalization are Arrow RE2 kernels over the
     exploded batch. The in-degree groupby keys on the TARGET url, so a
     giant source host does not form a hot key (its links spread over
-    n_pages + 36 distinct targets); the host rollup rides Ray's partial
-    pre-aggregation down to ~N_HOSTS rows.
+    n_pages + 36 distinct targets); the host rollup's per-block partials
+    shrink it to ~N_HOSTS rows per block before the merge.
 
     Oracle: every html page carries the same boilerplate link multiset
     (``_boilerplate_link_count`` == 38, invariance-tested): 36 distinct
@@ -3349,10 +3332,10 @@ def q_outlink_graph(sf_dir: str) -> Dataset:
     2 fragment-only links that canonicalize to the page itself (in-degree
     2, one target per page). PDF payloads carry none.
     """
-    indeg = (pages_dataset(sf_dir, include_doc_id=False)
-             .map_batches(_outlink_targets_batch, batch_format="pyarrow")
-             .groupby("target")
-             .aggregate(Count(alias_name="indeg")))
+    indeg = partial_groupby(
+        pages_dataset(sf_dir, include_doc_id=False)
+        .map_batches(_outlink_targets_batch, batch_format="pyarrow"),
+        "target", indeg=(None, "count_all"))
 
     def host_stats(b: pa.Table) -> pa.Table:
         target = b.column("target").combine_chunks().cast(pa.string())
@@ -3366,13 +3349,11 @@ def q_outlink_graph(sf_dir: str) -> Dataset:
             "is_page": is_page,
         })
 
-    agg = (indeg.map_batches(host_stats, batch_format="pyarrow")
-           .groupby("host")
-           .aggregate(Count(alias_name="n_targets"),
-                      Sum("indeg", alias_name="n_inlinks"),
-                      Max("indeg", alias_name="max_indegree"),
-                      Sum("is_page", alias_name="n_self_targets")))
-    return agg.sort("host")
+    return partial_groupby(indeg.map_batches(host_stats, batch_format="pyarrow"),
+                           "host", n_targets=(None, "count_all"),
+                           n_inlinks=("indeg", "sum"),
+                           max_indegree=("indeg", "max"),
+                           n_self_targets=("is_page", "sum"))
 
 
 PAGERANK_ITERS = 4       # fixed-k power iteration (exact by construction)
@@ -3395,10 +3376,11 @@ def q_pagerank(sf_dir: str) -> Dataset:
     Scale shape: each of the ``PAGERANK_ITERS`` rounds is one streaming
     ``map_batches`` that emits each node's 3 weighted contributions
     (rank/3) PLUS a zero-weight presence row (so sink-only nodes keep a
-    rank row), then a native ``groupby(dst).Sum`` — the textbook
+    rank row), then a ``partial_groupby(dst)`` sum — the textbook
     join-free scatter/gather when edges derive from the node key; with a
     materialized edge table this becomes edges⋈ranks, the
-    propagate_min_labels shape. The rank table never reaches the driver;
+    propagate_min_labels shape. The rank table reaches the driver only
+    while its partials fit ``partial_groupby``'s driver merge (≤ 8 MiB);
     per-round ``materialize()`` keeps lineage depth bounded at one round
     (re-execution of a lazy 4-deep shuffle chain is the alternative).
     Output is a ``PAGERANK_BUCKETS``-row summary (count / rank mass /
@@ -3455,9 +3437,8 @@ def q_pagerank(sf_dir: str) -> Dataset:
 
     ranks = docs.map_batches(init, batch_format="pyarrow")
     for _ in range(PAGERANK_ITERS):
-        ranks = (ranks.map_batches(emit, batch_format="pyarrow")
-                 .groupby("dst")
-                 .aggregate(Sum("w", alias_name="w_in"))
+        ranks = (partial_groupby(ranks.map_batches(emit, batch_format="pyarrow"),
+                                 "dst", w_in=("w", "sum"))
                  .map_batches(damp, batch_format="pyarrow")
                  .materialize())
 
@@ -3466,11 +3447,9 @@ def q_pagerank(sf_dir: str) -> Dataset:
         return pa.table({"bucket": pa.array(i % PAGERANK_BUCKETS, pa.int64()),
                          "rank": b.column("rank")})
 
-    agg = (ranks.map_batches(bucketize, batch_format="pyarrow")
-           .groupby("bucket")
-           .aggregate(Count(alias_name="n_docs"),
-                      Sum("rank", alias_name="sum_rank"),
-                      Max("rank", alias_name="max_rank")))
+    agg = partial_groupby(ranks.map_batches(bucketize, batch_format="pyarrow"),
+                          "bucket", n_docs=(None, "count_all"),
+                          sum_rank=("rank", "sum"), max_rank=("rank", "max"))
 
     def finish(b: pa.Table) -> pa.Table:
         return pa.table({
@@ -3528,9 +3507,9 @@ def q_triangle_count(sf_dir: str) -> Dataset:
 
     # distinct undirected edge table (consumed 3x: degree explode, the
     # orientation joins' left side, the closing join's right side)
-    e = (docs.map_batches(edges, batch_format="pyarrow")
-         .groupby(["lo", "hi"]).aggregate(Count(alias_name="_m"))
-         .drop_columns(["_m"]).materialize())
+    e = partial_groupby(docs.map_batches(edges, batch_format="pyarrow"),
+                        ["lo", "hi"], _m=(None, "count_all")
+                        ).drop_columns(["_m"]).materialize()
     empty = pa.table({"bucket": pa.array([], pa.int64()),
                       "n_triangles": pa.array([], pa.int64())})
 
@@ -3539,8 +3518,8 @@ def q_triangle_count(sf_dir: str) -> Dataset:
             b.column("lo").combine_chunks(),
             b.column("hi").combine_chunks()])})
 
-    deg = (e.map_batches(endpoints, batch_format="pyarrow")
-           .groupby("v").aggregate(Count(alias_name="deg")).materialize())
+    deg = partial_groupby(e.map_batches(endpoints, batch_format="pyarrow"),
+                          "v", deg=(None, "count_all")).materialize()
 
     # degrees onto both endpoints (two broadcast-scale hash joins — the
     # degree table is one row per vertex, the edge side streams; an inner
@@ -3586,9 +3565,8 @@ def q_triangle_count(sf_dir: str) -> Dataset:
         c = b.column("ctr").to_numpy(zero_copy_only=False).astype(np.int64)
         return pa.table({"bucket": pa.array(c % TRIANGLE_BUCKETS, pa.int64())})
 
-    return (tri.map_batches(bucketize, batch_format="pyarrow")
-            .groupby("bucket").aggregate(Count(alias_name="n_triangles"))
-            .sort("bucket"))
+    return partial_groupby(tri.map_batches(bucketize, batch_format="pyarrow"),
+                           "bucket", n_triangles=(None, "count_all"))
 
 
 def _pagerank_sql() -> str:
@@ -3721,9 +3699,8 @@ def q_host_boilerplate(sf_dir: str) -> Dataset:
     # consumed twice (template groupby + join probe)
     seg = docs.map_batches(explode, batch_format="pyarrow").materialize()
     grp = (
-        seg.select_columns(["host_id", "dh", "dl"])
-        .groupby(["host_id", "dh", "dl"])
-        .aggregate(Count(alias_name="n_docs"))
+        partial_groupby(seg.select_columns(["host_id", "dh", "dl"]),
+                        ["host_id", "dh", "dl"], n_docs=(None, "count_all"))
         .map_batches(lambda b: b.filter(
             pc.greater_equal(b.column("n_docs"), BOILER_MIN_DOCS)),
             batch_format="pyarrow")
@@ -4133,11 +4110,9 @@ def _token_freq(docs: Dataset) -> pd.DataFrame:
         toks, cnts = token_counts(b.column("text"))
         return pa.table({"token": toks, "n": cnts.cast(pa.int64())})
 
-    return (
-        docs.map_batches(tf_partial, batch_format="pyarrow")
-        .groupby("token")
-        .aggregate(Sum("n", alias_name="n"))
-    ).to_pandas()  # bounded by vocabulary
+    return collect_table(partial_groupby(
+        docs.map_batches(tf_partial, batch_format="pyarrow"),
+        "token", n=("n", "sum"))).to_pandas()  # bounded by vocabulary
 
 
 def _unigram_logp_ref(docs: Dataset):  # noqa: ANN202 — ray.ObjectRef
@@ -4197,8 +4172,8 @@ def q_perplexity_buckets(sf_dir: str) -> Dataset:
     scores = docs.map_batches(score, batch_format="pyarrow").materialize()
 
     # bounded distinct-(lang, score) count table -> driver rank algebra
-    counts = (scores.groupby(["lang", "mean_logprob"])
-              .aggregate(Count(alias_name="c"))).to_pandas()
+    counts = collect_table(partial_groupby(
+        scores, ["lang", "mean_logprob"], c=(None, "count_all"))).to_pandas()
     thresholds: dict[str, tuple[float, float]] = {}
     for lang, g in counts.groupby("lang", sort=False):
         g = g.sort_values("mean_logprob", kind="mergesort")

@@ -36,7 +36,7 @@ import pyarrow.compute as pc
 import ray
 import ray.data as rd
 from ray.data import Dataset
-from ray.data.aggregate import Count, Max, Min, Sum
+from ray.data.aggregate import Max, Min, Sum
 
 from ..functions.fasthash import (
     fold_rows,
@@ -107,10 +107,14 @@ def _join_partitions() -> int:
     return max(2, min(16, cpus))
 
 
-# A materialized side at or below this size is broadcast instead of
-# hash-shuffled. Same order as Spark's 10 MB autoBroadcastJoinThreshold:
-# one object-store copy read by each probe worker is cheap next to starting
-# min(16, cpus) HashShuffleAggregator actors (~2 s per join at 4 cpus).
+# At or below this many bytes of materialized input, no Ray shuffle runs:
+# guarded_join broadcasts the side (same order as Spark's 10 MB
+# autoBroadcastJoinThreshold; one object-store copy read by each probe
+# worker is cheap next to starting min(16, cpus) HashShuffleAggregator
+# actors, ~2 s per join at 4 cpus), and partial_groupby merges the
+# partials in one pa.Table.group_by on the driver (Ray's sort-shuffle
+# aggregate runs three stages, each hand-off waiting on the executor's
+# 100-ms poll).
 _BROADCAST_MAX_BYTES = 8 << 20
 
 
@@ -199,24 +203,33 @@ def collect_table(ds: Dataset) -> pa.Table:
             else pa.table({}))
 
 
-# partial function per aggregate -> the Ray aggregate that merges partials
-_MERGES = {"sum": Sum, "count": Sum, "count_all": Sum, "min": Min, "max": Max}
+# partial function per aggregate -> the pyarrow function and the Ray
+# aggregate that merge its partials
+_MERGES = {"sum": ("sum", Sum), "count": ("sum", Sum),
+           "count_all": ("sum", Sum), "min": ("min", Min), "max": ("max", Max)}
 
 
 def partial_groupby(ds: Dataset, keys: str | list[str],
                     **aggs: tuple[str | None, str]) -> Dataset:
-    """Grouped aggregate as per-block Arrow partials merged by one Ray
-    ``groupby`` — the package's one decomposable-aggregate site.
+    """Grouped aggregate as per-block Arrow partials merged in one step —
+    the package's one aggregate site.
 
     Each ``aggs`` entry is ``name=(col, fn)`` with ``fn`` one of ``sum``,
     ``count`` (non-null values of ``col``), ``count_all`` (rows; ``col``
     is ignored, pass None), ``min`` or ``max``. Every block runs one
-    ``pa.Table.group_by(keys).aggregate``, so the shuffle moves one row
-    per key per block, never the rows themselves; the partials are
-    materialized and counted, then merged with ``Sum`` (sums and both
-    counts), ``Min`` or ``Max``. The output holds the keys and one column
-    per ``aggs`` name; counts are int64. Null keys form one group, as in
-    SQL ``GROUP BY``.
+    ``pa.Table.group_by(keys).aggregate``, so the merge moves one row per
+    key per block, never the rows themselves; the partials are
+    materialized and counted, then merged by ``sum`` (sums and both
+    counts), ``min`` or ``max`` on one of two paths, chosen from the
+    partials' ``size_bytes()`` (block metadata):
+
+    - at most ``_BROADCAST_MAX_BYTES``: fetched to the driver
+      (``collect_table``) and merged by one ``pa.Table.group_by``;
+    - above it: one Ray ``groupby(keys).aggregate`` (a sort shuffle).
+
+    Both give the keys and one column per ``aggs`` name with the
+    partials' types (counts are int64), rows sorted by the keys (null
+    keys last, as one group, like SQL ``GROUP BY``).
 
     On zero partial rows it returns one typed empty block: Ray 2.49
     aggregates zero rows into a Dataset whose ``schema()`` is None. The
@@ -240,9 +253,17 @@ def partial_groupby(ds: Dataset, keys: str | list[str],
         cols = dict.fromkeys(keys + [c for c, _ in aggs.values() if c])
         return rd.from_arrow(partial(pa.table(
             {c: pa.array([], types.get(c, pa.null())) for c in cols})))
+    merges = [(name, *_MERGES[fn]) for name, (_, fn) in aggs.items()]
+    if parts.size_bytes() <= _BROADCAST_MAX_BYTES:
+        merged = collect_table(parts).group_by(keys).aggregate(
+            [(name, fn) for name, fn, _ in merges])
+        return rd.from_arrow(merged.rename_columns(keys + names).sort_by(
+            [(k, "ascending") for k in keys]))
+    # Ray widens Min/Max of narrow ints to int64: keep the partials' types
+    schema = parts.schema().base_schema
     return parts.groupby(keys).aggregate(
-        *(_MERGES[fn](name, alias_name=name)
-          for name, (_, fn) in zip(names, aggs.values())))
+        *(agg(name, alias_name=name) for name, _, agg in merges)
+    ).map_batches(lambda t: t.cast(schema), batch_format="pyarrow")
 
 
 def typed_map(ds: Dataset, fn: Callable[[pa.Table], pa.Table]) -> Dataset:
@@ -417,8 +438,8 @@ def _hot_bucket_rows(banded: Dataset, hash_col: str,
     pair — harmless), never drop a hot row. Returns None when no bucket is
     hot. ``banded`` must be materialized (it is consumed twice).
     """
-    counts = banded.groupby([band_col, hash_col]).aggregate(
-        Count(alias_name="_n"))
+    counts = partial_groupby(banded, [band_col, hash_col],
+                             _n=(None, "count_all"))
     hot = counts.filter(expr="_n >= 2").to_pandas()
     if hot.empty:
         return None
@@ -477,9 +498,8 @@ def minhash_candidate_pairs(
     )
     # dedupe pairs found in multiple bands: a native aggregate (the count
     # is discarded), NOT per-pair map_groups
-    return cand.groupby(["doc_a", "doc_b"]).aggregate(
-        Count(alias_name="_nb")
-    ).drop_columns(["_nb"])
+    return partial_groupby(cand, ["doc_a", "doc_b"],
+                           _nb=(None, "count_all")).drop_columns(["_nb"])
 
 
 def _pairs_with_texts(cand: Dataset, docs: Dataset) -> Dataset | None:
@@ -670,7 +690,7 @@ def rare_blocked_pair_stats(
     index = docs.map_batches(explode, batch_format="pyarrow").materialize()
 
     # consumed twice (rare window + hot counts) — materialize
-    dfs = index.groupby("gram").aggregate(Count(alias_name="_n")).materialize()
+    dfs = partial_groupby(index, "gram", _n=(None, "count_all")).materialize()
     rare = (dfs.filter(expr="_n >= 2").filter(expr=f"_n <= {df_cap}")
             .drop_columns(["_n"]))
     blocked = guarded_join(rare, index, on=("gram",))
@@ -705,11 +725,9 @@ def rare_blocked_pair_stats(
     cand = raw.map_batches(ordered, batch_format="pyarrow")
     # one groupby: dedupe pairs AND count shared rare grams exactly
     # (n_a/n_b are constant per pair — Min just carries them through)
-    cand = cand.groupby(["doc_a", "doc_b"]).aggregate(
-        Count(alias_name="c_rare"),
-        Min("n_a", alias_name="n_a"),
-        Min("n_b", alias_name="n_b"),
-    ).materialize()
+    cand = partial_groupby(cand, ["doc_a", "doc_b"],
+                           c_rare=(None, "count_all"), n_a=("n_a", "min"),
+                           n_b=("n_b", "min")).materialize()
     n_cand = cand.count()
     if n_cand == 0:
         return None, 0
@@ -719,8 +737,8 @@ def rare_blocked_pair_stats(
     hot = dfs.filter(expr=f"_n > {df_cap}").drop_columns(["_n"])
     h_join = guarded_join(hot, index, on=("gram",))
     if h_join is not None:
-        h_per_doc = (h_join.groupby("doc_id").aggregate(Count(alias_name="h"))
-                     .materialize())
+        h_per_doc = partial_groupby(h_join, "doc_id",
+                                    h=(None, "count_all")).materialize()
         # left_outer keeps every candidate: n_cand is unchanged
         for side in ("a", "b"):
             cand = guarded_join(
@@ -1199,8 +1217,8 @@ def simhash_near_dups(sf_dir: str, *, max_hamming: int = 3,
     # dedupe pairs found in multiple bands: hamming is a function of the
     # two signatures so duplicates agree on it — a native Min aggregate
     # keeps the value without a per-pair Python map_groups call
-    uniq = cand.groupby(["doc_a", "doc_b"]).aggregate(
-        Min("hamming", alias_name="hamming"))
+    uniq = partial_groupby(cand, ["doc_a", "doc_b"],
+                           hamming=("hamming", "min"))
     allp = uniq.to_pandas()
     if allp.empty:
         return empty
@@ -1330,17 +1348,13 @@ def embedding_near_dups_lsh(
             "cos": pa.array(np.concatenate(outs_c), pa.float64()),
         })
 
-    from ray.data.aggregate import Max as _Max
-
-    survivors = (
+    # cross-table dedupe: one tiny aggregate over survivors (cos is
+    # identical for the same pair in every table, so max is a no-op
+    # merge), never the candidate set
+    survivors = partial_groupby(
         banded.groupby(["table_id", "bucket"])
-        .map_groups(verify_bucket, batch_format="pyarrow")
-        # cross-table dedupe: one tiny aggregate over survivors (cos is
-        # identical for the same pair in every table, so Max is a no-op
-        # merge), never the candidate set
-        .groupby(["vec_a", "vec_b"])
-        .aggregate(_Max("cos", alias_name="cos"))
-    )
+        .map_groups(verify_bucket, batch_format="pyarrow"),
+        ["vec_a", "vec_b"], cos=("cos", "max"))
     out = survivors.to_pandas()
     if out.empty:
         return pd.DataFrame({"vec_a": pd.Series(dtype="int64"),
@@ -1357,9 +1371,7 @@ def embedding_near_dups_lsh(
 def dedup_extractions_by_payload(extractions: Dataset) -> Dataset:
     """Keep one row per payload_sha256 (min url as the canonical survivor)
     — the corrected version of reference D1 (hash stored, never used)."""
-    return extractions.groupby("payload_sha256").aggregate(
-        Min("url", alias_name="url")
-    )
+    return partial_groupby(extractions, "payload_sha256", url=("url", "min"))
 
 
 # ---------------------------------------------------------------------------
@@ -1422,8 +1434,9 @@ def propagate_min_labels(pairs: Dataset) -> Dataset:
     a reachable bound (round-5 review: a gradually-drifting boilerplate
     chain deeper than 64 was reachable under plain propagation).
 
-    Returns (node, label) for every node that appears in a pair; nothing
-    ever lands on the driver but the per-round sum/count scalars."""
+    Returns (node, label) for every node that appears in a pair. Above
+    ``partial_groupby``'s 8 MiB driver merge, nothing lands on the driver
+    but the per-round sum/count scalars."""
     def sym(b: pa.Table) -> pa.Table:
         a = b.column("doc_a").cast(pa.int64()).combine_chunks()
         bb = b.column("doc_b").cast(pa.int64()).combine_chunks()
@@ -1433,7 +1446,7 @@ def propagate_min_labels(pairs: Dataset) -> Dataset:
     edges = pairs.map_batches(sym, batch_format="pyarrow").materialize()
 
     # round 0: label(u) = min(u, min neighbor)
-    labels = edges.groupby("u").aggregate(Min("v", alias_name="label"))
+    labels = partial_groupby(edges, "u", label=("v", "min"))
     labels = labels.map_batches(
         lambda b: pa.table({
             "u": b.column("u"),
@@ -1454,10 +1467,8 @@ def propagate_min_labels(pairs: Dataset) -> Dataset:
                 "u": b.column("u").cast(pa.int64()),
                 "label": b.column("nbr_label").cast(pa.int64())}),
             batch_format="pyarrow")
-        labels = (
-            labels.union(cand)
-            .groupby("u").aggregate(Min("label", alias_name="label"))
-        ).materialize()
+        labels = partial_groupby(labels.union(cand), "u",
+                                 label=("label", "min")).materialize()
         # pointer jump: label(u) <- min(label(u), label(label(u))). Every
         # label value is itself a node id (a min over node ids), so the
         # inner self-join preserves exactly one row per node.
@@ -1489,8 +1500,7 @@ def _clusters_distributed(pairs: Dataset, docs: Dataset) -> Dataset:
     holds pairs or labels. Called with a non-empty pair set, so every
     join side below is non-empty."""
     labels = propagate_min_labels(pairs)
-    sizes = labels.groupby("label").aggregate(
-        Count(alias_name="cluster_size"))
+    sizes = partial_groupby(labels, "label", cluster_size=(None, "count_all"))
 
     with_label = guarded_join(
         docs, labels.rename_columns({"u": "node", "label": "lbl"}),

@@ -408,11 +408,12 @@ def _reference(table: pa.Table, keys: list[str]) -> pa.Table:
 
 
 class TestPartialGroupby:
-    """Per-block partials merged by one Ray groupby equal one Arrow
-    group_by over the concatenated input."""
+    """Per-block partials merged on the driver (at most 8 MiB) or by one
+    Ray groupby (forced) equal one Arrow group_by over the concatenated
+    input: same columns, types and rows, in key order."""
 
-    @pytest.mark.parametrize("keys", [["k"], ["k", "g"]], ids=["one", "two"])
-    def test_matches_single_group_by(self, ray_session, keys):
+    @staticmethod
+    def _check_matches(keys: list[str]) -> None:
         import ray.data as rd
 
         from ai_pdf_extraction_ray.stages.dedup import (
@@ -421,16 +422,18 @@ class TestPartialGroupby:
         ds = rd.from_arrow(_blocks(AGG_INPUT, *range(4, 40, 4)))
         assert ds.num_blocks() >= 8
         got = collect_table(partial_groupby(ds, keys, **AGGS))
-        want = _reference(AGG_INPUT, keys)
-        assert got.column_names == want.column_names
-        assert _sorted_frame(got).equals(_sorted_frame(want))
+        want = _reference(AGG_INPUT, keys).sort_by(
+            [(k, "ascending") for k in keys])
+        assert got.schema == want.schema
+        assert got.to_pylist() == want.to_pylist()  # also the row order
         for name in ("nv", "n"):
             assert got.schema.field(name).type == pa.int64()
         # the data exercises what it claims to
         assert None in got.column("k").to_pylist()
         assert got.column("nv").to_pylist() != got.column("n").to_pylist()
 
-    def test_zero_rows_keep_typed_schema(self, ray_session):
+    @staticmethod
+    def _check_zero_rows() -> None:
         import ray.data as rd
 
         from ai_pdf_extraction_ray.stages.dedup import (
@@ -442,14 +445,39 @@ class TestPartialGroupby:
         assert got.num_rows == 0
         assert got.schema == _reference(empty, ["k", "g"]).schema
 
-    def test_pricing_summary_one_aggregate(self, ray_session):
-        """The partials fuse into the map after the read; one Aggregate
-        merges them."""
+    @pytest.mark.parametrize("keys", [["k"], ["k", "g"]], ids=["one", "two"])
+    def test_matches_single_group_by(self, ray_session, keys):
+        self._check_matches(keys)
+
+    @pytest.mark.parametrize("keys", [["k"], ["k", "g"]], ids=["one", "two"])
+    def test_matches_single_group_by_shuffled(self, ray_session, force_shuffle,
+                                              keys):
+        self._check_matches(keys)
+
+    def test_zero_rows_keep_typed_schema(self, ray_session):
+        self._check_zero_rows()
+
+    def test_zero_rows_keep_typed_schema_shuffled(self, ray_session,
+                                                  force_shuffle):
+        self._check_zero_rows()
+
+    @staticmethod
+    def _aggregate_ops() -> list[str]:
         from ai_pdf_extraction_ray.pipelines.queries import q_pricing_summary
 
         stats = q_pricing_summary(SF_SMOKE).materialize().stats()
         ops = re.findall(r"^Operator \d+ (.+?):", stats, re.M)
-        assert [op for op in ops if "Aggregate" in op] == ["Aggregate"]
+        return [op for op in ops if "Aggregate" in op]
+
+    def test_pricing_summary_merges_on_driver(self, ray_session):
+        """KB-sized partials merge in one pa.Table.group_by: no Ray
+        Aggregate operator runs."""
+        assert self._aggregate_ops() == []
+
+    def test_pricing_summary_one_aggregate(self, ray_session, force_shuffle):
+        """Above the threshold the partials fuse into the map after the
+        read, and one Aggregate merges them."""
+        assert self._aggregate_ops() == ["Aggregate"]
 
 
 # Ray groupbys (or segment_windows) fed by a hand-written Arrow partial
@@ -524,6 +552,24 @@ class TestSingleAggregateSite:
             for fn, line in self._hand_written_sites(ast.parse(path.read_text())):
                 found[(rel, fn)] = line
         assert sorted(found) == sorted(NON_DECOMPOSABLE)
+
+    def test_ray_aggregate_only_in_partial_groupby(self):
+        """Every Ray ``X.groupby(...).aggregate(...)`` call in the package
+        sits inside partial_groupby, so every aggregate gets its driver
+        merge."""
+        found = set()
+        for path in sorted(PKG.rglob("*.py")):
+            for outer in ast.parse(path.read_text()).body:
+                for n in ast.walk(outer):
+                    if (isinstance(n, ast.Call)
+                            and isinstance(n.func, ast.Attribute)
+                            and n.func.attr == "aggregate"
+                            and isinstance(n.func.value, ast.Call)
+                            and getattr(n.func.value.func, "attr", None)
+                            == "groupby"):
+                        found.add((str(path.relative_to(PKG)),
+                                   getattr(outer, "name", "")))
+        assert found == {("stages/dedup.py", "partial_groupby")}
 
     def test_no_renamed_partial_merges(self):
         """No ``Sum("<col>_sum")`` / ``Sum("<col>_count")`` merge of
