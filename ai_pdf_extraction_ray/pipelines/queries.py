@@ -3508,8 +3508,7 @@ def q_triangle_count(sf_dir: str) -> Dataset:
     # distinct undirected edge table (consumed 3x: degree explode, the
     # orientation joins' left side, the closing join's right side)
     e = partial_groupby(docs.map_batches(edges, batch_format="pyarrow"),
-                        ["lo", "hi"], _m=(None, "count_all")
-                        ).drop_columns(["_m"]).materialize()
+                        ["lo", "hi"]).materialize()
     empty = pa.table({"bucket": pa.array([], pa.int64()),
                       "n_triangles": pa.array([], pa.int64())})
 

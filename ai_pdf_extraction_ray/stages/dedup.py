@@ -9,12 +9,13 @@ Shuffle discipline:
 - exact dedup: one hash-keyed groupby (the digest, 16 bytes, is the
   shuffle payload — never the document);
 - MinHash LSH: signatures computed vectorized per batch (one pass over
-  text), then EXPLODED to (band_id, band_hash, doc_id) rows; the groupby
-  on (band_id, band_hash) moves only those triples. Candidate pairs are
-  verified with exact n-gram Jaccard inside the group;
+  text), then EXPLODED to (band_id, band_hash, doc_id) rows; the
+  ``segment_window`` sort on (band_id, band_hash) moves only those rows,
+  and each bucket of two or more docs emits its candidate pairs, which
+  are verified with exact n-gram Jaccard after a join back to the text;
 - SimHash: per-batch vectorized 64-bit signatures; near-dup = identical
   value on any of 4 16-bit sub-bands (Hamming<=3-ish blocking), same
-  explode->groupby shape.
+  explode->bucket shape.
 
 All hashing is seeded/deterministic (fixed parameter tables — no
 PYTHONHASHSEED dependence). Token/shingle hashing is the vectorized
@@ -36,14 +37,9 @@ import pyarrow.compute as pc
 import ray
 import ray.data as rd
 from ray.data import Dataset
-from ray.data.aggregate import Max, Min, Sum
+from ray.data.aggregate import Count, Max, Min, Sum
 
-from ..functions.fasthash import (
-    fold_rows,
-    shingle_hashes64,
-    splitmix64,
-    token_hashes64,
-)
+from ..functions.fasthash import fold_rows, shingle_hashes64, token_hashes64
 from ..functions.rounding import np_round as shared_np_round
 
 # deterministic 64-bit universal-hash parameters for MinHash permutations
@@ -229,7 +225,8 @@ def partial_groupby(ds: Dataset, keys: str | list[str],
 
     Both give the keys and one column per ``aggs`` name with the
     partials' types (counts are int64), rows sorted by the keys (null
-    keys last, as one group, like SQL ``GROUP BY``).
+    keys last, as one group, like SQL ``GROUP BY``). With no ``aggs`` it
+    gives the distinct keys.
 
     On zero partial rows it returns one typed empty block: Ray 2.49
     aggregates zero rows into a Dataset whose ``schema()`` is None. The
@@ -259,11 +256,13 @@ def partial_groupby(ds: Dataset, keys: str | list[str],
             [(name, fn) for name, fn, _ in merges])
         return rd.from_arrow(merged.rename_columns(keys + names).sort_by(
             [(k, "ascending") for k in keys]))
-    # Ray widens Min/Max of narrow ints to int64: keep the partials' types
+    # Ray widens Min/Max of narrow ints to int64: keep the partials' types.
+    # A Ray aggregate needs one aggregation: a key dedupe drops a count.
     schema = parts.schema().base_schema
     return parts.groupby(keys).aggregate(
-        *(agg(name, alias_name=name) for name, _, agg in merges)
-    ).map_batches(lambda t: t.cast(schema), batch_format="pyarrow")
+        *[agg(name, alias_name=name) for name, _, agg in merges] or [Count()]
+    ).map_batches(lambda t: t.select(schema.names).cast(schema),
+                  batch_format="pyarrow")
 
 
 def typed_map(ds: Dataset, fn: Callable[[pa.Table], pa.Table]) -> Dataset:
@@ -382,7 +381,8 @@ class MinHasher:
 def _bucket_pairs(
     ids: np.ndarray, sigs: np.ndarray, cap: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Candidate pairs within one blocking bucket, bounded in output size.
+    """Row positions ``(ia, ib)``, ``ids[ia] < ids[ib]``, of the candidate
+    pairs within one blocking bucket, bounded in output size.
 
     - bucket <= cap: exact all-pairs (the common case; test/oracle semantics);
     - bucket > cap: docs sharing an identical full signature collapse into a
@@ -391,70 +391,40 @@ def _bucket_pairs(
       signature representatives only. Components are preserved; only
       redundant intra-cluster edges are dropped (judge round-1 scale fix).
     """
-    order = np.argsort(ids)
-    ids, sigs = ids[order], sigs[order]
-    if len(ids) < 2:
-        return np.array([], dtype=np.int64), np.array([], dtype=np.int64)
+    order = np.argsort(ids, kind="stable")
     if len(ids) <= cap:
         ia, ib = np.triu_indices(len(ids), 1)
-        return ids[ia], ids[ib]
-    out_a, out_b = [], []
-    reps: dict = {}  # sig (opaque hashable: int64 fold or test string) -> min id
-    for d, s in zip(ids, sigs):
-        rep = reps.setdefault(s, int(d))
-        if rep != d:
-            out_a.append(rep)
-            out_b.append(int(d))
-    rep_ids = np.sort(np.fromiter(reps.values(), dtype=np.int64, count=len(reps)))
-    rep_ids = rep_ids[:cap]  # bounded even under adversarial distinct sigs
-    ia, ib = np.triu_indices(len(rep_ids), 1)
-    return (np.concatenate([np.array(out_a, dtype=np.int64), rep_ids[ia]]),
-            np.concatenate([np.array(out_b, dtype=np.int64), rep_ids[ib]]))
+        return order[ia], order[ib]
+    # in id order, first[k] is the min-id row of the k-th distinct signature
+    _, first, inv = np.unique(sigs[order], return_index=True,
+                              return_inverse=True)
+    rep = first[inv]
+    star = np.flatnonzero(ids[order][rep] != ids[order])
+    reps = np.sort(first)[:cap]  # bounded even under adversarial distinct sigs
+    ia, ib = np.triu_indices(len(reps), 1)
+    return (order[np.concatenate([rep[star], reps[ia]])],
+            order[np.concatenate([star, reps[ib]])])
 
 
-_BUCKET_SALT = np.uint64(0xD6E8FEB86659FD93)
+def _bucket_window(ds: Dataset, keys: list[str],
+                   pairs: Callable[[pa.Table], pa.Table],
+                   schema: pa.Schema) -> Dataset:
+    """``segment_window`` over LSH blocking buckets: ``pairs(bucket)`` runs
+    on each key run of at least two rows, the only buckets that can pair.
+    The run lengths are one vectorized ``np.diff``, so singleton buckets —
+    almost every bucket (corpus size x bands keys) — cost no Python call.
+    A block without such a run gives ``schema``'s empty table. ``pairs``
+    returns Arrow: a pandas-block output here made the downstream
+    pair-dedup aggregate ~18x slower (measured 452 s vs 25 s on a 2M-row
+    planted-family pair set)."""
+    def run(t: pa.Table, starts: np.ndarray) -> pa.Table:
+        sizes = np.diff(np.append(starts, t.num_rows))
+        shared = sizes >= 2
+        out = [pairs(t.slice(lo, n)) for lo, n in
+               zip(starts[shared].tolist(), sizes[shared].tolist())]
+        return pa.concat_tables(out) if out else schema.empty_table()
 
-
-def _bucket_key(h: np.ndarray, band: np.ndarray) -> np.ndarray:
-    """Composite uint64 key for a (band, bucket-hash) pair, vectorized."""
-    return splitmix64(h.astype(np.int64).view(np.uint64)
-                      ^ (band.astype(np.int64).view(np.uint64) * _BUCKET_SALT))
-
-
-def _hot_bucket_rows(banded: Dataset, hash_col: str,
-                     band_col: str) -> Dataset | None:
-    """Prune singleton blocking buckets before a per-group pair stage.
-
-    In any LSH blocking scheme ~all buckets are singletons (corpus_size x
-    bands keys) and can never produce a pair, yet per-group pandas
-    ``map_groups`` pays a Python UDF call for EVERY one — measured as the
-    dominant cost of the whole MinHash pipeline at sf0.1. A native count
-    aggregate finds the hot buckets (n >= 2); their composite keys are
-    collected and broadcast ONCE (``ray.put``) — bounded by the colliding
-    (near-dup-candidate) population x bands, the same order as the
-    candidate pair set materialized downstream, NOT by the corpus — and
-    membership is a vectorized ``searchsorted`` per batch. A composite-key
-    collision can only let a singleton row through (its group then emits no
-    pair — harmless), never drop a hot row. Returns None when no bucket is
-    hot. ``banded`` must be materialized (it is consumed twice).
-    """
-    counts = partial_groupby(banded, [band_col, hash_col],
-                             _n=(None, "count_all"))
-    hot = counts.filter(expr="_n >= 2").to_pandas()
-    if hot.empty:
-        return None
-    keys = np.sort(_bucket_key(hot[hash_col].to_numpy(),
-                               hot[band_col].to_numpy()))
-    keys_ref = ray.put(keys)
-
-    def prune(b: pa.Table) -> pa.Table:
-        ks = ray.get(keys_ref)
-        c = _bucket_key(b.column(hash_col).to_numpy(zero_copy_only=False),
-                        b.column(band_col).to_numpy(zero_copy_only=False))
-        idx = np.clip(np.searchsorted(ks, c), 0, len(ks) - 1)
-        return b.filter(pa.array(ks[idx] == c))
-
-    return banded.map_batches(prune, batch_format="pyarrow")
+    return segment_window(ds, keys, run)
 
 
 def minhash_candidate_pairs(
@@ -463,43 +433,35 @@ def minhash_candidate_pairs(
 ) -> Dataset:
     """documents(doc_id, text) -> candidate near-dup pairs (doc_a < doc_b).
 
-    shingle -> minhash -> band explode -> groupby(band) -> bounded pairs.
-    The pair set is deduplicated by a second groupby on (doc_a, doc_b); the
-    shuffle payload is (band_id, band_hash, doc_id, sig_digest) quads and
-    then bare id pairs — never text.
+    shingle -> minhash -> band explode -> bucket runs of (band_id,
+    band_hash) -> bounded pairs (``_bucket_window``). The pair set is
+    deduplicated by one aggregate on (doc_a, doc_b); the shuffle payload
+    is (band_id, band_hash, doc_id, sig_digest) quads and then bare id
+    pairs — never text.
     """
     banded = docs.map_batches(MinHasher(num_perm, bands, k),
                               batch_format="pyarrow").materialize()
 
-    # Singleton buckets are ~all buckets (corpus_size x bands keys) and can
-    # produce no pair, yet per-group pandas map_groups pays a Python UDF
-    # call for EVERY one — measured as the dominant cost of the whole LSH
-    # pipeline at sf0.1 (judge round-2 efficiency pass). Prune first: a
-    # native vectorized count aggregate finds hot buckets (n >= 2), their
-    # keys broadcast once, and the per-group stage runs over hot rows only.
-    banded = _hot_bucket_rows(banded, "band_hash", "band_id")
-    if banded is None:
-        return rd.from_arrow(pa.table({"doc_a": pa.array([], pa.int64()),
-                                       "doc_b": pa.array([], pa.int64())}))
-
     def pairs(g: pa.Table) -> pa.Table:
-        # Arrow in/out: a pandas-block output here makes the downstream
-        # pair-dedup sort-aggregate ~18x slower (measured 452 s vs 25 s on
-        # a 2M-row planted-family pair set — Ray 2.49 pays per-block
-        # pandas->arrow conversions inside the shuffle)
-        a, b = _bucket_pairs(
-            g.column("doc_id").to_numpy(zero_copy_only=False),
-            g.column("sig_digest").to_numpy(zero_copy_only=False), bucket_cap)
-        return pa.table({"doc_a": pa.array(a, pa.int64()),
-                         "doc_b": pa.array(b, pa.int64())})
+        ids = g.column("doc_id").to_numpy(zero_copy_only=False)
+        ia, ib = _bucket_pairs(
+            ids, g.column("sig_digest").to_numpy(zero_copy_only=False),
+            bucket_cap)
+        return pa.table({"doc_a": pa.array(ids[ia], pa.int64()),
+                         "doc_b": pa.array(ids[ib], pa.int64())})
 
-    cand = banded.groupby(["band_id", "band_hash"]).map_groups(
-        pairs, batch_format="pyarrow"
-    )
-    # dedupe pairs found in multiple bands: a native aggregate (the count
-    # is discarded), NOT per-pair map_groups
-    return partial_groupby(cand, ["doc_a", "doc_b"],
-                           _nb=(None, "count_all")).drop_columns(["_nb"])
+    cand = _bucket_window(banded, ["band_id", "band_hash"], pairs, pa.schema(
+        {"doc_a": pa.int64(), "doc_b": pa.int64()}))
+    # dedupe pairs found in multiple bands
+    return partial_groupby(cand, ["doc_a", "doc_b"])
+
+
+def _sorted_pairs(ds: Dataset, keys: Sequence[str] = ("doc_a", "doc_b")
+                  ) -> pd.DataFrame:
+    """A bounded pair set as one driver frame, rows sorted by its two id
+    columns. ``collect_table`` keeps the typed columns of an empty set."""
+    return collect_table(ds).sort_by(
+        [(k, "ascending") for k in keys]).to_pandas()
 
 
 def _pairs_with_texts(cand: Dataset, docs: Dataset) -> Dataset | None:
@@ -524,13 +486,17 @@ def _pairs_with_texts(cand: Dataset, docs: Dataset) -> Dataset | None:
         {"text": "text_b"})
 
 
-def verify_pairs_jaccard(cand: Dataset, docs: Dataset, *, k: int = 3) -> Dataset:
+def verify_pairs_jaccard(cand: Dataset, docs: Dataset, *, k: int = 3,
+                         threshold: float = 0.0) -> Dataset:
     """Distributed exact-Jaccard verify: join candidate id pairs back to the
     corpus for each side (``Dataset.join`` — the join moves candidate rows +
     matched texts, never the whole corpus to the driver), then compute
-    word-k-gram Jaccard per batch. Replaces the round-1 driver-side
-    candidate/text materialization (judge finding: unbounded at 100 TB).
-    Any ``cand`` lineage is safe: both joins go through ``guarded_join``."""
+    word-k-gram Jaccard per batch and keep the pairs at/above
+    ``threshold``. The driver never holds the candidates or their texts
+    (unbounded at 100 TB). Any ``cand`` lineage is safe: both joins go
+    through ``guarded_join``. The filter runs inside the verify kernel, so
+    an empty pair set stays the typed table below (a later map would drop
+    its columns)."""
     with_ab = _pairs_with_texts(cand, docs)
     if with_ab is None:
         return rd.from_arrow(pa.table({
@@ -555,16 +521,16 @@ def verify_pairs_jaccard(cand: Dataset, docs: Dataset, *, k: int = 3) -> Dataset
                 cache[t] = r
             return r
 
-        jac = [
+        jac = shared_np_round(np.asarray([
             1.0 if ta == tb else jaccard(sh(ta or ""), sh(tb or ""))
             for ta, tb in zip(b.column("text_a").to_pylist(),
                               b.column("text_b").to_pylist())
-        ]
+        ], dtype=np.float64), 6)
+        keep = pa.array(jac >= threshold)
         return pa.table({
-            "doc_a": b.column("doc_a"),
-            "doc_b": b.column("doc_b"),
-            "jaccard": pa.array(shared_np_round(np.asarray(jac, dtype=np.float64), 6),
-                                pa.float64()),
+            "doc_a": b.column("doc_a").filter(keep),
+            "doc_b": b.column("doc_b").filter(keep),
+            "jaccard": pa.array(jac, pa.float64()).filter(keep),
         })
 
     return with_ab.map_batches(jac_batch, batch_format="pyarrow")
@@ -582,15 +548,8 @@ def minhash_near_dups(
     J >= 0.9, where 16-band/4-row LSH recall is ~1 - 1e-44, so the result
     equals the SQL all-pairs form exactly (queries.py minhash_near_dups).
     """
-    out = minhash_near_dup_pairs_ds(
-        sf_dir, threshold=threshold, num_perm=num_perm, bands=bands,
-        k=k).to_pandas()
-    if out.empty:
-        return pd.DataFrame({"doc_a": pd.Series(dtype="int64"),
-                             "doc_b": pd.Series(dtype="int64"),
-                             "jaccard": pd.Series(dtype="float64")})
-    return (out.sort_values(["doc_a", "doc_b"]).reset_index(drop=True)
-            .astype({"doc_a": "int64", "doc_b": "int64"}))
+    return _sorted_pairs(minhash_near_dup_pairs_ds(
+        sf_dir, threshold=threshold, num_perm=num_perm, bands=bands, k=k))
 
 
 def minhash_near_dup_pairs_ds(
@@ -608,9 +567,8 @@ def minhash_near_dup_pairs_ds(
     # The verified set is materialized once here: near_dup_clusters
     # counts it and then reads it.
     cand = minhash_candidate_pairs(docs, num_perm=num_perm, bands=bands, k=k)
-    return (verify_pairs_jaccard(cand, docs, k=k)
-            .filter(expr=f"jaccard >= {threshold}")
-            .materialize())
+    return verify_pairs_jaccard(cand, docs, k=k,
+                                threshold=threshold).materialize()
 
 
 # ---------------------------------------------------------------------------
@@ -824,9 +782,8 @@ def ngram_jaccard_pairs_ds(
                          "doc_b": b.column("doc_b")})
 
     survivors = cand.map_batches(prefilter, batch_format="pyarrow")
-    return (verify_pairs_jaccard(survivors, docs, k=k)
-            .filter(expr=f"jaccard >= {threshold}")
-            .materialize())
+    return verify_pairs_jaccard(survivors, docs, k=k,
+                                threshold=threshold).materialize()
 
 
 def ngram_jaccard_dups(
@@ -835,14 +792,8 @@ def ngram_jaccard_dups(
 ) -> pd.DataFrame:
     """``ngram_jaccard_pairs_ds`` materialized to a sorted (doc_a, doc_b,
     jaccard) frame — the verified pair set is the only driver payload."""
-    out = ngram_jaccard_pairs_ds(
-        sf_dir, k=k, df_cap=df_cap, threshold=threshold).to_pandas()
-    if out.empty:
-        return pd.DataFrame({"doc_a": pd.Series(dtype="int64"),
-                             "doc_b": pd.Series(dtype="int64"),
-                             "jaccard": pd.Series(dtype="float64")})
-    return (out.sort_values(["doc_a", "doc_b"]).reset_index(drop=True)
-            .astype({"doc_a": "int64", "doc_b": "int64"}))
+    return _sorted_pairs(ngram_jaccard_pairs_ds(
+        sf_dir, k=k, df_cap=df_cap, threshold=threshold))
 
 
 # ---------------------------------------------------------------------------
@@ -987,15 +938,8 @@ def edit_distance_dups(
 ) -> pd.DataFrame:
     """``edit_distance_pairs_ds`` materialized to a sorted (doc_a, doc_b,
     edit_dist) frame — the verified pair set is the only driver payload."""
-    out = edit_distance_pairs_ds(
-        sf_dir, k=k, df_cap=df_cap, max_dist=max_dist).to_pandas()
-    if out.empty:
-        return pd.DataFrame({"doc_a": pd.Series(dtype="int64"),
-                             "doc_b": pd.Series(dtype="int64"),
-                             "edit_dist": pd.Series(dtype="int64")})
-    return (out.sort_values(["doc_a", "doc_b"]).reset_index(drop=True)
-            .astype({"doc_a": "int64", "doc_b": "int64",
-                     "edit_dist": "int64"}))
+    return _sorted_pairs(edit_distance_pairs_ds(
+        sf_dir, k=k, df_cap=df_cap, max_dist=max_dist))
 
 
 # ---------------------------------------------------------------------------
@@ -1106,48 +1050,15 @@ def _hamming_vec(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def _simhash_bucket_pairs(
     ids: np.ndarray, sigs: np.ndarray, max_hamming: int, cap: int
-) -> pd.DataFrame:
-    """Verified near-dup pairs within one band bucket, bounded output.
-
-    bucket <= cap: exact all-pairs + Hamming filter. bucket > cap (mass-
-    duplicated corpora): identical-simhash groups collapse to min-id stars
-    (hamming 0 by definition) and all-pairs run over <=cap distinct-value
-    representatives — connected components preserved, O(n) instead of
-    O(n^2) pairs (judge round-1 scale fix)."""
-    order = np.argsort(ids)
-    ids, sigs = ids[order], sigs[order]
-    empty = pd.DataFrame({"doc_a": pd.Series(dtype="int64"),
-                          "doc_b": pd.Series(dtype="int64"),
-                          "hamming": pd.Series(dtype="int64")})
-    if len(ids) < 2:
-        return empty
-    if len(ids) <= cap:
-        ia, ib = np.triu_indices(len(ids), 1)
-        ham = _hamming_vec(sigs[ia], sigs[ib])
-        keep = ham <= max_hamming
-        return pd.DataFrame({"doc_a": ids[ia[keep]], "doc_b": ids[ib[keep]],
-                             "hamming": ham[keep]})
-    out_a, out_b, out_h = [], [], []
-    reps: dict[int, int] = {}
-    for d, s in zip(ids, sigs):
-        rep = reps.setdefault(int(s), int(d))
-        if rep != d:
-            out_a.append(rep)
-            out_b.append(int(d))
-            out_h.append(0)
-    rep_items = sorted(reps.items(), key=lambda kv: kv[1])[:cap]
-    rep_sigs = np.array([s for s, _ in rep_items], dtype=np.int64)
-    rep_ids = np.array([d for _, d in rep_items], dtype=np.int64)
-    ia, ib = np.triu_indices(len(rep_ids), 1)
-    ham = _hamming_vec(rep_sigs[ia], rep_sigs[ib])
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Verified near-dup pairs within one band bucket as (doc_a, doc_b,
+    hamming) arrays: ``_bucket_pairs``' candidates whose full signatures
+    differ in at most ``max_hamming`` bits. Above ``cap`` its star pairs
+    share a signature, so they pass at distance 0."""
+    ia, ib = _bucket_pairs(ids, sigs, cap)
+    ham = _hamming_vec(sigs[ia], sigs[ib])
     keep = ham <= max_hamming
-    lo = np.minimum(rep_ids[ia[keep]], rep_ids[ib[keep]])
-    hi = np.maximum(rep_ids[ia[keep]], rep_ids[ib[keep]])
-    return pd.DataFrame({
-        "doc_a": np.concatenate([np.array(out_a, dtype=np.int64), lo]),
-        "doc_b": np.concatenate([np.array(out_b, dtype=np.int64), hi]),
-        "hamming": np.concatenate([np.array(out_h, dtype=np.int64), ham[keep]]),
-    })
+    return ids[ia[keep]], ids[ib[keep]], ham[keep]
 
 
 def simhash_near_dups(sf_dir: str, *, max_hamming: int = 3,
@@ -1166,11 +1077,10 @@ def simhash_near_dups(sf_dir: str, *, max_hamming: int = 3,
     trade, and the catalog golden pins its behavior.
 
     One pass: signatures explode to (band_id, band_val, doc_id, simhash)
-    rows, ONE groupby over (band_id, band_val) emits per-bucket verified
-    pairs, and a second groupby on (doc_a, doc_b) dedupes pairs found in
-    multiple bands — fully distributed union (the round-1 version re-ran
-    the signature stage 4x and concatenated per-band pandas frames on the
-    driver; judge finding)."""
+    rows, each (band_id, band_val) bucket run of two or more docs emits
+    its verified pairs (``_bucket_window``), and one aggregate on (doc_a,
+    doc_b) dedupes pairs found in multiple bands — a fully distributed
+    union; the signature stage runs once for all four bands."""
     sigs = simhash_signatures(sf_dir)
 
     def explode(b: pa.Table) -> pa.Table:
@@ -1185,48 +1095,24 @@ def simhash_near_dups(sf_dir: str, *, max_hamming: int = 3,
             }))
         return pa.concat_tables(frames)
 
-    empty = pd.DataFrame({"doc_a": pd.Series(dtype="int64"),
-                          "doc_b": pd.Series(dtype="int64"),
-                          "hamming": pd.Series(dtype="int64")})
-    # singleton sub-band buckets can't pair — prune them before the
-    # per-group stage (same rationale/bound as minhash_candidate_pairs)
     exploded = sigs.map_batches(explode, batch_format="pyarrow").materialize()
-    exploded = _hot_bucket_rows(exploded, "band_val", "band_id")
-    if exploded is None:
-        return empty
 
     def pairs(g: pa.Table) -> pa.Table:
-        # Arrow out for the same 18x pair-dedup-aggregate reason as
-        # minhash_candidate_pairs.pairs
-        df = _simhash_bucket_pairs(
+        a, b, ham = _simhash_bucket_pairs(
             g.column("doc_id").to_numpy(zero_copy_only=False),
             g.column("simhash").to_numpy(zero_copy_only=False),
-            max_hamming, bucket_cap,
-        )
-        return pa.table({
-            "doc_a": pa.array(df["doc_a"].to_numpy(np.int64), pa.int64()),
-            "doc_b": pa.array(df["doc_b"].to_numpy(np.int64), pa.int64()),
-            "hamming": pa.array(df["hamming"].to_numpy(np.int64), pa.int64()),
-        })
+            max_hamming, bucket_cap)
+        return pa.table({"doc_a": pa.array(a, pa.int64()),
+                         "doc_b": pa.array(b, pa.int64()),
+                         "hamming": pa.array(ham, pa.int64())})
 
-    cand = exploded.groupby(["band_id", "band_val"]).map_groups(
-        pairs, batch_format="pyarrow"
-    ).materialize()
-    if cand.count() == 0:  # every hot bucket failed the Hamming filter
-        return empty
+    cand = _bucket_window(exploded, ["band_id", "band_val"], pairs, pa.schema(
+        {"doc_a": pa.int64(), "doc_b": pa.int64(), "hamming": pa.int64()}))
     # dedupe pairs found in multiple bands: hamming is a function of the
     # two signatures so duplicates agree on it — a native Min aggregate
-    # keeps the value without a per-pair Python map_groups call
-    uniq = partial_groupby(cand, ["doc_a", "doc_b"],
-                           hamming=("hamming", "min"))
-    allp = uniq.to_pandas()
-    if allp.empty:
-        return empty
-    return (
-        allp.sort_values(["doc_a", "doc_b"])
-        .reset_index(drop=True)
-        .astype({"doc_a": "int64", "doc_b": "int64", "hamming": "int64"})
-    )
+    # keeps the value
+    return _sorted_pairs(partial_groupby(cand, ["doc_a", "doc_b"],
+                                         hamming=("hamming", "min")))
 
 
 # ---------------------------------------------------------------------------
@@ -1281,6 +1167,40 @@ class HyperplaneHasher:
         return pa.table(cols)
 
 
+def _cosine_bucket_pairs(g: pa.Table, threshold: float,
+                         cap: int) -> pa.Table:
+    """Verified (vec_a, vec_b, cos) pairs within one hyperplane bucket of
+    (vec_id, emb_bytes) rows: exact pairwise cosine over the bucket's
+    first ``cap`` distinct ids, kept at/above ``threshold``."""
+    _PAIR_TILE = 1 << 16  # bound per-bucket pair-array memory
+    all_ids = g.column("vec_id").to_numpy(zero_copy_only=False)
+    # unique+sort: a repeated vec_id in the input would otherwise form
+    # a degenerate (x, x) self-pair with cos 1.0
+    _, first_idx = np.unique(all_ids, return_index=True)
+    first_idx = first_idx[:cap]  # capped all-pairs guard
+    ids = all_ids[first_idx]
+    emb_bytes = g.column("emb_bytes").to_pylist()
+    X = np.stack([np.frombuffer(emb_bytes[i], dtype=np.float32)
+                  for i in first_idx]).astype(np.float64)
+    Xn = X / np.maximum(np.linalg.norm(X, axis=1, keepdims=True), 1e-12)
+    ia, ib = np.triu_indices(len(ids), 1)
+    outs_a, outs_b, outs_c = [all_ids[:0]], [all_ids[:0]], [np.zeros(0)]
+    for s in range(0, len(ia), _PAIR_TILE):
+        sa, sb = ia[s:s + _PAIR_TILE], ib[s:s + _PAIR_TILE]
+        # same elementwise-dot reduction as the previous join-side
+        # verify kernel — cos values are bit-identical to the golden
+        cos = shared_np_round((Xn[sa] * Xn[sb]).sum(axis=1), 6)
+        keep = cos >= threshold
+        outs_a.append(ids[sa[keep]])
+        outs_b.append(ids[sb[keep]])
+        outs_c.append(cos[keep])
+    return pa.table({
+        "vec_a": pa.array(np.concatenate(outs_a).astype(np.int64), pa.int64()),
+        "vec_b": pa.array(np.concatenate(outs_b).astype(np.int64), pa.int64()),
+        "cos": pa.array(np.concatenate(outs_c), pa.float64()),
+    })
+
+
 def embedding_near_dups_lsh(
     sf_dir: str, *, threshold: float = 0.9, bits: int = 8, tables: int = 8,
     bucket_cap: int = BUCKET_CAP,
@@ -1289,12 +1209,13 @@ def embedding_near_dups_lsh(
     cosine verify — the content-blind scale path next to the label-blocked
     exact form (queries.q_embedding_dup_pairs).
 
-    Candidates AND verify in one grouped pass: vectors ride the
+    Candidates AND verify in one bucketed pass: vectors ride the
     (table, bucket, vec_id) explode as packed float32 bytes (tables x
     vector-size shuffle payload — the standard LSH trade against joining
-    vectors back per candidate), each bucket group computes exact pairwise
-    cosine over its (capped) members and emits only pairs at/above the
-    threshold. A tiny groupby then dedupes survivors across tables. At
+    vectors back per candidate), each (table_id, bucket) run of two or
+    more rows computes exact pairwise cosine over its (capped) members
+    (``_cosine_bucket_pairs``) and emits only pairs at/above the
+    threshold. A tiny aggregate then dedupes survivors across tables. At
     dense blocking parameters this avoids materializing the O(bucket^2)
     candidate set entirely — in-bucket verify emits survivors only, where
     the old candidates->join->verify plan shuffled ~12M pair rows through
@@ -1305,63 +1226,17 @@ def embedding_near_dups_lsh(
     banded = emb.map_batches(
         HyperplaneHasher(bits, tables, carry_vectors=True),
         batch_format="pyarrow")
-
-    _PAIR_TILE = 1 << 16  # bound per-bucket pair-array memory
-
-    def verify_bucket(g: pa.Table) -> pa.Table:
-        # Arrow in/out (the survivor-dedupe aggregate downstream is ~18x
-        # slower over pandas blocks; see minhash_candidate_pairs.pairs)
-        empty_g = pa.table({"vec_a": pa.array([], pa.int64()),
-                            "vec_b": pa.array([], pa.int64()),
-                            "cos": pa.array([], pa.float64())})
-        all_ids = g.column("vec_id").to_numpy(zero_copy_only=False)
-        # unique+sort: a repeated vec_id in the input would otherwise form
-        # a degenerate (x, x) self-pair with cos 1.0 (robustness guard the
-        # rewrite had dropped; review finding)
-        _, first_idx = np.unique(all_ids, return_index=True)
-        if len(first_idx) < 2:
-            return empty_g
-        first_idx = first_idx[:bucket_cap]  # capped all-pairs guard
-        ids = all_ids[first_idx]
-        emb_bytes = g.column("emb_bytes").to_pylist()
-        X = np.stack([np.frombuffer(emb_bytes[i], dtype=np.float32)
-                      for i in first_idx]).astype(np.float64)
-        Xn = X / np.maximum(np.linalg.norm(X, axis=1, keepdims=True), 1e-12)
-        ia, ib = np.triu_indices(len(ids), 1)
-        outs_a, outs_b, outs_c = [], [], []
-        for s in range(0, len(ia), _PAIR_TILE):
-            sa, sb = ia[s:s + _PAIR_TILE], ib[s:s + _PAIR_TILE]
-            # same elementwise-dot reduction as the previous join-side
-            # verify kernel — cos values are bit-identical to the golden
-            cos = shared_np_round((Xn[sa] * Xn[sb]).sum(axis=1), 6)
-            keep = cos >= threshold
-            outs_a.append(ids[sa[keep]])
-            outs_b.append(ids[sb[keep]])
-            outs_c.append(cos[keep])
-        if not outs_a:
-            return empty_g
-        return pa.table({
-            "vec_a": pa.array(np.concatenate(outs_a).astype(np.int64),
-                              pa.int64()),
-            "vec_b": pa.array(np.concatenate(outs_b).astype(np.int64),
-                              pa.int64()),
-            "cos": pa.array(np.concatenate(outs_c), pa.float64()),
-        })
-
+    verified = _bucket_window(
+        banded, ["table_id", "bucket"],
+        lambda g: _cosine_bucket_pairs(g, threshold, bucket_cap),
+        pa.schema({"vec_a": pa.int64(), "vec_b": pa.int64(),
+                   "cos": pa.float64()}))
     # cross-table dedupe: one tiny aggregate over survivors (cos is
     # identical for the same pair in every table, so max is a no-op
     # merge), never the candidate set
-    survivors = partial_groupby(
-        banded.groupby(["table_id", "bucket"])
-        .map_groups(verify_bucket, batch_format="pyarrow"),
-        ["vec_a", "vec_b"], cos=("cos", "max"))
-    out = survivors.to_pandas()
-    if out.empty:
-        return pd.DataFrame({"vec_a": pd.Series(dtype="int64"),
-                             "vec_b": pd.Series(dtype="int64"),
-                             "cos": pd.Series(dtype="float64")})
-    return (out.sort_values(["vec_a", "vec_b"]).reset_index(drop=True)
-            .astype({"vec_a": "int64", "vec_b": "int64"}))
+    return _sorted_pairs(partial_groupby(verified, ["vec_a", "vec_b"],
+                                         cos=("cos", "max")),
+                         ("vec_a", "vec_b"))
 
 
 # ---------------------------------------------------------------------------
@@ -1571,11 +1446,7 @@ def near_dup_clusters(sf_dir: str, *, threshold: float = 0.5) -> "Dataset":
     if n_pairs > CLUSTER_PAIRS_BROADCAST_MAX:
         return _clusters_distributed(pairs_ds, docs)
 
-    pairs = pairs_ds.to_pandas()
-    if pairs.empty:
-        pairs = pd.DataFrame({"doc_a": pd.Series(dtype="int64"),
-                              "doc_b": pd.Series(dtype="int64")})
-    label, size = cluster_pairs(pairs)
+    label, size = cluster_pairs(collect_table(pairs_ds).to_pandas())
     maps_ref = _ray.put((label, size))
 
     def assign(batch: pa.Table) -> pa.Table:
@@ -1590,4 +1461,5 @@ def near_dup_clusters(sf_dir: str, *, threshold: float = 0.5) -> "Dataset":
                 [1 if i == c else 0 for i, c in zip(ids, cl)], pa.int64()),
         })
 
-    return docs.map_batches(assign, batch_format="pyarrow")
+    # typed_map: a map over a zero-row read would lose the columns
+    return typed_map(docs, assign)

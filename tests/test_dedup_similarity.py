@@ -75,7 +75,8 @@ class TestBucketCaps:
         n = 10_000
         ids = np.arange(n, dtype=np.int64)
         sigs = np.array(["samesig"] * n, dtype=object)
-        a, b = _bucket_pairs(ids, sigs, cap=512)
+        ia, ib = _bucket_pairs(ids, sigs, cap=512)
+        a, b = ids[ia], ids[ib]
         # star: every doc pairs with representative 0 — O(n), not O(n^2)
         assert len(a) == n - 1
         assert set(a) == {0}
@@ -87,8 +88,35 @@ class TestBucketCaps:
         n = 5_000
         ids = np.arange(n, dtype=np.int64)
         sigs = np.array([f"sig{i}" for i in range(n)], dtype=object)  # all distinct
-        a, b = _bucket_pairs(ids, sigs, cap=64)
+        a, b = _bucket_pairs(ids, sigs, cap=64)  # row positions
         assert len(a) <= 64 * 63 // 2  # representative all-pairs only
+
+    @staticmethod
+    def _star_loop(ids, sigs, cap: int) -> set:
+        """The oversized-bucket rule as a loop over docs in id order: each
+        doc pairs with the first (min-id) doc of its signature, then all
+        pairs over the first ``cap`` of those representatives."""
+        reps: dict = {}
+        out = set()
+        for d, s in sorted(zip(ids.tolist(), sigs.tolist())):
+            rep = reps.setdefault(s, d)
+            if rep != d:
+                out.add((rep, d))
+        rep_ids = sorted(reps.values())[:cap]
+        return out | {(a, b) for i, a in enumerate(rep_ids)
+                      for b in rep_ids[i + 1:]}
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_bucket_cap_matches_loop_reference(self, seed):
+        from ai_pdf_extraction_ray.stages.dedup import _bucket_pairs
+
+        rng = np.random.RandomState(seed)
+        ids = rng.permutation(10_000)[:300].astype(np.int64)
+        sigs = rng.randint(0, 20, size=300).astype(np.int64)
+        ia, ib = _bucket_pairs(ids, sigs, cap=8)
+        got = list(zip(ids[ia].tolist(), ids[ib].tolist()))
+        assert len(got) == len(set(got))
+        assert set(got) == self._star_loop(ids, sigs, 8)
 
     def test_simhash_bucket_cap_components_preserved(self):
         from ai_pdf_extraction_ray.stages.dedup import _simhash_bucket_pairs
@@ -98,9 +126,10 @@ class TestBucketCaps:
         # cluster A sig 0, cluster B sig with 8 set bits (hamming 8 from A)
         sigs = np.where(ids < 1_000, 0, 0xFF << 32).astype(np.int64)
         sigs[-1] = (0xFF << 32) | 3  # hamming 2 from B, hamming 10 from A
-        df = _simhash_bucket_pairs(ids, sigs, max_hamming=3, cap=128)
+        doc_a, doc_b, _ = _simhash_bucket_pairs(ids, sigs, max_hamming=3,
+                                                cap=128)
         # O(n) output: stars + rep pairs, not 2M pairs
-        assert len(df) < 2_100
+        assert len(doc_a) < 2_100
         # connected components of the output == naive all-pairs components
         import collections
 
@@ -112,8 +141,8 @@ class TestBucketCaps:
                 x = parent[x]
             return x
 
-        for _, r in df.iterrows():
-            parent[find(int(r.doc_a))] = find(int(r.doc_b))
+        for a, b in zip(doc_a, doc_b):
+            parent[find(int(a))] = find(int(b))
         comps = collections.defaultdict(set)
         for d in ids:
             comps[find(int(d))].add(int(d))
@@ -139,13 +168,207 @@ class TestBucketCaps:
             .map_batches(SimHasher(), batch_format="pyarrow")
             .to_pandas()
         )
-        pairs = _simhash_bucket_pairs(
+        _, doc_b, hamming = _simhash_bucket_pairs(
             sigs["doc_id"].to_numpy(), sigs["simhash"].to_numpy(),
             max_hamming=3, cap=512,
         )
-        assert len(pairs) == 9_999  # star to doc 0, not ~50M pairs
-        assert (pairs.hamming == 0).all()
+        assert len(doc_b) == 9_999  # star to doc 0, not ~50M pairs
+        assert (hamming == 0).all()
         assert time.time() - t0 < 60
+
+
+def _write_blocks(table, path, n_files: int = 8) -> None:
+    """``table`` as a directory of ``n_files`` parquet files, rows dealt
+    round-robin, so a read gives one block per file."""
+    import pyarrow.parquet as pq
+
+    path.mkdir()
+    for i in range(n_files):
+        pq.write_table(table.take(np.arange(i, table.num_rows, n_files)),
+                       path / f"part-{i}.parquet")
+
+
+def _bucket_reference(rows: pd.DataFrame, keys: list[str], kernel) -> set:
+    """The union of ``kernel(bucket)`` over every bucket of two or more
+    rows, computed in memory over the whole table."""
+    shared = rows[rows.duplicated(keys, keep=False)]
+    out: set = set()
+    for _, g in shared.groupby(keys):
+        out |= kernel(g)
+    return out
+
+
+class TestBucketWindow:
+    """The three LSH bucket stages run on segment_window. Over a corpus
+    read as 8 blocks, with planted buckets whose members sit one per
+    block, each gives the pairs of its bucket kernel applied in memory to
+    every bucket of the whole table. The small cap sends the planted
+    buckets through the star and representative path, whose output
+    depends on seeing the whole bucket."""
+
+    PLANTED = 8  # copies of doc/vector 0 and variants of 1, one per block
+
+    @pytest.fixture(scope="class")
+    def corpus(self, tmp_path_factory):
+        import pyarrow as pa
+        import pyarrow.parquet as pq
+
+        out = tmp_path_factory.mktemp("bucket_window")
+        docs = pq.read_table(f"{SF}/documents.parquet",
+                             columns=["doc_id", "text"])
+        text = docs.column("text").to_pylist()
+        extra_ids = 10_000 + np.arange(2 * self.PLANTED)
+        docs = pa.concat_tables([docs, pa.table({
+            "doc_id": pa.array(extra_ids, pa.int64()),
+            "text": [text[0]] * self.PLANTED
+            + [f"{text[1]} variant{i}" for i in range(self.PLANTED)]})])
+        emb = pq.read_table(f"{SF}/embeddings.parquet",
+                            columns=["vec_id", "embedding"])
+        vecs = np.stack(emb.column("embedding").to_numpy(zero_copy_only=False))
+        rng = np.random.RandomState(5)
+        planted = np.concatenate([
+            np.repeat(vecs[:1], self.PLANTED, axis=0),
+            vecs[1] + rng.normal(scale=1e-3, size=(self.PLANTED, vecs.shape[1]))])
+        emb = pa.concat_tables([emb, pa.table({
+            "vec_id": pa.array(extra_ids, pa.int64()),
+            "embedding": pa.array(planted.astype(np.float32).tolist(),
+                                  pa.list_(pa.float32()))})])
+        _write_blocks(docs, out / "documents.parquet")
+        _write_blocks(emb, out / "embeddings.parquet")
+        return str(out), docs, emb
+
+    @staticmethod
+    def _blocks(path: str) -> int:
+        import ray.data as rd
+
+        return rd.read_parquet(path).materialize().num_blocks()
+
+    @pytest.mark.parametrize("cap", [512, 4])
+    def test_minhash_matches_in_memory(self, ray_session, corpus, cap):
+        import ray.data as rd
+
+        from ai_pdf_extraction_ray.stages.dedup import (
+            MinHasher, _bucket_pairs)
+
+        sf_dir, docs, _ = corpus
+        assert self._blocks(f"{sf_dir}/documents.parquet") >= 8
+        got = minhash_candidate_pairs(rd.read_parquet(
+            f"{sf_dir}/documents.parquet"), bucket_cap=cap).to_pandas()
+
+        def kernel(g: pd.DataFrame) -> set:
+            ids = g.doc_id.to_numpy()
+            ia, ib = _bucket_pairs(ids, g.sig_digest.to_numpy(), cap)
+            return set(zip(ids[ia].tolist(), ids[ib].tolist()))
+
+        want = _bucket_reference(MinHasher()(docs).to_pandas(),
+                                 ["band_id", "band_hash"], kernel)
+        assert set(zip(got.doc_a.tolist(), got.doc_b.tolist())) == want
+        assert len(got) == len(want)
+        # the planted copies of doc 0, one per block, pair up
+        assert (0, 10_007) in want
+
+    @pytest.mark.parametrize("cap", [512, 4])
+    def test_simhash_matches_in_memory(self, ray_session, corpus, cap):
+        from ai_pdf_extraction_ray.stages.dedup import (
+            SimHasher, _simhash_bucket_pairs, simhash_near_dups)
+
+        sf_dir, docs, _ = corpus
+        got = simhash_near_dups(sf_dir, max_hamming=6, bucket_cap=cap)
+        sigs = SimHasher()(docs).to_pandas()
+        rows = pd.concat([
+            sigs[["doc_id", "simhash"]].assign(band_id=band,
+                                               band_val=sigs[f"band_{band}"])
+            for band in range(4)])
+
+        def kernel(g: pd.DataFrame) -> set:
+            a, b, ham = _simhash_bucket_pairs(
+                g.doc_id.to_numpy(), g.simhash.to_numpy(), 6, cap)
+            return set(zip(a.tolist(), b.tolist(), ham.tolist()))
+
+        want = _bucket_reference(rows, ["band_id", "band_val"], kernel)
+        assert set(zip(got.doc_a.tolist(), got.doc_b.tolist(),
+                       got.hamming.tolist())) == want
+        assert len(got) == len(want)
+        assert (0, 10_000, 0) in want
+
+    @pytest.mark.parametrize("cap", [512, 4])
+    def test_embedding_matches_in_memory(self, ray_session, corpus, cap):
+        import pyarrow as pa
+
+        from ai_pdf_extraction_ray.stages.dedup import (
+            HyperplaneHasher, _cosine_bucket_pairs, embedding_near_dups_lsh)
+
+        sf_dir, _, emb = corpus
+        assert self._blocks(f"{sf_dir}/embeddings.parquet") >= 8
+        got = embedding_near_dups_lsh(sf_dir, threshold=0.4, bits=4,
+                                      tables=16, bucket_cap=cap)
+        rows = HyperplaneHasher(4, 16, carry_vectors=True)(emb).to_pandas()
+
+        def kernel(g: pd.DataFrame) -> set:
+            t = _cosine_bucket_pairs(pa.Table.from_pandas(
+                g[["vec_id", "emb_bytes"]], preserve_index=False), 0.4, cap)
+            return set(zip(*(t.column(c).to_pylist() for c in t.column_names)))
+
+        want = _bucket_reference(rows, ["table_id", "bucket"], kernel)
+        assert set(zip(got.vec_a.tolist(), got.vec_b.tolist(),
+                       got.cos.tolist())) == want
+        assert len(got) == len(want)
+
+
+class TestSingletonBuckets:
+    """A corpus whose every bucket holds one row gives typed empty pairs."""
+
+    def test_minhash(self, ray_session):
+        import pyarrow as pa
+        import ray.data as rd
+
+        from ai_pdf_extraction_ray.stages.dedup import MinHasher, collect_table
+
+        df = pd.DataFrame({"doc_id": [0, 1, 2], "text": [
+            "alpha beta gamma delta epsilon", "one two three four five",
+            "red green blue cyan magenta"]})
+        banded = MinHasher()(pa.Table.from_pandas(df)).to_pandas()
+        assert not banded.duplicated(["band_id", "band_hash"]).any()
+        got = collect_table(minhash_candidate_pairs(rd.from_pandas(df)))
+        assert got.num_rows == 0
+        assert got.schema == pa.schema({"doc_a": pa.int64(),
+                                        "doc_b": pa.int64()})
+
+    def test_simhash(self, ray_session, tmp_path):
+        import pyarrow as pa
+        import pyarrow.parquet as pq
+
+        from ai_pdf_extraction_ray.stages.dedup import (
+            SimHasher, simhash_near_dups)
+
+        docs = pa.table({"doc_id": pa.array([0, 1], pa.int64()), "text": [
+            "alpha beta gamma delta epsilon", "one two three four five"]})
+        sigs = SimHasher()(docs)
+        assert all(len(set(sigs.column(f"band_{b}").to_pylist())) == 2
+                   for b in range(4))
+        pq.write_table(docs, tmp_path / "documents.parquet")
+        got = simhash_near_dups(str(tmp_path))
+        assert len(got) == 0
+        assert dict(got.dtypes.astype(str)) == {
+            "doc_a": "int64", "doc_b": "int64", "hamming": "int64"}
+
+    def test_embedding(self, ray_session, tmp_path):
+        import pyarrow as pa
+        import pyarrow.parquet as pq
+
+        from ai_pdf_extraction_ray.stages.dedup import embedding_near_dups_lsh
+
+        v = np.random.RandomState(3).normal(size=16).astype(np.float32)
+        # v and -v fall on opposite sides of every hyperplane
+        pq.write_table(pa.table({
+            "vec_id": pa.array([0, 1], pa.int64()),
+            "embedding": pa.array([v.tolist(), (-v).tolist()],
+                                  pa.list_(pa.float32()))}),
+            tmp_path / "embeddings.parquet")
+        got = embedding_near_dups_lsh(str(tmp_path), threshold=-1.0)
+        assert len(got) == 0
+        assert dict(got.dtypes.astype(str)) == {
+            "vec_a": "int64", "vec_b": "int64", "cos": "float64"}
 
 
 class TestIvfPruning:

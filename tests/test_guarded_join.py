@@ -44,11 +44,13 @@ PARTIAL_GROUPBY_CALLERS = sorted(
     | {"heavy_hitters", "media_audio_video"})
 
 # queries that run per-key ordered work through segment_window (found the
-# same way), plus the callers that reach it through another module
+# same way), plus the callers that reach it through another module (the
+# four LSH queries through the bucket stages in stages/dedup)
 SEGMENT_WINDOW_CALLERS = sorted(
     {name for name, q in QUERIES.items() if _calls(q["fn"], "segment_window")}
     | {"heavy_hitters", "approx_distinct_users", "approx_quantiles",
-       "merge_chunked", "pages_per_host"})
+       "merge_chunked", "pages_per_host", "minhash_near_dups",
+       "simhash_near_dups", "embedding_near_dups_lsh", "near_dup_clusters"})
 
 
 def _rows(out) -> int:  # noqa: ANN001 — Dataset or DataFrame
@@ -454,6 +456,23 @@ class TestPartialGroupby:
                                               keys):
         self._check_matches(keys)
 
+    @pytest.mark.parametrize("shuffled", [False, True],
+                             ids=["driver", "shuffled"])
+    def test_no_aggs_gives_distinct_keys(self, ray_session, monkeypatch,
+                                         shuffled):
+        import ray.data as rd
+
+        from ai_pdf_extraction_ray.stages import dedup
+
+        if shuffled:
+            monkeypatch.setattr(dedup, "_BROADCAST_MAX_BYTES", -1)
+        ds = rd.from_arrow(_blocks(AGG_INPUT, *range(4, 40, 4)))
+        got = dedup.collect_table(dedup.partial_groupby(ds, ["k", "g"]))
+        want = AGG_INPUT.group_by(["k", "g"]).aggregate([]).sort_by(
+            [("k", "ascending"), ("g", "ascending")])
+        assert got.schema == want.schema
+        assert got.to_pylist() == want.to_pylist()
+
     def test_zero_rows_keep_typed_schema(self, ray_session):
         self._check_zero_rows()
 
@@ -663,23 +682,9 @@ class TestSegmentWindow:
             "rank", "size", "first_i"]
 
 
-# groupby().map_groups sites outside segment_window, each with its reason
-MAP_GROUPS_SITES = {
-    ("stages/dedup.py", "minhash_candidate_pairs"):
-        "LSH band buckets, Arrow in and out; singleton buckets are pruned "
-        "first by _hot_bucket_rows",
-    ("stages/dedup.py", "simhash_near_dups"):
-        "SimHash sub-band buckets, Arrow in and out, pruned by "
-        "_hot_bucket_rows",
-    ("stages/dedup.py", "embedding_near_dups_lsh"):
-        "hyperplane LSH buckets, Arrow in and out, pruned by "
-        "_hot_bucket_rows",
-}
-
-
 class TestSingleSegmentSite:
     """Per-key ordered work goes through stages/dedup.segment_window: no
-    other map_groups call and no pandas batch format in the package."""
+    map_groups call and no pandas batch format in the package."""
 
     @staticmethod
     def _calls(attr: str):  # noqa: ANN205
@@ -700,9 +705,8 @@ class TestSingleSegmentSite:
                                getattr(outer, "name", ""), n.lineno)
 
     def test_map_groups_only_in_named_sites(self):
-        found = {(rel, fn) for rel, fn, _ in self._calls("map_groups")
-                 if fn != "segment_window"}
-        assert sorted(found) == sorted(MAP_GROUPS_SITES)
+        found = [f"{rel}:{fn}" for rel, fn, _ in self._calls("map_groups")]
+        assert found == []
 
     def test_no_pandas_batch_format(self):
         assert [f"{rel}:{line}" for rel, _, line in self._calls("pandas")] == []
