@@ -11,13 +11,14 @@ Operator provenance is cited per query (SURVEY.md §2 ids).
 
 Scale notes (100 TB posture) are attached per query:
 - decomposable aggregations go through ``stages/dedup.partial_groupby``:
-  per-block Arrow partials before the (small) global ``groupby`` — the
-  shuffle moves partial sums, not rows; bounded driver-side reads go
+  per-block Arrow partials before one small merge — the shuffle, when
+  there is one, moves partial sums, not rows; bounded driver-side reads go
   through ``stages/dedup.collect_table``;
 - small sides (dimension tables, correction deltas, query vectors) are
   broadcast once via ``ray.put`` and read inside the stage, never shuffled;
-- the only row-moving shuffles are the dedup hash groupby and explicit
-  sorts.
+- the only all-to-all exchange is a key sort (``segment_window``,
+  which the large aggregates and joins run on too) or an explicit
+  ``Dataset.sort``.
 """
 
 from __future__ import annotations
@@ -583,7 +584,7 @@ def _revenue_rollup(sf_dir: str, nation_keys: np.ndarray,
     Orders pre-aggregate to customer grain, then join customer through
     ``guarded_join``, which picks the physical join from the sides' sizes:
     a customer-grain side under its broadcast threshold (every test scale)
-    is broadcast with no shuffle, a large one is hash-shuffled. The
+    is broadcast with no shuffle, a large one is sort-joined. The
     dimension's sorted nationkeys and aligned ``names`` ride in the
     per-batch lookup's closure (miss -> dropped, inner-join semantics).
     Partial sums per batch, then a groupby over at most 25 names.
@@ -740,10 +741,10 @@ def q_corrections_upsert(sf_dir: str) -> Dataset:
 
     The delta (synthesized: upper-cased text for every doc_id % 20 == 3)
     stays DISTRIBUTED end to end: filter + transform as Dataset stages, then
-    a left_outer ``Dataset.join`` back onto the corpus with last-writer-wins
+    a left_outer ``guarded_join`` back onto the corpus with last-writer-wins
     coalesce per batch. A delta under ``guarded_join``'s broadcast
     threshold is joined by broadcast (the right side of a left_outer), a
-    larger one by hash shuffle; it is never collected into a driver dict
+    larger one by a key sort; it is never collected into a driver dict
     (round-1 did that, corpus-proportional at 100 TB).
     """
     docs = _docs(sf_dir, ["doc_id", "text"])
@@ -968,13 +969,14 @@ def q_users_intersect(sf_dir: str) -> Dataset:
 NTILE_VALUE_RANGES = 256   # equal-width value bins per distributed rank
 
 
-def _binned_counts(ds: Dataset) -> tuple[Dataset, pd.DataFrame]:
+def _binned_counts(ds: Dataset) -> tuple[Dataset, pa.Table, np.ndarray]:
     """Shared decomposition behind q_value_ntile (distributed rank) and
     q_quantiles (distributed selection): equal-width value binning over
     the observed span plus the bounded per-(event_type, bin) count table.
     ``ds`` must be materialized and non-empty. Returns (binned dataset,
     count table sorted by (event_type, bin) — |types| x NTILE_VALUE_RANGES
-    rows at most, safe to hold on the driver)."""
+    rows at most, safe to hold on the driver — and the first row of each
+    event type in it)."""
     mm = ds.aggregate(Min("value"), Max("value"))
     lo, hi = mm["min(value)"], mm["max(value)"]
     width = ((hi - lo) / NTILE_VALUE_RANGES) or 1.0
@@ -989,8 +991,8 @@ def _binned_counts(ds: Dataset) -> tuple[Dataset, pd.DataFrame]:
 
     totals = collect_table(partial_groupby(
         bds, ["event_type", "bin"], c=(None, "count_all"),
-    )).to_pandas()  # bounded: |types| x NTILE_VALUE_RANGES rows
-    return bds, totals.sort_values(["event_type", "bin"])
+    ))  # bounded: |types| x NTILE_VALUE_RANGES rows
+    return bds, *key_runs(totals, ["event_type"], ["bin"])
 
 
 def q_value_ntile(sf_dir: str) -> Dataset:
@@ -1015,12 +1017,15 @@ def q_value_ntile(sf_dir: str) -> Dataset:
             "event_id": pa.array([], pa.int64()),
             "event_type": pa.array([], pa.string()),
             "quartile": pa.array([], pa.int64())}))
-    bds, totals = _binned_counts(ds)
-    grp = totals.groupby("event_type")["c"]
-    totals["offset"] = grp.cumsum() - totals["c"]
-    n_by_type = grp.sum().to_dict()
-    offsets = {(t, int(b)): int(o) for t, b, o in
-               zip(totals["event_type"], totals["bin"], totals["offset"])}
+    bds, totals, type_starts = _binned_counts(ds)
+    c = totals.column("c").to_numpy()
+    before = np.cumsum(c) - c  # rows of earlier (type, bin) pairs
+    types = totals.column("event_type").to_pylist()
+    n_by_type = {types[s]: int(n) for s, n in
+                 zip(type_starts, np.add.reduceat(c, type_starts))}
+    offsets = {(t, int(b)): int(o) for t, b, o in zip(
+        types, totals.column("bin").to_pylist(),
+        before - before[type_starts][run_ids(type_starts, len(c))])}
     bcast = ray.put((offsets, n_by_type))
 
     def ntile(t: pa.Table, starts: np.ndarray) -> pa.Table:
@@ -2084,14 +2089,16 @@ def _orders_grouping_sets(sf_dir: str, subtotals: list[str]) -> pd.DataFrame:
     (~15 rows), never by the input."""
     ds = rd.read_parquet(f"{sf_dir}/orders.parquet",
                          columns=[*_ORDER_DIMS, "o_totalprice"])
-    fine = collect_table(partial_groupby(
+    fine_t = collect_table(partial_groupby(
         ds, list(_ORDER_DIMS),
         raw=("o_totalprice", "sum"), n_orders=("o_totalprice", "count"),
-    )).to_pandas()
+    ))
+    fine = fine_t.to_pandas()
     levels = [fine]
     for keep in subtotals:
-        sub = fine.groupby(keep, as_index=False).agg(
-            raw=("raw", "sum"), n_orders=("n_orders", "sum"))
+        sub = fine_t.group_by(keep).aggregate(
+            [("raw", "sum"), ("n_orders", "sum")]).rename_columns(
+            [keep, "raw", "n_orders"]).to_pandas()
         sub[next(d for d in _ORDER_DIMS if d != keep)] = _ROLLUP_ALL
         levels.append(sub)
     # SUM over no rows is NULL in SQL: min_count=1
@@ -2558,15 +2565,16 @@ def q_quantiles(sf_dir: str) -> Dataset:
     ds = _events(sf_dir, ["event_type", "value"]).materialize()
     if ds.count() == 0:
         return empty
-    bds, totals = _binned_counts(ds)
+    bds, totals, type_starts = _binned_counts(ds)
     # driver pass over the COUNT table only: locate, per (type, p), the bin
     # holding rank ceil(p*n) and its 0-based index within that sorted bin
     ps = (("p50", 0.50), ("p90", 0.90), ("p99", 0.99))
     n_by_type: dict[str, int] = {}
     targets: dict[tuple[str, int], list[tuple[str, int]]] = {}
-    for etype, g in totals.groupby("event_type", sort=False):
-        bins_arr = g["bin"].to_numpy()
-        cum = g["c"].to_numpy().cumsum()
+    types = totals.column("event_type").to_pylist()
+    bins, c = (totals.column(k).to_numpy() for k in ("bin", "c"))
+    for s, e in zip(type_starts, np.append(type_starts[1:], len(c))):
+        etype, bins_arr, cum = types[s], bins[s:e], c[s:e].cumsum()
         n = int(cum[-1])
         n_by_type[etype] = n
         for label, p in ps:
@@ -4171,14 +4179,16 @@ def q_perplexity_buckets(sf_dir: str) -> Dataset:
     scores = docs.map_batches(score, batch_format="pyarrow").materialize()
 
     # bounded distinct-(lang, score) count table -> driver rank algebra
-    counts = collect_table(partial_groupby(
-        scores, ["lang", "mean_logprob"], c=(None, "count_all"))).to_pandas()
+    counts, starts = key_runs(collect_table(partial_groupby(
+        scores, ["lang", "mean_logprob"], c=(None, "count_all"))),
+        ["lang"], ["mean_logprob"])
+    langs = counts.column("lang").to_pylist()
+    logprobs, c = (counts.column(k).to_numpy() for k in ("mean_logprob", "c"))
     thresholds: dict[str, tuple[float, float]] = {}
-    for lang, g in counts.groupby("lang", sort=False):
-        g = g.sort_values("mean_logprob", kind="mergesort")
-        cum = g["c"].to_numpy().cumsum()
+    for a, e in zip(starts, np.append(starts[1:], len(c))):
+        lang, cum = langs[a], c[a:e].cumsum()
         n = int(cum[-1])
-        s = g["mean_logprob"].to_numpy()
+        s = logprobs[a:e]
         t1 = float(s[int(np.searchsorted(cum, int(np.ceil(n / 3.0))))])
         t2 = float(s[int(np.searchsorted(cum, int(np.ceil(2.0 * n / 3.0))))])
         thresholds[str(lang)] = (t1, t2)

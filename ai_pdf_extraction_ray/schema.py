@@ -228,18 +228,8 @@ PAGES_SCHEMA = pa.schema([
     ("lang", pa.string()),
 ])
 
-# Extraction output row (SURVEY.md §1.1 ExtractionResult mapping).
+# The extraction output's field spans (SURVEY.md §1.1 ExtractionResult).
 SPAN_TYPE = pa.struct([("field", pa.string()), ("start", pa.int64()), ("end", pa.int64())])
-EXTRACTION_SCHEMA = pa.schema([
-    ("url", pa.string()),
-    ("text", pa.string()),             # extracted main content
-    ("kind", pa.string()),             # html | pdf | error
-    ("confidence", pa.float64()),      # 3dp, [0,1]
-    ("n_blocks", pa.int64()),
-    ("spans", pa.list_(SPAN_TYPE)),
-    ("warnings", pa.list_(pa.string())),
-    ("error", pa.string()),            # null on success — failure-is-data
-])
 
 
 def arrow_type_for(ft: FieldType) -> pa.DataType:

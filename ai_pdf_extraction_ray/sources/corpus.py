@@ -49,7 +49,6 @@ PDF_RESIDUE = 7
 N_HOSTS = 41
 FONT_SIZE = 12
 LEADING = 14
-PAGE_HEIGHT = 792
 MARGIN_X = 72
 TOP_Y = 720
 MAX_LINE_CHARS = 72

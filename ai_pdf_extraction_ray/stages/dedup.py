@@ -6,8 +6,8 @@ this module supplies the real thing plus the near-dup family a
 training-data pipeline needs at 100 TB.
 
 Shuffle discipline:
-- exact dedup: one hash-keyed groupby (the digest, 16 bytes, is the
-  shuffle payload — never the document);
+- exact dedup: one digest-keyed ``partial_groupby`` (the digest, 16
+  bytes, is the shuffle payload — never the document);
 - MinHash LSH: signatures computed vectorized per batch (one pass over
   text), then EXPLODED to (band_id, band_hash, doc_id) rows; the
   ``segment_window`` sort on (band_id, band_hash) moves only those rows,
@@ -37,7 +37,7 @@ import pyarrow.compute as pc
 import ray
 import ray.data as rd
 from ray.data import Dataset
-from ray.data.aggregate import Count, Max, Min, Sum
+from ray.data.aggregate import Sum
 
 from ..functions.fasthash import fold_rows, shingle_hashes64, token_hashes64
 from ..functions.rounding import np_round as shared_np_round
@@ -93,23 +93,12 @@ def _nonempty_blocks(ds: Dataset, n_rows: int) -> Dataset:
     return ds.repartition(max(1, -(-n_rows // 65536))).materialize()
 
 
-def _join_partitions() -> int:
-    """Hash-join partition count sized to the cluster, for the shuffle path
-    only (a side small enough to broadcast starts no actors): each
-    partition runs a HashShuffleAggregator actor, and over-provisioning
-    them beyond the CPU count starves/deadlocks the co-scheduled map stages
-    on small clusters (observed: 16 partitions hang a 4-cpu test session)."""
-    cpus = int(ray.cluster_resources().get("CPU", 8)) if ray.is_initialized() else 8
-    return max(2, min(16, cpus))
-
-
 # At or below this many bytes of materialized input, no Ray shuffle runs:
 # guarded_join broadcasts the side (same order as Spark's 10 MB
 # autoBroadcastJoinThreshold; one object-store copy read by each probe
-# worker is cheap next to starting min(16, cpus) HashShuffleAggregator
-# actors, ~2 s per join at 4 cpus), and partial_groupby merges the
-# partials in one pa.Table.group_by on the driver (Ray's sort-shuffle
-# aggregate runs three stages, each hand-off waiting on the executor's
+# worker is cheap next to a sort's sample, map and reduce stages), and
+# partial_groupby merges the partials in one pa.Table.group_by on the
+# driver (each hand-off between the sort's stages waits on the executor's
 # 100-ms poll).
 _BROADCAST_MAX_BYTES = 8 << 20
 
@@ -118,70 +107,90 @@ def guarded_join(
     left: Dataset, right: Dataset, *, on: tuple[str, ...],
     right_on: tuple[str, ...] | None = None, join_type: str = "inner",
 ) -> Dataset | None:
-    """``Dataset.join`` behind the Ray 2.49 guards — the package's one
-    join site. Returns None when either side is empty; each caller owns
-    its typed empty result or fallback.
+    """``pa.Table.join`` over two Datasets — the package's one join site.
+    Returns None when either side is empty; each caller owns its typed
+    empty result or fallback. Columns come out in the order, and with the
+    key coalescing, of ``Dataset.join`` (the left side's columns, then the
+    right side's other columns) on either path.
 
     Both sides are materialized and counted (block metadata, no scan);
     then the join takes one of two physical paths, chosen from each
     side's ``size_bytes()`` (also block metadata):
 
     - broadcast: when a side is at most ``_BROADCAST_MAX_BYTES`` — for
-      ``inner`` the smaller side, for ``left_outer`` only the right side —
-      it is fetched once into one Arrow table, and every block of the
-      other side is joined against it with ``pa.Table.join``, the call
-      Ray's own shuffle join finalizes with. The small side stays on the
-      left of that call when it is the left input, so columns come out in
-      the order, and with the key coalescing, of ``Dataset.join``. No
-      shuffle, no aggregator actors.
-    - hash shuffle: ``Dataset.join`` over ``_join_partitions()`` actors,
-      for everything else: two large sides, or a ``left_outer`` whose
-      right side is large (a broadcast left side would emit each
-      unmatched left row once per probe block).
+      ``inner`` the smaller side, for ``left_outer`` only the right side
+      (a broadcast left side would emit each unmatched left row once per
+      probe block) — it is fetched once into one Arrow table, and every
+      block of the other side is joined against it.
+    - sort: otherwise the two sides go to one schema (the keys, typed as
+      on the left side, then each side's other columns, null on the other
+      side's rows, and a side tag), are unioned, and
+      ``segment_window`` sorts the union on the keys. Each key then sits
+      in one block, so one ``pa.Table.join`` per block, of the block's
+      left rows against its right rows, is the join of any join type.
+      Memory bound: one key's rows, from both sides, must fit one block
+      (``segment_window``'s bound).
 
-    Ray 2.49 hazard (diagnosed on the MinHash verify): groupby().map_groups
-    and aggregate emit SCHEMA-LESS empty blocks, and so do hash-join
-    partitions that matched nothing; map_batches does NOT invoke the UDF on
-    empty blocks, so they survive any normalization stage. If such a block
-    happens to be the FIRST one the hash-shuffle join shuffles, the join
-    broadcasts the empty schema as its seed and partitions holding only
-    seed shards finalize column-less -> pa.Table.join dies with ArrowInvalid
-    ("No match ... FieldRef.Name(doc_a)") — deterministically for that
-    session. So every shuffled side, whatever its lineage, is repartitioned
-    into non-empty blocks before the join. The broadcast path's probe side
-    goes through the same repartition: an empty block would pass the probe
-    untransformed, and a later stage (e.g. ``rename_columns``) would then
-    emit blocks of two schemas. ONE place to update when a Ray upgrade
-    fixes the race.
+    Every side a map runs over (the probe side; both sides of the sort)
+    is first repartitioned into non-empty blocks. Ray 2.49 never calls a
+    map on a zero-row block, so such a block keeps the schema it had
+    before an upstream ``rename_columns`` (a per-block join that matched
+    nothing leaves one), and ``ds.schema()`` then reports that stale
+    schema. Unrepartitioned, the probe would emit blocks of two schemas,
+    and the sort path would tag the stale columns (seen as a repeated
+    ``text`` column in ``ngram_jaccard_dups``' second text join).
     """
-    sides = []
-    for ds in (left, right):
-        ds = ds.materialize()
-        n = ds.count()
-        if n == 0:
-            return None
-        sides.append((ds, n))
-    (lds, ln), (rds, rn) = sides
+    sides = [ds.materialize() for ds in (left, right)]
+    if not all(ds.count() for ds in sides):
+        return None
+    (lds, rds), side_keys = sides, (list(on), list(right_on or on))
+    arrow_join_type = join_type.replace("_", " ")
     lbytes, rbytes = lds.size_bytes(), rds.size_bytes()
     broadcast_left = join_type == "inner" and lbytes < rbytes
-    small_bytes = lbytes if broadcast_left else rbytes
-    if (join_type not in ("inner", "left_outer")
-            or small_bytes > _BROADCAST_MAX_BYTES):
-        return _nonempty_blocks(lds, ln).join(
-            _nonempty_blocks(rds, rn), join_type=join_type,
-            num_partitions=_join_partitions(), on=on, right_on=right_on)
+    if (join_type in ("inner", "left_outer") and
+            (lbytes if broadcast_left else rbytes) <= _BROADCAST_MAX_BYTES):
+        small_ds, big_ds = sides if broadcast_left else sides[::-1]
+        small = collect_table(small_ds)
 
-    (small_ds, _), (big_ds, big_n) = sides if broadcast_left else sides[::-1]
-    small = collect_table(small_ds)
-    keys, right_keys = list(on), list(right_on or on)
-    arrow_join_type = join_type.replace("_", " ")
+        def probe(batch: pa.Table) -> pa.Table:
+            left_t, right_t = (small, batch) if broadcast_left else (batch, small)
+            return left_t.join(right_t, *side_keys, join_type=arrow_join_type)
 
-    def probe(batch: pa.Table) -> pa.Table:
-        left_t, right_t = (small, batch) if broadcast_left else (batch, small)
-        return left_t.join(right_t, keys, right_keys, join_type=arrow_join_type)
+        return _nonempty_blocks(big_ds, big_ds.count()).map_batches(
+            probe, batch_format="pyarrow", batch_size=None)
 
-    return _nonempty_blocks(big_ds, big_n).map_batches(
-        probe, batch_format="pyarrow", batch_size=None)
+    lds, rds = sides = [_nonempty_blocks(ds, ds.count()) for ds in sides]
+    # each side's columns under the union's names, in the side's order:
+    # the keys as key<i>, the others as "<side>.<name>", so no name of one
+    # side meets the other's
+    schemas = [ds.schema().base_schema for ds in sides]
+    keys = [f"key{i}" for i in range(len(on))]
+    names = [[keys[ks.index(c)] if c in ks else f"{s}.{c}" for c in sc.names]
+             for s, (sc, ks) in enumerate(zip(schemas, side_keys))]
+    tagged = pa.schema(
+        [(k, schemas[0].field(c).type) for k, c in zip(keys, on)]
+        + [(n, f.type) for ns, sc in zip(names, schemas)
+           for n, f in zip(ns, sc) if n not in keys]
+        + [("side", pa.int8())])
+
+    def tag(side: int) -> Callable[[pa.Table], pa.Table]:
+        def to_tagged(t: pa.Table) -> pa.Table:
+            cols = dict(zip(names[side], t.select(schemas[side].names).columns))
+            cols["side"] = pa.array(np.full(t.num_rows, side, np.int8))
+            return pa.table({f.name: cols.get(f.name, pa.nulls(t.num_rows, f.type))
+                             for f in tagged}).cast(tagged)
+        return to_tagged
+
+    def join_block(t: pa.Table, _: np.ndarray) -> pa.Table:
+        left_t, right_t = (
+            t.filter(pc.equal(t.column("side"), s)).select(names[s])
+            .rename_columns(schemas[s].names) for s in (0, 1))
+        return left_t.join(right_t, *side_keys, join_type=arrow_join_type)
+
+    return segment_window(
+        lds.map_batches(tag(0), batch_format="pyarrow").union(
+            rds.map_batches(tag(1), batch_format="pyarrow")),
+        keys, join_block)
 
 
 def collect_table(ds: Dataset) -> pa.Table:
@@ -199,10 +208,10 @@ def collect_table(ds: Dataset) -> pa.Table:
             else pa.table({}))
 
 
-# partial function per aggregate -> the pyarrow function and the Ray
-# aggregate that merge its partials
-_MERGES = {"sum": ("sum", Sum), "count": ("sum", Sum),
-           "count_all": ("sum", Sum), "min": ("min", Min), "max": ("max", Max)}
+# partial function per aggregate -> the pyarrow function that merges its
+# partials
+_MERGES = {"sum": "sum", "count": "sum", "count_all": "sum", "min": "min",
+           "max": "max"}
 
 
 def partial_groupby(ds: Dataset, keys: str | list[str],
@@ -215,13 +224,15 @@ def partial_groupby(ds: Dataset, keys: str | list[str],
     is ignored, pass None), ``min`` or ``max``. Every block runs one
     ``pa.Table.group_by(keys).aggregate``, so the merge moves one row per
     key per block, never the rows themselves; the partials are
-    materialized and counted, then merged by ``sum`` (sums and both
-    counts), ``min`` or ``max`` on one of two paths, chosen from the
-    partials' ``size_bytes()`` (block metadata):
+    materialized and counted, then merged by one ``pa.Table.group_by``
+    (``sum`` for sums and both counts, ``min``, ``max``) on one of two
+    paths, chosen from the partials' ``size_bytes()`` (block metadata):
 
     - at most ``_BROADCAST_MAX_BYTES``: fetched to the driver
-      (``collect_table``) and merged by one ``pa.Table.group_by``;
-    - above it: one Ray ``groupby(keys).aggregate`` (a sort shuffle).
+      (``collect_table``) and merged once;
+    - above it: merged per block by ``segment_window``, whose sort puts
+      every partial of a key in one block. Memory bound: one key's
+      partials must fit one block (at most one per input block).
 
     Both give the keys and one column per ``aggs`` name with the
     partials' types (counts are int64), rows sorted by the keys (null
@@ -238,10 +249,15 @@ def partial_groupby(ds: Dataset, keys: str | list[str],
     names = list(aggs)
     specs = [([], "count_all") if fn == "count_all" else (col, fn)
              for col, fn in aggs.values()]
+    merges = [(name, _MERGES[fn]) for name, (_, fn) in aggs.items()]
 
     def partial(t: pa.Table) -> pa.Table:
         # pyarrow emits the keys first, then one column per spec in order
         return t.group_by(keys).aggregate(specs).rename_columns(keys + names)
+
+    def merge(t: pa.Table) -> pa.Table:
+        return t.group_by(keys).aggregate(merges).rename_columns(
+            keys + names).sort_by([(k, "ascending") for k in keys])
 
     parts = ds.map_batches(partial, batch_format="pyarrow").materialize()
     if parts.count() == 0:
@@ -250,19 +266,9 @@ def partial_groupby(ds: Dataset, keys: str | list[str],
         cols = dict.fromkeys(keys + [c for c, _ in aggs.values() if c])
         return rd.from_arrow(partial(pa.table(
             {c: pa.array([], types.get(c, pa.null())) for c in cols})))
-    merges = [(name, *_MERGES[fn]) for name, (_, fn) in aggs.items()]
     if parts.size_bytes() <= _BROADCAST_MAX_BYTES:
-        merged = collect_table(parts).group_by(keys).aggregate(
-            [(name, fn) for name, fn, _ in merges])
-        return rd.from_arrow(merged.rename_columns(keys + names).sort_by(
-            [(k, "ascending") for k in keys]))
-    # Ray widens Min/Max of narrow ints to int64: keep the partials' types.
-    # A Ray aggregate needs one aggregation: a key dedupe drops a count.
-    schema = parts.schema().base_schema
-    return parts.groupby(keys).aggregate(
-        *[agg(name, alias_name=name) for name, _, agg in merges] or [Count()]
-    ).map_batches(lambda t: t.select(schema.names).cast(schema),
-                  batch_format="pyarrow")
+        return rd.from_arrow(merge(collect_table(parts)))
+    return segment_window(parts, keys, lambda t, _: merge(t))
 
 
 def typed_map(ds: Dataset, fn: Callable[[pa.Table], pa.Table]) -> Dataset:
@@ -280,14 +286,16 @@ def key_runs(t: pa.Table, keys: list[str],
              order: Sequence[str | tuple[str, str]] = ()) -> tuple[pa.Table, np.ndarray]:
     """``t`` sorted by ``keys`` then ``order``, and the index of the first
     row of each run of equal keys. Nulls form one run, as in SQL
-    ``PARTITION BY``. An ``order`` entry is a column name (ascending) or
-    ``(column, "descending")``."""
+    ``PARTITION BY`` (so does a null-typed key column). An ``order`` entry
+    is a column name (ascending) or ``(column, "descending")``."""
     t = t.sort_by([(k, "ascending") for k in keys]
                   + [(o, "ascending") if isinstance(o, str) else o for o in order])
     n = t.num_rows
     same = np.ones(max(n - 1, 0), dtype=bool)
     for k in keys:
         col = t.column(k).combine_chunks()
+        if pa.types.is_null(col.type):
+            continue
         prev, cur = col.slice(0, len(same)), col.slice(1)
         same &= pc.coalesce(pc.equal(prev, cur), pc.and_(
             pc.is_null(prev), pc.is_null(cur))).to_numpy(zero_copy_only=False)
@@ -478,8 +486,6 @@ def _pairs_with_texts(cand: Dataset, docs: Dataset) -> Dataset | None:
     with_a = guarded_join(cand, docs, on=("doc_a",), right_on=("doc_id",))
     if with_a is None:
         return None
-    # join-1 output is join lineage: guarded_join scrubs it before it
-    # seeds join 2 (a single verified pair leaves most partitions empty)
     with_ab = guarded_join(with_a.rename_columns({"text": "text_a"}), docs,
                            on=("doc_b",), right_on=("doc_id",))
     return None if with_ab is None else with_ab.rename_columns(
@@ -489,7 +495,7 @@ def _pairs_with_texts(cand: Dataset, docs: Dataset) -> Dataset | None:
 def verify_pairs_jaccard(cand: Dataset, docs: Dataset, *, k: int = 3,
                          threshold: float = 0.0) -> Dataset:
     """Distributed exact-Jaccard verify: join candidate id pairs back to the
-    corpus for each side (``Dataset.join`` — the join moves candidate rows +
+    corpus for each side (``guarded_join`` — the join moves candidate rows +
     matched texts, never the whole corpus to the driver), then compute
     word-k-gram Jaccard per batch and keep the pairs at/above
     ``threshold``. The driver never holds the candidates or their texts
@@ -1124,7 +1130,8 @@ class HyperplaneHasher:
 
     ``tables`` independent sign-random-projection tables of ``bits``
     hyperplanes each (seeded, so every task draws the same planes; drawn
-    on the first batch, when the dimensionality is known). Collision
+    per dimensionality, on the first batch that has it, so a zero-row
+    batch does not fix the dimension for later ones). Collision
     probability per table for angle theta is (1 - theta/pi)^bits —
     multiple tables buy recall. The shuffle carries only (int16, int32,
     int64) triples; vectors never move."""
@@ -1133,7 +1140,7 @@ class HyperplaneHasher:
                  carry_vectors: bool = False) -> None:
         self.bits, self.tables, self.seed = bits, tables, seed
         self.carry_vectors = carry_vectors
-        self.planes: np.ndarray | None = None  # (tables, bits, dim), lazy
+        self.planes: dict[int, np.ndarray] = {}  # dim -> (tables, bits, dim)
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         from .similarity import emb_matrix
@@ -1141,16 +1148,18 @@ class HyperplaneHasher:
         raw = emb_matrix(batch, dtype=np.float32)
         X = raw.astype(np.float64)
         X = X / np.maximum(np.linalg.norm(X, axis=1, keepdims=True), 1e-12)
-        if self.planes is None:
-            rng = np.random.RandomState(self.seed)
-            self.planes = rng.normal(size=(self.tables, self.bits, X.shape[1]))
+        dim = X.shape[1]
+        if dim not in self.planes:
+            self.planes[dim] = np.random.RandomState(self.seed).normal(
+                size=(self.tables, self.bits, dim))
+        planes = self.planes[dim]
         ids = batch.column("vec_id").to_numpy(zero_copy_only=False)
         weights = (1 << np.arange(self.bits, dtype=np.int64))
         if self.carry_vectors:
             packed = [row.tobytes() for row in raw.astype(np.float32)]
         out_t, out_b, out_v, out_e = [], [], [], []
         for t in range(self.tables):
-            bits = (X @ self.planes[t].T > 0)
+            bits = (X @ planes[t].T > 0)
             buckets = bits @ weights  # packed signature per vector
             out_t.append(np.full(len(ids), t, dtype=np.int16))
             out_b.append(buckets.astype(np.int32))
@@ -1179,9 +1188,14 @@ def _cosine_bucket_pairs(g: pa.Table, threshold: float,
     _, first_idx = np.unique(all_ids, return_index=True)
     first_idx = first_idx[:cap]  # capped all-pairs guard
     ids = all_ids[first_idx]
-    emb_bytes = g.column("emb_bytes").to_pylist()
-    X = np.stack([np.frombuffer(emb_bytes[i], dtype=np.float32)
-                  for i in first_idx]).astype(np.float64)
+    # every value is one float32 vector: read the data buffer as (n, dim)
+    emb = g.column("emb_bytes").combine_chunks()
+    width = np.dtype(np.int64 if pa.types.is_large_binary(emb.type) else np.int32)
+    offsets = np.frombuffer(emb.buffers()[1], width, len(emb) + 1,
+                            emb.offset * width.itemsize)
+    X = np.frombuffer(emb.buffers()[2], np.float32,
+                      (offsets[-1] - offsets[0]) // 4, offsets[0]).reshape(
+        len(emb), -1)[first_idx].astype(np.float64)
     Xn = X / np.maximum(np.linalg.norm(X, axis=1, keepdims=True), 1e-12)
     ia, ib = np.triu_indices(len(ids), 1)
     outs_a, outs_b, outs_c = [all_ids[:0]], [all_ids[:0]], [np.zeros(0)]

@@ -40,13 +40,6 @@ from ray.data import Dataset
 
 from ..functions.rounding import py_round
 
-MEDIA_SCHEMA = pa.schema([
-    ("media_id", pa.int64()),
-    ("media_type", pa.string()),        # image | audio | video
-    ("payload", pa.binary()),           # opaque encoded bytes
-    ("meta_json", pa.string()),         # source-asserted metadata
-])
-
 DEFAULT_MEDIA_BATCH = 16  # large binary rows: keep batch x payload <= block budget
 
 

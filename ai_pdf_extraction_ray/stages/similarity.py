@@ -30,6 +30,7 @@ import ray.data as rd
 from ray.data import Dataset
 
 from ..functions.rounding import np_round
+from .dedup import collect_table, key_runs, run_ranks
 
 
 def _normalize(x: np.ndarray) -> np.ndarray:
@@ -139,18 +140,11 @@ def knn_multiquery(
             "cos": pa.array(np.concatenate(out_c), pa.float64()),
         })
 
-    partials = (
+    partials, starts = key_runs(collect_table(
         rd.read_parquet(f"{sf_dir}/embeddings.parquet", columns=["vec_id", "embedding"])
         .map_batches(local_topk, batch_format="pyarrow")
-        .to_pandas()
-    )
-    return (
-        partials.sort_values(["query_id", "cos", "vec_id"],
-                             ascending=[True, False, True])
-        .groupby("query_id", as_index=False, sort=True)
-        .head(k)
-        .reset_index(drop=True)
-    )
+    ), ["query_id"], [("cos", "descending"), "vec_id"])
+    return partials.filter(run_ranks(starts, partials.num_rows) < k).to_pandas()
 
 
 # ---------------------------------------------------------------------------

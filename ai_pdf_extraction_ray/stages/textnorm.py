@@ -22,8 +22,6 @@ import re
 
 import pyarrow as pa
 
-import ray.data as rd
-from ray.data import Dataset
 
 _WS_RUN = re.compile(r"\s+")
 _CONTROL = re.compile(r"[\x00-\x08\x0b\x0c\x0e-\x1f\x7f-\x9f]")
@@ -66,10 +64,3 @@ class TextCleaner:
             [c != (t or "") for c, t in zip(cleaned, texts)], pa.bool_()
         )
         return pa.table(out)
-
-
-def clean_documents(sf_dir: str) -> Dataset:
-    """Cleaning pass over the documents table — stateless tasks (the stage
-    holds no state; fixed-size pools can starve small clusters)."""
-    docs = rd.read_parquet(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"])
-    return docs.map_batches(TextCleaner(), batch_format="pyarrow")

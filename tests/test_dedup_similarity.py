@@ -590,13 +590,6 @@ class TestTextNorm:
         assert out.loc[1, "text"] == "ok text" and not out.loc[1, "was_cleaned"]
         assert out.loc[2, "text"] == "dirty [EMAIL] x" and out.loc[2, "was_cleaned"]
 
-    def test_clean_documents_pipeline(self, ray_session):
-        from ai_pdf_extraction_ray.stages.textnorm import clean_documents
-
-        df = clean_documents("/root/testdata/sf0.001").to_pandas()
-        assert len(df) == 500
-        assert not df.was_cleaned.any()  # the corpus is already clean
-
 
 class TestEmptyCandidates:
     def test_minhash_no_collisions_returns_typed_empty(self, ray_session, tmp_path):
@@ -712,6 +705,51 @@ class TestEmbeddingLsh:
         assert all(c >= 0.95 for c in out.cos)
         # random 16-d gaussians almost never reach cos 0.95: no FP blowup
         assert len(found) < 10
+
+    def test_hasher_zero_row_first_batch(self):
+        """A zero-row first batch does not fix the planes' dimension: the
+        next batch hashes as it does in a fresh hasher."""
+        import pyarrow.parquet as pq
+
+        from ai_pdf_extraction_ray.stages.dedup import HyperplaneHasher
+
+        emb = pq.read_table(f"{SF}/embeddings.parquet",
+                            columns=["vec_id", "embedding"])
+        hasher = HyperplaneHasher(4, 16)
+        assert hasher(emb.slice(0, 0)).num_rows == 0
+        got = hasher(emb.slice(0, 10))
+        assert got.equals(HyperplaneHasher(4, 16)(emb.slice(0, 10)))
+        assert got.num_rows == 10 * 16
+
+    @pytest.mark.parametrize("binary", ["binary", "large_binary"])
+    def test_cosine_pairs_read_sliced_chunks(self, binary):
+        """The verify kernel reads the packed vectors straight from the
+        binary buffers: a block that is a slice, or several chunks, gives
+        the cosines of the vectors unpacked one by one."""
+        import pyarrow as pa
+
+        from ai_pdf_extraction_ray.stages.dedup import _cosine_bucket_pairs
+
+        rng = np.random.RandomState(5)
+        X = rng.normal(size=(40, 8)).astype(np.float32)
+        table = pa.table({
+            "vec_id": pa.array(rng.permutation(100)[:40], pa.int64()),
+            "emb_bytes": pa.array([v.tobytes() for v in X],
+                                  getattr(pa, binary)())})
+        block = pa.concat_tables([table.slice(3, 10), table.slice(20, 15)])
+        got = _cosine_bucket_pairs(block, -2.0, 512)
+
+        ids = block.column("vec_id").to_numpy()
+        vecs = {i: np.frombuffer(b, np.float32).astype(np.float64)
+                for i, b in zip(ids, block.column("emb_bytes").to_pylist())}
+        unit = {i: v / np.linalg.norm(v) for i, v in vecs.items()}
+        want = {(a, b): np.round(unit[a] @ unit[b], 6)
+                for a in ids for b in ids if a < b}
+        pairs = dict(zip(zip(got.column("vec_a").to_pylist(),
+                             got.column("vec_b").to_pylist()),
+                         got.column("cos").to_pylist()))
+        assert pairs.keys() == want.keys()
+        assert all(abs(pairs[k] - want[k]) < 2e-6 for k in want)
 
 
 class TestPassageDedup:

@@ -1,6 +1,6 @@
 """guarded_join, partial_groupby and segment_window: the package's single
-Dataset.join entry point, its single decomposable-aggregate site and its
-single per-key ordered-work site."""
+join entry point, its single decomposable-aggregate site and its single
+per-key ordered-work site (the sort both others run on above 8 MiB)."""
 
 from __future__ import annotations
 
@@ -21,11 +21,12 @@ from tests.conftest import REPO_ROOT, SF_SMOKE
 
 PKG = REPO_ROOT / "ai_pdf_extraction_ray"
 
-def _calls(fn, callee: str) -> bool:  # noqa: ANN001 — query function
-    """``fn``'s body, or a module-level helper it names, calls ``callee``."""
+def _calls(fn, callee: str, skip: tuple[str, ...] = ()) -> bool:  # noqa: ANN001
+    """``fn``'s body, or a module-level helper it names other than those
+    in ``skip``, calls ``callee``."""
     names = fn.__code__.co_names
     return callee in names or any(
-        inspect.isfunction(fn.__globals__.get(n))
+        n not in skip and inspect.isfunction(fn.__globals__.get(n))
         and callee in fn.__globals__[n].__code__.co_names
         for n in names)
 
@@ -44,10 +45,12 @@ PARTIAL_GROUPBY_CALLERS = sorted(
     | {"heavy_hitters", "media_audio_video"})
 
 # queries that run per-key ordered work through segment_window (found the
-# same way), plus the callers that reach it through another module (the
+# same way, not counting the sort path of guarded_join and partial_groupby
+# above 8 MiB), plus the callers that reach it through another module (the
 # four LSH queries through the bucket stages in stages/dedup)
 SEGMENT_WINDOW_CALLERS = sorted(
-    {name for name, q in QUERIES.items() if _calls(q["fn"], "segment_window")}
+    {name for name, q in QUERIES.items()
+     if _calls(q["fn"], "segment_window", ("guarded_join", "partial_groupby"))}
     | {"heavy_hitters", "approx_distinct_users", "approx_quantiles",
        "merge_chunked", "pages_per_host", "minhash_near_dups",
        "simhash_near_dups", "embedding_near_dups_lsh", "near_dup_clusters"})
@@ -67,15 +70,24 @@ def _columns(out) -> tuple[list[str], int]:  # noqa: ANN001 — Dataset or DataF
     return t.column_names, t.num_rows
 
 
+def _operators(ds) -> list[str]:  # noqa: ANN001 — Dataset
+    """The names of the operators ``ds.stats()`` reports, in order."""
+    return re.findall(r"^Operator \d+ (.+?):", ds.stats(), re.M)
+
+
 def _execute(ds) -> tuple[pa.Table, bool]:  # noqa: ANN001 — Dataset
-    """Run ``ds``: its rows, and whether Ray's hash-shuffle join operator
-    ran to produce them."""
+    """Run ``ds``: its rows, and whether the sort path (a ``Sort``
+    operator) ran to produce them. Ray's hash-shuffle join (a ``Join``
+    operator, ``HashShuffleAggregator`` actors) never runs."""
     import ray
 
     ds = ds.materialize()
     rows = pa.concat_tables(ray.get(ds.to_arrow_refs()),
                             promote_options="default")
-    return rows, "Join" in ds.stats()
+    ops = _operators(ds)
+    assert not [op for op in ops if "Join" in op]
+    assert "HashShuffleAggregator" not in ds.stats()
+    return rows, "Sort" in ops
 
 
 JOIN_TYPES = [("inner", "inner"), ("left_outer", "left outer")]
@@ -83,7 +95,8 @@ JOIN_TYPES = [("inner", "inner"), ("left_outer", "left outer")]
 
 @pytest.fixture
 def force_shuffle(monkeypatch) -> None:
-    """No side is small enough to broadcast: every join hash-shuffles."""
+    """No side is small enough to broadcast and no partials small enough
+    to merge on the driver: every join and aggregate takes the sort path."""
     from ai_pdf_extraction_ray.stages import dedup
 
     monkeypatch.setattr(dedup, "_BROADCAST_MAX_BYTES", -1)
@@ -145,8 +158,9 @@ class TestLineage:
     @pytest.mark.parametrize("join_type,arrow_type", JOIN_TYPES)
     def test_groupby_side_against_read_side_shuffled(
             self, ray_session, force_shuffle, tmp_path, join_type, arrow_type):
-        """The same join on the hash-shuffle path, where the schema-less
-        seed hazard lives; small sides would otherwise never reach it."""
+        """The same join on the sort path: the groupby side's schema-less
+        empty blocks go through the tag map and the sort; small sides
+        would otherwise never reach it."""
         self._check(tmp_path, join_type, arrow_type)
 
 
@@ -154,6 +168,13 @@ def _sorted_frame(t: pa.Table) -> pd.DataFrame:
     """Order-insensitive comparison form: every value as text, rows sorted."""
     df = t.to_pandas().astype(str)
     return df.sort_values(list(df.columns)).reset_index(drop=True)
+
+
+def _text_rows(t: pa.Table) -> tuple[list[str], list[str]]:
+    """Column names and the rows as text, sorted: an order-insensitive
+    comparison form that keeps duplicate column names."""
+    return t.column_names, sorted(
+        repr(row) for row in zip(*(c.to_pylist() for c in t.columns)))
 
 
 def _blocks(t: pa.Table, *cuts: int) -> list[pa.Table]:
@@ -180,19 +201,19 @@ RIGHT = pa.table({
 
 
 class TestPathParity:
-    """Broadcast and hash-shuffle joins agree with ``pa.Table.join``."""
+    """Broadcast and sort joins agree with ``pa.Table.join``."""
 
     @staticmethod
-    def _join(left: pa.Table, right: pa.Table, *, hashed: bool,
+    def _join(left: pa.Table, right: pa.Table, *, sort: bool,
               **kw) -> pd.DataFrame:
         import ray.data as rd
 
         from ai_pdf_extraction_ray.stages.dedup import guarded_join
 
-        rows, hash_joined = _execute(guarded_join(
+        rows, sorted_ = _execute(guarded_join(
             rd.from_arrow(_blocks(left, 3)),
             rd.from_arrow(_blocks(right, 5, 11)), **kw))
-        assert hash_joined == hashed
+        assert sorted_ == sort
         return _sorted_frame(rows)
 
     @pytest.mark.parametrize("join_type,arrow_type,small_side", [
@@ -210,16 +231,16 @@ class TestPathParity:
         kw = dict(on=on, right_on=right_on, join_type=join_type)
         want = _sorted_frame(left.join(right, list(on), list(right_on),
                                        join_type=arrow_type))
-        broadcast = self._join(left, right, hashed=False, **kw)
+        broadcast = self._join(left, right, sort=False, **kw)
         monkeypatch.setattr(dedup, "_BROADCAST_MAX_BYTES", -1)
-        shuffled = self._join(left, right, hashed=True, **kw)
+        shuffled = self._join(left, right, sort=True, **kw)
         assert broadcast.equals(want)  # also compares the column order
         assert shuffled.equals(want)
 
     def test_left_outer_small_left_shuffles(self, ray_session):
         """Only the right side of a left_outer may broadcast: a small left
-        side against a right side above the threshold is hash-shuffled,
-        and keeps every unmatched left row exactly once."""
+        side against a right side above the threshold takes the sort
+        path, and keeps every unmatched left row exactly once."""
         import numpy as np
         import ray.data as rd
 
@@ -231,12 +252,101 @@ class TestPathParity:
                         "rv": pa.array(np.arange(n), pa.int64())})
         small = pa.table({"k": pa.array([1, 2, 5000, None], pa.int64()),
                           "lv": ["a", "b", "c", "d"]})
-        rows, hash_joined = _execute(guarded_join(
+        rows, sorted_ = _execute(guarded_join(
             rd.from_arrow(small), rd.from_arrow(big),
             on=("k",), right_on=("rk",), join_type="left_outer"))
-        assert hash_joined
+        assert sorted_
         want = small.join(big, "k", "rk", join_type="left outer")
         assert _sorted_frame(rows).equals(_sorted_frame(want))
+
+    @staticmethod
+    def _rows_both_paths(monkeypatch, left: pa.Table, right: pa.Table,
+                         **kw) -> list[tuple[list[str], list[str]]]:
+        """(column names, sorted rows as text) of the broadcast and the
+        sort join; duplicate column names survive, unlike a DataFrame."""
+        import ray.data as rd
+
+        from ai_pdf_extraction_ray.stages import dedup
+
+        out = []
+        for limit, sort in ((dedup._BROADCAST_MAX_BYTES, False), (-1, True)):
+            monkeypatch.setattr(dedup, "_BROADCAST_MAX_BYTES", limit)
+            rows, sorted_ = _execute(dedup.guarded_join(
+                rd.from_arrow(_blocks(left, 7, 40)),
+                rd.from_arrow(_blocks(right, 3, 30, 60)), **kw))
+            assert sorted_ == sort
+            out.append(_text_rows(rows))
+        return out
+
+    @pytest.mark.parametrize("join_type,arrow_type", JOIN_TYPES)
+    def test_skewed_key(self, ray_session, monkeypatch, join_type, arrow_type):
+        """One key holds half of each side: it lands in one block after the
+        sort, and both paths give ``pa.Table.join``'s rows."""
+        n_left, n_right = 120, 80
+        left = pa.table({
+            "k": pa.array(np.where(np.arange(n_left) % 2, 0, np.arange(n_left)),
+                          pa.int64()),
+            "lv": pa.array(np.arange(n_left), pa.int64())})
+        right = pa.table({
+            "k": pa.array(np.where(np.arange(n_right) % 2, 0,
+                                   np.arange(n_right) * 3), pa.int64()),
+            "rv": [f"r{i}" for i in range(n_right)]})
+        want = _text_rows(left.join(right, "k", join_type=arrow_type))
+        paths = self._rows_both_paths(monkeypatch, left, right, on=("k",),
+                                      join_type=join_type)
+        assert paths == [want, want]
+        assert len(want[1]) > (n_left // 2) * (n_right // 2)  # the hot key
+
+    @pytest.mark.parametrize("join_type,arrow_type", JOIN_TYPES)
+    def test_shared_column_name(self, ray_session, monkeypatch, join_type,
+                                arrow_type):
+        """``right_on`` differs from ``on`` and the name ``rk`` is on both
+        sides: the right side's key, and a non-key column of the left side.
+        Both paths keep the left ``rk`` and coalesce the right one into
+        ``k``, as ``pa.Table.join`` does. (A non-key name on both sides of
+        the output is not possible: Ray rejects a block with a repeated
+        column name.)"""
+        left = pa.table({"k": pa.array([1, 2, 2, 3, None, 5] * 10, pa.int64()),
+                         "rk": [f"l{i}" for i in range(60)]})
+        right = pa.table({"rk": pa.array([2, 3, 3, 4, None, 1] * 12, pa.int64()),
+                          "v": pa.array(range(72), pa.int64())})
+        want = _text_rows(left.join(right, "k", "rk", join_type=arrow_type))
+        assert want[0] == ["k", "rk", "v"]
+        assert self._rows_both_paths(
+            monkeypatch, left, right, on=("k",), right_on=("rk",),
+            join_type=join_type) == [want, want]
+
+    @pytest.mark.parametrize("join_type,arrow_type", JOIN_TYPES)
+    def test_renamed_side_with_zero_row_block(self, ray_session, monkeypatch,
+                                              join_type, arrow_type):
+        """A side renamed after a zero-row block: Ray skips the rename on
+        that block, which keeps ``text`` while the others have ``text_a``,
+        and ``ds.schema()`` reports ``text``. Both paths still join the
+        renamed rows (one ``text_a`` and one ``text`` column out)."""
+        import ray.data as rd
+
+        pairs = pa.table({"doc_a": pa.array(range(30), pa.int64()),
+                          "doc_b": pa.array([i * 7 % 40 for i in range(30)],
+                                            pa.int64()),
+                          "text": [f"a{i}" for i in range(30)]})
+        docs = pa.table({"doc_id": pa.array(range(0, 40, 2), pa.int64()),
+                         "text": [f"d{i}" for i in range(0, 40, 2)]})
+        renamed = pairs.rename_columns(["doc_a", "doc_b", "text_a"])
+        want = _text_rows(renamed.join(docs, "doc_b", "doc_id",
+                                       join_type=arrow_type))
+        assert want[0] == ["doc_a", "doc_b", "text_a", "text"]
+        for limit, sort in ((1 << 20, False), (-1, True)):
+            from ai_pdf_extraction_ray.stages import dedup
+
+            monkeypatch.setattr(dedup, "_BROADCAST_MAX_BYTES", limit)
+            side = rd.from_arrow([pairs.slice(0, 0), pairs.slice(0, 12),
+                                  pairs.slice(12)]).rename_columns(
+                {"text": "text_a"})
+            rows, sorted_ = _execute(dedup.guarded_join(
+                side, rd.from_arrow(_blocks(docs, 9)), on=("doc_b",),
+                right_on=("doc_id",), join_type=join_type))
+            assert sorted_ == sort
+            assert _text_rows(rows) == want
 
     def test_broadcast_blocks_share_one_schema(self, ray_session):
         """A broadcast join whose probe side has zero-row blocks, then a
@@ -262,9 +372,9 @@ class TestPathParity:
 
 
 class TestPlanShape:
-    """Small sides broadcast with no hash-join operator; a forced threshold
-    puts the hash-shuffle join back (a regression that stops broadcasting
-    fails here, not only in the benchmark)."""
+    """Small sides broadcast and small partials merge on the driver, with
+    no sort; a forced threshold puts the sorts back (a regression that
+    stops broadcasting fails here, not only in the benchmark)."""
 
     def test_revenue_by_nation_broadcasts(self, ray_session):
         from ai_pdf_extraction_ray.pipelines.queries import q_revenue_by_nation
@@ -272,9 +382,15 @@ class TestPlanShape:
         assert not _execute(q_revenue_by_nation(SF_SMOKE))[1]
 
     def test_revenue_by_nation_forced_shuffle(self, ray_session, force_shuffle):
+        """One sort per aggregate (per customer, then per nation) and one
+        for the join between them; no Join or Aggregate operator."""
         from ai_pdf_extraction_ray.pipelines.queries import q_revenue_by_nation
 
-        assert _execute(q_revenue_by_nation(SF_SMOKE))[1]
+        ds = q_revenue_by_nation(SF_SMOKE)
+        assert _execute(ds)[1]
+        ops = _operators(ds)
+        assert ops.count("Sort") == 3
+        assert not [op for op in ops if "Join" in op or "Aggregate" in op]
 
 
 @pytest.fixture(scope="module")
@@ -340,9 +456,34 @@ class TestDegenerateInputs:
         assert cols == _columns(fn(SF_SMOKE))[0]
 
 
+def _result_table(out) -> pa.Table:  # noqa: ANN001 — Dataset or DataFrame
+    from ai_pdf_extraction_ray.stages.dedup import collect_table
+
+    if isinstance(out, pd.DataFrame):
+        return pa.Table.from_pandas(out, preserve_index=False)
+    return collect_table(out)
+
+
+class TestSortPathParity:
+    """Every query that joins or aggregates gives the same rows, columns
+    and types when every join and aggregate takes the sort path."""
+
+    @pytest.mark.parametrize(
+        "name", sorted(set(DIRECT_CALLERS) | set(PARTIAL_GROUPBY_CALLERS)))
+    def test_query_matches_default_path(self, ray_session, monkeypatch, name):
+        from ai_pdf_extraction_ray.stages import dedup
+
+        fn = QUERIES[name]["fn"]
+        want = _result_table(fn(SF_SMOKE))
+        monkeypatch.setattr(dedup, "_BROADCAST_MAX_BYTES", -1)
+        got = _result_table(fn(SF_SMOKE))
+        assert got.schema == want.schema
+        assert _text_rows(got) == _text_rows(want)
+
+
 class TestSingleJoinSite:
-    """The Ray 2.49 join guards live in one function; nothing may call
-    Dataset.join around it or reach for its private helpers."""
+    """Joins go through one function; nothing may call Dataset.join or
+    reach for its private helpers."""
 
     @staticmethod
     def _sources(*roots: Path):  # noqa: ANN205
@@ -369,6 +510,19 @@ class TestSingleJoinSite:
                     stray.append(f"{path.relative_to(REPO_ROOT)}:{node.lineno}")
         assert stray == []
 
+    def test_no_dataset_join(self):
+        """No ``X.join(..., on=...)`` or ``num_partitions=`` call anywhere
+        in the package, guarded_join included: its sort path joins with
+        ``pa.Table.join`` per block, and Ray's hash-shuffle join is gone."""
+        stray = [
+            f"{path.relative_to(REPO_ROOT)}:{node.lineno}"
+            for path, text in self._sources(PKG)
+            for node in ast.walk(ast.parse(text))
+            if isinstance(node, ast.Call)
+            and getattr(node.func, "attr", None) == "join"
+            and {"on", "num_partitions"} & {k.arg for k in node.keywords}]
+        assert stray == []
+
     def test_guard_helpers_private_to_dedup(self):
         from ai_pdf_extraction_ray.stages import dedup
 
@@ -377,7 +531,7 @@ class TestSingleJoinSite:
         helpers = {
             name.lstrip("_") for name in dedup.guarded_join.__code__.co_names
             if name.startswith("_") and callable(getattr(dedup, name, None))}
-        assert len(helpers) == 2
+        assert len(helpers) == 1
         users = [
             str(path.relative_to(REPO_ROOT))
             for path, text in self._sources(PKG, REPO_ROOT / "tests")
@@ -410,9 +564,9 @@ def _reference(table: pa.Table, keys: list[str]) -> pa.Table:
 
 
 class TestPartialGroupby:
-    """Per-block partials merged on the driver (at most 8 MiB) or by one
-    Ray groupby (forced) equal one Arrow group_by over the concatenated
-    input: same columns, types and rows, in key order."""
+    """Per-block partials merged on the driver (at most 8 MiB) or per
+    block after a sort (forced) equal one Arrow group_by over the
+    concatenated input: same columns, types and rows, in key order."""
 
     @staticmethod
     def _check_matches(keys: list[str]) -> None:
@@ -481,22 +635,23 @@ class TestPartialGroupby:
         self._check_zero_rows()
 
     @staticmethod
-    def _aggregate_ops() -> list[str]:
+    def _shuffle_ops() -> list[str]:
+        """The Sort, Join and Aggregate operators pricing_summary runs."""
         from ai_pdf_extraction_ray.pipelines.queries import q_pricing_summary
 
-        stats = q_pricing_summary(SF_SMOKE).materialize().stats()
-        ops = re.findall(r"^Operator \d+ (.+?):", stats, re.M)
-        return [op for op in ops if "Aggregate" in op]
+        ops = _operators(q_pricing_summary(SF_SMOKE).materialize())
+        return [op for op in ops
+                if op == "Sort" or "Join" in op or "Aggregate" in op]
 
     def test_pricing_summary_merges_on_driver(self, ray_session):
         """KB-sized partials merge in one pa.Table.group_by: no Ray
-        Aggregate operator runs."""
-        assert self._aggregate_ops() == []
+        Aggregate or Sort operator runs."""
+        assert self._shuffle_ops() == []
 
     def test_pricing_summary_one_aggregate(self, ray_session, force_shuffle):
         """Above the threshold the partials fuse into the map after the
-        read, and one Aggregate merges them."""
-        assert self._aggregate_ops() == ["Aggregate"]
+        read, and one Sort brings each key's partials into one block."""
+        assert self._shuffle_ops() == ["Sort"]
 
 
 # Ray groupbys (or segment_windows) fed by a hand-written Arrow partial
@@ -572,23 +727,38 @@ class TestSingleAggregateSite:
                 found[(rel, fn)] = line
         assert sorted(found) == sorted(NON_DECOMPOSABLE)
 
-    def test_ray_aggregate_only_in_partial_groupby(self):
-        """Every Ray ``X.groupby(...).aggregate(...)`` call in the package
-        sits inside partial_groupby, so every aggregate gets its driver
-        merge."""
-        found = set()
+    def test_no_groupby_call(self):
+        """No ``.groupby(`` call of any kind in the package, so no Ray
+        ``groupby().aggregate`` either (partial_groupby merges with
+        ``pa.Table.group_by`` on both paths): a Ray groupby's shuffle is
+        segment_window's sort, and a grouping over a driver-side table is
+        a ``pa.Table.group_by`` or a loop over ``key_runs``."""
+        found = [f"{path.relative_to(PKG)}:{n.lineno}"
+                 for path in sorted(PKG.rglob("*.py"))
+                 for n in ast.walk(ast.parse(path.read_text()))
+                 if isinstance(n, ast.Call)
+                 and getattr(n.func, "attr", None) == "groupby"]
+        assert found == []
+
+    def test_ray_aggregates_only_keyless(self):
+        """Every name imported from ``ray.data.aggregate`` is used only as
+        an argument of a keyless ``Dataset.aggregate(...)`` call."""
+        stray = []
         for path in sorted(PKG.rglob("*.py")):
-            for outer in ast.parse(path.read_text()).body:
-                for n in ast.walk(outer):
-                    if (isinstance(n, ast.Call)
-                            and isinstance(n.func, ast.Attribute)
-                            and n.func.attr == "aggregate"
-                            and isinstance(n.func.value, ast.Call)
-                            and getattr(n.func.value.func, "attr", None)
-                            == "groupby"):
-                        found.add((str(path.relative_to(PKG)),
-                                   getattr(outer, "name", "")))
-        assert found == {("stages/dedup.py", "partial_groupby")}
+            tree = ast.parse(path.read_text())
+            names = {a.asname or a.name for n in ast.walk(tree)
+                     if isinstance(n, ast.ImportFrom)
+                     and n.module == "ray.data.aggregate" for a in n.names}
+            ok = {id(arg) for n in ast.walk(tree)
+                  if isinstance(n, ast.Call)
+                  and getattr(n.func, "attr", None) == "aggregate"
+                  for arg in n.args}
+            stray += [f"{path.relative_to(PKG)}:{n.lineno}"
+                      for n in ast.walk(tree)
+                      if isinstance(n, ast.Call)
+                      and getattr(n.func, "id", None) in names
+                      and id(n) not in ok]
+        assert stray == []
 
     def test_no_renamed_partial_merges(self):
         """No ``Sum("<col>_sum")`` / ``Sum("<col>_count")`` merge of
