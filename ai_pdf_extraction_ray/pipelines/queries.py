@@ -14,8 +14,11 @@ Scale notes (100 TB posture) are attached per query:
   per-block Arrow partials before one small merge — the shuffle, when
   there is one, moves partial sums, not rows; bounded driver-side reads go
   through ``stages/dedup.collect_table``;
-- small sides (dimension tables, correction deltas, query vectors) are
-  broadcast once via ``ray.put`` and read inside the stage, never shuffled;
+- every join goes through ``stages/dedup.guarded_join``, which broadcasts
+  a side of at most 8 MiB itself; ``ray.put`` ships kernel state only
+  (gram matchers, query matrices, offset and cut-point tables, token
+  vocabularies, Bloom filters), at the sites ``BROADCAST_SITES`` in
+  tests/test_guarded_join.py names;
 - the only all-to-all exchange is a key sort (``segment_window``,
   which the large aggregates and joins run on too) or an explicit
   ``Dataset.sort``.
@@ -65,6 +68,7 @@ from ..stages.dedup import (  # noqa: E402
     EDIT_DIST_MAX as _EDIT_DIST_MAX,
     NGRAM_DF_CAP as _NGRAM_DF_CAP,
     collect_table,
+    fits_broadcast,
     guarded_join,
     key_runs,
     partial_groupby,
@@ -1432,48 +1436,50 @@ def q_lineitem_corr(sf_dir: str) -> Dataset:
 
 def q_value_zscore(sf_dir: str) -> Dataset:
     """Per-key z-score normalization (feature engineering): events value
-    standardized within its event type. Two passes: per-key sum/sumsq/count
-    partials -> tiny stats table broadcast via ``ray.put`` -> one streaming
-    normalize pass. Mean and variance are computed as sum/n and
-    sumsq/n - mean^2 on BOTH sides so the oracle restates the arithmetic."""
-    ds = _events(sf_dir, ["event_id", "event_type", "value"])
+    standardized within its event type. Per-key sum/sumsq/count partials
+    finish to a per-type (event_type, mean, std) table, and one
+    ``guarded_join`` puts it on the events. Mean and variance are computed
+    as sum/n and sumsq/n - mean^2 on BOTH sides so the oracle restates the
+    arithmetic."""
+    ds = _events(sf_dir, ["event_id", "event_type", "value"]).materialize()
 
     def squares(b: pa.Table) -> pa.Table:
         v = b.column("value")
         return pa.table({"event_type": b.column("event_type"),
                          "v": v, "v2": pc.multiply(v, v)})
 
-    stats = collect_table(partial_groupby(
+    def moments(b: pa.Table) -> pa.Table:
+        s, s2, n = (b.column(c).to_numpy(zero_copy_only=False)
+                    for c in ("s", "s2", "n"))
+        mean = s / n
+        # variance clamped at 0 (float cancellation can go ~-1e-18)
+        return pa.table({"event_type": b.column("event_type"), "mean": mean,
+                         "std": np.sqrt(np.maximum(s2 / n - mean * mean, 0.0))})
+
+    stats = partial_groupby(
         ds.map_batches(squares, batch_format="pyarrow"), "event_type",
         s=("v", "sum"), s2=("v2", "sum"), n=("v", "count"),
-    )).to_pandas()  # one row per event type
-    # variance clamped at 0 (float cancellation can go ~-1e-18); a
-    # zero-variance key emits NULL z, matching DuckDB's x/0.0 -> NULL
-    table = {
-        r.event_type: (r.s / r.n,
-                       max(r.s2 / r.n - (r.s / r.n) ** 2, 0.0) ** 0.5)
-        for r in stats.itertuples()
-    }
-    stats_ref = ray.put(table)
+    ).map_batches(moments, batch_format="pyarrow")
+    joined = guarded_join(ds, stats, on=("event_type",))
+    if joined is None:
+        return rd.from_arrow(pa.table({
+            "event_id": pa.array([], pa.int64()),
+            "event_type": pa.array([], pa.string()),
+            "z": pa.array([], pa.float64())}))
 
     def normalize(b: pa.Table) -> pa.Table:
-        st = ray.get(stats_ref)
-        et = b.column("event_type").to_pylist()
-        v = b.column("value").to_numpy(zero_copy_only=False)
-        mean = np.array([st[t][0] for t in et])
-        std = np.array([st[t][1] for t in et])
+        v, mean, std = (b.column(c).to_numpy(zero_copy_only=False)
+                        for c in ("value", "mean", "std"))
         with np.errstate(divide="ignore", invalid="ignore"):
             z = _np_round((v - mean) / std, 4)
-        z_col = pa.array(
-            [None if s == 0.0 else float(x) for x, s in zip(z, std)],
-            pa.float64())
+        # a zero-variance key emits NULL z, matching DuckDB's x/0.0 -> NULL
         return pa.table({
             "event_id": b.column("event_id"),
             "event_type": b.column("event_type"),
-            "z": z_col,
+            "z": pa.array(z, pa.float64(), mask=std == 0.0),
         })
 
-    return ds.map_batches(normalize, batch_format="pyarrow")
+    return joined.map_batches(normalize, batch_format="pyarrow")
 
 
 _PROFILE_COLS = ["o_orderkey", "o_custkey", "o_orderstatus", "o_totalprice",
@@ -1674,35 +1680,32 @@ def q_daily_active_users(sf_dir: str) -> Dataset:
 
 def q_cohort_retention(sf_dir: str) -> Dataset:
     """Cohort retention: users grouped by first-seen week, distinct users
-    active per week offset since their first event. The user->first-week
-    table is built with the partial-min pattern and BROADCAST via
-    ``ray.put`` (bounded by the user dimension); events then tag
-    themselves locally — no self-join shuffle."""
-    ds = _events(sf_dir, ["ts", "user_id"])
-
-    firsts = collect_table(partial_groupby(
-        ds, "user_id", first_ts=("ts", "min"),
-    )).to_pandas()  # bounded by |users| — the broadcast dimension
-    first_map = dict(zip(firsts["user_id"].astype(int),
-                         firsts["first_ts"].to_numpy()))
-    first_ref = ray.put(first_map)
+    active per week offset since their first event. The user -> first-ts
+    table comes from the partial-min pattern, and one ``guarded_join``
+    puts it on the events; each event's cohort day and week offset are
+    Arrow arithmetic on the joined columns."""
+    ds = _events(sf_dir, ["ts", "user_id"]).materialize()
+    firsts = partial_groupby(ds, "user_id", first_ts=("ts", "min"))
+    joined = guarded_join(ds, firsts, on=("user_id",))
+    if joined is None:
+        return rd.from_arrow(pa.table({
+            "cohort_first_day": pa.array([], pa.string()),
+            "week_offset": pa.array([], pa.int64()),
+            "n_users": pa.array([], pa.int64())}))
 
     def tag(b: pa.Table) -> pa.Table:
-        fm = ray.get(first_ref)
-        uid = b.column("user_id").to_numpy(zero_copy_only=False)
-        ts = b.column("ts").to_numpy(zero_copy_only=False)
-        first = np.array([fm[int(u)] for u in uid], dtype="datetime64[us]")
-        week_off = ((ts - first) // np.timedelta64(7, "D")).astype(np.int64)
-        cohort = pd.Series(first).dt.strftime("%Y-%m-%d").to_numpy()
+        first = b.column("first_ts")
+        elapsed = pc.subtract(b.column("ts"), first).cast(pa.int64())
         return pa.table({
-            "cohort_first_day": pa.array(cohort, pa.string()),
-            "week_offset": pa.array(week_off, pa.int64()),
+            "cohort_first_day": pc.strftime(first, format="%Y-%m-%d"),
+            # elapsed >= 0, so the truncating integer divide is a floor
+            "week_offset": pc.divide(elapsed, 7 * 86_400 * 10**6),
             "user_id": b.column("user_id"),
         })
 
     # distinct (cohort, week_off, user) rows, then users per (cohort, week)
     keys = ["cohort_first_day", "week_offset"]
-    tagged = partial_groupby(ds.map_batches(tag, batch_format="pyarrow"),
+    tagged = partial_groupby(joined.map_batches(tag, batch_format="pyarrow"),
                              keys + ["user_id"], c=(None, "count_all"))
     return partial_groupby(tagged, keys, n_users=(None, "count_all"))
 
@@ -2779,6 +2782,22 @@ PASSAGE_WORDS = 20      # fixed-window passage size (paragraph proxy)
 _PASSAGE_SHIFT = 21     # rank = (doc_id << 21) | seg — caps 2^21 passages/doc
 
 
+def _passage_digests(text: str | None) -> tuple[np.ndarray, np.ndarray]:
+    """The two 64-bit halves of the 128-bit digest of each fixed
+    PASSAGE_WORDS-token passage of ``text`` (lower() ``\\S+`` words), in
+    order; a text without words is one empty passage."""
+    from ..functions.fasthash import _MPOLY, _POLY1, token_spans
+
+    data, starts, ends = token_spans(text or "")
+    n = len(starts)
+    if n:
+        idx = np.arange(0, n, PASSAGE_WORDS)
+        bounds = starts[idx], ends[np.minimum(idx + PASSAGE_WORDS, n) - 1]
+    else:
+        bounds = np.zeros(1, np.int64), np.zeros(1, np.int64)
+    return _POLY1.span_hashes(data, *bounds), _MPOLY.span_hashes(data, *bounds)
+
+
 def q_passage_dedup(sf_dir: str) -> Dataset:
     """Paragraph-level exact dedup (the Dolma-style corpus-dedup signal),
     one granularity below `exact_dedup`: text tokenizes to lower() ``\\S+``
@@ -2797,30 +2816,17 @@ def q_passage_dedup(sf_dir: str) -> Dataset:
     occurrences; a hash join + per-doc partial aggregate reduce to one
     row per doc. Rank packs (doc_id, seg) into one int64 (doc_id < 2^42,
     passages/doc < 2^21 — 40M tokens/doc)."""
-    from ..functions.fasthash import _MPOLY, _POLY1, token_spans
-
     docs = _docs(sf_dir, ["doc_id", "text"])
 
     def explode(b: pa.Table) -> pa.Table:
         cols = {"rank": [], "dh": [], "dl": []}
         for d, t in zip(b.column("doc_id").to_pylist(),
                         b.column("text").to_pylist()):
-            data, starts, ends = token_spans(t or "")
-            n = len(starts)
-            n_seg = max(1, -(-n // PASSAGE_WORDS))
-            if n == 0:
-                w_starts = np.zeros(1, dtype=np.int64)
-                w_ends = np.zeros(1, dtype=np.int64)
-            else:
-                idx = np.arange(n_seg, dtype=np.int64) * PASSAGE_WORDS
-                w_starts = starts[idx]
-                w_ends = ends[np.minimum(idx + PASSAGE_WORDS, n) - 1]
+            hi, lo = _passage_digests(t)
             cols["rank"].extend(
-                (d << _PASSAGE_SHIFT) | np.arange(1, n_seg + 1, dtype=np.int64))
-            cols["dh"].extend(
-                _POLY1.span_hashes(data, w_starts, w_ends).view(np.int64))
-            cols["dl"].extend(
-                _MPOLY.span_hashes(data, w_starts, w_ends).view(np.int64))
+                (d << _PASSAGE_SHIFT) | np.arange(1, len(hi) + 1, dtype=np.int64))
+            cols["dh"].extend(hi.view(np.int64))
+            cols["dl"].extend(lo.view(np.int64))
         return pa.table({k: pa.array(v, pa.int64()) for k, v in cols.items()})
 
     # consumed twice (winners groupby + join probe)
@@ -2964,16 +2970,15 @@ def q_dedup_excise(sf_dir: str) -> Dataset:
     the lowercase token stream with duplicated spans removed (tokenization
     is the dedup normalization; untouched docs are not re-emitted).
 
-    Scale shape: the corpus is prefiltered to duplicate documents BEFORE
-    the doc⋈span hash join, so the shuffle moves only duplicates. The
-    prefilter degrades with the duplicated population size: at or below
-    ``EXCISE_BROADCAST_MAX`` span rows, the exact sorted dup-id array is
-    broadcast once via ``ray.put`` (zero false positives); above it — a
-    mass-duplicated corpus, where the id set itself no longer fits a
-    worker heap — a fixed-size Bloom filter built DISTRIBUTED (per-batch
-    partial bitmaps, OR-merged; functions/bloom.py) is broadcast instead,
-    and the inner join removes the bounded false-positive tail, keeping
-    the result exact (judge round-3 finding #3). Per-doc excision runs in
+    Scale shape: one ``guarded_join`` puts the span rows on the corpus.
+    While the span side fits ``fits_broadcast`` it is broadcast and every
+    corpus block is probed against it, so only duplicate docs leave the
+    probe. Above the bound — a mass-duplicated corpus — the join would
+    sort every document's text, so the corpus is first prefiltered by a
+    fixed-size Bloom filter of the dup doc ids, built DISTRIBUTED
+    (per-batch partial bitmaps, OR-merged; functions/bloom.py) and
+    broadcast once; the inner join removes its bounded false-positive
+    tail, keeping the result exact. Per-doc excision runs in
     ``segment_window`` over one doc's few span rows."""
     from ..functions.bloom import BloomFilter
 
@@ -2985,17 +2990,8 @@ def q_dedup_excise(sf_dir: str) -> Dataset:
     if n_sp == 0:
         return rd.from_arrow(empty)
 
-    if n_sp <= EXCISE_BROADCAST_MAX:
-        ids_ref = ray.put(np.sort(np.unique(
-            spans.select_columns(["doc_id"]).to_pandas()["doc_id"]
-            .to_numpy())))
-
-        def member(b: pa.Table) -> pa.Table:
-            ids = ray.get(ids_ref)
-            d = b.column("doc_id").to_numpy(zero_copy_only=False)
-            idx = np.clip(np.searchsorted(ids, d), 0, len(ids) - 1)
-            return b.filter(pa.array(ids[idx] == d))
-    else:
+    docs = _docs(sf_dir, ["doc_id", "text"])
+    if not fits_broadcast(spans):
         # ~10 bits/key for ~1% fp, next power of two, floor 2^17 (16 KiB),
         # CAP 2^27 (16 MiB): every batch allocates a partial bitmap of this
         # size, so an uncapped corpus-sized filter would put gigabytes on
@@ -3044,8 +3040,7 @@ def q_dedup_excise(sf_dir: str) -> Dataset:
             d = b.column("doc_id").to_numpy(zero_copy_only=False)
             return b.filter(pa.array(probe.contains_many(d)))
 
-    docs = _docs(sf_dir, ["doc_id", "text"]).map_batches(
-        member, batch_format="pyarrow")
+        docs = docs.map_batches(member, batch_format="pyarrow")
     joined = guarded_join(spans, docs, on=("doc_id",))
     if joined is None:
         return rd.from_arrow(empty)
@@ -3069,11 +3064,6 @@ def q_dedup_excise(sf_dir: str) -> Dataset:
 
     return segment_window(joined, "doc_id", excise)
 
-
-# dedup_excise prefilter switchover: span-row counts at or below this
-# broadcast the exact sorted dup-id array; above it the Bloom path engages
-# (tests force it low to exercise both sides — see TestDedupExciseBloom)
-EXCISE_BROADCAST_MAX = 1_000_000
 
 BLOCKED_HOSTS = ("h0.example.com", "h7.example.com", "h13.example.com")
 
@@ -3665,7 +3655,6 @@ def q_host_boilerplate(sf_dir: str) -> Dataset:
     the flag-back join both carry 16-byte digests + ids, never text. The
     per-doc totals ride along the seg rows, so one inner join + one
     per-doc aggregate finish the job."""
-    from ..functions.fasthash import _MPOLY, _POLY1, token_spans
     from ..sources.corpus import host_id_for
 
     docs = _docs(sf_dir, ["doc_id", "text"])
@@ -3674,19 +3663,7 @@ def q_host_boilerplate(sf_dir: str) -> Dataset:
         out = {"host_id": [], "doc_id": [], "dh": [], "dl": [], "n_uniq": []}
         for d, t in zip(b.column("doc_id").to_pylist(),
                         b.column("text").to_pylist()):
-            data, starts, ends = token_spans(t or "")
-            n = len(starts)
-            n_seg = max(1, -(-n // PASSAGE_WORDS))
-            if n == 0:
-                w_starts = np.zeros(1, dtype=np.int64)
-                w_ends = np.zeros(1, dtype=np.int64)
-            else:
-                w_starts = starts[::PASSAGE_WORDS]
-                w_ends = ends[np.minimum(
-                    np.arange(1, n_seg + 1) * PASSAGE_WORDS, n) - 1]
-            hi = _POLY1.span_hashes(data, w_starts, w_ends)
-            lo = _MPOLY.span_hashes(data, w_starts, w_ends)
-            pair = np.unique(np.stack([hi, lo], axis=1), axis=0)
+            pair = np.unique(np.stack(_passage_digests(t), axis=1), axis=0)
             k = len(pair)
             out["host_id"].extend([host_id_for(d)] * k)
             out["doc_id"].extend([d] * k)

@@ -99,8 +99,16 @@ def _nonempty_blocks(ds: Dataset, n_rows: int) -> Dataset:
 # worker is cheap next to a sort's sample, map and reduce stages), and
 # partial_groupby merges the partials in one pa.Table.group_by on the
 # driver (each hand-off between the sort's stages waits on the executor's
-# 100-ms poll).
+# 100-ms poll). The package's one size threshold: every broadcast or
+# driver-collect decision reads it through fits_broadcast.
 _BROADCAST_MAX_BYTES = 8 << 20
+
+
+def fits_broadcast(ds: Dataset) -> bool:
+    """Whether the materialized ``ds`` is at most ``_BROADCAST_MAX_BYTES``
+    (block metadata, no scan): small enough to broadcast to every worker
+    or to collect on the driver."""
+    return ds.size_bytes() <= _BROADCAST_MAX_BYTES
 
 
 def guarded_join(
@@ -111,7 +119,9 @@ def guarded_join(
     Returns None when either side is empty; each caller owns its typed
     empty result or fallback. Columns come out in the order, and with the
     key coalescing, of ``Dataset.join`` (the left side's columns, then the
-    right side's other columns) on either path.
+    right side's other columns) on either path. A right non-key column
+    named like a left column raises ``ValueError`` before any join runs:
+    the output would carry the name twice.
 
     Both sides are materialized and counted (block metadata, no scan);
     then the join takes one of two physical paths, chosen from each
@@ -143,27 +153,38 @@ def guarded_join(
     sides = [ds.materialize() for ds in (left, right)]
     if not all(ds.count() for ds in sides):
         return None
-    (lds, rds), side_keys = sides, (list(on), list(right_on or on))
+    side_keys = (list(on), list(right_on or on))
     arrow_join_type = join_type.replace("_", " ")
-    lbytes, rbytes = lds.size_bytes(), rds.size_bytes()
-    broadcast_left = join_type == "inner" and lbytes < rbytes
-    if (join_type in ("inner", "left_outer") and
-            (lbytes if broadcast_left else rbytes) <= _BROADCAST_MAX_BYTES):
-        small_ds, big_ds = sides if broadcast_left else sides[::-1]
+    broadcast_left = (join_type == "inner"
+                      and sides[0].size_bytes() < sides[1].size_bytes())
+    small_ds, big_ds = sides if broadcast_left else sides[::-1]
+    broadcast = join_type in ("inner", "left_outer") and fits_broadcast(small_ds)
+    if broadcast:
         small = collect_table(small_ds)
+        big_ds = _nonempty_blocks(big_ds, big_ds.count())
+        schemas = [small.schema, big_ds.schema().base_schema]
+        schemas = schemas if broadcast_left else schemas[::-1]
+    else:
+        sides = [_nonempty_blocks(ds, ds.count()) for ds in sides]
+        schemas = [ds.schema().base_schema for ds in sides]
+    shared = [c for c in schemas[1].names
+              if c not in side_keys[1] and c in schemas[0].names]
+    if shared:
+        raise ValueError(
+            f"guarded_join: column(s) {shared} on both sides would appear "
+            "twice in the output; rename one side's first")
 
+    if broadcast:
         def probe(batch: pa.Table) -> pa.Table:
             left_t, right_t = (small, batch) if broadcast_left else (batch, small)
             return left_t.join(right_t, *side_keys, join_type=arrow_join_type)
 
-        return _nonempty_blocks(big_ds, big_ds.count()).map_batches(
-            probe, batch_format="pyarrow", batch_size=None)
+        return big_ds.map_batches(probe, batch_format="pyarrow", batch_size=None)
 
-    lds, rds = sides = [_nonempty_blocks(ds, ds.count()) for ds in sides]
+    lds, rds = sides
     # each side's columns under the union's names, in the side's order:
     # the keys as key<i>, the others as "<side>.<name>", so no name of one
     # side meets the other's
-    schemas = [ds.schema().base_schema for ds in sides]
     keys = [f"key{i}" for i in range(len(on))]
     names = [[keys[ks.index(c)] if c in ks else f"{s}.{c}" for c in sc.names]
              for s, (sc, ks) in enumerate(zip(schemas, side_keys))]
@@ -266,7 +287,7 @@ def partial_groupby(ds: Dataset, keys: str | list[str],
         cols = dict.fromkeys(keys + [c for c, _ in aggs.values() if c])
         return rd.from_arrow(partial(pa.table(
             {c: pa.array([], types.get(c, pa.null())) for c in cols})))
-    if parts.size_bytes() <= _BROADCAST_MAX_BYTES:
+    if fits_broadcast(parts):
         return rd.from_arrow(merge(collect_table(parts)))
     return segment_window(parts, keys, lambda t, _: merge(t))
 
@@ -571,7 +592,7 @@ def minhash_near_dup_pairs_ds(
     # the (id, id) candidate set stays in object-store blocks, never the
     # driver; candidates are orders of magnitude smaller than the corpus.
     # The verified set is materialized once here: near_dup_clusters
-    # counts it and then reads it.
+    # sizes it and then reads it.
     cand = minhash_candidate_pairs(docs, num_perm=num_perm, bands=bands, k=k)
     return verify_pairs_jaccard(cand, docs, k=k,
                                 threshold=threshold).materialize()
@@ -1302,11 +1323,6 @@ def cluster_pairs(pairs: pd.DataFrame) -> tuple[dict[int, int], dict[int, int]]:
     return label, size
 
 
-# above this many verified pairs the union-find + label-map broadcast
-# leaves the driver and clustering runs as distributed min-label
-# propagation (same threshold-gated degrade pattern as dedup_excise's
-# Bloom path; judge round-4 item 3)
-CLUSTER_PAIRS_BROADCAST_MAX = 1_000_000
 _PROPAGATE_MAX_ROUNDS = 64
 
 
@@ -1383,44 +1399,6 @@ def propagate_min_labels(pairs: Dataset) -> Dataset:
         " scale")
 
 
-def _clusters_distributed(pairs: Dataset, docs: Dataset) -> Dataset:
-    """Cluster assignment with the pair set left in the cluster: label
-    propagation -> per-label sizes -> corpus left join. The driver never
-    holds pairs or labels. Called with a non-empty pair set, so every
-    join side below is non-empty."""
-    labels = propagate_min_labels(pairs)
-    sizes = partial_groupby(labels, "label", cluster_size=(None, "count_all"))
-
-    with_label = guarded_join(
-        docs, labels.rename_columns({"u": "node", "label": "lbl"}),
-        join_type="left_outer", on=("doc_id",), right_on=("node",),
-    ).map_batches(
-        lambda b: pa.table({
-            "doc_id": b.column("doc_id").cast(pa.int64()),
-            "cluster_id": pc.coalesce(
-                b.column("lbl").cast(pa.int64()),
-                b.column("doc_id").cast(pa.int64()))}),
-        batch_format="pyarrow")
-    out = guarded_join(
-        with_label, sizes.rename_columns({"label": "size_key"}),
-        join_type="left_outer", on=("cluster_id",), right_on=("size_key",),
-    )
-
-    def finish(b: pa.Table) -> pa.Table:
-        ids = b.column("doc_id").cast(pa.int64())
-        cl = b.column("cluster_id").cast(pa.int64())
-        return pa.table({
-            "doc_id": ids,
-            "cluster_id": cl,
-            "cluster_size": pc.coalesce(
-                b.column("cluster_size").cast(pa.int64()),
-                pa.scalar(1, pa.int64())),
-            "is_canonical": pc.cast(pc.equal(ids, cl), pa.int64()),
-        })
-
-    return out.map_batches(finish, batch_format="pyarrow")
-
-
 def near_dup_clusters(sf_dir: str, *, threshold: float = 0.5) -> "Dataset":
     """Duplicate-cluster formation: connected components over the verified
     near-dup pair graph, one canonical doc (min doc_id) per cluster — the
@@ -1436,44 +1414,57 @@ def near_dup_clusters(sf_dir: str, *, threshold: float = 0.5) -> "Dataset":
     low-threshold production run should raise ``bands`` (e.g. 32x2:
     1-(1-s^2)^32 = ~0.9997 at s=0.5) and accept the larger exchange.
 
-    Scale shape (two regimes, judge round-4 item 3): the verified pair
-    set stays a Dataset; when it counts <= CLUSTER_PAIRS_BROADCAST_MAX,
-    union-find runs on the driver in O(pairs * alpha) and the label map
-    broadcasts once (``ray.put``) for a shuffle-free streaming assign.
-    Above the cap (mass-duplicated corpora make pairs ~O(cluster) per
-    component but components can be huge), clustering degrades to
-    distributed min-label propagation + label/size hash joins — the
-    driver never holds more than per-round scalars. Both paths emit the
-    identical contract (planted-family test pins the equality)."""
-    import ray as _ray
-
+    Scale shape: the verified pair set stays a Dataset and becomes one
+    (node, cluster_id, cluster_size) table — by union-find on the driver
+    when the pairs fit ``fits_broadcast``, else by distributed min-label
+    propagation and a labels ⋈ sizes join, where the driver holds no more
+    than per-round scalars. One left-outer ``guarded_join`` puts it on the
+    corpus; a doc in no pair is its own cluster of one. Both regimes give
+    the same rows (the planted-family test pins the equality)."""
     # adaptive banding: below the 16x4 S-curve's reliable zone, trade a
     # larger candidate exchange for 32x2 banding so low-threshold edges
     # are actually sampled (see Recall envelope above); the exact verify
     # keeps the output identical wherever both band schemes saw the pair
     bands = 16 if threshold >= 0.7 else 32
-    pairs_ds = minhash_near_dup_pairs_ds(
-        sf_dir, threshold=threshold, bands=bands)
-    n_pairs = pairs_ds.count()
+    pairs = minhash_near_dup_pairs_ds(sf_dir, threshold=threshold, bands=bands)
     docs = rd.read_parquet(f"{sf_dir}/documents.parquet", columns=["doc_id"])
 
-    if n_pairs > CLUSTER_PAIRS_BROADCAST_MAX:
-        return _clusters_distributed(pairs_ds, docs)
+    if fits_broadcast(pairs):
+        label, size = cluster_pairs(collect_table(pairs).to_pandas())
+        clusters = rd.from_arrow(pa.table({
+            "node": pa.array(list(label), pa.int64()),
+            "cluster_id": pa.array(list(label.values()), pa.int64()),
+            "cluster_size": pa.array([size[c] for c in label.values()],
+                                     pa.int64())}))
+    else:
+        labels = propagate_min_labels(pairs).rename_columns(
+            {"u": "node", "label": "cluster_id"})
+        clusters = guarded_join(labels, partial_groupby(
+            labels, "cluster_id", cluster_size=(None, "count_all")),
+            on=("cluster_id",))
 
-    label, size = cluster_pairs(collect_table(pairs_ds).to_pandas())
-    maps_ref = _ray.put((label, size))
-
-    def assign(batch: pa.Table) -> pa.Table:
-        lab, sz = _ray.get(maps_ref)
-        ids = batch.column("doc_id").to_pylist()
-        cl = [lab.get(i, i) for i in ids]
+    def finish(b: pa.Table) -> pa.Table:
+        ids = b.column("doc_id").cast(pa.int64())
+        cl = pc.coalesce(b.column("cluster_id").cast(pa.int64()), ids)
         return pa.table({
-            "doc_id": batch.column("doc_id"),
-            "cluster_id": pa.array(cl, pa.int64()),
-            "cluster_size": pa.array([sz.get(c, 1) for c in cl], pa.int64()),
-            "is_canonical": pa.array(
-                [1 if i == c else 0 for i, c in zip(ids, cl)], pa.int64()),
+            "doc_id": ids,
+            "cluster_id": cl,
+            "cluster_size": pc.coalesce(
+                b.column("cluster_size").cast(pa.int64()),
+                pa.scalar(1, pa.int64())),
+            "is_canonical": pc.cast(pc.equal(ids, cl), pa.int64()),
         })
 
-    # typed_map: a map over a zero-row read would lose the columns
-    return typed_map(docs, assign)
+    joined = None if clusters is None else guarded_join(
+        docs, clusters, join_type="left_outer", on=("doc_id",),
+        right_on=("node",))
+    if joined is None:
+        # no pairs (or no docs): every doc is its own cluster; typed_map
+        # keeps the columns on a zero-row read
+        def singletons(b: pa.Table) -> pa.Table:
+            null = pa.nulls(b.num_rows, pa.int64())
+            return finish(b.append_column("cluster_id", null)
+                          .append_column("cluster_size", null))
+
+        return typed_map(docs, singletons)
+    return joined.map_batches(finish, batch_format="pyarrow")

@@ -146,12 +146,12 @@ class TestDistributedPropagation:
 
     def test_giant_family_distributed_end_to_end(self, tmp_path, monkeypatch):
         """Planted 5,000-doc near-identical family (judge round-4 item 3):
-        force the distributed path (cap=0) and compare row-for-row against
-        the driver path — identical contract, no driver pair/label
-        materialization. 5,000 > BUCKET_CAP, so the family takes the
-        identical-signature STAR fallback (~5k pairs, O(n)) rather than
-        quadratic all-pairs — the exact scale shape a mass-duplicated
-        corpus exercises."""
+        force the distributed path (no pair set fits the broadcast bound)
+        and compare row-for-row against the driver path — identical
+        contract, no driver pair/label materialization. 5,000 >
+        BUCKET_CAP, so the family takes the identical-signature STAR
+        fallback (~5k pairs, O(n)) rather than quadratic all-pairs — the
+        exact scale shape a mass-duplicated corpus exercises."""
         import ai_pdf_extraction_ray.stages.dedup as dedup
 
         n_fam = 5_000
@@ -164,7 +164,7 @@ class TestDistributedPropagation:
             d / "documents.parquet")
 
         driver = dedup.near_dup_clusters(str(d), threshold=0.8).to_pandas()
-        monkeypatch.setattr(dedup, "CLUSTER_PAIRS_BROADCAST_MAX", 0)
+        monkeypatch.setattr(dedup, "_BROADCAST_MAX_BYTES", -1)
         dist = dedup.near_dup_clusters(str(d), threshold=0.8).to_pandas()
         for df in (driver, dist):
             df.sort_values("doc_id", inplace=True)

@@ -33,9 +33,11 @@ def _calls(fn, callee: str, skip: tuple[str, ...] = ()) -> bool:  # noqa: ANN001
 
 # queries whose body (or a helper it names) calls guarded_join, found by
 # name, so a new direct caller joins the degenerate-input sweep
-# automatically
+# automatically, plus near_dup_clusters, listed by hand: it reaches the
+# join through a stage function
 DIRECT_CALLERS = sorted(
-    name for name, q in QUERIES.items() if _calls(q["fn"], "guarded_join"))
+    {name for name, q in QUERIES.items() if _calls(q["fn"], "guarded_join")}
+    | {"near_dup_clusters"})
 
 # queries that aggregate through partial_groupby (found the same way), plus
 # heavy_hitters (it reaches the helper through a stage function) and
@@ -303,9 +305,8 @@ class TestPathParity:
         """``right_on`` differs from ``on`` and the name ``rk`` is on both
         sides: the right side's key, and a non-key column of the left side.
         Both paths keep the left ``rk`` and coalesce the right one into
-        ``k``, as ``pa.Table.join`` does. (A non-key name on both sides of
-        the output is not possible: Ray rejects a block with a repeated
-        column name.)"""
+        ``k``, as ``pa.Table.join`` does, so the shared-name check below
+        does not fire."""
         left = pa.table({"k": pa.array([1, 2, 2, 3, None, 5] * 10, pa.int64()),
                          "rk": [f"l{i}" for i in range(60)]})
         right = pa.table({"rk": pa.array([2, 3, 3, 4, None, 1] * 12, pa.int64()),
@@ -315,6 +316,29 @@ class TestPathParity:
         assert self._rows_both_paths(
             monkeypatch, left, right, on=("k",), right_on=("rk",),
             join_type=join_type) == [want, want]
+
+    @pytest.mark.parametrize("join_type", ["inner", "left_outer"])
+    @pytest.mark.parametrize("sort", [False, True], ids=["broadcast", "sort"])
+    def test_shared_non_key_column_rejected(self, ray_session, monkeypatch,
+                                            join_type, sort):
+        """A right non-key column named like a left column would appear
+        twice in the output (Ray then rejects the block late, with a
+        ``KeyError``): either path raises a ``ValueError`` naming it
+        before any join runs."""
+        import ray.data as rd
+
+        from ai_pdf_extraction_ray.stages import dedup
+
+        if sort:
+            monkeypatch.setattr(dedup, "_BROADCAST_MAX_BYTES", -1)
+        left = pa.table({"k": pa.array([1, 2, 3], pa.int64()),
+                         "v": ["a", "b", "c"]})
+        right = pa.table({"rk": pa.array([2, 3, 4], pa.int64()),
+                          "v": pa.array([20, 30, 40], pa.int64())})
+        with pytest.raises(ValueError, match=r"\['v'\]"):
+            dedup.guarded_join(rd.from_arrow(_blocks(left, 1)),
+                               rd.from_arrow(_blocks(right, 2)), on=("k",),
+                               right_on=("rk",), join_type=join_type)
 
     @pytest.mark.parametrize("join_type,arrow_type", JOIN_TYPES)
     def test_renamed_side_with_zero_row_block(self, ray_session, monkeypatch,
@@ -481,6 +505,35 @@ class TestSortPathParity:
         assert _text_rows(got) == _text_rows(want)
 
 
+# every ray.put in the package, by (file, enclosing top-level function),
+# with the kernel state it ships to the workers of one map
+BROADCAST_SITES = {
+    ("pipelines/curate.py", "curate_job"): "benchmark gram matcher",
+    ("pipelines/queries.py", "q_host_reputation"): "benchmark gram matcher",
+    ("pipelines/queries.py", "q_curation_funnel"): "benchmark gram matcher",
+    ("pipelines/queries.py", "q_curation_splits"): "benchmark gram matcher",
+    ("stages/textstats.py", "contamination_flags"): "benchmark gram matcher",
+    ("stages/similarity.py", "knn_flat"): "kNN query matrix",
+    ("stages/similarity.py", "knn_multiquery"): "kNN query matrix",
+    ("stages/similarity.py", "knn_ivf"): "kNN query matrix",
+    ("pipelines/queries.py", "q_value_ntile"):
+        "per-run (event_type, bin) offset table",
+    ("pipelines/queries.py", "_key_offsets"): "per-run rank offset table",
+    ("pipelines/queries.py", "q_quantiles"): "per-type quantile cut points",
+    ("pipelines/queries.py", "q_perplexity_buckets"):
+        "per-language tercile cut points",
+    ("pipelines/queries.py", "q_tfidf_top_terms"): "token vocabulary (idf)",
+    ("pipelines/queries.py", "_unigram_logp_ref"):
+        "token vocabulary (log-probabilities)",
+    ("pipelines/queries.py", "q_oov_rate"): "token vocabulary",
+    ("stages/sketches.py", "heavy_hitters"): "heavy-hitters candidate set",
+    ("pipelines/queries.py", "q_customers_semi_join_bloom"):
+        "Bloom semi-join query filter",
+    ("pipelines/queries.py", "q_dedup_excise"):
+        "Bloom prefilter of the corpus, built only above the broadcast bound",
+}
+
+
 class TestSingleJoinSite:
     """Joins go through one function; nothing may call Dataset.join or
     reach for its private helpers."""
@@ -522,6 +575,22 @@ class TestSingleJoinSite:
             and getattr(node.func, "attr", None) == "join"
             and {"on", "num_partitions"} & {k.arg for k in node.keywords}]
         assert stray == []
+
+    def test_ray_put_sites_named(self):
+        """Every ``ray.put`` sits in a function ``BROADCAST_SITES`` names
+        with what it ships. A join side is never one: guarded_join
+        broadcasts it, so a dict or id set put at a call site and looked
+        up per row is a hand-rolled join."""
+        found = {
+            (str(path.relative_to(PKG)), getattr(outer, "name", ""))
+            for path, text in self._sources(PKG)
+            for outer in ast.parse(text).body
+            for n in ast.walk(outer)
+            if isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute)
+            and n.func.attr == "put" and isinstance(n.func.value, ast.Name)
+            and n.func.value.id in ("ray", "_ray")}
+        assert sorted(found - set(BROADCAST_SITES)) == []  # unnamed sites
+        assert sorted(set(BROADCAST_SITES) - found) == []  # stale entries
 
     def test_guard_helpers_private_to_dedup(self):
         from ai_pdf_extraction_ray.stages import dedup
