@@ -206,15 +206,14 @@ def curate_job(sf_dir: str, out_dir: str) -> dict:
         kept.select_columns(["digest_hi", "digest_lo", "doc_id"]),
         ["digest_hi", "digest_lo"], keep_id=("doc_id", "min")).materialize()
     n_canon = canon.count()
-    # never None: kept is non-empty, so its digest groups are too
-    joined = guarded_join(kept, canon, on=("digest_hi", "digest_lo"))
 
     def first_only(b: pa.Table) -> pa.Table:
         mask = pc.equal(b.column("doc_id"), b.column("keep_id"))
         return b.filter(mask).drop_columns(
             ["digest_hi", "digest_lo", "keep_id"])
 
-    final = _with_split(joined.map_batches(first_only, batch_format="pyarrow"))
+    final = _with_split(guarded_join(kept, canon, on=("digest_hi", "digest_lo"),
+                                     finish=first_only))
     final.write_parquet(str(out), partition_cols=["split"])
 
     import pyarrow.dataset as pads

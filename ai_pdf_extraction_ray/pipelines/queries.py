@@ -259,9 +259,6 @@ def q_extract_counters_by_lang(sf_dir: str) -> Dataset:
         return pa.table({"lang": batch.column("lang"),
                          "chars": pc.utf8_length(batch.column("text"))})
 
-    agg = partial_groupby(ext.map_batches(chars, batch_format="pyarrow"), "lang",
-                          total_chars=("chars", "sum"), n_docs=("chars", "count"))
-
     def finish(batch: pa.Table) -> pa.Table:
         total = batch.column("total_chars").cast(pa.float64())
         n = batch.column("n_docs").cast(pa.float64())
@@ -273,7 +270,9 @@ def q_extract_counters_by_lang(sf_dir: str) -> Dataset:
             "avg_chars": avg,
         })
 
-    return agg.map_batches(finish, batch_format="pyarrow")
+    return partial_groupby(ext.map_batches(chars, batch_format="pyarrow"),
+                           "lang", finish=finish, total_chars=("chars", "sum"),
+                           n_docs=("chars", "count"))
 
 
 PAGE_STATS_CAP_BYTES = 300   # oversize cap sized so both lanes occur at sf0.01
@@ -472,10 +471,6 @@ def q_host_reputation(sf_dir: str) -> Dataset:
             "chars": pa.array(chars, pa.int64()),
         })
 
-    agg = partial_groupby(docs.map_batches(gated, batch_format="pyarrow"),
-                          "host_id", n_docs=(None, "count_all"),
-                          n_kept=("kept", "sum"), chars=("chars", "sum"))
-
     def finish(b: pa.Table) -> pa.Table:
         n = b.column("n_docs").cast(pa.float64())
         hosts = [f"h{int(h)}.example.com"
@@ -489,7 +484,9 @@ def q_host_reputation(sf_dir: str) -> Dataset:
                 pc.divide(b.column("chars").cast(pa.float64()), n), 4),
         })
 
-    return agg.map_batches(finish, batch_format="pyarrow")
+    return partial_groupby(docs.map_batches(gated, batch_format="pyarrow"),
+                           "host_id", finish=finish, n_docs=(None, "count_all"),
+                           n_kept=("kept", "sum"), chars=("chars", "sum"))
 
 
 # ---------------------------------------------------------------------------
@@ -559,7 +556,8 @@ def q_exact_dedup(sf_dir: str) -> Dataset:
 
     return partial_groupby(ds.map_batches(add_hash, batch_format="pyarrow"),
                            ["digest_hi", "digest_lo"],
-                           doc_id=("doc_id", "min")).select_columns(["doc_id"])
+                           finish=lambda t: t.select(["doc_id"]),
+                           doc_id=("doc_id", "min"))
 
 
 def q_revenue_by_nation(sf_dir: str) -> Dataset:
@@ -602,13 +600,6 @@ def _revenue_rollup(sf_dir: str, nation_keys: np.ndarray,
                                n_orders=("o_totalprice", "count"))
     cust = rd.read_parquet(f"{sf_dir}/customer.parquet",
                            columns=["c_custkey", "c_nationkey"])
-    joined = guarded_join(per_cust, cust,
-                          on=("o_custkey",), right_on=("c_custkey",))
-    if joined is None:
-        return rd.from_arrow(pa.table({
-            name_col: pa.array([], pa.string()),
-            "n_orders": pa.array([], pa.int64()),
-            "revenue": pa.array([], pa.float64())}))
 
     def named(b: pa.Table) -> pa.Table:
         nk = b.column("c_nationkey").to_numpy(zero_copy_only=False)
@@ -625,17 +616,16 @@ def _revenue_rollup(sf_dir: str, nation_keys: np.ndarray,
             "n_orders": b.column("n_orders").filter(pa.array(valid)),
         })
 
-    agg = partial_groupby(
-        joined.map_batches(named, batch_format="pyarrow"), name_col,
-        revenue_raw=("rev_raw", "sum"), n_orders=("n_orders", "sum"))
-    return agg.map_batches(
-        lambda b: pa.table({
+    joined = guarded_join(per_cust, cust, on=("o_custkey",),
+                          right_on=("c_custkey",), finish=named)
+    return partial_groupby(
+        joined, name_col,
+        revenue_raw=("rev_raw", "sum"), n_orders=("n_orders", "sum"),
+        finish=lambda b: pa.table({
             name_col: b.column(name_col),
             "n_orders": b.column("n_orders"),
             "revenue": _pc_round(b.column("revenue_raw"), 2),
-        }),
-        batch_format="pyarrow",
-    )
+        }))
 
 
 def q_topk_customers(sf_dir: str) -> Dataset:
@@ -643,16 +633,16 @@ def q_topk_customers(sf_dir: str) -> Dataset:
     (sort/limit shape of O1 over an aggregate)."""
     orders = rd.read_parquet(f"{sf_dir}/orders.parquet", columns=["o_custkey", "o_totalprice"])
 
-    agg = partial_groupby(orders, "o_custkey",
-                          revenue_raw=("o_totalprice", "sum"))
-    rounded = agg.map_batches(
-        lambda b: pa.table({
+    rounded = partial_groupby(
+        orders, "o_custkey", revenue_raw=("o_totalprice", "sum"),
+        finish=lambda b: pa.table({
             "o_custkey": b.column("o_custkey"),
             "revenue": _pc_round(b.column("revenue_raw"), 2),
-        }),
-        batch_format="pyarrow",
-    )
-    return rounded.sort(["revenue", "o_custkey"], descending=[True, False]).limit(10)
+        }))
+    top = rounded.sort(["revenue", "o_custkey"],
+                       descending=[True, False]).limit(10).materialize()
+    # a Ray sort of zero rows loses the columns; the empty aggregate has them
+    return top if top.count() else rounded
 
 
 def q_pricing_summary(sf_dir: str) -> Dataset:
@@ -674,17 +664,6 @@ def q_pricing_summary(sf_dir: str) -> Dataset:
         charge = pc.multiply(disc_price, pc.add(pa.scalar(1.0), batch.column("l_tax")))
         return batch.append_column("disc_price", disc_price).append_column(
             "charge", charge)
-
-    agg = partial_groupby(
-        ds.map_batches(prices, batch_format="pyarrow"),
-        ["l_returnflag", "l_linestatus"],
-        sum_qty=("l_quantity", "sum"),
-        sum_base_price=("l_extendedprice", "sum"),
-        sum_disc_price=("disc_price", "sum"),
-        sum_charge=("charge", "sum"),
-        s_disc=("l_discount", "sum"),
-        count_order=("l_quantity", "count"),
-    )
 
     def finish(batch: pa.Table) -> pa.Table:
         n = batch.column("count_order").cast(pa.float64())
@@ -709,7 +688,17 @@ def q_pricing_summary(sf_dir: str) -> Dataset:
             "count_order": batch.column("count_order"),
         })
 
-    return agg.map_batches(finish, batch_format="pyarrow")
+    return partial_groupby(
+        ds.map_batches(prices, batch_format="pyarrow"),
+        ["l_returnflag", "l_linestatus"],
+        finish=finish,
+        sum_qty=("l_quantity", "sum"),
+        sum_base_price=("l_extendedprice", "sum"),
+        sum_disc_price=("disc_price", "sum"),
+        sum_charge=("charge", "sum"),
+        s_disc=("l_discount", "sum"),
+        count_order=("l_quantity", "count"),
+    )
 
 
 def q_events_daily(sf_dir: str) -> Dataset:
@@ -725,18 +714,15 @@ def q_events_daily(sf_dir: str) -> Dataset:
             "value": batch.column("value"),
         })
 
-    agg = partial_groupby(ds.map_batches(daily, batch_format="pyarrow"),
-                          ["day", "event_type"],
-                          sv=("value", "sum"), n_events=("value", "count"))
-    return agg.map_batches(
-        lambda b: pa.table({
+    return partial_groupby(
+        ds.map_batches(daily, batch_format="pyarrow"), ["day", "event_type"],
+        sv=("value", "sum"), n_events=("value", "count"),
+        finish=lambda b: pa.table({
             "day": b.column("day"),
             "event_type": b.column("event_type"),
             "n_events": b.column("n_events"),
             "sum_value": _pc_round(b.column("sv"), 2),
-        }),
-        batch_format="pyarrow",
-    )
+        }))
 
 
 def q_corrections_upsert(sf_dir: str) -> Dataset:
@@ -761,16 +747,8 @@ def q_corrections_upsert(sf_dir: str) -> Dataset:
             "corr_text": pc.utf8_upper(sub.column("text")),
         })
 
-    corrections = docs.map_batches(_delta_rows, batch_format="pyarrow")
-    # no delta rows (or no docs): nothing to merge, every doc passes as-is
-    joined = guarded_join(docs, corrections, join_type="left_outer",
-                          on=("doc_id",))
-    if joined is None:
-        joined = docs
-
     def apply(batch: pa.Table) -> pa.Table:
-        corr = (batch.column("corr_text") if "corr_text" in batch.column_names
-                else pa.nulls(len(batch), pa.string()))
+        corr = batch.column("corr_text")
         corrected = pc.is_valid(corr)
         return pa.table({
             "doc_id": batch.column("doc_id"),
@@ -778,7 +756,10 @@ def q_corrections_upsert(sf_dir: str) -> Dataset:
             "corrected": corrected,
         })
 
-    return joined.map_batches(apply, batch_format="pyarrow")
+    # with no delta rows every doc joins to a null correction and passes
+    # as-is
+    return guarded_join(docs, typed_map(docs, _delta_rows), on=("doc_id",),
+                        join_type="left_outer", finish=apply)
 
 
 # ---------------------------------------------------------------------------
@@ -926,10 +907,11 @@ def q_fingerprints(sf_dir: str) -> Dataset:
 _SETOP_THRESHOLD = 95.0
 
 
-def _user_type_flags(sf_dir: str) -> Dataset:
-    """Per-user 0/1 flags for `has a purchase over T` / `has an error over
-    T` — distinct-set semantics carried as per-batch partial maxima (one
-    tiny shuffle of flags, the events themselves never move)."""
+def _users_by_flags(sf_dir: str, want_error: int) -> Dataset:
+    """Users with a purchase over T, and (``want_error`` 1) or without (0)
+    an error over T. Per-user 0/1 flags for both carry distinct-set
+    semantics as per-batch partial maxima (one tiny shuffle of flags, the
+    events themselves never move)."""
     ds = _events(sf_dir, ["user_id", "event_type", "value"])
 
     def flags(b: pa.Table) -> pa.Table:
@@ -941,33 +923,26 @@ def _user_type_flags(sf_dir: str) -> Dataset:
             "he": pc.cast(pc.and_(pc.equal(et, "error"), hi), pa.int64()),
         })
 
-    return partial_groupby(ds.map_batches(flags, batch_format="pyarrow"),
-                           "user_id", hp=("hp", "max"), he=("he", "max"))
-
-
-def _setop_select(flags: Dataset, want_error: int) -> Dataset:
     def keep(b: pa.Table) -> pa.Table:
         m = pc.and_(pc.equal(b.column("hp"), 1),
                     pc.equal(b.column("he"), want_error))
-        return b.filter(m).select(["user_id"])
+        return b.filter(m).select(["user_id"]).cast(
+            pa.schema([("user_id", pa.int64())]))
 
-    out = flags.map_batches(keep, batch_format="pyarrow")
-    # schema-stable even when every block filters to empty
-    return out.map_batches(
-        lambda b: b.cast(pa.schema([("user_id", pa.int64())])),
-        batch_format="pyarrow",
-    )
+    return partial_groupby(ds.map_batches(flags, batch_format="pyarrow"),
+                           "user_id", finish=keep, hp=("hp", "max"),
+                           he=("he", "max"))
 
 
 def q_users_except(sf_dir: str) -> Dataset:
     """Set difference (EXCEPT): users with a big purchase (> 95) minus
     users who also hit a big error."""
-    return _setop_select(_user_type_flags(sf_dir), want_error=0)
+    return _users_by_flags(sf_dir, want_error=0)
 
 
 def q_users_intersect(sf_dir: str) -> Dataset:
     """Set intersection: users with BOTH a big purchase and a big error."""
-    return _setop_select(_user_type_flags(sf_dir), want_error=1)
+    return _users_by_flags(sf_dir, want_error=1)
 
 
 NTILE_VALUE_RANGES = 256   # equal-width value bins per distributed rank
@@ -1096,10 +1071,6 @@ def q_supplier_balance_by_region(sf_dir: str) -> Dataset:
             "bal": b.column("s_acctbal").filter(pa.array(valid)),
         })
 
-    agg = partial_groupby(sup.map_batches(with_region, batch_format="pyarrow"),
-                          "r_name", bal_raw=("bal", "sum"),
-                          n_suppliers=("bal", "count"))
-
     def finish(b: pa.Table) -> pa.Table:
         tot = b.column("bal_raw").to_numpy(zero_copy_only=False)
         n = b.column("n_suppliers").to_numpy(zero_copy_only=False)
@@ -1112,7 +1083,9 @@ def q_supplier_balance_by_region(sf_dir: str) -> Dataset:
             "avg_bal": pa.array(_np_round(tot_r / n, 2), pa.float64()),
         })
 
-    return agg.map_batches(finish, batch_format="pyarrow")
+    return partial_groupby(sup.map_batches(with_region, batch_format="pyarrow"),
+                           "r_name", finish=finish, bal_raw=("bal", "sum"),
+                           n_suppliers=("bal", "count"))
 
 
 def q_part_brand_stats(sf_dir: str) -> Dataset:
@@ -1121,11 +1094,6 @@ def q_part_brand_stats(sf_dir: str) -> Dataset:
     one small groupby; exercises the part dimension."""
     part = rd.read_parquet(f"{sf_dir}/part.parquet",
                            columns=["p_brand", "p_retailprice", "p_size"])
-
-    agg = partial_groupby(part, "p_brand",
-                          price_raw=("p_retailprice", "sum"),
-                          n_parts=("p_retailprice", "count"),
-                          min_size=("p_size", "min"), max_size=("p_size", "max"))
 
     def finish(b: pa.Table) -> pa.Table:
         tot = b.column("price_raw").to_numpy(zero_copy_only=False)
@@ -1139,7 +1107,11 @@ def q_part_brand_stats(sf_dir: str) -> Dataset:
             "max_size": b.column("max_size").cast(pa.int64()),
         })
 
-    return agg.map_batches(finish, batch_format="pyarrow")
+    return partial_groupby(part, "p_brand", finish=finish,
+                           price_raw=("p_retailprice", "sum"),
+                           n_parts=("p_retailprice", "count"),
+                           min_size=("p_size", "min"),
+                           max_size=("p_size", "max"))
 
 
 def q_hash_sample(sf_dir: str) -> Dataset:
@@ -1297,20 +1269,18 @@ def q_curation_splits(sf_dir: str) -> Dataset:
 
     grams_ref = ray.put(build_benchmark_ngrams(sf_dir))
     kept = _flagged_docs(sf_dir, grams_ref)
-    # slim (digest, doc_id) exchange — same keep-first rule as curate_job;
-    # the 128-bit fasthash digest groups texts exactly as the oracle's
-    # md5(text) does (collision-free digests induce the same partition)
-    canon = partial_groupby(
-        kept.select_columns(["digest_hi", "digest_lo", "doc_id"]),
-        ["digest_hi", "digest_lo"], keep_id=("doc_id", "min"))
-
     def split(b: pa.Table) -> pa.Table:
         splits = assign_split_vec(
             b.column("keep_id").to_numpy(zero_copy_only=False))
         return pa.table({"split": pa.array(splits, pa.string())})
 
-    return partial_groupby(canon.map_batches(split, batch_format="pyarrow"),
-                           "split", n_docs=(None, "count_all"))
+    # slim (digest, doc_id) exchange — same keep-first rule as curate_job;
+    # the 128-bit fasthash digest groups texts exactly as the oracle's
+    # md5(text) does (collision-free digests induce the same partition)
+    canon = partial_groupby(
+        kept.select_columns(["digest_hi", "digest_lo", "doc_id"]),
+        ["digest_hi", "digest_lo"], finish=split, keep_id=("doc_id", "min"))
+    return partial_groupby(canon, "split", n_docs=(None, "count_all"))
 
 
 def q_incremental_new_docs(sf_dir: str) -> Dataset:
@@ -1338,28 +1308,23 @@ def q_incremental_new_docs(sf_dir: str) -> Dataset:
             "is_new": pa.array(ids % 2 == 1),
         })
 
-    def _contract(ds: Dataset) -> Dataset:
-        return ds.map_batches(
-            lambda b: b.cast(pa.schema([("doc_id", pa.int64())])),
-            batch_format="pyarrow",
-        )
+    d = typed_map(docs, digests).materialize()
 
-    d = docs.map_batches(digests, batch_format="pyarrow").materialize()
-    new_side = d.filter(expr="is_new == True").select_columns(
-        ["doc_id", "digest_hi", "digest_lo"])
-    prior = partial_groupby(d.filter(expr="is_new == False"),
-                            ["digest_hi", "digest_lo"],
+    def snapshot(new: bool) -> Dataset:
+        return typed_map(d, lambda b: b.filter(
+            pc.equal(b.column("is_new"), new)).drop_columns(["is_new"]))
+
+    prior = partial_groupby(snapshot(False), ["digest_hi", "digest_lo"],
                             n_prior=(None, "count_all"))
-    joined = guarded_join(new_side, prior, join_type="left_outer",
-                          on=("digest_hi", "digest_lo"))
-    if joined is None:  # nothing new, or no prior snapshot to dedup against
-        return _contract(new_side.select_columns(["doc_id"]))
 
     def novel(b: pa.Table) -> pa.Table:
         keep = pc.is_null(b.column("n_prior"))
-        return b.filter(keep).select(["doc_id"])
+        return b.filter(keep).select(["doc_id"]).cast(
+            pa.schema([("doc_id", pa.int64())]))
 
-    return _contract(joined.map_batches(novel, batch_format="pyarrow"))
+    # with no prior snapshot every new doc is novel
+    return guarded_join(snapshot(True), prior, join_type="left_outer",
+                        on=("digest_hi", "digest_lo"), finish=novel)
 
 
 def q_monthly_revenue_delta(sf_dir: str):  # noqa: ANN201 — DataFrame
@@ -1409,11 +1374,6 @@ def q_lineitem_corr(sf_dir: str) -> Dataset:
             "xy": pc.multiply(x, y),
         })
 
-    agg = partial_groupby(
-        ds.map_batches(moments, batch_format="pyarrow"), "l_returnflag",
-        sx=("x", "sum"), sy=("y", "sum"), sxx=("xx", "sum"),
-        syy=("yy", "sum"), sxy=("xy", "sum"), n=(None, "count_all"))
-
     def finalize(b: pa.Table) -> pa.Table:
         n = b.column("n").to_numpy(zero_copy_only=False).astype(np.float64)
         sx = b.column("sx").to_numpy(zero_copy_only=False)
@@ -1431,7 +1391,11 @@ def q_lineitem_corr(sf_dir: str) -> Dataset:
             "corr": pa.array(_np_round(r, 6), pa.float64()),
         })
 
-    return agg.map_batches(finalize, batch_format="pyarrow")
+    return partial_groupby(
+        ds.map_batches(moments, batch_format="pyarrow"), "l_returnflag",
+        sx=("x", "sum"), sy=("y", "sum"), sxx=("xx", "sum"),
+        syy=("yy", "sum"), sxy=("xy", "sum"), n=(None, "count_all"),
+        finish=finalize)
 
 
 def q_value_zscore(sf_dir: str) -> Dataset:
@@ -1441,7 +1405,9 @@ def q_value_zscore(sf_dir: str) -> Dataset:
     ``guarded_join`` puts it on the events. Mean and variance are computed
     as sum/n and sumsq/n - mean^2 on BOTH sides so the oracle restates the
     arithmetic."""
-    ds = _events(sf_dir, ["event_id", "event_type", "value"]).materialize()
+    # read twice, by the aggregate and by the join: a materialized empty
+    # read has no columns to join on
+    ds = _events(sf_dir, ["event_id", "event_type", "value"])
 
     def squares(b: pa.Table) -> pa.Table:
         v = b.column("value")
@@ -1457,15 +1423,8 @@ def q_value_zscore(sf_dir: str) -> Dataset:
                          "std": np.sqrt(np.maximum(s2 / n - mean * mean, 0.0))})
 
     stats = partial_groupby(
-        ds.map_batches(squares, batch_format="pyarrow"), "event_type",
-        s=("v", "sum"), s2=("v2", "sum"), n=("v", "count"),
-    ).map_batches(moments, batch_format="pyarrow")
-    joined = guarded_join(ds, stats, on=("event_type",))
-    if joined is None:
-        return rd.from_arrow(pa.table({
-            "event_id": pa.array([], pa.int64()),
-            "event_type": pa.array([], pa.string()),
-            "z": pa.array([], pa.float64())}))
+        typed_map(ds, squares), "event_type",
+        finish=moments, s=("v", "sum"), s2=("v2", "sum"), n=("v", "count"))
 
     def normalize(b: pa.Table) -> pa.Table:
         v, mean, std = (b.column(c).to_numpy(zero_copy_only=False)
@@ -1479,7 +1438,7 @@ def q_value_zscore(sf_dir: str) -> Dataset:
             "z": pa.array(z, pa.float64(), mask=std == 0.0),
         })
 
-    return joined.map_batches(normalize, batch_format="pyarrow")
+    return guarded_join(ds, stats, on=("event_type",), finish=normalize)
 
 
 _PROFILE_COLS = ["o_orderkey", "o_custkey", "o_orderstatus", "o_totalprice",
@@ -1657,7 +1616,7 @@ def q_tfidf_top_terms(sf_dir: str) -> Dataset:
             t.column("score").to_numpy(), 4))).append_column(
             "rnk", pa.array(rnk)).filter(pa.array(rnk <= 3))
 
-    return docs.map_batches(topk, batch_format="pyarrow")
+    return typed_map(docs, topk)
 
 
 def q_daily_active_users(sf_dir: str) -> Dataset:
@@ -1684,14 +1643,10 @@ def q_cohort_retention(sf_dir: str) -> Dataset:
     table comes from the partial-min pattern, and one ``guarded_join``
     puts it on the events; each event's cohort day and week offset are
     Arrow arithmetic on the joined columns."""
-    ds = _events(sf_dir, ["ts", "user_id"]).materialize()
+    # read twice, by the aggregate and by the join: a materialized empty
+    # read has no columns to join on
+    ds = _events(sf_dir, ["ts", "user_id"])
     firsts = partial_groupby(ds, "user_id", first_ts=("ts", "min"))
-    joined = guarded_join(ds, firsts, on=("user_id",))
-    if joined is None:
-        return rd.from_arrow(pa.table({
-            "cohort_first_day": pa.array([], pa.string()),
-            "week_offset": pa.array([], pa.int64()),
-            "n_users": pa.array([], pa.int64())}))
 
     def tag(b: pa.Table) -> pa.Table:
         first = b.column("first_ts")
@@ -1705,8 +1660,9 @@ def q_cohort_retention(sf_dir: str) -> Dataset:
 
     # distinct (cohort, week_off, user) rows, then users per (cohort, week)
     keys = ["cohort_first_day", "week_offset"]
-    tagged = partial_groupby(joined.map_batches(tag, batch_format="pyarrow"),
-                             keys + ["user_id"], c=(None, "count_all"))
+    tagged = partial_groupby(
+        guarded_join(ds, firsts, on=("user_id",), finish=tag),
+        keys + ["user_id"], c=(None, "count_all"))
     return partial_groupby(tagged, keys, n_users=(None, "count_all"))
 
 
@@ -1935,14 +1891,6 @@ def q_orders_lineitem_join(sf_dir: str) -> Dataset:
     items = rd.read_parquet(f"{sf_dir}/lineitem.parquet",
                             columns=["l_orderkey", "l_extendedprice", "l_discount"])
 
-    joined = guarded_join(items, orders,
-                          on=("l_orderkey",), right_on=("o_orderkey",))
-    if joined is None:
-        return rd.from_arrow(pa.table({
-            "o_orderpriority": pa.array([], pa.string()),
-            "n_items": pa.array([], pa.int64()),
-            "revenue": pa.array([], pa.float64())}))
-
     def revenue(batch: pa.Table) -> pa.Table:
         rev = pc.multiply(batch.column("l_extendedprice"),
                           pc.subtract(pa.scalar(1.0), batch.column("l_discount")))
@@ -1951,24 +1899,26 @@ def q_orders_lineitem_join(sf_dir: str) -> Dataset:
             "rev": rev,
         })
 
-    agg = partial_groupby(joined.map_batches(revenue, batch_format="pyarrow"),
-                          "o_orderpriority",
-                          raw=("rev", "sum"), n_items=("rev", "count"))
-    return agg.map_batches(
-        lambda b: pa.table({
+    joined = guarded_join(items, orders, on=("l_orderkey",),
+                          right_on=("o_orderkey",), finish=revenue)
+    return partial_groupby(
+        joined, "o_orderpriority",
+        raw=("rev", "sum"), n_items=("rev", "count"),
+        finish=lambda b: pa.table({
             "o_orderpriority": b.column("o_orderpriority"),
             "n_items": b.column("n_items"),
             "revenue": _pc_round(b.column("raw"), 2),
-        }),
-        batch_format="pyarrow",
-    )
+        }))
 
 
-_EMPTY_SEMI_JOIN_TABLE = pa.table({
-    "c_custkey": pa.array([], pa.int64()),
-    "c_name": pa.array([], pa.string()),
-    "n_urgent": pa.array([], pa.int64()),
-})
+def _semi_join_rows(b: pa.Table) -> pa.Table:
+    """The semi joins' output columns: customer key and name, and the
+    customer's urgent-order count."""
+    return pa.table({
+        "c_custkey": b.column("c_custkey"),
+        "c_name": b.column("c_name"),
+        "n_urgent": b.column("n_urgent").cast(pa.int64()),
+    })
 
 
 def _urgent_custkeys(sf_dir: str) -> Dataset:
@@ -1993,18 +1943,8 @@ def q_customers_semi_join(sf_dir: str) -> Dataset:
     (no row duplication because the key side is pre-aggregated)."""
     cust = rd.read_parquet(f"{sf_dir}/customer.parquet",
                            columns=["c_custkey", "c_name", "c_mktsegment"])
-    joined = guarded_join(cust, _urgent_custkeys(sf_dir),
-                          on=("c_custkey",), right_on=("o_custkey",))
-    if joined is None:
-        return rd.from_arrow(_EMPTY_SEMI_JOIN_TABLE)
-    return joined.map_batches(
-        lambda b: pa.table({
-            "c_custkey": b.column("c_custkey"),
-            "c_name": b.column("c_name"),
-            "n_urgent": b.column("n_urgent").cast(pa.int64()),
-        }),
-        batch_format="pyarrow",
-    )
+    return guarded_join(cust, _urgent_custkeys(sf_dir), on=("c_custkey",),
+                        right_on=("o_custkey",), finish=_semi_join_rows)
 
 
 def q_customers_semi_join_bloom(sf_dir: str) -> Dataset:
@@ -2042,19 +1982,9 @@ def q_customers_semi_join_bloom(sf_dir: str) -> Dataset:
         keep = bf.contains_many(b.column("c_custkey").to_numpy(zero_copy_only=False))
         return b.filter(pa.array(keep))
 
-    survivors = cust.map_batches(prefilter, batch_format="pyarrow")
-    joined = guarded_join(survivors, urgent,
-                          on=("c_custkey",), right_on=("o_custkey",))
-    if joined is None:
-        return rd.from_arrow(_EMPTY_SEMI_JOIN_TABLE)
-    return joined.map_batches(
-        lambda b: pa.table({
-            "c_custkey": b.column("c_custkey"),
-            "c_name": b.column("c_name"),
-            "n_urgent": b.column("n_urgent").cast(pa.int64()),
-        }),
-        batch_format="pyarrow",
-    )
+    return guarded_join(typed_map(cust, prefilter), urgent,
+                        on=("c_custkey",), right_on=("o_custkey",),
+                        finish=_semi_join_rows)
 
 
 def q_customers_anti_join(sf_dir: str) -> Dataset:
@@ -2064,17 +1994,15 @@ def q_customers_anti_join(sf_dir: str) -> Dataset:
     native anti join)."""
     cust = rd.read_parquet(f"{sf_dir}/customer.parquet",
                            columns=["c_custkey", "c_name", "c_mktsegment"])
-    joined = guarded_join(cust, _urgent_custkeys(sf_dir),
-                          join_type="left_outer",
-                          on=("c_custkey",), right_on=("o_custkey",))
-    if joined is None:
-        return cust  # no urgent order (or no customer): every one qualifies
 
     def unmatched(b: pa.Table) -> pa.Table:
         keep = pc.is_null(b.column("n_urgent"))
         return b.filter(keep).select(["c_custkey", "c_name", "c_mktsegment"])
 
-    return joined.map_batches(unmatched, batch_format="pyarrow")
+    # with no urgent order every customer is unmatched
+    return guarded_join(cust, _urgent_custkeys(sf_dir), join_type="left_outer",
+                        on=("c_custkey",), right_on=("o_custkey",),
+                        finish=unmatched)
 
 
 _ROLLUP_ALL = "ALL"
@@ -2152,15 +2080,6 @@ def q_events_pivot(sf_dir: str) -> Dataset:
             cols[f"n_{t}"] = pc.cast(pc.equal(et, t), pa.int64())
         return pa.table(cols)
 
-    # count(*) rides as its own partial so n_total matches the oracle
-    # even if an event_type outside the fixed pivot contract appears
-    # (advisor round-2 finding: summing the five pivot columns would
-    # silently undercount such rows)
-    agg = partial_groupby(
-        ds.map_batches(indicators, batch_format="pyarrow"), "user_id",
-        **{f"n_{t}": (f"n_{t}", "sum") for t in _PIVOT_EVENT_TYPES},
-        n_total=(None, "count_all"))
-
     def finalize(b: pa.Table) -> pa.Table:
         cols = {"user_id": b.column("user_id")}
         for t in _PIVOT_EVENT_TYPES:
@@ -2168,7 +2087,14 @@ def q_events_pivot(sf_dir: str) -> Dataset:
         cols["n_total"] = b.column("n_total")
         return pa.table(cols)
 
-    return agg.map_batches(finalize, batch_format="pyarrow")
+    # count(*) rides as its own partial so n_total matches the oracle
+    # even if an event_type outside the fixed pivot contract appears
+    # (advisor round-2 finding: summing the five pivot columns would
+    # silently undercount such rows)
+    return partial_groupby(
+        ds.map_batches(indicators, batch_format="pyarrow"), "user_id",
+        **{f"n_{t}": (f"n_{t}", "sum") for t in _PIVOT_EVENT_TYPES},
+        n_total=(None, "count_all"), finish=finalize)
 
 
 def q_sessionize(sf_dir: str) -> Dataset:
@@ -2209,16 +2135,14 @@ def q_props_json(sf_dir: str) -> Dataset:
             "k": k.cast(pa.int64()),
         })
 
-    agg = partial_groupby(ds.map_batches(extract_k, batch_format="pyarrow"),
-                          "event_type", sum_k=("k", "sum"), n=(None, "count_all"))
-    return agg.map_batches(
-        lambda b: pa.table({
+    return partial_groupby(
+        ds.map_batches(extract_k, batch_format="pyarrow"), "event_type",
+        sum_k=("k", "sum"), n=(None, "count_all"),
+        finish=lambda b: pa.table({
             "event_type": b.column("event_type"),
             "sum_k": b.column("sum_k").cast(pa.int64()),
             "n": b.column("n"),
-        }),
-        batch_format="pyarrow",
-    )
+        }))
 
 
 def q_distinct_event_types(sf_dir: str) -> Dataset:
@@ -2313,16 +2237,14 @@ def q_range_join(sf_dir: str) -> Dataset:
         return pa.table({"band": pa.array(labels, pa.string()),
                          "value": batch.column("value")})
 
-    agg = partial_groupby(ds.map_batches(band, batch_format="pyarrow"), "band",
-                          sv=("value", "sum"), n=("value", "count"))
-    return agg.map_batches(
-        lambda b: pa.table({
+    return partial_groupby(
+        ds.map_batches(band, batch_format="pyarrow"), "band",
+        sv=("value", "sum"), n=("value", "count"),
+        finish=lambda b: pa.table({
             "band": b.column("band"),
             "n": b.column("n"),
             "sum_value": _pc_round(b.column("sv"), 2),
-        }),
-        batch_format="pyarrow",
-    )
+        }))
 
 
 def q_topk_per_group(sf_dir: str) -> Dataset:
@@ -2345,16 +2267,14 @@ def q_union_events(sf_dir: str) -> Dataset:
     errors = _events(sf_dir, ["event_id", "event_type", "value"]).filter(
         expr="event_type == 'error'"
     )
-    agg = partial_groupby(purchases.union(errors), "event_type",
-                          sv=("value", "sum"), n=("value", "count"))
-    return agg.map_batches(
-        lambda b: pa.table({
+    return partial_groupby(
+        purchases.union(errors), "event_type",
+        sv=("value", "sum"), n=("value", "count"),
+        finish=lambda b: pa.table({
             "event_type": b.column("event_type"),
             "n": b.column("n"),
             "sum_value": _pc_round(b.column("sv"), 2),
-        }),
-        batch_format="pyarrow",
-    )
+        }))
 
 
 def q_running_totals(sf_dir: str) -> Dataset:
@@ -2477,17 +2397,14 @@ def q_sliding_windows(sf_dir: str) -> Dataset:
             }))
         return pa.concat_tables(frames)
 
-    agg = partial_groupby(ds.map_batches(windows, batch_format="pyarrow"),
-                          "window_start",
-                          sv=("value", "sum"), n_events=("value", "count"))
-    return agg.map_batches(
-        lambda b: pa.table({
+    return partial_groupby(
+        ds.map_batches(windows, batch_format="pyarrow"), "window_start",
+        sv=("value", "sum"), n_events=("value", "count"),
+        finish=lambda b: pa.table({
             "window_start": b.column("window_start"),
             "n_events": b.column("n_events"),
             "sum_value": _pc_round(b.column("sv"), 2),
-        }),
-        batch_format="pyarrow",
-    )
+        }))
 
 
 def q_approx_distinct_users(sf_dir: str) -> pd.DataFrame:
@@ -2527,11 +2444,10 @@ def q_media_audio_video(sf_dir: str) -> pd.DataFrame:
 
     audio = audio_features(sf_dir).map_batches(
         summary("audio", "rms"), batch_format="pyarrow")
-    frame_counts = partial_groupby(
+    video = partial_groupby(
         video_frames(sf_dir, stride=5).select_columns(["media_id"]),
-        "media_id", n_sampled_frames=("media_id", "count"))
-    video = frame_counts.map_batches(
-        summary("video", "n_sampled_frames"), batch_format="pyarrow")
+        "media_id", finish=summary("video", "n_sampled_frames"),
+        n_sampled_frames=("media_id", "count"))
     return collect_table(audio.union(video)).to_pandas()
 
 
@@ -2830,15 +2746,8 @@ def q_passage_dedup(sf_dir: str) -> Dataset:
         return pa.table({k: pa.array(v, pa.int64()) for k, v in cols.items()})
 
     # consumed twice (winners groupby + join probe)
-    seg = docs.map_batches(explode, batch_format="pyarrow").materialize()
+    seg = typed_map(docs, explode).materialize()
     winners = partial_groupby(seg, ["dh", "dl"], first_rank=("rank", "min"))
-    joined = guarded_join(seg, winners, on=("dh", "dl"))
-    if joined is None:
-        return rd.from_arrow(pa.table({
-            "doc_id": pa.array([], pa.int64()),
-            "n_passages": pa.array([], pa.int64()),
-            "n_dup_passages": pa.array([], pa.int64()),
-            "dup_frac": pa.array([], pa.float64())}))
 
     def per_doc(b: pa.Table) -> pa.Table:
         rank = b.column("rank").to_numpy(zero_copy_only=False)
@@ -2847,10 +2756,6 @@ def q_passage_dedup(sf_dir: str) -> Dataset:
             "doc_id": pa.array(rank >> _PASSAGE_SHIFT, pa.int64()),
             "dup": pa.array((rank != first).astype(np.int64)),
         })
-
-    agg = partial_groupby(joined.map_batches(per_doc, batch_format="pyarrow"),
-                          "doc_id", n_passages=(None, "count_all"),
-                          n_dup_passages=("dup", "sum"))
 
     def finish(b: pa.Table) -> pa.Table:
         n = b.column("n_passages").to_numpy(zero_copy_only=False).astype(np.float64)
@@ -2862,7 +2767,10 @@ def q_passage_dedup(sf_dir: str) -> Dataset:
             "dup_frac": pa.array(_np_round(d / n, 4), pa.float64()),
         })
 
-    return agg.map_batches(finish, batch_format="pyarrow")
+    return partial_groupby(
+        guarded_join(seg, winners, on=("dh", "dl"), finish=per_doc),
+        "doc_id", finish=finish, n_passages=(None, "count_all"),
+        n_dup_passages=("dup", "sum"))
 
 
 DUP_WIN_WORDS = 20     # rolling-window width (tokens)
@@ -2918,19 +2826,14 @@ def q_dup_spans(sf_dir: str) -> Dataset:
         return pa.table({k: pa.array(v, pa.int64()) for k, v in cols.items()})
 
     # consumed twice (hot groupby + join probe)
-    wins = docs.map_batches(explode, batch_format="pyarrow").materialize()
+    wins = typed_map(docs, explode).materialize()
     # only digests seen >= 2 times can produce a duplicate span: the join's
     # build side shrinks to the duplicated population before any row moves
-    hot = (partial_groupby(wins, ["dh", "dl"], first_rank=("rank", "min"),
-                           n_occ=(None, "count_all"))
-           .filter(expr="n_occ >= 2")
-           .drop_columns(["n_occ"]))
-    joined = guarded_join(wins, hot, on=("dh", "dl"))
-    if joined is None:
-        return rd.from_arrow(pa.table({
-            "doc_id": pa.array([], pa.int64()),
-            "span_start": pa.array([], pa.int64()),
-            "span_end": pa.array([], pa.int64())}))
+    hot = partial_groupby(
+        wins, ["dh", "dl"], first_rank=("rank", "min"),
+        n_occ=(None, "count_all"),
+        finish=lambda t: t.filter(pc.greater_equal(t.column("n_occ"), 2))
+        .drop_columns(["n_occ"]))
 
     def dup_rows(b: pa.Table) -> pa.Table:
         rank = b.column("rank").to_numpy(zero_copy_only=False)
@@ -2944,7 +2847,7 @@ def q_dup_spans(sf_dir: str) -> Dataset:
             "e": pa.array(e[keep], pa.int64()),
         })
 
-    dups = joined.map_batches(dup_rows, batch_format="pyarrow")
+    dups = guarded_join(wins, hot, on=("dh", "dl"), finish=dup_rows)
 
     def merge(t: pa.Table, starts: np.ndarray) -> pa.Table:
         # a window starts a new span when it begins past the furthest end
@@ -2983,13 +2886,6 @@ def q_dedup_excise(sf_dir: str) -> Dataset:
     from ..functions.bloom import BloomFilter
 
     spans = q_dup_spans(sf_dir).materialize()
-    n_sp = spans.count()
-    empty = pa.table({"doc_id": pa.array([], pa.int64()),
-                      "clean_text": pa.array([], pa.string()),
-                      "n_removed": pa.array([], pa.int64())})
-    if n_sp == 0:
-        return rd.from_arrow(empty)
-
     docs = _docs(sf_dir, ["doc_id", "text"])
     if not fits_broadcast(spans):
         # ~10 bits/key for ~1% fp, next power of two, floor 2^17 (16 KiB),
@@ -2998,7 +2894,8 @@ def q_dedup_excise(sf_dir: str) -> Dataset:
         # each map task. Past the cap the fp rate degrades gracefully and
         # the inner join still removes every false positive — the cap
         # trades join traffic, never correctness.
-        num_bits = 1 << min(27, max(17, int(np.ceil(np.log2(10 * n_sp)))))
+        num_bits = 1 << min(27, max(17, int(np.ceil(
+            np.log2(10 * spans.count())))))
 
         from ..functions.fasthash import hash64_ints
 
@@ -3041,9 +2938,6 @@ def q_dedup_excise(sf_dir: str) -> Dataset:
             return b.filter(pa.array(probe.contains_many(d)))
 
         docs = docs.map_batches(member, batch_format="pyarrow")
-    joined = guarded_join(spans, docs, on=("doc_id",))
-    if joined is None:
-        return rd.from_arrow(empty)
 
     def excise(t: pa.Table, starts: np.ndarray) -> pa.Table:
         # one duplicate doc's span rows — a handful per doc
@@ -3062,7 +2956,8 @@ def q_dedup_excise(sf_dir: str) -> Dataset:
                          "clean_text": pa.array(clean, pa.string()),
                          "n_removed": pa.array(removed, pa.int64())})
 
-    return segment_window(joined, "doc_id", excise)
+    return segment_window(guarded_join(spans, docs, on=("doc_id",)),
+                          "doc_id", excise)
 
 
 BLOCKED_HOSTS = ("h0.example.com", "h7.example.com", "h13.example.com")
@@ -3170,12 +3065,9 @@ def q_url_canonical_dedup(sf_dir: str) -> Dataset:
             "ts_s": pa.array(ts, pa.int64()),
         })
 
-    kept = partial_groupby(docs.map_batches(captures, batch_format="pyarrow"),
-                           "canon", kept_ts_s=("ts_s", "max"),
-                           caps=(None, "count_all"))
-
     def host_stats(b: pa.Table) -> pa.Table:
-        canon = b.column("canon")
+        # null-typed on zero rows: the captures map emits no columns there
+        canon = b.column("canon").cast(pa.string())
         host = pc.replace_substring_regex(
             canon, pattern=r"^https://([^/:?#]+).*$", replacement=r"\1")
         return pa.table({
@@ -3186,13 +3078,6 @@ def q_url_canonical_dedup(sf_dir: str) -> Dataset:
             "is_param": pc.cast(
                 pc.match_substring(canon, "?a=1&b=2"), pa.int64()),
         })
-
-    agg = partial_groupby(kept.map_batches(host_stats, batch_format="pyarrow"),
-                          "host", n_captures=("caps", "sum"),
-                          n_pages=(None, "count_all"),
-                          sum_kept_ts_s=("kept_ts_s", "sum"),
-                          sum_canon_len=("canon_len", "sum"),
-                          n_param_pages=("is_param", "sum"))
 
     def finish(b: pa.Table) -> pa.Table:
         return pa.table({
@@ -3206,7 +3091,16 @@ def q_url_canonical_dedup(sf_dir: str) -> Dataset:
             "n_param_pages": b.column("n_param_pages"),
         })
 
-    return agg.map_batches(finish, batch_format="pyarrow").sort("host")
+    kept = partial_groupby(docs.map_batches(captures, batch_format="pyarrow"),
+                           "canon", finish=host_stats,
+                           kept_ts_s=("ts_s", "max"), caps=(None, "count_all"))
+    # rows come out in host order
+    return partial_groupby(kept, "host", finish=finish,
+                           n_captures=("caps", "sum"),
+                           n_pages=(None, "count_all"),
+                           sum_kept_ts_s=("kept_ts_s", "sum"),
+                           sum_canon_len=("canon_len", "sum"),
+                           n_param_pages=("is_param", "sum"))
 
 
 _BOILERPLATE_FRAG_LINKS: int | None = None
@@ -3330,11 +3224,6 @@ def q_outlink_graph(sf_dir: str) -> Dataset:
     2 fragment-only links that canonicalize to the page itself (in-degree
     2, one target per page). PDF payloads carry none.
     """
-    indeg = partial_groupby(
-        pages_dataset(sf_dir, include_doc_id=False)
-        .map_batches(_outlink_targets_batch, batch_format="pyarrow"),
-        "target", indeg=(None, "count_all"))
-
     def host_stats(b: pa.Table) -> pa.Table:
         target = b.column("target").combine_chunks().cast(pa.string())
         host = pc.replace_substring_regex(
@@ -3347,8 +3236,11 @@ def q_outlink_graph(sf_dir: str) -> Dataset:
             "is_page": is_page,
         })
 
-    return partial_groupby(indeg.map_batches(host_stats, batch_format="pyarrow"),
-                           "host", n_targets=(None, "count_all"),
+    indeg = partial_groupby(
+        pages_dataset(sf_dir, include_doc_id=False)
+        .map_batches(_outlink_targets_batch, batch_format="pyarrow"),
+        "target", finish=host_stats, indeg=(None, "count_all"))
+    return partial_groupby(indeg, "host", n_targets=(None, "count_all"),
                            n_inlinks=("indeg", "sum"),
                            max_indegree=("indeg", "max"),
                            n_self_targets=("is_page", "sum"))
@@ -3433,21 +3325,18 @@ def q_pagerank(sf_dir: str) -> Dataset:
                                        pa.scalar(PAGERANK_DAMPING))),
         })
 
-    ranks = docs.map_batches(init, batch_format="pyarrow")
-    for _ in range(PAGERANK_ITERS):
-        ranks = (partial_groupby(ranks.map_batches(emit, batch_format="pyarrow"),
-                                 "dst", w_in=("w", "sum"))
-                 .map_batches(damp, batch_format="pyarrow")
-                 .materialize())
-
     def bucketize(b: pa.Table) -> pa.Table:
         i = b.column("doc_id").to_numpy(zero_copy_only=False).astype(np.int64)
         return pa.table({"bucket": pa.array(i % PAGERANK_BUCKETS, pa.int64()),
                          "rank": b.column("rank")})
 
-    agg = partial_groupby(ranks.map_batches(bucketize, batch_format="pyarrow"),
-                          "bucket", n_docs=(None, "count_all"),
-                          sum_rank=("rank", "sum"), max_rank=("rank", "max"))
+    # each round's finish damps the summed contributions into ranks, then
+    # emits the next round's contributions (the last round: rank buckets)
+    ranks = docs.map_batches(lambda b: emit(init(b)), batch_format="pyarrow")
+    for then in [emit] * (PAGERANK_ITERS - 1) + [bucketize]:
+        ranks = partial_groupby(
+            ranks, "dst", w_in=("w", "sum"),
+            finish=lambda b, then=then: then(damp(b))).materialize()
 
     def finish(b: pa.Table) -> pa.Table:
         return pa.table({
@@ -3457,7 +3346,10 @@ def q_pagerank(sf_dir: str) -> Dataset:
             "max_rank": _pc_round(b.column("max_rank"), 9),
         })
 
-    return agg.map_batches(finish, batch_format="pyarrow").sort("bucket")
+    # rows come out in bucket order
+    return partial_groupby(ranks, "bucket", finish=finish,
+                           n_docs=(None, "count_all"),
+                           sum_rank=("rank", "sum"), max_rank=("rank", "max"))
 
 
 TRIANGLE_BUCKETS = 16
@@ -3484,9 +3376,11 @@ def q_triangle_count(sf_dir: str) -> Dataset:
     generated only at each triangle's unique minimum-(degree, id)
     vertex, and a vertex contributes C(out_deg, 2) wedges where out_deg
     counts only HIGHER-degree neighbors: the classic bound that keeps
-    total wedge volume O(E^1.5) on any graph, hubs included. The wedge
-    set closes against the undirected edge table with one (lo, hi) hash
-    join. Output: triangles per ``min-(degree,id)-vertex %
+    total wedge volume O(E^1.5) on any graph, hubs included. The wedges
+    are every pair of a source's out-neighbours, one vectorized
+    ``segment_window`` pass over the oriented edges (no self-join), and
+    close against the undirected edge table with one (lo, hi) join.
+    Output: triangles per ``min-(degree,id)-vertex %
     TRIANGLE_BUCKETS`` bucket.
     """
     docs = _docs(sf_dir, ["doc_id"])
@@ -3504,35 +3398,22 @@ def q_triangle_count(sf_dir: str) -> Dataset:
         })
 
     # distinct undirected edge table (consumed 3x: degree explode, the
-    # orientation joins' left side, the closing join's right side)
-    e = partial_groupby(docs.map_batches(edges, batch_format="pyarrow"),
-                        ["lo", "hi"]).materialize()
-    empty = pa.table({"bucket": pa.array([], pa.int64()),
-                      "n_triangles": pa.array([], pa.int64())})
+    # orientation join's left side, the closing join's right side)
+    e = partial_groupby(typed_map(docs, edges), ["lo", "hi"]).materialize()
 
     def endpoints(b: pa.Table) -> pa.Table:
         return pa.table({"v": pa.concat_arrays([
             b.column("lo").combine_chunks(),
             b.column("hi").combine_chunks()])})
 
-    deg = partial_groupby(e.map_batches(endpoints, batch_format="pyarrow"),
-                          "v", deg=(None, "count_all")).materialize()
-
-    # degrees onto both endpoints (two broadcast-scale hash joins — the
-    # degree table is one row per vertex, the edge side streams; an inner
-    # join on a total map keeps every edge)
-    g = guarded_join(e, deg.rename_columns({"v": "lo", "deg": "deg_lo"}),
-                     on=("lo",))
-    if g is None:  # degenerate corpus: every generated edge a self-loop
-        return rd.from_arrow(empty)
-    g = guarded_join(g, deg.rename_columns({"v": "hi", "deg": "deg_hi"}),
-                     on=("hi",))
+    deg = partial_groupby(typed_map(e, endpoints), "v",
+                          deg=(None, "count_all")).materialize()
 
     def orient(b: pa.Table) -> pa.Table:
         lo = b.column("lo").to_numpy(zero_copy_only=False).astype(np.int64)
         hi = b.column("hi").to_numpy(zero_copy_only=False).astype(np.int64)
         dl = b.column("deg_lo").to_numpy(zero_copy_only=False).astype(np.int64)
-        dh = b.column("deg_hi").to_numpy(zero_copy_only=False).astype(np.int64)
+        dh = b.column("deg").to_numpy(zero_copy_only=False).astype(np.int64)
         # lexicographic (degree, id): the unique total order the oracle
         # restates as DuckDB row comparison
         lo_first = (dl < dh) | ((dl == dh) & (lo < hi))
@@ -3541,29 +3422,32 @@ def q_triangle_count(sf_dir: str) -> Dataset:
             "dst": pa.array(np.where(lo_first, hi, lo), pa.int64()),
         })
 
-    # consumed on both sides of the wedge self-join
-    o = g.map_batches(orient, batch_format="pyarrow").materialize()
-    wedges = guarded_join(o, o.rename_columns({"dst": "dst_b"}), on=("src",))
+    # degrees onto both endpoints (two broadcast-scale joins — the degree
+    # table is one row per vertex, the edge side streams; an inner join on
+    # a total map keeps every edge), then each edge oriented
+    g = guarded_join(e, deg, on=("lo",), right_on=("v",),
+                     finish=lambda b: b.rename_columns(["lo", "hi", "deg_lo"]))
+    o = guarded_join(g, deg, on=("hi",), right_on=("v",), finish=orient)
 
-    def close_key(b: pa.Table) -> pa.Table:
-        b = b.filter(pc.less(b.column("dst"), b.column("dst_b")))
-        return pa.table({
-            "ctr": b.column("src"),
-            "lo": b.column("dst"),    # dst < dst_b, so (dst, dst_b) is
-            "hi": b.column("dst_b"),  # already the undirected (lo, hi) key
-        })
-
-    wedges = wedges.map_batches(close_key, batch_format="pyarrow")
-    tri = guarded_join(wedges, e, on=("lo", "hi"))
-    if tri is None:  # no wedges -> no triangles
-        return rd.from_arrow(empty)
+    def wedges(t: pa.Table, starts: np.ndarray) -> pa.Table:
+        # every pair of one source's out-neighbours, in dst order, so the
+        # pair is already the undirected (lo, hi) key of its closing edge
+        n_rows = t.num_rows
+        size = np.diff(np.append(starts, n_rows))[run_ids(starts, n_rows)]
+        later = size - run_ranks(starts, n_rows) - 1
+        a = np.repeat(np.arange(n_rows), later)
+        b = a + np.arange(len(a)) - np.repeat(np.cumsum(later) - later, later) + 1
+        return pa.table({"ctr": t.column("src").take(a),
+                         "lo": t.column("dst").take(a),
+                         "hi": t.column("dst").take(b)})
 
     def bucketize(b: pa.Table) -> pa.Table:
         c = b.column("ctr").to_numpy(zero_copy_only=False).astype(np.int64)
         return pa.table({"bucket": pa.array(c % TRIANGLE_BUCKETS, pa.int64())})
 
-    return partial_groupby(tri.map_batches(bucketize, batch_format="pyarrow"),
-                           "bucket", n_triangles=(None, "count_all"))
+    tri = guarded_join(segment_window(o, "src", wedges, order=("dst",)), e,
+                       on=("lo", "hi"), finish=bucketize)
+    return partial_groupby(tri, "bucket", n_triangles=(None, "count_all"))
 
 
 def _pagerank_sql() -> str:
@@ -3681,26 +3565,12 @@ def q_host_boilerplate(sf_dir: str) -> Dataset:
         })
 
     # consumed twice (template groupby + join probe)
-    seg = docs.map_batches(explode, batch_format="pyarrow").materialize()
-    grp = (
-        partial_groupby(seg.select_columns(["host_id", "dh", "dl"]),
-                        ["host_id", "dh", "dl"], n_docs=(None, "count_all"))
-        .map_batches(lambda b: b.filter(
-            pc.greater_equal(b.column("n_docs"), BOILER_MIN_DOCS)),
-            batch_format="pyarrow")
-    )
+    seg = typed_map(docs, explode).materialize()
+    grp = partial_groupby(
+        seg.select_columns(["host_id", "dh", "dl"]), ["host_id", "dh", "dl"],
+        n_docs=(None, "count_all"), finish=lambda b: b.filter(
+            pc.greater_equal(b.column("n_docs"), BOILER_MIN_DOCS)))
     joined = guarded_join(seg, grp, on=("host_id", "dh", "dl"))
-    if joined is None:
-        return rd.from_arrow(pa.table({
-            "doc_id": pa.array([], pa.int64()),
-            "host": pa.array([], pa.string()),
-            "n_unique_passages": pa.array([], pa.int64()),
-            "n_boiler_passages": pa.array([], pa.int64()),
-            "boiler_frac": pa.array([], pa.float64())}))
-
-    agg = partial_groupby(joined, ["doc_id", "host_id"],
-                          n_unique_passages=("n_uniq", "max"),
-                          n_boiler_passages=(None, "count_all"))
 
     def finish(b: pa.Table) -> pa.Table:
         host_id = b.column("host_id").to_numpy(zero_copy_only=False)
@@ -3717,7 +3587,9 @@ def q_host_boilerplate(sf_dir: str) -> Dataset:
                 nb.astype(np.float64) / nu.astype(np.float64), 4)),
         })
 
-    return agg.map_batches(finish, batch_format="pyarrow")
+    return partial_groupby(joined, ["doc_id", "host_id"], finish=finish,
+                           n_unique_passages=("n_uniq", "max"),
+                           n_boiler_passages=(None, "count_all"))
 
 
 # BPE-ish pretokenizer (GPT-2-style word/number/punct/space classes,
@@ -4153,7 +4025,7 @@ def q_perplexity_buckets(sf_dir: str) -> Dataset:
             "mean_logprob": pa.array(lp[keep], pa.float64()),
         })
 
-    scores = docs.map_batches(score, batch_format="pyarrow").materialize()
+    scores = typed_map(docs, score).materialize()
 
     # bounded distinct-(lang, score) count table -> driver rank algebra
     counts, starts = key_runs(collect_table(partial_groupby(
@@ -4189,7 +4061,7 @@ def q_perplexity_buckets(sf_dir: str) -> Dataset:
             "bucket": pa.array(bucket, pa.string()),
         })
 
-    return scores.map_batches(assign, batch_format="pyarrow")
+    return typed_map(scores, assign)
 
 
 OOV_VOCAB_K = 16  # reference-vocab size (corpus vocabulary is ~31 terms)
@@ -4231,7 +4103,7 @@ def q_oov_rate(sf_dir: str) -> Dataset:
             "oov_share": pa.array(share[keep], pa.float64()),
         })
 
-    return docs.map_batches(rate, batch_format="pyarrow")
+    return typed_map(docs, rate)
 
 
 BOTTOMK_K = 100  # exact sample size

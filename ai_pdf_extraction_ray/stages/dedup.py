@@ -89,8 +89,9 @@ BUCKET_CAP = 512
 
 
 def _nonempty_blocks(ds: Dataset, n_rows: int) -> Dataset:
-    """Repartition a COUNTED dataset into guaranteed non-empty blocks."""
-    return ds.repartition(max(1, -(-n_rows // 65536))).materialize()
+    """Repartition a COUNTED dataset into guaranteed non-empty blocks (an
+    empty one stays as it is: repartitioned, it would lose its schema)."""
+    return ds.repartition(-(-n_rows // 65536)).materialize() if n_rows else ds
 
 
 # At or below this many bytes of materialized input, no Ray shuffle runs:
@@ -114,18 +115,31 @@ def fits_broadcast(ds: Dataset) -> bool:
 def guarded_join(
     left: Dataset, right: Dataset, *, on: tuple[str, ...],
     right_on: tuple[str, ...] | None = None, join_type: str = "inner",
-) -> Dataset | None:
-    """``pa.Table.join`` over two Datasets — the package's one join site.
-    Returns None when either side is empty; each caller owns its typed
-    empty result or fallback. Columns come out in the order, and with the
-    key coalescing, of ``Dataset.join`` (the left side's columns, then the
-    right side's other columns) on either path. A right non-key column
-    named like a left column raises ``ValueError`` before any join runs:
-    the output would carry the name twice.
+    finish: Callable[[pa.Table], pa.Table] = lambda t: t,
+) -> Dataset:
+    """``pa.Table.join`` over two Datasets, then ``finish`` on each joined
+    block — the package's one join site. Columns come out in the order,
+    and with the key coalescing, of ``Dataset.join`` (the left side's
+    columns, then the right side's other columns) on either path. A right
+    non-key column named like a left column raises ``ValueError`` before
+    any join runs: the output would carry the name twice.
 
-    Both sides are materialized and counted (block metadata, no scan);
-    then the join takes one of two physical paths, chosen from each
-    side's ``size_bytes()`` (also block metadata):
+    ``finish`` is the caller's step after the join: a projection, filter
+    or rename. It runs once per joined block, so it must be block-local:
+    row-wise, with no sort, limit or state carried across rows. A
+    ``map_batches`` after the join would lose its columns on zero rows
+    (Ray 2.49 never calls a map on a zero-row block); ``finish`` keeps
+    them.
+
+    Both sides are materialized and counted (block metadata, no scan).
+    When no row can come out (an empty left side, or an empty side of an
+    ``inner`` join), the result is ``finish`` of the join of the two
+    sides' empty tables. An empty side with no columns (a map over zero
+    rows keeps none) raises ``ValueError``: build it with ``typed_map``.
+    Otherwise the join takes one of two physical paths, chosen from each
+    side's ``size_bytes()`` (also block metadata); an empty right side of
+    a ``left_outer`` join (size 0) gives every left row with null right
+    columns:
 
     - broadcast: when a side is at most ``_BROADCAST_MAX_BYTES`` — for
       ``inner`` the smaller side, for ``left_outer`` only the right side
@@ -141,45 +155,63 @@ def guarded_join(
       Memory bound: one key's rows, from both sides, must fit one block
       (``segment_window``'s bound).
 
-    Every side a map runs over (the probe side; both sides of the sort)
-    is first repartitioned into non-empty blocks. Ray 2.49 never calls a
-    map on a zero-row block, so such a block keeps the schema it had
-    before an upstream ``rename_columns`` (a per-block join that matched
-    nothing leaves one), and ``ds.schema()`` then reports that stale
-    schema. Unrepartitioned, the probe would emit blocks of two schemas,
-    and the sort path would tag the stale columns (seen as a repeated
-    ``text`` column in ``ngram_jaccard_dups``' second text join).
+    Every non-empty side a map runs over (the probe side; both sides of
+    the sort) is first repartitioned into non-empty blocks. Ray 2.49
+    never calls a map on a zero-row block, so such a block keeps the
+    schema it had before an upstream ``rename_columns``, and
+    ``ds.schema()`` then reports that stale schema. Unrepartitioned, the
+    probe would emit blocks of two schemas, and the sort path would tag
+    the stale columns.
     """
     sides = [ds.materialize() for ds in (left, right)]
-    if not all(ds.count() for ds in sides):
-        return None
+    rows = [ds.count() for ds in sides]
     side_keys = (list(on), list(right_on or on))
     arrow_join_type = join_type.replace("_", " ")
-    broadcast_left = (join_type == "inner"
-                      and sides[0].size_bytes() < sides[1].size_bytes())
-    small_ds, big_ds = sides if broadcast_left else sides[::-1]
-    broadcast = join_type in ("inner", "left_outer") and fits_broadcast(small_ds)
+
+    def join(left_t: pa.Table, right_t: pa.Table) -> pa.Table:
+        return finish(left_t.join(right_t, *side_keys,
+                                  join_type=arrow_join_type))
+
+    def empty_table(i: int) -> pa.Table:
+        # a materialized empty read has no schema; the caller's read has one
+        schema = sides[i].schema() or (left, right)[i].schema()
+        if schema is None:
+            raise ValueError(
+                "guarded_join: an empty side has no columns (a map over zero "
+                "rows keeps none); build it with typed_map")
+        return schema.base_schema.empty_table()
+
+    no_rows = not rows[0] or (join_type == "inner" and not rows[1])
+    # the side that may broadcast: the right one unless an inner join's
+    # left side is smaller
+    small = int(join_type != "inner"
+                or sides[0].size_bytes() >= sides[1].size_bytes())
+    broadcast = (not no_rows and join_type in ("inner", "left_outer")
+                 and fits_broadcast(sides[small]))
     if broadcast:
-        small = collect_table(small_ds)
-        big_ds = _nonempty_blocks(big_ds, big_ds.count())
-        schemas = [small.schema, big_ds.schema().base_schema]
-        schemas = schemas if broadcast_left else schemas[::-1]
-    else:
-        sides = [_nonempty_blocks(ds, ds.count()) for ds in sides]
-        schemas = [ds.schema().base_schema for ds in sides]
+        sides[1 - small] = _nonempty_blocks(sides[1 - small], rows[1 - small])
+    elif not no_rows:
+        sides = [_nonempty_blocks(ds, n) for ds, n in zip(sides, rows)]
+    tables = [empty_table(i) for i in (0, 1)]
+    if broadcast and rows[small]:
+        tables[small] = collect_table(sides[small])
+    schemas = [t.schema for t in tables]
     shared = [c for c in schemas[1].names
               if c not in side_keys[1] and c in schemas[0].names]
     if shared:
         raise ValueError(
             f"guarded_join: column(s) {shared} on both sides would appear "
             "twice in the output; rename one side's first")
+    if no_rows:
+        return rd.from_arrow(join(*tables))
 
     if broadcast:
         def probe(batch: pa.Table) -> pa.Table:
-            left_t, right_t = (small, batch) if broadcast_left else (batch, small)
-            return left_t.join(right_t, *side_keys, join_type=arrow_join_type)
+            return join(*((tables[0], batch) if small == 0
+                          else (batch, tables[1])))
 
-        return big_ds.map_batches(probe, batch_format="pyarrow", batch_size=None)
+        return sides[1 - small].map_batches(probe, batch_format="pyarrow",
+                                            batch_size=None)
 
     lds, rds = sides
     # each side's columns under the union's names, in the side's order:
@@ -203,10 +235,9 @@ def guarded_join(
         return to_tagged
 
     def join_block(t: pa.Table, _: np.ndarray) -> pa.Table:
-        left_t, right_t = (
+        return join(*(
             t.filter(pc.equal(t.column("side"), s)).select(names[s])
-            .rename_columns(schemas[s].names) for s in (0, 1))
-        return left_t.join(right_t, *side_keys, join_type=arrow_join_type)
+            .rename_columns(schemas[s].names) for s in (0, 1)))
 
     return segment_window(
         lds.map_batches(tag(0), batch_format="pyarrow").union(
@@ -235,7 +266,8 @@ _MERGES = {"sum": "sum", "count": "sum", "count_all": "sum", "min": "min",
            "max": "max"}
 
 
-def partial_groupby(ds: Dataset, keys: str | list[str],
+def partial_groupby(ds: Dataset, keys: str | list[str], *,
+                    finish: Callable[[pa.Table], pa.Table] = lambda t: t,
                     **aggs: tuple[str | None, str]) -> Dataset:
     """Grouped aggregate as per-block Arrow partials merged in one step —
     the package's one aggregate site.
@@ -260,11 +292,18 @@ def partial_groupby(ds: Dataset, keys: str | list[str],
     keys last, as one group, like SQL ``GROUP BY``). With no ``aggs`` it
     gives the distinct keys.
 
-    On zero partial rows it returns one typed empty block: Ray 2.49
-    aggregates zero rows into a Dataset whose ``schema()`` is None. The
-    block is the partial applied to an empty table of ``ds.schema()``;
-    a column the input no longer types (a map over a zero-row read
-    emits column-less blocks) keeps its name with the null type.
+    ``finish`` is the caller's step after the merge: a projection, filter
+    or rename of the merged rows. It runs on the merged table on the
+    driver path and once per block on the sort path, so it must be
+    block-local (row-wise, with no sort, limit or state carried across
+    rows); the rows it gets are in key order.
+
+    On zero partial rows it returns one typed empty block, ``finish`` of
+    the partial applied to an empty table of ``ds.schema()`` (Ray 2.49
+    aggregates zero rows into a Dataset whose ``schema()`` is None, and
+    never calls a map on a zero-row block). A column the input no longer
+    types (a map over a zero-row read emits column-less blocks) keeps
+    its name with the null type.
     """
     keys = [keys] if isinstance(keys, str) else list(keys)
     names = list(aggs)
@@ -277,16 +316,16 @@ def partial_groupby(ds: Dataset, keys: str | list[str],
         return t.group_by(keys).aggregate(specs).rename_columns(keys + names)
 
     def merge(t: pa.Table) -> pa.Table:
-        return t.group_by(keys).aggregate(merges).rename_columns(
-            keys + names).sort_by([(k, "ascending") for k in keys])
+        return finish(t.group_by(keys).aggregate(merges).rename_columns(
+            keys + names).sort_by([(k, "ascending") for k in keys]))
 
     parts = ds.map_batches(partial, batch_format="pyarrow").materialize()
     if parts.count() == 0:
         schema = ds.schema()
         types = dict(zip(schema.names, schema.types)) if schema else {}
         cols = dict.fromkeys(keys + [c for c, _ in aggs.values() if c])
-        return rd.from_arrow(partial(pa.table(
-            {c: pa.array([], types.get(c, pa.null())) for c in cols})))
+        return rd.from_arrow(finish(partial(pa.table(
+            {c: pa.array([], types.get(c, pa.null())) for c in cols}))))
     if fits_broadcast(parts):
         return rd.from_arrow(merge(collect_table(parts)))
     return segment_window(parts, keys, lambda t, _: merge(t))
@@ -493,24 +532,24 @@ def _sorted_pairs(ds: Dataset, keys: Sequence[str] = ("doc_a", "doc_b")
         [(k, "ascending") for k in keys]).to_pandas()
 
 
-def _pairs_with_texts(cand: Dataset, docs: Dataset) -> Dataset | None:
+def _pairs_with_texts(cand: Dataset, docs: Dataset,
+                      verify: Callable[[pa.Table], pa.Table]) -> Dataset:
     """Join a (doc_a, doc_b) candidate pair set back to the corpus text for
-    BOTH sides -> (doc_a, doc_b, text_a, text_b), or None if the pair set
-    is empty. Shared scaffold of every pairwise verify kernel (Jaccard,
-    edit distance)."""
+    BOTH sides -> (doc_a, doc_b, text_a, text_b), then run ``verify`` on
+    each block of it as the second join's ``finish``. Shared scaffold of
+    every pairwise verify kernel (Jaccard, edit distance)."""
     def _typed(b: pa.Table) -> pa.Table:
         # dtype pin only (int64 pair ids for the join key resolution)
         return pa.table({"doc_a": b.column("doc_a").cast(pa.int64()),
                          "doc_b": b.column("doc_b").cast(pa.int64())})
 
-    cand = cand.map_batches(_typed, batch_format="pyarrow")
-    with_a = guarded_join(cand, docs, on=("doc_a",), right_on=("doc_id",))
-    if with_a is None:
-        return None
-    with_ab = guarded_join(with_a.rename_columns({"text": "text_a"}), docs,
-                           on=("doc_b",), right_on=("doc_id",))
-    return None if with_ab is None else with_ab.rename_columns(
-        {"text": "text_b"})
+    with_a = guarded_join(
+        typed_map(cand, _typed), docs, on=("doc_a",), right_on=("doc_id",),
+        finish=lambda t: t.rename_columns(["doc_a", "doc_b", "text_a"]))
+    return guarded_join(
+        with_a, docs, on=("doc_b",), right_on=("doc_id",),
+        finish=lambda t: verify(t.rename_columns(
+            ["doc_a", "doc_b", "text_a", "text_b"])))
 
 
 def verify_pairs_jaccard(cand: Dataset, docs: Dataset, *, k: int = 3,
@@ -522,15 +561,8 @@ def verify_pairs_jaccard(cand: Dataset, docs: Dataset, *, k: int = 3,
     ``threshold``. The driver never holds the candidates or their texts
     (unbounded at 100 TB). Any ``cand`` lineage is safe: both joins go
     through ``guarded_join``. The filter runs inside the verify kernel, so
-    an empty pair set stays the typed table below (a later map would drop
-    its columns)."""
-    with_ab = _pairs_with_texts(cand, docs)
-    if with_ab is None:
-        return rd.from_arrow(pa.table({
-            "doc_a": pa.array([], pa.int64()),
-            "doc_b": pa.array([], pa.int64()),
-            "jaccard": pa.array([], pa.float64())}))
-
+    an empty pair set keeps the verify's columns (a later map would drop
+    them)."""
     def jac_batch(b: pa.Table) -> pa.Table:
         # Each doc appears in as many pairs as it has candidates — on a
         # mass-duplicated corpus that is O(bucket) per doc, and re-shingling
@@ -560,7 +592,7 @@ def verify_pairs_jaccard(cand: Dataset, docs: Dataset, *, k: int = 3,
             "jaccard": pa.array(jac, pa.float64()).filter(keep),
         })
 
-    return with_ab.map_batches(jac_batch, batch_format="pyarrow")
+    return _pairs_with_texts(cand, docs, jac_batch)
 
 
 def minhash_near_dups(
@@ -616,7 +648,7 @@ NGRAM_DF_CAP = 64
 def rare_blocked_pair_stats(
     docs: Dataset, *, k: int = 3, df_cap: int = NGRAM_DF_CAP,
     row_keep=None,  # noqa: ANN001 — vectorized (n_a, n_b, c_a, c_b) -> bool mask
-) -> tuple[Dataset | None, int]:
+) -> tuple[Dataset, int]:
     """(doc_id, text) -> deduplicated candidate-pair statistics for every
     doc pair sharing >= 1 k-gram with document frequency in [2, df_cap].
 
@@ -624,8 +656,8 @@ def rare_blocked_pair_stats(
     Jaccard, edit distance). Returns ``(stats, n_cand)`` — ``stats``
     columns: doc_a, doc_b, c_rare (EXACT count of shared rare grams),
     n_a/n_b (each side's distinct-gram total) and, when the corpus has
-    above-cap grams, h_a/h_b (each side's hot-gram count; null = 0) —
-    or ``(None, 0)`` when no candidates exist. ``stats`` is materialized.
+    above-cap grams, h_a/h_b (each side's hot-gram count; null = 0).
+    ``stats`` is materialized.
 
     Shape at scale (PPJoin-style, fully vectorized):
     - the exploded (gram_hash, doc_id, n_grams) index is the only wide
@@ -672,20 +704,23 @@ def rare_blocked_pair_stats(
                          "c": pa.array(np.concatenate(cs), pa.int64())})
 
     # consumed twice (df count + index join) — pin the lineage once
-    index = docs.map_batches(explode, batch_format="pyarrow").materialize()
+    index = typed_map(docs, explode).materialize()
 
-    # consumed twice (rare window + hot counts) — materialize
-    dfs = partial_groupby(index, "gram", _n=(None, "count_all")).materialize()
-    rare = (dfs.filter(expr="_n >= 2").filter(expr=f"_n <= {df_cap}")
-            .drop_columns(["_n"]))
-    blocked = guarded_join(rare, index, on=("gram",))
-    if blocked is None:
-        return None, 0
+    # the grams in two or more docs, consumed twice (rare window + hot
+    # counts) — materialize
+    dfs = partial_groupby(
+        index, "gram", _n=(None, "count_all"),
+        finish=lambda t: t.filter(pc.greater_equal(t.column("_n"), 2))
+    ).materialize()
+
+    def grams(keep: Callable[[pa.Array], pa.Array]) -> Dataset:
+        """The grams whose document frequency ``keep`` accepts."""
+        return typed_map(dfs, lambda t: t.filter(
+            keep(t.column("_n"))).drop_columns(["_n"]))
+
     # materialized because the self-join below consumes it on both sides
-    blocked = blocked.materialize()
-    right = blocked.rename_columns(
-        {"doc_id": "doc_b", "n": "n_b", "c": "c_b"})
-    raw = guarded_join(blocked, right, on=("gram",))
+    blocked = guarded_join(grams(lambda n: pc.less_equal(n, df_cap)), index,
+                           on=("gram",)).materialize()
 
     def ordered(b: pa.Table) -> pa.Table:
         # orientation + the caller's per-row length filter (drops rows of
@@ -707,29 +742,30 @@ def rare_blocked_pair_stats(
                          "n_a": b.column("n"),
                          "n_b": b.column("n_b")})
 
-    cand = raw.map_batches(ordered, batch_format="pyarrow")
+    raw = guarded_join(
+        blocked, typed_map(blocked, lambda t: t.rename_columns(
+            ["gram", "doc_b", "n_b", "c_b"])), on=("gram",), finish=ordered)
     # one groupby: dedupe pairs AND count shared rare grams exactly
     # (n_a/n_b are constant per pair — Min just carries them through)
-    cand = partial_groupby(cand, ["doc_a", "doc_b"],
+    cand = partial_groupby(raw, ["doc_a", "doc_b"],
                            c_rare=(None, "count_all"), n_a=("n_a", "min"),
                            n_b=("n_b", "min")).materialize()
     n_cand = cand.count()
-    if n_cand == 0:
-        return None, 0
 
     # per-doc hot-gram counts (h): zero unless some gram exceeds df_cap
     # (no hot gram -> no h columns, which _pair_stat_arrays reads as 0)
-    hot = dfs.filter(expr=f"_n > {df_cap}").drop_columns(["_n"])
-    h_join = guarded_join(hot, index, on=("gram",))
-    if h_join is not None:
-        h_per_doc = partial_groupby(h_join, "doc_id",
-                                    h=(None, "count_all")).materialize()
+    h_per_doc = partial_groupby(
+        guarded_join(grams(lambda n: pc.greater(n, df_cap)), index,
+                     on=("gram",)),
+        "doc_id", h=(None, "count_all")).materialize()
+    if h_per_doc.count():
         # left_outer keeps every candidate: n_cand is unchanged
         for side in ("a", "b"):
             cand = guarded_join(
-                cand, h_per_doc.rename_columns(
-                    {"doc_id": f"doc_{side}", "h": f"h_{side}"}),
-                join_type="left_outer", on=(f"doc_{side}",)).materialize()
+                cand, h_per_doc, join_type="left_outer", on=(f"doc_{side}",),
+                right_on=("doc_id",),
+                finish=lambda t, side=side: t.rename_columns(
+                    t.column_names[:-1] + [f"h_{side}"])).materialize()
     return cand, n_cand
 
 
@@ -793,13 +829,8 @@ def ngram_jaccard_pairs_ds(
         ratio = np.minimum(na, nbn) / np.maximum(np.maximum(na, nbn), 1.0)
         return ratio >= threshold - 1e-6
 
-    empty_pairs = pa.table({"doc_a": pa.array([], pa.int64()),
-                            "doc_b": pa.array([], pa.int64()),
-                            "jaccard": pa.array([], pa.float64())})
     cand, _ = rare_blocked_pair_stats(docs, k=k, df_cap=df_cap,
                                       row_keep=row_keep)
-    if cand is None:
-        return rd.from_arrow(empty_pairs)
 
     def prefilter(b: pa.Table) -> pa.Table:
         _, na, nbn, inter_ub = _pair_stat_arrays(b)
@@ -808,8 +839,7 @@ def ngram_jaccard_pairs_ds(
         return pa.table({"doc_a": b.column("doc_a"),
                          "doc_b": b.column("doc_b")})
 
-    survivors = cand.map_batches(prefilter, batch_format="pyarrow")
-    return verify_pairs_jaccard(survivors, docs, k=k,
+    return verify_pairs_jaccard(typed_map(cand, prefilter), docs, k=k,
                                 threshold=threshold).materialize()
 
 
@@ -921,13 +951,8 @@ def edit_distance_pairs_ds(
         grams_ok = np.abs(na.astype(np.int64) - nbn.astype(np.int64)) <= budget
         return chars_ok & grams_ok
 
-    empty_pairs = pa.table({"doc_a": pa.array([], pa.int64()),
-                            "doc_b": pa.array([], pa.int64()),
-                            "edit_dist": pa.array([], pa.int64())})
     cand, _ = rare_blocked_pair_stats(docs, k=k, df_cap=df_cap,
                                       row_keep=row_keep)
-    if cand is None:
-        return rd.from_arrow(empty_pairs)
 
     def prefilter(b: pa.Table) -> pa.Table:
         _, na, nbn, inter_ub = _pair_stat_arrays(b)
@@ -936,27 +961,22 @@ def edit_distance_pairs_ds(
         return pa.table({"doc_a": b.column("doc_a"),
                          "doc_b": b.column("doc_b")})
 
-    survivors = cand.map_batches(prefilter, batch_format="pyarrow")
-    with_ab = _pairs_with_texts(survivors, docs)
-    if with_ab is None:
-        return rd.from_arrow(empty_pairs)
-
     def lev_batch(b: pa.Table) -> pa.Table:
-        dists = [
+        dists = pa.array([
             0 if ta == tb
             else levenshtein_banded(ta or "", tb or "", max_dist)
             for ta, tb in zip(b.column("text_a").to_pylist(),
                               b.column("text_b").to_pylist())
-        ]
+        ], pa.int64())
+        keep = pc.less_equal(dists, max_dist)
         return pa.table({
-            "doc_a": b.column("doc_a"),
-            "doc_b": b.column("doc_b"),
-            "edit_dist": pa.array(dists, pa.int64()),
+            "doc_a": b.column("doc_a").filter(keep),
+            "doc_b": b.column("doc_b").filter(keep),
+            "edit_dist": dists.filter(keep),
         })
 
-    return (with_ab.map_batches(lev_batch, batch_format="pyarrow")
-            .filter(expr=f"edit_dist <= {max_dist}")
-            .materialize())
+    return _pairs_with_texts(typed_map(cand, prefilter), docs,
+                             lev_batch).materialize()
 
 
 def edit_distance_dups(
@@ -1348,45 +1368,34 @@ def propagate_min_labels(pairs: Dataset) -> Dataset:
         return pa.table({"u": pa.concat_arrays([a, bb]),
                          "v": pa.concat_arrays([bb, a])})
 
-    edges = pairs.map_batches(sym, batch_format="pyarrow").materialize()
+    def min_label(b: pa.Table, other: str) -> pa.Table:
+        """(u, min(label, other)) of a labelled block."""
+        return pa.table({
+            "u": b.column("u").cast(pa.int64()),
+            "label": pc.min_element_wise(b.column("label").cast(pa.int64()),
+                                         b.column(other).cast(pa.int64()))})
+
+    edges = typed_map(pairs, sym).materialize()
 
     # round 0: label(u) = min(u, min neighbor)
-    labels = partial_groupby(edges, "u", label=("v", "min"))
-    labels = labels.map_batches(
-        lambda b: pa.table({
-            "u": b.column("u"),
-            "label": pc.min_element_wise(
-                b.column("u").cast(pa.int64()),
-                b.column("label").cast(pa.int64()))}),
-        batch_format="pyarrow").materialize()
+    labels = partial_groupby(edges, "u", label=("v", "min"),
+                             finish=lambda b: min_label(b, "u")).materialize()
     prev_sum = labels.aggregate(Sum("label"))["sum(label)"]
 
     for _ in range(_PROPAGATE_MAX_ROUNDS):
-        cand = guarded_join(
-            edges, labels.rename_columns({"u": "v_key", "label": "nbr_label"}),
-            on=("v",), right_on=("v_key",))
-        if cand is None:  # no pairs: no nodes to label
-            return labels
-        cand = cand.map_batches(
-            lambda b: pa.table({
-                "u": b.column("u").cast(pa.int64()),
-                "label": b.column("nbr_label").cast(pa.int64())}),
-            batch_format="pyarrow")
+        # each edge (u, v) offers u the label of v
+        cand = guarded_join(edges, labels, on=("v",), right_on=("u",),
+                            finish=lambda b: b.select(["u", "label"]))
         labels = partial_groupby(labels.union(cand), "u",
                                  label=("label", "min")).materialize()
         # pointer jump: label(u) <- min(label(u), label(label(u))). Every
         # label value is itself a node id (a min over node ids), so the
         # inner self-join preserves exactly one row per node.
         labels = guarded_join(
-            labels, labels.rename_columns({"u": "p_key", "label": "p_label"}),
+            labels, typed_map(labels, lambda b: b.rename_columns(
+                ["p_key", "p_label"])),
             on=("label",), right_on=("p_key",),
-        ).map_batches(
-            lambda b: pa.table({
-                "u": b.column("u").cast(pa.int64()),
-                "label": pc.min_element_wise(
-                    b.column("label").cast(pa.int64()),
-                    b.column("p_label").cast(pa.int64()))}),
-            batch_format="pyarrow").materialize()
+            finish=lambda b: min_label(b, "p_label")).materialize()
         cur_sum = labels.aggregate(Sum("label"))["sum(label)"]
         if cur_sum == prev_sum:
             return labels
@@ -1437,11 +1446,12 @@ def near_dup_clusters(sf_dir: str, *, threshold: float = 0.5) -> "Dataset":
             "cluster_size": pa.array([size[c] for c in label.values()],
                                      pa.int64())}))
     else:
-        labels = propagate_min_labels(pairs).rename_columns(
-            {"u": "node", "label": "cluster_id"})
-        clusters = guarded_join(labels, partial_groupby(
-            labels, "cluster_id", cluster_size=(None, "count_all")),
-            on=("cluster_id",))
+        labels = propagate_min_labels(pairs)
+        clusters = guarded_join(
+            labels, partial_groupby(labels, "label",
+                                    cluster_size=(None, "count_all")),
+            on=("label",), finish=lambda b: b.rename_columns(
+                ["node", "cluster_id", "cluster_size"]))
 
     def finish(b: pa.Table) -> pa.Table:
         ids = b.column("doc_id").cast(pa.int64())
@@ -1455,16 +1465,7 @@ def near_dup_clusters(sf_dir: str, *, threshold: float = 0.5) -> "Dataset":
             "is_canonical": pc.cast(pc.equal(ids, cl), pa.int64()),
         })
 
-    joined = None if clusters is None else guarded_join(
-        docs, clusters, join_type="left_outer", on=("doc_id",),
-        right_on=("node",))
-    if joined is None:
-        # no pairs (or no docs): every doc is its own cluster; typed_map
-        # keeps the columns on a zero-row read
-        def singletons(b: pa.Table) -> pa.Table:
-            null = pa.nulls(b.num_rows, pa.int64())
-            return finish(b.append_column("cluster_id", null)
-                          .append_column("cluster_size", null))
-
-        return typed_map(docs, singletons)
-    return joined.map_batches(finish, batch_format="pyarrow")
+    # a doc in no pair (every doc, with no pairs) joins to nulls: its own
+    # cluster of one
+    return guarded_join(docs, clusters, join_type="left_outer",
+                        on=("doc_id",), right_on=("node",), finish=finish)

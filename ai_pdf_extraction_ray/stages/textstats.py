@@ -508,4 +508,6 @@ def vocab_bigrams(sf_dir: str, *, k: int = 30) -> Dataset:
 
     agg = partial_groupby(docs.map_batches(bigrams, batch_format="pyarrow"),
                           "bigram", n=(None, "count_all"))
-    return agg.sort(["n", "bigram"], descending=[True, False]).limit(k)
+    top = agg.sort(["n", "bigram"], descending=[True, False]).limit(k).materialize()
+    # a Ray sort of zero rows loses the columns; the empty aggregate has them
+    return top if top.count() else agg

@@ -12,6 +12,7 @@ from pathlib import Path
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
 import pyarrow.parquet as pq
 import pytest
 
@@ -40,11 +41,12 @@ DIRECT_CALLERS = sorted(
     | {"near_dup_clusters"})
 
 # queries that aggregate through partial_groupby (found the same way), plus
-# heavy_hitters (it reaches the helper through a stage function) and
-# media_audio_video, listed by hand so both stay in the zero-row sweep
+# heavy_hitters and vocab_bigrams (they reach the helper through a stage
+# function) and media_audio_video, listed by hand so all three stay in the
+# zero-row sweep
 PARTIAL_GROUPBY_CALLERS = sorted(
     {name for name, q in QUERIES.items() if _calls(q["fn"], "partial_groupby")}
-    | {"heavy_hitters", "media_audio_video"})
+    | {"heavy_hitters", "media_audio_video", "vocab_bigrams"})
 
 # queries that run per-key ordered work through segment_window (found the
 # same way, not counting the sort path of guarded_join and partial_groupby
@@ -95,6 +97,17 @@ def _execute(ds) -> tuple[pa.Table, bool]:  # noqa: ANN001 — Dataset
 JOIN_TYPES = [("inner", "inner"), ("left_outer", "left outer")]
 
 
+def _finish_fn(column: str, drop: int):  # noqa: ANN202
+    """A block-local ``finish``: drop the rows whose ``column`` is ``drop``
+    or null, then prefix every column name with ``x_``. Nested, so Ray
+    ships it by value (workers cannot import this test module)."""
+    def finish(t: pa.Table) -> pa.Table:
+        return t.filter(pc.not_equal(t.column(column), drop)).rename_columns(
+            [f"x_{c}" for c in t.column_names])
+
+    return finish
+
+
 @pytest.fixture
 def force_shuffle(monkeypatch) -> None:
     """No side is small enough to broadcast and no partials small enough
@@ -104,20 +117,58 @@ def force_shuffle(monkeypatch) -> None:
     monkeypatch.setattr(dedup, "_BROADCAST_MAX_BYTES", -1)
 
 
+EMPTY_SIDE = pa.table({"k": pa.array([], pa.int64()),
+                       "w": pa.array([], pa.string())})
+
+
 class TestEmptySides:
+    """An empty side joins like any other side: ``pa.Table.join``'s rows,
+    columns and types, at the default bound and on the sort path."""
+
+    @pytest.mark.parametrize("join_type,arrow_type", JOIN_TYPES)
+    @pytest.mark.parametrize("empty_side", ["left", "right"])
+    @pytest.mark.parametrize("limit", [None, -1], ids=["default", "sort"])
+    def test_empty_side_matches_pyarrow(self, ray_session, monkeypatch, limit,
+                                        empty_side, join_type, arrow_type):
+        import ray.data as rd
+
+        from ai_pdf_extraction_ray.stages import dedup
+
+        if limit is not None:
+            monkeypatch.setattr(dedup, "_BROADCAST_MAX_BYTES", limit)
+        full = pa.table({"k": pa.array([1, 2, None], pa.int64()),
+                         "v": ["a", "b", "c"]})
+        left, right = ((EMPTY_SIDE, full) if empty_side == "left"
+                       else (full, EMPTY_SIDE))
+        got = dedup.collect_table(dedup.guarded_join(
+            rd.from_arrow(left), rd.from_arrow(right), on=("k",),
+            join_type=join_type))
+        want = left.join(right, "k", join_type=arrow_type)
+        assert got.schema == want.schema
+        assert _sorted_frame(got).equals(_sorted_frame(want))
+        # a left_outer join keeps every left row; nothing else gives a row
+        keeps_left = (join_type, empty_side) == ("left_outer", "right")
+        assert got.num_rows == (full.num_rows if keeps_left else 0)
+
     @pytest.mark.parametrize("join_type", ["inner", "left_outer"])
     @pytest.mark.parametrize("empty_side", ["left", "right"])
-    def test_empty_side_returns_none(self, ray_session, join_type, empty_side):
+    def test_empty_side_without_columns_raises(self, ray_session, empty_side,
+                                               join_type):
+        """A map over zero rows keeps no columns, so there is nothing to
+        type the result by: build such a side with ``typed_map``."""
         import ray.data as rd
 
         from ai_pdf_extraction_ray.stages.dedup import guarded_join
 
+        untyped = rd.from_arrow(EMPTY_SIDE).map_batches(
+            lambda t: t, batch_format="pyarrow")
+        assert untyped.schema() is None
         full = rd.from_arrow(pa.table({"k": pa.array([1, 2], pa.int64()),
                                        "v": ["a", "b"]}))
-        empty = rd.from_arrow(pa.table({"k": pa.array([], pa.int64()),
-                                        "w": pa.array([], pa.string())}))
-        left, right = (empty, full) if empty_side == "left" else (full, empty)
-        assert guarded_join(left, right, on=("k",), join_type=join_type) is None
+        left, right = ((untyped, full) if empty_side == "left"
+                       else (full, untyped))
+        with pytest.raises(ValueError, match="typed_map"):
+            guarded_join(left, right, on=("k",), join_type=join_type)
 
 
 class TestLineage:
@@ -230,14 +281,19 @@ class TestPathParity:
         left, right = (LEFT, RIGHT) if small_side == "left" else (
             RIGHT.rename_columns(["k", "g", "lv"]),
             LEFT.rename_columns(["rk", "rg", "rv"]))
-        kw = dict(on=on, right_on=right_on, join_type=join_type)
-        want = _sorted_frame(left.join(right, list(on), list(right_on),
-                                       join_type=arrow_type))
-        broadcast = self._join(left, right, sort=False, **kw)
-        monkeypatch.setattr(dedup, "_BROADCAST_MAX_BYTES", -1)
-        shuffled = self._join(left, right, sort=True, **kw)
-        assert broadcast.equals(want)  # also compares the column order
-        assert shuffled.equals(want)
+        joined = left.join(right, list(on), list(right_on),
+                           join_type=arrow_type)
+        default = dedup._BROADCAST_MAX_BYTES
+        for finish in (lambda t: t, _finish_fn("k", 2)):
+            kw = dict(on=on, right_on=right_on, join_type=join_type,
+                      finish=finish)
+            want = _sorted_frame(finish(joined))
+            monkeypatch.setattr(dedup, "_BROADCAST_MAX_BYTES", default)
+            broadcast = self._join(left, right, sort=False, **kw)
+            monkeypatch.setattr(dedup, "_BROADCAST_MAX_BYTES", -1)
+            shuffled = self._join(left, right, sort=True, **kw)
+            assert broadcast.equals(want)  # also compares the column order
+            assert shuffled.equals(want)
 
     def test_left_outer_small_left_shuffles(self, ray_session):
         """Only the right side of a left_outer may broadcast: a small left
@@ -455,9 +511,18 @@ class TestDegenerateInputs:
     def test_pagerank_empty_corpus(self, ray_session, empty_sf):
         assert _rows(q_pagerank(empty_sf)) == 0
 
+    @staticmethod
+    def _check_empty(empty_sf: str, name: str) -> None:
+        """The oracle's rows on the empty tables, and the columns, in
+        order, the same query gives on the smoke tables."""
+        fn = QUERIES[name]["fn"]
+        cols, rows = _columns(fn(empty_sf))
+        assert rows == _oracle_rows(empty_sf, name)
+        assert cols == _columns(fn(SF_SMOKE))[0]
+
     @pytest.mark.parametrize("name", DIRECT_CALLERS)
     def test_join_query_on_empty_tables(self, ray_session, empty_sf, name):
-        assert _rows(QUERIES[name]["fn"](empty_sf)) == 0
+        self._check_empty(empty_sf, name)
 
     @pytest.mark.parametrize("name", PARTIAL_GROUPBY_CALLERS)
     def test_aggregate_query_on_empty_tables(self, ray_session, empty_sf,
@@ -465,19 +530,13 @@ class TestDegenerateInputs:
         """No rows in, no exception out: the rows the oracle gives on the
         same empty tables — 0, except where SQL aggregates without a
         GROUP BY (profile_orders' 5 column rows, the ROLLUP/CUBE grand
-        total)."""
-        assert _rows(QUERIES[name]["fn"](empty_sf)) == _oracle_rows(
-            empty_sf, name)
+        total) — with the smoke tables' columns."""
+        self._check_empty(empty_sf, name)
 
     @pytest.mark.parametrize("name", SEGMENT_WINDOW_CALLERS)
     def test_segment_window_query_on_empty_tables(self, ray_session, empty_sf,
                                                   name):
-        """The oracle's rows on the empty tables, and the columns, in
-        order, the same query gives on the smoke tables."""
-        fn = QUERIES[name]["fn"]
-        cols, rows = _columns(fn(empty_sf))
-        assert rows == _oracle_rows(empty_sf, name)
-        assert cols == _columns(fn(SF_SMOKE))[0]
+        self._check_empty(empty_sf, name)
 
 
 def _result_table(out) -> pa.Table:  # noqa: ANN001 — Dataset or DataFrame
@@ -656,6 +715,12 @@ class TestPartialGroupby:
         # the data exercises what it claims to
         assert None in got.column("k").to_pylist()
         assert got.column("nv").to_pylist() != got.column("n").to_pylist()
+        # a finish runs on the merged rows: the same filter and rename
+        finish = _finish_fn("k", 3)
+        got = collect_table(partial_groupby(ds, keys, finish=finish, **AGGS))
+        assert got.schema == finish(want).schema
+        assert got.to_pylist() == finish(want).to_pylist()
+        assert 0 < got.num_rows < want.num_rows
 
     @staticmethod
     def _check_zero_rows() -> None:
@@ -665,10 +730,12 @@ class TestPartialGroupby:
             collect_table, partial_groupby)
 
         empty = AGG_INPUT.slice(0, 0)
-        got = collect_table(partial_groupby(rd.from_arrow(empty),
-                                            ["k", "g"], **AGGS))
-        assert got.num_rows == 0
-        assert got.schema == _reference(empty, ["k", "g"]).schema
+        want = _reference(empty, ["k", "g"])
+        for finish in (lambda t: t, _finish_fn("k", 3)):
+            got = collect_table(partial_groupby(
+                rd.from_arrow(empty), ["k", "g"], finish=finish, **AGGS))
+            assert got.num_rows == 0
+            assert got.schema == finish(want).schema
 
     @pytest.mark.parametrize("keys", [["k"], ["k", "g"]], ids=["one", "two"])
     def test_matches_single_group_by(self, ray_session, keys):
@@ -730,6 +797,47 @@ NON_DECOMPOSABLE = {
     ("stages/sketches.py", "heavy_hitters"):
         "Misra-Gries sketches merge by mg_merge compaction in segment_window",
 }
+
+
+_PRIMITIVES = {"partial_groupby", "guarded_join"}
+_RESULT_KEEPING = {"materialize", "sort", "limit"}
+_STEPS = {"map_batches", "select_columns", "drop_columns", "rename_columns",
+          "filter"}
+
+
+def _steps_after_primitives(tree: ast.AST) -> list[int]:
+    """Lines, per top-level definition, where a primitive's result (a call
+    of one, ``_RESULT_KEEPING`` calls on one, or a name assigned one) is
+    compared with None or is the receiver of a ``_STEPS`` call."""
+    lines = []
+    for outer in tree.body:
+        bound: set[str] = set()
+
+        def is_result(n: ast.AST) -> bool:
+            if isinstance(n, ast.Name):
+                return n.id in bound
+            if not isinstance(n, ast.Call):
+                return False
+            f = n.func
+            return (getattr(f, "id", getattr(f, "attr", None)) in _PRIMITIVES
+                    or (isinstance(f, ast.Attribute)
+                        and f.attr in _RESULT_KEEPING and is_result(f.value)))
+
+        assigns = [n for n in ast.walk(outer) if isinstance(n, ast.Assign)
+                   and len(n.targets) == 1 and isinstance(n.targets[0], ast.Name)]
+        while new := {n.targets[0].id for n in assigns
+                      if n.targets[0].id not in bound and is_result(n.value)}:
+            bound |= new
+        for n in ast.walk(outer):
+            if isinstance(n, ast.Compare):
+                sides = [n.left, *n.comparators]
+                if (any(isinstance(o, ast.Constant) and o.value is None
+                        for o in sides) and any(map(is_result, sides))):
+                    lines.append(n.lineno)
+            elif (isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute)
+                  and n.func.attr in _STEPS and is_result(n.func.value)):
+                lines.append(n.lineno)
+    return sorted(set(lines))
 
 
 class TestSingleAggregateSite:
@@ -828,6 +936,19 @@ class TestSingleAggregateSite:
                       and getattr(n.func, "id", None) in names
                       and id(n) not in ok]
         assert stray == []
+
+    def test_no_step_after_a_primitive(self):
+        """No result of ``partial_groupby`` or ``guarded_join``, chained or
+        through the name it is assigned to, is compared with None or
+        mapped, projected, renamed or filtered: that step is the
+        primitive's ``finish``, which keeps its columns on zero rows (Ray
+        never calls a map there). ``.materialize()``, ``.sort()`` and
+        ``.limit()`` keep a result one; passing it to a function is
+        allowed (a result read twice goes through ``typed_map``)."""
+        found = [f"{path.relative_to(PKG)}:{line}"
+                 for path in sorted(PKG.rglob("*.py"))
+                 for line in _steps_after_primitives(ast.parse(path.read_text()))]
+        assert found == []
 
     def test_no_renamed_partial_merges(self):
         """No ``Sum("<col>_sum")`` / ``Sum("<col>_count")`` merge of
