@@ -2,10 +2,10 @@
 
 The scale pattern: build partial bitmaps per batch over the (small) key
 side, OR-merge them (bitmaps are mergeable like all the engine's
-sketches), broadcast the merged filter once via ``ray.put``, and prefilter
-the big side inside ``map_batches`` before the exact hash join — the
-shuffle then carries only probable matches plus a bounded false-positive
-tail, never the full big side.
+sketches), let the prefilter map's closure carry the merged filter, and
+prefilter the big side inside ``map_batches`` before the exact join — the
+join then sees only probable matches plus a bounded false-positive tail,
+never the full big side.
 
 Deterministic by construction: splitmix64 double hashing
 (Kirsch-Mitzenmacher: idx_i = h1 + i*h2 mod m) — vectorized over int64
@@ -80,13 +80,4 @@ class BloomFilter:
     def from_bytes(cls, raw: bytes, num_hashes: int = 7) -> "BloomFilter":
         bf = cls(num_bits=len(raw) * 8, num_hashes=num_hashes)
         bf.bits = np.frombuffer(raw, dtype=np.uint8).copy()
-        return bf
-
-    @classmethod
-    def probe_view(cls, raw: bytes, num_hashes: int = 7) -> "BloomFilter":
-        """Read-only view over a broadcast bitmap — no per-batch copy of
-        the (possibly multi-MB) filter on the probe hot path. Only
-        ``contains_many`` is valid on the result."""
-        bf = cls(num_bits=len(raw) * 8, num_hashes=num_hashes)
-        bf.bits = np.frombuffer(raw, dtype=np.uint8)
         return bf

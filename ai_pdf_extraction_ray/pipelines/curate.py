@@ -8,13 +8,13 @@ assignment -> split-partitioned parquet sink + a JSON report.
 Scale shape: the corpus is read once; dedup is TWO exchanges that never
 leave the cluster — a slim (digest, doc_id) groupby picks the canonical id
 per digest, then a digest-partitioned hash join filters the kept rows to
-the canonical ones (replacing the round-3 kept-id ``ray.put`` broadcast,
-which shipped one int64 per kept document to every worker — terabytes at
+the canonical ones (replacing the round-3 kept-id broadcast, which
+shipped one int64 per kept document to every worker — terabytes at
 10^12 docs; judge round-3 finding #1). The digest itself is a vectorized
 128-bit polynomial hash (``functions/fasthash.hash128_strs``), not a
 per-row ``hashlib.md5`` loop; any collision-free digest groups texts
 identically, so ``curation_splits``' md5-based SQL oracle still restates
-the result. The benchmark set broadcasts once via ``ray.put`` (bounded by
+the result. The benchmark set rides in the gate instance (bounded by
 the benchmark, not the corpus); the split decision is pure key hashing
 (rerun/cluster stable). Output is partitioned by split so a consumer
 prunes at the read.
@@ -31,12 +31,11 @@ from ..functions.tokenize import lower_parity
 import pyarrow as pa
 import pyarrow.compute as pc
 
-import ray
 import ray.data as rd
 from ray.data import Dataset
 
 from ..stages.dedup import guarded_join, partial_groupby
-from ..stages.textstats import _TOKEN, build_benchmark_ngrams, cached_gram_set
+from ..stages.textstats import _TOKEN, GramSet, build_benchmark_ngrams
 
 MIN_WORDS = 20
 MIN_TTR = 0.4
@@ -121,23 +120,22 @@ def assign_split(doc_id: int) -> str:
 
 class CurateGate:
     """Task gate stage: the benchmark matcher (GramSet — per-gram C scan
-    or Aho-Corasick automaton) compiles once per worker process
-    (``cached_gram_set``); each batch runs the vectorized funnel
+    or Aho-Corasick automaton) rides in the instance and compiles once
+    per worker process; each batch runs the vectorized funnel
     (``curation_stages_vec``) and emits the surviving rows with a 128-bit
     content digest (two int64 columns ``digest_hi``/``digest_lo`` —
     8-byte shuffle keys, computed only for survivors, vectorized over one
     byte buffer per batch)."""
 
-    def __init__(self, grams_ref) -> None:  # noqa: ANN001 — ObjectRef
-        self.grams_ref = grams_ref
+    def __init__(self, gram_set: GramSet) -> None:
+        self.gram_set = gram_set
 
     def __call__(self, b: pa.Table) -> pa.Table:
         from ..functions.fasthash import hash128_strs
 
         stage = curation_stages_vec(
             b.column("lang").combine_chunks(),
-            b.column("text").combine_chunks(),
-            cached_gram_set(self.grams_ref))
+            b.column("text").combine_chunks(), self.gram_set)
         # typed mask: an untyped pa.array([]) from a zero-row batch is
         # null-type and Table.filter raises on it (review finding)
         kept = b.filter(pa.array(stage == STAGE_KEEP, pa.bool_()))
@@ -149,11 +147,12 @@ class CurateGate:
             "digest_lo", pa.array(lo.view(np.int64), pa.int64()))
 
 
-def _flagged_docs(sf_dir: str, grams_ref) -> Dataset:  # noqa: ANN001
+def _flagged_docs(sf_dir: str) -> Dataset:
     """Gate-surviving rows with content digests — CurateGate tasks."""
     docs = rd.read_parquet(f"{sf_dir}/documents.parquet",
                            columns=["doc_id", "lang", "text"])
-    return docs.map_batches(CurateGate(grams_ref), batch_format="pyarrow")
+    gate = CurateGate(GramSet(build_benchmark_ngrams(sf_dir)))
+    return docs.map_batches(gate, batch_format="pyarrow")
 
 
 def _with_split(ds: Dataset) -> Dataset:
@@ -171,11 +170,10 @@ def curate_job(sf_dir: str, out_dir: str) -> dict:
     Returns the report dict (also written to ``out_dir/_REPORT.json``):
     input/kept/deduped counts and per-split row counts.
     """
-    grams_ref = ray.put(build_benchmark_ngrams(sf_dir))
     # materialized: consumed by the dedup groupby AND the join probe — one
     # execution of the read + gate + digest lineage, as the docstring
     # promises (review finding: un-materialized it ran twice)
-    kept = _flagged_docs(sf_dir, grams_ref).materialize()
+    kept = _flagged_docs(sf_dir).materialize()
     n_kept_rows = kept.count()
 
     out = Path(out_dir)

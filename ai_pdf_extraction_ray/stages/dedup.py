@@ -38,6 +38,7 @@ import ray
 import ray.data as rd
 from ray.data import Dataset
 from ray.data.aggregate import Sum
+from ray.data.block import BlockAccessor
 
 from ..functions.fasthash import fold_rows, shingle_hashes64, token_hashes64
 from ..functions.rounding import np_round as shared_np_round
@@ -252,8 +253,13 @@ def collect_table(ds: Dataset) -> pa.Table:
     caller indexing a key column raises; this read keeps the columns of
     a typed zero-row block (``partial_groupby`` returns one). Blocks that
     lost their columns upstream (a map over a zero-row read emits
-    column-less blocks) give a column-less table."""
-    blocks = ray.get(ds.to_arrow_refs())
+    column-less blocks) give a column-less table. The blocks come
+    straight from the executed plan: ``Dataset.to_arrow_refs()`` of a
+    lazy Dataset then asks for its schema, which runs the plan again up
+    to its first block (+0.1 s per call on a read + map)."""
+    refs = [ref for bundle in ds.iter_internal_ref_bundles()
+            for ref, _ in bundle.blocks]
+    blocks = [BlockAccessor.for_block(b).to_arrow() for b in ray.get(refs)]
     keep = ([t for t in blocks if t.num_rows]
             or [t for t in blocks if t.num_columns][:1])
     return (pa.concat_tables(keep, promote_options="default") if keep

@@ -3,10 +3,11 @@
 Two paths over the ``embeddings`` table:
 
 - brute-force cosine top-k (the exact baseline): numpy matmul per batch
-  against a broadcast query matrix (``ray.put`` once); per-batch local
+  against the query matrix the map's closure carries; per-batch local
   top-k partials are merged on the driver — the shuffle carries k rows per
-  batch, never the matrix. Scales linearly in corpus size; the canonical
-  flat-scan ANN baseline.
+  batch and query, never the matrix. ``knn_flat``, ``knn_multiquery`` and
+  ``knn_ivf`` share that one kernel (``_cosine_topk``). Scales linearly
+  in corpus size; the canonical flat-scan ANN baseline.
 
 - IVF (inverted-file) approximate search: k-means coarse quantizer trained
   on a deterministic systematic sample (every stride-th vec_id — unbiased
@@ -21,16 +22,17 @@ Two paths over the ``embeddings`` table:
 
 from __future__ import annotations
 
+from collections.abc import Iterable
+
 import numpy as np
 import pandas as pd
 import pyarrow as pa
 
-import ray
 import ray.data as rd
 from ray.data import Dataset
 
 from ..functions.rounding import np_round
-from .dedup import collect_table, key_runs, run_ranks
+from .dedup import collect_table, key_runs, run_ranks, typed_map
 
 
 def _normalize(x: np.ndarray) -> np.ndarray:
@@ -55,43 +57,58 @@ def emb_matrix(source, dtype=np.float64, column: str = "embedding") -> np.ndarra
 _emb_matrix = emb_matrix  # internal call sites predate the public name
 
 
+def _cosine_topk(ds: Dataset, queries: np.ndarray, k: int, *,
+                 query_ids: list[int] | None = None,
+                 exclude: Iterable[int] = (),
+                 exclude_self: bool = False) -> pd.DataFrame:
+    """Exact cosine top-k of each query row of ``queries`` over ``ds``'s
+    (vec_id, embedding) rows: (query_id, vec_id, cos), k rows per query,
+    ranked by cos rounded to 6 dp (descending) then vec_id — the oracles'
+    ORDER BY. A (vec_id, query) pair is skipped when the vec_id is in
+    ``exclude``, or, with ``exclude_self``, equals the query's id.
+
+    One per-block kernel: an (n x d) @ (d x M) matmul against the query
+    matrix its closure carries, then each query's local top k; the driver
+    merges the <= M*k rows per block with the same ranking, never
+    vectors."""
+    Q = _normalize(np.atleast_2d(np.asarray(queries, dtype=np.float64)))
+    qids = np.asarray(range(len(Q)) if query_ids is None else query_ids,
+                      dtype=np.int64)
+    excl = np.asarray(sorted(exclude), dtype=np.int64)
+
+    def top(t: pa.Table) -> pa.Table:
+        t, starts = key_runs(t, ["query_id"], [("cos", "descending"), "vec_id"])
+        return t.filter(run_ranks(starts, t.num_rows) < k)
+
+    def local_topk(b: pa.Table) -> pa.Table:
+        ids = b.column("vec_id").to_numpy(zero_copy_only=False)
+        # round BEFORE selection with the shared half-away helper: the local
+        # top-k must use exactly the oracle's order, or boundary ties can
+        # drop the row DuckDB keeps (review finding)
+        cos = (np_round(_normalize(_emb_matrix(b)) @ Q.T, 6)
+               if len(ids) and len(Q) else np.empty((len(ids), len(Q))))
+        keep = np.isin(ids, excl, invert=True)[:, None].repeat(len(Q), axis=1)
+        if exclude_self:
+            keep &= ids[:, None] != qids
+        r, m = np.nonzero(keep)
+        return top(pa.table({"query_id": pa.array(qids[m], pa.int64()),
+                             "vec_id": pa.array(ids[r], pa.int64()),
+                             "cos": pa.array(cos[r, m], pa.float64())}))
+
+    return top(collect_table(typed_map(ds, local_topk))).to_pandas()
+
+
+def _embeddings(sf_dir: str) -> Dataset:
+    return rd.read_parquet(f"{sf_dir}/embeddings.parquet",
+                           columns=["vec_id", "embedding"])
+
+
 def knn_flat(
     sf_dir: str, query: np.ndarray, k: int = 10, *, exclude: set[int] | None = None
 ) -> pd.DataFrame:
-    """Exact cosine top-k: per-batch partial top-k -> driver merge."""
-    q = _normalize(np.asarray(query, dtype=np.float64))
-    q_ref = ray.put(q)
-    excl = exclude or set()
-
-    def local_topk(batch: pa.Table) -> pa.Table:
-        qv = ray.get(q_ref)
-        X = _normalize(_emb_matrix(batch))
-        cos = X @ qv
-        ids = batch.column("vec_id").to_numpy(zero_copy_only=False)
-        if excl:
-            mask = ~np.isin(ids, list(excl))
-            cos, ids = cos[mask], ids[mask]
-        # round BEFORE selection with the shared half-away helper, and break
-        # ties by vec_id — the local top-k must use exactly the oracle's
-        # ORDER BY rounded-cos DESC, vec_id, or boundary ties can drop the
-        # row DuckDB keeps (review finding)
-        cos_r = np_round(cos, 6)
-        order = np.lexsort((ids, -cos_r))[: min(k, len(ids))]
-        return pa.table({
-            "vec_id": pa.array(ids[order], pa.int64()),
-            "cos": pa.array(cos_r[order], pa.float64()),
-        })
-
-    partials = (
-        rd.read_parquet(f"{sf_dir}/embeddings.parquet", columns=["vec_id", "embedding"])
-        .map_batches(local_topk, batch_format="pyarrow")
-        .to_pandas()
-    )
-    return (
-        partials.sort_values(["cos", "vec_id"], ascending=[False, True])
-        .head(k)
-        .reset_index(drop=True)
-    )
+    """Exact cosine top-k of one query vector: (vec_id, cos)."""
+    return _cosine_topk(_embeddings(sf_dir), query, k,
+                        exclude=exclude or ()).drop(columns=["query_id"])
 
 
 def knn_multiquery(
@@ -99,8 +116,8 @@ def knn_multiquery(
     query_ids: list[int] | None = None,
 ) -> pd.DataFrame:
     """Batched exact top-k: ONE scan answers M queries (the batched-inference
-    shape — per-batch (n x d) @ (d x M) matmul against a broadcast query
-    matrix; the shuffle carries M*k partial rows per batch, never vectors).
+    shape — per-batch (n x d) @ (d x M) matmul; the shuffle carries M*k
+    partial rows per batch, never vectors).
 
     Returns (query_id, vec_id, cos) with k rows per query, ordered by
     rounded cos desc then vec_id (the oracle's exact tie-break).
@@ -109,42 +126,8 @@ def knn_multiquery(
     (i.e. the queries ARE corpus rows): with synthesized 0..M-1 ids,
     excluding vid == qid would wrongly drop unrelated corpus vectors
     0..M-1 from external-query results (review finding)."""
-    Q = _normalize(np.asarray(queries, dtype=np.float64))
-    qids = np.asarray(query_ids if query_ids is not None else range(len(Q)),
-                      dtype=np.int64)
-    exclude_self = exclude_self and query_ids is not None
-    q_ref = ray.put((Q, qids))
-
-    def local_topk(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0:
-            return pa.table({"query_id": pa.array([], pa.int64()),
-                             "vec_id": pa.array([], pa.int64()),
-                             "cos": pa.array([], pa.float64())})
-        Qm, ids_q = ray.get(q_ref)
-        X = _normalize(_emb_matrix(batch))
-        ids = batch.column("vec_id").to_numpy(zero_copy_only=False)
-        cos = np_round(X @ Qm.T, 6)  # (n, M), rounded BEFORE selection
-        out_q, out_v, out_c = [], [], []
-        for m, qid in enumerate(ids_q):
-            col, vid = cos[:, m], ids
-            if exclude_self:
-                mask = vid != qid
-                col, vid = col[mask], vid[mask]
-            order = np.lexsort((vid, -col))[: min(k, len(vid))]
-            out_q.append(np.full(len(order), qid, dtype=np.int64))
-            out_v.append(vid[order])
-            out_c.append(col[order])
-        return pa.table({
-            "query_id": pa.array(np.concatenate(out_q), pa.int64()),
-            "vec_id": pa.array(np.concatenate(out_v), pa.int64()),
-            "cos": pa.array(np.concatenate(out_c), pa.float64()),
-        })
-
-    partials, starts = key_runs(collect_table(
-        rd.read_parquet(f"{sf_dir}/embeddings.parquet", columns=["vec_id", "embedding"])
-        .map_batches(local_topk, batch_format="pyarrow")
-    ), ["query_id"], [("cos", "descending"), "vec_id"])
-    return partials.filter(run_ranks(starts, partials.num_rows) < k).to_pandas()
+    return _cosine_topk(_embeddings(sf_dir), queries, k, query_ids=query_ids,
+                        exclude_self=exclude_self and query_ids is not None)
 
 
 # ---------------------------------------------------------------------------
@@ -282,34 +265,5 @@ def knn_ivf(
         cents = build_ivf_index(sf_dir, index_dir, nlist=nlist)
     q = _normalize(np.asarray(query, dtype=np.float64))
     probe = np.argsort(-(cents @ q))[:nprobe].tolist()
-    excl = exclude or set()
-    q_ref = ray.put(q)
-
-    def local_topk(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0:
-            return pa.table({"vec_id": pa.array([], pa.int64()),
-                             "cos": pa.array([], pa.float64())})
-        qv = ray.get(q_ref)
-        X = _normalize(_emb_matrix(batch))
-        cos = X @ qv
-        ids = batch.column("vec_id").to_numpy(zero_copy_only=False)
-        if excl:
-            m2 = ~np.isin(ids, list(excl))
-            cos, ids = cos[m2], ids[m2]
-        # identical rounding + tie-break discipline as knn_flat: round with
-        # the shared half-away helper BEFORE selection, ties by vec_id
-        cos_r = np_round(cos, 6)
-        order = np.lexsort((ids, -cos_r))[: min(k, len(ids))]
-        return pa.table({
-            "vec_id": pa.array(ids[order], pa.int64()),
-            "cos": pa.array(cos_r[order], pa.float64()),
-        })
-
-    hits = read_probed_lists(index_dir, probe).map_batches(
-        local_topk, batch_format="pyarrow"
-    ).to_pandas()
-    return (
-        hits.sort_values(["cos", "vec_id"], ascending=[False, True])
-        .head(k)
-        .reset_index(drop=True)
-    )
+    return _cosine_topk(read_probed_lists(index_dir, probe), query, k,
+                        exclude=exclude or ()).drop(columns=["query_id"])

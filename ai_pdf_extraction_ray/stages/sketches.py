@@ -188,11 +188,12 @@ def heavy_hitters(
     judge round-3 finding #2; mirrors the HLL groupby-merge below). The
     MG union guarantee is merge-tree independent (Agarwal et al.,
     mergeable summaries), so bucketing never loses a qualifying token;
-    pass 2 — EXACT counts for the surviving candidates only: candidates
-    broadcast via ``ray.put``, per-batch filtered partial counts, tiny
-    groupby. Result is exactly the true top-k whenever every true top-k
-    token has frequency > N/capacity (guaranteed for boilerplate-heavy
-    corpora; the guarantee is the documented partitioning assumption).
+    pass 2 — EXACT counts for the surviving candidates only: the filter
+    map's closure carries the candidates, per-batch filtered partial
+    counts, tiny groupby. Result is exactly the true top-k whenever every
+    true top-k token has frequency > N/capacity (guaranteed for
+    boilerplate-heavy corpora; the guarantee is the documented
+    partitioning assumption).
 
     Both map sides are vectorized (judge round-4 finding #2): tokenizing
     and counting run as Arrow RE2 split + value_counts/is_in kernels
@@ -217,8 +218,6 @@ def heavy_hitters(
     Returns (token, n) — top_k rows, ties broken by token asc.
     """
     import json
-
-    import ray
 
     from ..functions.tokenize import token_counts
     from .dedup import collect_table, partial_groupby, segment_window
@@ -261,10 +260,9 @@ def heavy_hitters(
         partials.map_batches(sketch_block, batch_format="pyarrow"),
         "bucket", merge_bucket)).to_pylist()
     merged = mg_merge([json.loads(r["sketch"]) for r in bucket_rows], capacity)
-    cand_ref = ray.put(pa.array(sorted(merged), pa.string()))
+    cand = pa.array(sorted(merged), pa.string())
 
     def exact_partial(b: pa.Table) -> pa.Table:
-        cand = ray.get(cand_ref)
         toks = b.column("token").combine_chunks()
         keep = pc.is_in(toks, value_set=cand)
         return pa.table({

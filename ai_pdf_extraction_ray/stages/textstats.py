@@ -8,7 +8,9 @@ profiles and stopword tables are module-level constants compiled once.
 
 from __future__ import annotations
 
+import hashlib
 import re
+from functools import cached_property
 
 import numpy as np
 from ..functions.tokenize import lower_parity
@@ -382,9 +384,8 @@ class _AhoCorasick:
 
 
 class GramSet:
-    """Compiled benchmark-gram matcher — build once per worker process
-    (``cached_gram_set``), scan per batch. Two regimes (judge round-4
-    item 5):
+    """Compiled benchmark-gram matcher — build once per worker process,
+    scan per batch. Two regimes (judge round-4 item 5):
 
     - < AC_GRAM_THRESHOLD grams: vectorized per-gram ``pc.match_substring``
       over the whole batch column (C substring search, no per-doc Python);
@@ -393,12 +394,24 @@ class GramSet:
 
     Both count DISTINCT gram entries present as raw substrings of the
     LOWERED text — byte-identical to the scalar
-    ``sum(1 for g in grams if g in low)`` contract (parity-tested)."""
+    ``sum(1 for g in grams if g in low)`` contract (parity-tested).
+
+    A map carries it by value: pickling ships only ``(digest, grams)``,
+    and unpickling returns this process's cached instance for the digest
+    (``_unpickle_gram_set``), so the automaton compiles at most once per
+    worker process however many batches or tasks ship it."""
 
     def __init__(self, grams: list[str]) -> None:
         self.grams = list(grams)
-        self._ac = (_AhoCorasick(self.grams)
-                    if len(self.grams) >= AC_GRAM_THRESHOLD else None)
+        self.digest = hashlib.blake2b(repr(self.grams).encode()).digest()
+
+    def __reduce__(self):  # noqa: ANN204
+        return _unpickle_gram_set, (self.digest, self.grams)
+
+    @cached_property
+    def _ac(self) -> _AhoCorasick | None:
+        return (_AhoCorasick(self.grams)
+                if len(self.grams) >= AC_GRAM_THRESHOLD else None)
 
     def count_matches(self, lowered: list[str]) -> np.ndarray:
         """Distinct-gram match count per (already-lowered) text."""
@@ -416,44 +429,41 @@ class GramSet:
         return counts
 
 
-# per-worker-process compile cache for broadcast gram sets: a task-based
+# per-worker-process compile cache for shipped gram sets: a task-based
 # map_batches re-invokes its UDF per batch in the same worker processes, so
-# caching by ObjectRef gives compile-once-per-worker without paying actor
-# pool startup (one entry — a new broadcast evicts the old). A task map
+# caching by digest gives compile-once-per-worker without paying actor
+# pool startup (one entry — a new set evicts the old). A task map
 # beat a measured actor-pool variant of curation_funnel (1.4 s vs 4.1 s at
 # 600k docs).
 _GRAM_SET_CACHE: dict[bytes, GramSet] = {}
 
 
-def cached_gram_set(grams_ref) -> GramSet:  # noqa: ANN001 — ObjectRef
-    import ray as _ray
-
-    key = grams_ref.binary()
-    gs = _GRAM_SET_CACHE.get(key)
+def _unpickle_gram_set(digest: bytes, grams: list[str]) -> GramSet:
+    gs = _GRAM_SET_CACHE.get(digest)
     if gs is None:
-        gs = GramSet(_ray.get(grams_ref))
+        gs = GramSet(grams)
         _GRAM_SET_CACHE.clear()
-        _GRAM_SET_CACHE[key] = gs
+        _GRAM_SET_CACHE[digest] = gs
     return gs
 
 
 class ContaminationFlagger:
     """Task stage: flag documents containing any benchmark n-gram.
 
-    The benchmark set is broadcast ONCE via ``ray.put``; the matcher
+    The benchmark set rides in the instance (``GramSet``); its matcher
     (per-gram C scan below AC_GRAM_THRESHOLD, Aho-Corasick automaton above
-    it — see GramSet) compiles once per worker process through
-    ``cached_gram_set``, never per batch. Benchmark suites are bounded
-    (10^4-10^5 n-grams), so broadcast + automaton is the right 100 TB
-    shape: O(len) per doc, independent of gram count."""
+    it) compiles once per worker process, never per batch. Benchmark
+    suites are bounded (10^4-10^5 n-grams), so shipping the set plus an
+    automaton is the right 100 TB shape: O(len) per doc, independent of
+    gram count."""
 
-    def __init__(self, grams_ref) -> None:  # noqa: ANN001 — ObjectRef
-        self.grams_ref = grams_ref
+    def __init__(self, gram_set: GramSet) -> None:
+        self.gram_set = gram_set
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         lowered = [lower_parity(t or "")
                    for t in batch.column("text").to_pylist()]
-        m = cached_gram_set(self.grams_ref).count_matches(lowered)
+        m = self.gram_set.count_matches(lowered)
         return pa.table({
             "doc_id": batch.column("doc_id"),
             "n_matches": pa.array(m, pa.int64()),
@@ -462,8 +472,6 @@ class ContaminationFlagger:
 
 
 def contamination_flags(sf_dir: str) -> Dataset:
-    import ray as _ray
-
     grams = build_benchmark_ngrams(sf_dir)
     docs = rd.read_parquet(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"])
     if not grams:
@@ -474,7 +482,7 @@ def contamination_flags(sf_dir: str) -> Dataset:
             "n_matches": pa.array([], pa.int64()),
             "contaminated": pa.array([], pa.int64()),
         }))
-    return docs.map_batches(ContaminationFlagger(_ray.put(grams)),
+    return docs.map_batches(ContaminationFlagger(GramSet(grams)),
                             batch_format="pyarrow")
 
 

@@ -538,6 +538,16 @@ class TestDegenerateInputs:
                                                   name):
         self._check_empty(empty_sf, name)
 
+    @pytest.mark.parametrize("name", [
+        "bottomk_sample", "knn_bruteforce", "knn_ivf", "knn_multiquery",
+        "unigram_logprob"])
+    def test_collected_query_on_empty_tables(self, ray_session, empty_sf,
+                                             name):
+        """Queries that pick query vectors or collect per-block partials
+        into one table: no query row and no partial row give no rows,
+        typed."""
+        self._check_empty(empty_sf, name)
+
 
 def _result_table(out) -> pa.Table:  # noqa: ANN001 — Dataset or DataFrame
     from ai_pdf_extraction_ray.stages.dedup import collect_table
@@ -562,35 +572,6 @@ class TestSortPathParity:
         got = _result_table(fn(SF_SMOKE))
         assert got.schema == want.schema
         assert _text_rows(got) == _text_rows(want)
-
-
-# every ray.put in the package, by (file, enclosing top-level function),
-# with the kernel state it ships to the workers of one map
-BROADCAST_SITES = {
-    ("pipelines/curate.py", "curate_job"): "benchmark gram matcher",
-    ("pipelines/queries.py", "q_host_reputation"): "benchmark gram matcher",
-    ("pipelines/queries.py", "q_curation_funnel"): "benchmark gram matcher",
-    ("pipelines/queries.py", "q_curation_splits"): "benchmark gram matcher",
-    ("stages/textstats.py", "contamination_flags"): "benchmark gram matcher",
-    ("stages/similarity.py", "knn_flat"): "kNN query matrix",
-    ("stages/similarity.py", "knn_multiquery"): "kNN query matrix",
-    ("stages/similarity.py", "knn_ivf"): "kNN query matrix",
-    ("pipelines/queries.py", "q_value_ntile"):
-        "per-run (event_type, bin) offset table",
-    ("pipelines/queries.py", "_key_offsets"): "per-run rank offset table",
-    ("pipelines/queries.py", "q_quantiles"): "per-type quantile cut points",
-    ("pipelines/queries.py", "q_perplexity_buckets"):
-        "per-language tercile cut points",
-    ("pipelines/queries.py", "q_tfidf_top_terms"): "token vocabulary (idf)",
-    ("pipelines/queries.py", "_unigram_logp_ref"):
-        "token vocabulary (log-probabilities)",
-    ("pipelines/queries.py", "q_oov_rate"): "token vocabulary",
-    ("stages/sketches.py", "heavy_hitters"): "heavy-hitters candidate set",
-    ("pipelines/queries.py", "q_customers_semi_join_bloom"):
-        "Bloom semi-join query filter",
-    ("pipelines/queries.py", "q_dedup_excise"):
-        "Bloom prefilter of the corpus, built only above the broadcast bound",
-}
 
 
 class TestSingleJoinSite:
@@ -635,21 +616,19 @@ class TestSingleJoinSite:
             and {"on", "num_partitions"} & {k.arg for k in node.keywords}]
         assert stray == []
 
-    def test_ray_put_sites_named(self):
-        """Every ``ray.put`` sits in a function ``BROADCAST_SITES`` names
-        with what it ships. A join side is never one: guarded_join
-        broadcasts it, so a dict or id set put at a call site and looked
-        up per row is a hand-rolled join."""
-        found = {
-            (str(path.relative_to(PKG)), getattr(outer, "name", ""))
+    def test_no_ray_put(self):
+        """No ``ray.put`` call anywhere in the package: a map's kernel
+        state rides in its closure or kernel instance, which Ray Data
+        ships once per operator, and a per-row lookup table that scales
+        with the data is a join side, which guarded_join broadcasts."""
+        found = [
+            f"{path.relative_to(REPO_ROOT)}:{n.lineno}"
             for path, text in self._sources(PKG)
-            for outer in ast.parse(text).body
-            for n in ast.walk(outer)
+            for n in ast.walk(ast.parse(text))
             if isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute)
             and n.func.attr == "put" and isinstance(n.func.value, ast.Name)
-            and n.func.value.id in ("ray", "_ray")}
-        assert sorted(found - set(BROADCAST_SITES)) == []  # unnamed sites
-        assert sorted(set(BROADCAST_SITES) - found) == []  # stale entries
+            and n.func.value.id in ("ray", "_ray")]
+        assert found == []
 
     def test_guard_helpers_private_to_dedup(self):
         from ai_pdf_extraction_ray.stages import dedup

@@ -78,16 +78,15 @@ class TestContamination:
     def test_planted_contamination_found(self, ray_session):
         """A non-benchmark doc containing a benchmark n-gram verbatim is
         flagged (the operator's actual purpose)."""
-        import ray
-
         from ai_pdf_extraction_ray.stages.textstats import (
             ContaminationFlagger,
+            GramSet,
             build_benchmark_ngrams,
         )
         import pyarrow as pa
 
         grams = build_benchmark_ngrams(SF_SMOKE)
-        flag = ContaminationFlagger(ray.put(grams))
+        flag = ContaminationFlagger(GramSet(grams))
         batch = pa.table({
             "doc_id": pa.array([900001, 900002], pa.int64()),
             "text": pa.array([f"prefix words {grams[0]} suffix words",
@@ -331,6 +330,25 @@ class TestGramSetMatcher:
         small = GramSet(["", "a"])
         assert small._ac is None
         assert small.count_matches(texts).tolist() == self._naive(texts, ["", "a"])
+
+    def test_pickle_ships_digest_and_grams_once_per_process(self):
+        """A map carries a GramSet by value: unpickling the same set twice
+        in one process gives one (cached) instance, a different gram list
+        another, and the round trip keeps the scalar contract."""
+        import pickle
+
+        from ai_pdf_extraction_ray.stages.textstats import GramSet
+
+        grams = ["quick brown", "lazy dog", "lazy dog", "zebra", ""]
+        texts = ["the quick brown fox", "a lazy dog sleeps", "", "nothing"]
+        raw = pickle.dumps(GramSet(grams))
+        first, second = pickle.loads(raw), pickle.loads(raw)
+        assert first is second
+        other = pickle.loads(pickle.dumps(GramSet(grams[:2])))
+        assert other is not first and other.grams == grams[:2]
+        again = pickle.loads(raw)
+        assert again.grams == grams
+        assert again.count_matches(texts).tolist() == self._naive(texts, grams)
 
     def test_automaton_scan_is_sublinear_in_gram_count(self):
         """The planted 10^4-gram test: automaton scan time must not grow
