@@ -77,7 +77,7 @@ class BloomFilter:
         return self.bits.tobytes()
 
     @classmethod
-    def from_bytes(cls, raw: bytes, num_hashes: int = 7) -> "BloomFilter":
-        bf = cls(num_bits=len(raw) * 8, num_hashes=num_hashes)
+    def from_bytes(cls, raw: bytes) -> "BloomFilter":
+        bf = cls(num_bits=len(raw) * 8)
         bf.bits = np.frombuffer(raw, dtype=np.uint8).copy()
         return bf

@@ -27,7 +27,10 @@ intermediate leaves uint64). Seeded and PYTHONHASHSEED-independent.
 
 from __future__ import annotations
 
+import itertools
 import re
+from collections.abc import Sequence
+from typing import NamedTuple
 
 import numpy as np
 from .tokenize import lower_parity
@@ -240,6 +243,58 @@ def token_spans(text: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     starts[0], starts[1:] = 0, sep + 1
     ends[:-1], ends[-1] = sep, len(data)
     return data, starts, ends
+
+
+class TokenWindows(NamedTuple):
+    """One row per token window of a batch (``token_windows``)."""
+
+    row: np.ndarray    # the text's position in the batch
+    index: np.ndarray  # 1-based window number within its text
+    start: np.ndarray  # first token of the window
+    end: np.ndarray    # one past its last token
+    dh: np.ndarray     # 128-bit digest: mod-2^64 half (int64 bits)
+    dl: np.ndarray     # mod-(2^61-1) half (int64 bits)
+
+
+def token_windows(texts: Sequence[str | None], width: int,
+                  stride: int) -> TokenWindows:
+    """The token windows of every text and their 128-bit digests, in one
+    call per batch. Texts tokenize as in ``token_spans`` (None is "");
+    every token of the batch goes into one ' '-joined byte buffer, so
+    each digest half is ONE ``span_hashes`` call for the whole batch, and
+    a window hashes the bytes of its tokens exactly as it would in its own
+    text's buffer (the polynomial is position-independent).
+
+    Windows start at tokens 0, stride, 2·stride, … and end at
+    min(start + width, n). With ``stride == width`` they tile the text
+    (the last one may be short); with ``stride < width`` they slide over
+    full windows only, and a text of fewer than ``width`` tokens is one
+    short window. A text without tokens is one empty window."""
+    toks = [_TOKEN.findall(lower_parity(t or "")) for t in texts]
+    n = np.fromiter(map(len, toks), dtype=np.int64, count=len(toks))
+    joined = " ".join(itertools.chain.from_iterable(toks)).encode("utf-8")
+    data = np.frombuffer(joined, dtype=np.uint8).astype(np.uint64)
+    sep = np.flatnonzero(data == U64(32))
+    # with no token at all, the one (empty) token 0 is never a window's
+    tok_starts = np.concatenate([[0], sep + 1])
+    tok_ends = np.append(sep, len(data))
+    if stride == width:
+        n_win = np.maximum(-(-n // width), 1)
+    else:
+        n_win = np.maximum(-(-(n - width + 1) // stride), 1)
+    row = np.repeat(np.arange(len(n)), n_win)
+    first = np.repeat(np.cumsum(n_win) - n_win, n_win)
+    index = np.arange(len(row)) - first + 1
+    start = (index - 1) * stride
+    end = np.minimum(start + width, n[row])
+    off = (np.cumsum(n) - n)[row]
+    full = end > start
+    b_start = np.where(full, tok_starts[np.where(full, off + start, 0)], 0)
+    b_end = np.where(full, tok_ends[np.where(full, off + end - 1, 0)], 0)
+    return TokenWindows(
+        row, index, start, end,
+        _POLY1.span_hashes(data, b_start, b_end).view(np.int64),
+        _MPOLY.span_hashes(data, b_start, b_end).view(np.int64))
 
 
 def token_hashes64(text: str) -> np.ndarray:

@@ -207,7 +207,6 @@ def extract_job(
     synthesize: bool = True,
     resume: bool = True,
     repair: bool = False,
-    batch_size: int = DEFAULT_BATCH_SIZE,
 ) -> list[dict[str, Any]]:
     """Resumable multi-shard extraction run.
 
@@ -246,12 +245,11 @@ def extract_job(
         t0 = time.perf_counter()
         if synthesize:
             ds = rd.read_parquet(path, columns=["doc_id", "text", "lang"])
-            ds = ds.map_batches(
-                synthesize_pages_batch, batch_format="pyarrow", batch_size=batch_size
-            )
+            ds = ds.map_batches(synthesize_pages_batch, batch_format="pyarrow",
+                                batch_size=DEFAULT_BATCH_SIZE)
         else:
             ds = rd.read_parquet(path)
-        ext = run_extraction(ds, schema, batch_size=batch_size)
+        ext = run_extraction(ds, schema, batch_size=DEFAULT_BATCH_SIZE)
         if repair and schema is not None:
             from ..stages.repair import repair_extractions
 

@@ -32,6 +32,7 @@ import re
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+from ..functions.fasthash import token_windows
 from ..functions.tokenize import lower_parity
 import pyarrow.compute as pc
 
@@ -2661,22 +2662,6 @@ PASSAGE_WORDS = 20      # fixed-window passage size (paragraph proxy)
 _PASSAGE_SHIFT = 21     # rank = (doc_id << 21) | seg — caps 2^21 passages/doc
 
 
-def _passage_digests(text: str | None) -> tuple[np.ndarray, np.ndarray]:
-    """The two 64-bit halves of the 128-bit digest of each fixed
-    PASSAGE_WORDS-token passage of ``text`` (lower() ``\\S+`` words), in
-    order; a text without words is one empty passage."""
-    from ..functions.fasthash import _MPOLY, _POLY1, token_spans
-
-    data, starts, ends = token_spans(text or "")
-    n = len(starts)
-    if n:
-        idx = np.arange(0, n, PASSAGE_WORDS)
-        bounds = starts[idx], ends[np.minimum(idx + PASSAGE_WORDS, n) - 1]
-    else:
-        bounds = np.zeros(1, np.int64), np.zeros(1, np.int64)
-    return _POLY1.span_hashes(data, *bounds), _MPOLY.span_hashes(data, *bounds)
-
-
 def q_passage_dedup(sf_dir: str) -> Dataset:
     """Paragraph-level exact dedup (the Dolma-style corpus-dedup signal),
     one granularity below `exact_dedup`: text tokenizes to lower() ``\\S+``
@@ -2698,15 +2683,11 @@ def q_passage_dedup(sf_dir: str) -> Dataset:
     docs = _docs(sf_dir, ["doc_id", "text"])
 
     def explode(b: pa.Table) -> pa.Table:
-        cols = {"rank": [], "dh": [], "dl": []}
-        for d, t in zip(b.column("doc_id").to_pylist(),
-                        b.column("text").to_pylist()):
-            hi, lo = _passage_digests(t)
-            cols["rank"].extend(
-                (d << _PASSAGE_SHIFT) | np.arange(1, len(hi) + 1, dtype=np.int64))
-            cols["dh"].extend(hi.view(np.int64))
-            cols["dl"].extend(lo.view(np.int64))
-        return pa.table({k: pa.array(v, pa.int64()) for k, v in cols.items()})
+        w = token_windows(b.column("text").to_pylist(), PASSAGE_WORDS,
+                          PASSAGE_WORDS)
+        d = b.column("doc_id").to_numpy(zero_copy_only=False)[w.row]
+        return pa.table({"rank": (d << _PASSAGE_SHIFT) | w.index,
+                         "dh": w.dh, "dl": w.dl})
 
     # consumed twice (winners groupby + join probe)
     seg = typed_map(docs, explode).materialize()
@@ -2740,6 +2721,24 @@ DUP_WIN_WORDS = 20     # rolling-window width (tokens)
 DUP_WIN_STRIDE = 5     # window stride — overlap localizes spans to ±stride
 
 
+def _merge_spans(t: pa.Table, starts: np.ndarray) -> pa.Table:
+    """Maximal token spans (doc_id, span_start, span_end) of the windows
+    ``[s, e)`` in ``t``, sorted by (doc_id, s) with each doc's rows a run
+    beginning at ``starts``: a window starts a new span when it begins
+    past the furthest end so far in its doc (touching windows merge)."""
+    # shifting each doc's ends by run * (max end + 1) restarts one running
+    # maximum at every doc
+    s, e = (t.column(c).to_numpy(zero_copy_only=False) for c in ("s", "e"))
+    shift = run_ids(starts, t.num_rows) * (int(e.max(initial=0)) + 1)
+    reach = np.maximum.accumulate(e + shift)
+    new = np.concatenate([[True], s[1:] + shift[1:] > reach[:-1]])[:len(s)]
+    span = np.flatnonzero(new)
+    return pa.table({"doc_id": t.column("doc_id").take(span),
+                     "span_start": pa.array(s[span], pa.int64()),
+                     "span_end": pa.array(np.maximum.reduceat(e, span),
+                                          pa.int64())})
+
+
 def q_dup_spans(sf_dir: str) -> Dataset:
     """Span-level duplicate localization (the substring-dedup signal of
     Lee et al. 2022, "Deduplicating Training Data Makes Language Models
@@ -2751,42 +2750,21 @@ def q_dup_spans(sf_dir: str) -> Dataset:
     cut. Also the catalog's gaps-and-islands/interval-merge primitive.
 
     Scale shape: windows shuffle as 128-bit digests + packed int64 ranks
-    (never text); window hashing is the vectorized polynomial span kernel
-    over each doc's token buffer — no per-window md5/join loop (review
-    finding; equality classes match the oracle's md5 windows, which is
-    all the grouping uses). The digest groupby carries a count, so only
-    digests with n >= 2 — the duplicated population, orders of magnitude
-    below the corpus — enter the hash join; the interval merge runs per
-    doc over that doc's duplicate windows only (<= tokens/stride rows)."""
-    from ..functions.fasthash import _MPOLY, _POLY1, token_spans
-
+    (never text); window hashing is one ``fasthash.token_windows`` call
+    per batch — no per-window md5/join loop (review finding; equality
+    classes match the oracle's md5 windows, which is all the grouping
+    uses). The digest groupby carries a count, so only digests with
+    n >= 2 — the duplicated population, orders of magnitude below the
+    corpus — enter the hash join; the interval merge runs per doc over
+    that doc's duplicate windows only (<= tokens/stride rows)."""
     docs = _docs(sf_dir, ["doc_id", "text"])
-    W, S = DUP_WIN_WORDS, DUP_WIN_STRIDE
+    S = DUP_WIN_STRIDE
 
     def explode(b: pa.Table) -> pa.Table:
-        cols = {"rank": [], "dh": [], "dl": [], "e": []}
-        for d, t in zip(b.column("doc_id").to_pylist(),
-                        b.column("text").to_pylist()):
-            data, starts, ends = token_spans(t or "")
-            n = len(starts)
-            n_win = max(1, -(-(n - (W - 1)) // S))
-            if n == 0:
-                w_starts = np.zeros(1, dtype=np.int64)
-                w_ends = np.zeros(1, dtype=np.int64)
-                e_arr = np.zeros(1, dtype=np.int64)
-            else:
-                idx = np.arange(n_win, dtype=np.int64) * S
-                w_starts = starts[idx]
-                e_arr = np.minimum(idx + W, n)
-                w_ends = ends[e_arr - 1]
-            cols["rank"].extend(
-                (d << _PASSAGE_SHIFT) | np.arange(1, n_win + 1, dtype=np.int64))
-            cols["dh"].extend(
-                _POLY1.span_hashes(data, w_starts, w_ends).view(np.int64))
-            cols["dl"].extend(
-                _MPOLY.span_hashes(data, w_starts, w_ends).view(np.int64))
-            cols["e"].extend(e_arr)
-        return pa.table({k: pa.array(v, pa.int64()) for k, v in cols.items()})
+        w = token_windows(b.column("text").to_pylist(), DUP_WIN_WORDS, S)
+        d = b.column("doc_id").to_numpy(zero_copy_only=False)[w.row]
+        return pa.table({"rank": (d << _PASSAGE_SHIFT) | w.index,
+                         "dh": w.dh, "dl": w.dl, "e": w.end})
 
     # consumed twice (hot groupby + join probe)
     wins = typed_map(docs, explode).materialize()
@@ -2811,22 +2789,7 @@ def q_dup_spans(sf_dir: str) -> Dataset:
         })
 
     dups = guarded_join(wins, hot, on=("dh", "dl"), finish=dup_rows)
-
-    def merge(t: pa.Table, starts: np.ndarray) -> pa.Table:
-        # a window starts a new span when it begins past the furthest end
-        # so far in its doc; shifting each doc's ends by run * (max end + 1)
-        # restarts one running maximum at every doc
-        s, e = (t.column(c).to_numpy(zero_copy_only=False) for c in ("s", "e"))
-        shift = run_ids(starts, t.num_rows) * (int(e.max(initial=0)) + 1)
-        reach = np.maximum.accumulate(e + shift)
-        new = np.concatenate([[True], s[1:] + shift[1:] > reach[:-1]])[:len(s)]
-        span = np.flatnonzero(new)
-        return pa.table({"doc_id": t.column("doc_id").take(span),
-                         "span_start": pa.array(s[span], pa.int64()),
-                         "span_end": pa.array(np.maximum.reduceat(e, span),
-                                              pa.int64())})
-
-    return segment_window(dups, "doc_id", merge, order=("s", "e"))
+    return segment_window(dups, "doc_id", _merge_spans, order=("s", "e"))
 
 
 def q_dedup_excise(sf_dir: str) -> Dataset:
@@ -3495,34 +3458,28 @@ def q_host_boilerplate(sf_dir: str) -> Dataset:
     paragraphs); host derives from doc_id like _url_col.
 
     Scale shape: docs explode to per-doc-UNIQUE (host, digest128) rows —
-    vectorized window span hashes, intra-doc dedup via np.unique so a
-    (host, digest) group count IS a distinct-doc count; the groupby and
-    the flag-back join both carry 16-byte digests + ids, never text. The
-    per-doc totals ride along the seg rows, so one inner join + one
-    per-doc aggregate finish the job."""
-    from ..sources.corpus import host_id_for
+    one ``fasthash.token_windows`` call per batch, intra-doc dedup via
+    ``key_runs`` so a (host, digest) group count IS a distinct-doc count;
+    the groupby and the flag-back join both carry 16-byte digests + ids,
+    never text. The per-doc totals ride along the seg rows, so one inner
+    join + one per-doc aggregate finish the job."""
+    from ..sources.corpus import host_ids_for
 
     docs = _docs(sf_dir, ["doc_id", "text"])
 
     def explode(b: pa.Table) -> pa.Table:
-        out = {"host_id": [], "doc_id": [], "dh": [], "dl": [], "n_uniq": []}
-        for d, t in zip(b.column("doc_id").to_pylist(),
-                        b.column("text").to_pylist()):
-            pair = np.unique(np.stack(_passage_digests(t), axis=1), axis=0)
-            k = len(pair)
-            out["host_id"].extend([host_id_for(d)] * k)
-            out["doc_id"].extend([d] * k)
-            # column slices are strided — make contiguous before the
-            # same-width int64 reinterpret
-            out["dh"].extend(np.ascontiguousarray(pair[:, 0]).view(np.int64))
-            out["dl"].extend(np.ascontiguousarray(pair[:, 1]).view(np.int64))
-            out["n_uniq"].extend([k] * k)
+        w = token_windows(b.column("text").to_pylist(), PASSAGE_WORDS,
+                          PASSAGE_WORDS)
+        t, starts = key_runs(pa.table({"row": w.row, "dh": w.dh, "dl": w.dl}),
+                             ["row", "dh", "dl"])
+        row = t.column("row").to_numpy()[starts]  # one per distinct passage
+        d = b.column("doc_id").to_numpy(zero_copy_only=False)[row]
         return pa.table({
-            "host_id": pa.array(out["host_id"], pa.int64()),
-            "doc_id": pa.array(out["doc_id"], pa.int64()),
-            "dh": pa.array(out["dh"], pa.int64()),
-            "dl": pa.array(out["dl"], pa.int64()),
-            "n_uniq": pa.array(out["n_uniq"], pa.int64()),
+            "host_id": pa.array(host_ids_for(d), pa.int64()),
+            "doc_id": pa.array(d, pa.int64()),
+            "dh": t.column("dh").take(starts),
+            "dl": t.column("dl").take(starts),
+            "n_uniq": np.bincount(row, minlength=b.num_rows)[row],
         })
 
     # consumed twice (template groupby + join probe)
@@ -4122,58 +4079,25 @@ def q_self_dup_spans(sf_dir: str) -> Dataset:
     CROSS-corpus variant): same span semantics, opposite scope.
 
     Scale shape: embarrassingly parallel — one streaming pass, ZERO
-    shuffle (every comparison is doc-local); per doc, window hashes come
-    from the vectorized polynomial span kernel, first occurrences from
-    one lexsort over (hash, position), and the interval merge is
-    vectorized (stride-1 fixed-width windows make the running-max merge a
-    single gap compare). 128-bit hash equality stands in for n-gram
-    equality exactly as in ``dup_spans``."""
-    from ..functions.fasthash import _MPOLY, _POLY1, token_spans
-
+    shuffle (every comparison is doc-local); per batch, window hashes come
+    from one ``fasthash.token_windows`` call, first occurrences from one
+    ``key_runs`` over (doc, digest) ordered by window index, and the
+    interval merge is ``dup_spans``' ``_merge_spans``. 128-bit hash
+    equality stands in for n-gram equality exactly as in ``dup_spans``."""
     docs = _docs(sf_dir, ["doc_id", "text"])
-    W = SELF_DUP_WIN
 
     def spans(b: pa.Table) -> pa.Table:
-        out_d: list[int] = []
-        out_s: list[np.ndarray] = []
-        out_e: list[np.ndarray] = []
-        for d, t in zip(b.column("doc_id").to_pylist(),
-                        b.column("text").to_pylist()):
-            data, starts, ends = token_spans(t or "")
-            n = len(starts)
-            n_win = n - W + 1
-            if n_win < 2:  # <2 windows can't contain a repeat
-                continue
-            idx = np.arange(n_win, dtype=np.int64)
-            dh = _POLY1.span_hashes(data, starts[idx], ends[idx + W - 1])
-            dl = _MPOLY.span_hashes(data, starts[idx], ends[idx + W - 1])
-            order = np.lexsort((idx, dl, dh))
-            sh, sl = dh[order], dl[order]
-            first_of_group = np.ones(n_win, dtype=bool)
-            first_of_group[1:] = (sh[1:] != sh[:-1]) | (sl[1:] != sl[:-1])
-            dup_pos = np.sort(order[~first_of_group])  # 0-based window starts
-            if len(dup_pos) == 0:
-                continue
-            # stride-1 fixed-W intervals [p, p+W): islands split where the
-            # next start clears the previous window's end
-            gap = np.ones(len(dup_pos), dtype=bool)
-            gap[1:] = dup_pos[1:] > dup_pos[:-1] + W
-            heads = np.where(gap)[0]
-            tails = np.append(heads[1:], len(dup_pos)) - 1
-            out_d.extend([d] * len(heads))
-            out_s.append(dup_pos[heads])
-            out_e.append(dup_pos[tails] + W)
-        return pa.table({
-            "doc_id": pa.array(out_d, pa.int64()),
-            "span_start": pa.array(
-                np.concatenate(out_s) if out_s else
-                np.empty(0, dtype=np.int64), pa.int64()),
-            "span_end": pa.array(
-                np.concatenate(out_e) if out_e else
-                np.empty(0, dtype=np.int64), pa.int64()),
-        })
+        w = token_windows(b.column("text").to_pylist(), SELF_DUP_WIN, 1)
+        t, firsts = key_runs(pa.table({
+            "row": w.row, "dh": w.dh, "dl": w.dl, "index": w.index,
+            "s": w.start, "e": w.end}), ["row", "dh", "dl"], order=["index"])
+        dup = np.ones(t.num_rows, dtype=bool)
+        dup[firsts] = False
+        t, starts = key_runs(t.filter(pa.array(dup)), ["row"], order=["s"])
+        return _merge_spans(t.append_column(
+            "doc_id", b.column("doc_id").take(t.column("row"))), starts)
 
-    return docs.map_batches(spans, batch_format="pyarrow")
+    return typed_map(docs, spans)
 
 
 def _lang_id_sql() -> str:

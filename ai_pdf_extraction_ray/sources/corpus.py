@@ -221,15 +221,16 @@ def _pdf_escape(s: str) -> str:
     return s.replace("\\", r"\\").replace("(", r"\(").replace(")", r"\)")
 
 
-def _wrap_words(text: str, max_chars: int = MAX_LINE_CHARS) -> list[str]:
-    """Greedy word wrap; '' join-invariant: ' '.join(lines) == text."""
+def _wrap_words(text: str) -> list[str]:
+    """Greedy word wrap at MAX_LINE_CHARS; '' join-invariant:
+    ' '.join(lines) == text."""
     words = text.split(" ")
     lines: list[str] = []
     cur: list[str] = []
     n = 0
     for w in words:
         add = len(w) + (1 if cur else 0)
-        if cur and n + add > max_chars:
+        if cur and n + add > MAX_LINE_CHARS:
             lines.append(" ".join(cur))
             cur, n = [w], len(w)
         else:
@@ -365,12 +366,12 @@ def synthesize_pages_batch(
     return pa.table(cols)
 
 
-def synthesize_pages_table(documents: pa.Table, include_doc_id: bool = True) -> pa.Table:
+def synthesize_pages_table(documents: pa.Table) -> pa.Table:
     """Whole-table convenience wrapper (tests / small fixtures)."""
-    return synthesize_pages_batch(documents, include_doc_id=include_doc_id)
+    return synthesize_pages_batch(documents)
 
 
-def edge_rows_table(include_doc_id: bool = True) -> pa.Table:
+def edge_rows_table() -> pa.Table:
     """Deterministic failure/edge rows (FIXTURES.md §5/§6, test-only — the
     driver oracle corpus stays clean): empty payload, non-HTML garbage,
     truncated PDF, and a duplicate-payload pair under two urls."""
@@ -388,7 +389,6 @@ def edge_rows_table(include_doc_id: bool = True) -> pa.Table:
         "html": pa.array([r[1] for r in rows], pa.binary()),
         "text": pa.array([r[2] for r in rows], pa.string()),
         "lang": pa.array(["en"] * len(rows), pa.string()),
+        "doc_id": pa.array(list(range(10_001, 10_001 + len(rows))), pa.int64()),
     }
-    if include_doc_id:
-        cols["doc_id"] = pa.array(list(range(10_001, 10_001 + len(rows))), pa.int64())
     return pa.table(cols)

@@ -40,15 +40,20 @@ from ray.data import Dataset
 from ray.data.aggregate import Sum
 from ray.data.block import BlockAccessor
 
-from ..functions.fasthash import fold_rows, shingle_hashes64, token_hashes64
+from ..functions.fasthash import (
+    fold_rows,
+    shingle_hashes64,
+    token_hashes64,
+    token_windows,
+)
 from ..functions.rounding import np_round as shared_np_round
 
 # deterministic 64-bit universal-hash parameters for MinHash permutations
 _MERSENNE = (1 << 61) - 1
 
 
-def _hash_params(n: int, seed: int = 42) -> tuple[np.ndarray, np.ndarray]:
-    rng = np.random.RandomState(seed)
+def _hash_params(n: int) -> tuple[np.ndarray, np.ndarray]:
+    rng = np.random.RandomState(42)
     a = rng.randint(1, _MERSENNE, size=n, dtype=np.int64).astype(np.uint64)
     b = rng.randint(0, _MERSENNE, size=n, dtype=np.int64).astype(np.uint64)
     return a, b
@@ -601,10 +606,7 @@ def verify_pairs_jaccard(cand: Dataset, docs: Dataset, *, k: int = 3,
     return _pairs_with_texts(cand, docs, jac_batch)
 
 
-def minhash_near_dups(
-    sf_dir: str, *, threshold: float = 0.8, num_perm: int = 64, bands: int = 16,
-    k: int = 3,
-) -> pd.DataFrame:
+def minhash_near_dups(sf_dir: str, *, threshold: float = 0.8) -> pd.DataFrame:
     """MinHash LSH candidates + distributed exact-Jaccard verify.
 
     Returns (doc_a, doc_b, jaccard) pairs at/above threshold. End-to-end
@@ -613,8 +615,7 @@ def minhash_near_dups(
     J >= 0.9, where 16-band/4-row LSH recall is ~1 - 1e-44, so the result
     equals the SQL all-pairs form exactly (queries.py minhash_near_dups).
     """
-    return _sorted_pairs(minhash_near_dup_pairs_ds(
-        sf_dir, threshold=threshold, num_perm=num_perm, bands=bands, k=k))
+    return _sorted_pairs(minhash_near_dup_pairs_ds(sf_dir, threshold=threshold))
 
 
 def minhash_near_dup_pairs_ds(
@@ -652,11 +653,12 @@ NGRAM_DF_CAP = 64
 
 
 def rare_blocked_pair_stats(
-    docs: Dataset, *, k: int = 3, df_cap: int = NGRAM_DF_CAP,
+    docs: Dataset, *,
     row_keep=None,  # noqa: ANN001 — vectorized (n_a, n_b, c_a, c_b) -> bool mask
 ) -> tuple[Dataset, int]:
     """(doc_id, text) -> deduplicated candidate-pair statistics for every
-    doc pair sharing >= 1 k-gram with document frequency in [2, df_cap].
+    doc pair sharing >= 1 word 3-gram with document frequency in
+    [2, NGRAM_DF_CAP].
 
     Shared candidate stage of the set-similarity operators (n-gram
     Jaccard, edit distance). Returns ``(stats, n_cand)`` — ``stats``
@@ -672,9 +674,9 @@ def rare_blocked_pair_stats(
       broadcast because on a heavily duplicated corpus it is
       O(dup_docs x grams/doc));
     - pair generation is an Arrow-native SELF-JOIN of the rare-blocked
-      index on gram (bounded: each gram contributes <= df_cap^2 rows) —
-      a per-gram ``map_groups`` here paid one Python UDF call per gram,
-      measured as the dominant stage cost at sf0.1 (27k tiny groups);
+      index on gram (bounded: each gram contributes <= NGRAM_DF_CAP^2
+      rows) — a per-gram ``map_groups`` here paid one Python UDF call per
+      gram, measured as the dominant stage cost at sf0.1 (27k tiny groups);
     - one (doc_a, doc_b) groupby dedupes pairs AND counts shared rare
       grams exactly.
 
@@ -687,27 +689,19 @@ def rare_blocked_pair_stats(
     c_rare.
     """
     def explode(b: pa.Table) -> pa.Table:
-        ids = b.column("doc_id").to_numpy(zero_copy_only=False)
-        gs: list[np.ndarray] = []
-        ds_: list[np.ndarray] = []
-        ns: list[np.ndarray] = []
-        cs: list[np.ndarray] = []
-        for d, t in zip(ids, b.column("text").to_pylist()):
-            g = shingles(t or "", k)  # UNIQUE hashes: df counts docs, not hits
-            if len(g):
-                gs.append(g.view(np.int64))
-                ds_.append(np.full(len(g), d, dtype=np.int64))
-                ns.append(np.full(len(g), len(g), dtype=np.int64))
-                cs.append(np.full(len(g), len(t or ""), dtype=np.int64))
-        if not gs:
-            return pa.table({"gram": pa.array([], pa.int64()),
-                             "doc_id": pa.array([], pa.int64()),
-                             "n": pa.array([], pa.int64()),
-                             "c": pa.array([], pa.int64())})
-        return pa.table({"gram": pa.array(np.concatenate(gs), pa.int64()),
-                         "doc_id": pa.array(np.concatenate(ds_), pa.int64()),
-                         "n": pa.array(np.concatenate(ns), pa.int64()),
-                         "c": pa.array(np.concatenate(cs), pa.int64())})
+        # full 3-token windows only: a doc of fewer tokens has no shingle
+        w = token_windows(b.column("text").to_pylist(), 3, 1)
+        full = pa.array(w.end - w.start == 3)
+        t, starts = key_runs(pa.table({"row": w.row, "gram": w.dh})
+                             .filter(full), ["row", "gram"])
+        row = t.column("row").to_numpy()[starts]  # UNIQUE: df counts docs
+        c = pc.utf8_length(b.column("text")).fill_null(0).to_numpy(
+            zero_copy_only=False)
+        return pa.table({
+            "gram": t.column("gram").take(starts),
+            "doc_id": b.column("doc_id").take(row).cast(pa.int64()),
+            "n": np.bincount(row, minlength=b.num_rows)[row],
+            "c": c[row].astype(np.int64)})
 
     # consumed twice (df count + index join) — pin the lineage once
     index = typed_map(docs, explode).materialize()
@@ -725,7 +719,7 @@ def rare_blocked_pair_stats(
             keep(t.column("_n"))).drop_columns(["_n"]))
 
     # materialized because the self-join below consumes it on both sides
-    blocked = guarded_join(grams(lambda n: pc.less_equal(n, df_cap)), index,
+    blocked = guarded_join(grams(lambda n: pc.less_equal(n, NGRAM_DF_CAP)), index,
                            on=("gram",)).materialize()
 
     def ordered(b: pa.Table) -> pa.Table:
@@ -758,10 +752,10 @@ def rare_blocked_pair_stats(
                            n_b=("n_b", "min")).materialize()
     n_cand = cand.count()
 
-    # per-doc hot-gram counts (h): zero unless some gram exceeds df_cap
+    # per-doc hot-gram counts (h): zero unless some gram exceeds the cap
     # (no hot gram -> no h columns, which _pair_stat_arrays reads as 0)
     h_per_doc = partial_groupby(
-        guarded_join(grams(lambda n: pc.greater(n, df_cap)), index,
+        guarded_join(grams(lambda n: pc.greater(n, NGRAM_DF_CAP)), index,
                      on=("gram",)),
         "doc_id", h=(None, "count_all")).materialize()
     if h_per_doc.count():
@@ -796,15 +790,14 @@ def _pair_stat_arrays(
     return c, na, nbn, inter_ub
 
 
-def ngram_jaccard_pairs_ds(
-    sf_dir: str, *, k: int = 3, df_cap: int = NGRAM_DF_CAP,
-    threshold: float = 0.8,
-) -> Dataset:
-    """Exact word-k-gram Jaccard near-dup pairs via rare-gram blocking.
+def ngram_jaccard_dups(sf_dir: str, *, threshold: float = 0.8) -> pd.DataFrame:
+    """Exact word-3-gram Jaccard near-dup pairs via rare-gram blocking, as
+    a sorted (doc_a, doc_b, jaccard) frame — the verified pair set is the
+    only driver payload.
 
     The deterministic sibling of MinHash LSH: a pair qualifies iff the
-    docs share >= 1 gram with document frequency in [2, df_cap]
-    (``rare_blocked_pair_stats``) AND their exact distinct-k-gram Jaccard
+    docs share >= 1 gram with document frequency in [2, NGRAM_DF_CAP]
+    (``rare_blocked_pair_stats``) AND their exact distinct-3-gram Jaccard
     >= threshold. Between blocking and the text verify, two sound prunes
     (cost only — never results; the 1e-6 guard bands cover the 6dp
     rounding of the reported jaccard):
@@ -821,8 +814,8 @@ def ngram_jaccard_pairs_ds(
     exact c_rare count, so the upper-bound prefilter dies and ALL ~119k
     prefix candidates reach the text verify — a near-wash at this corpus'
     doc lengths, priced against a doc-partitioned ranking join. The
-    current shape is already linear in corpus size (sum df^2 <= df_cap x
-    index rows).
+    current shape is already linear in corpus size (sum df^2 <=
+    NGRAM_DF_CAP x index rows).
     """
     docs = rd.read_parquet(f"{sf_dir}/documents.parquet",
                            columns=["doc_id", "text"])
@@ -835,8 +828,7 @@ def ngram_jaccard_pairs_ds(
         ratio = np.minimum(na, nbn) / np.maximum(np.maximum(na, nbn), 1.0)
         return ratio >= threshold - 1e-6
 
-    cand, _ = rare_blocked_pair_stats(docs, k=k, df_cap=df_cap,
-                                      row_keep=row_keep)
+    cand, _ = rare_blocked_pair_stats(docs, row_keep=row_keep)
 
     def prefilter(b: pa.Table) -> pa.Table:
         _, na, nbn, inter_ub = _pair_stat_arrays(b)
@@ -845,18 +837,8 @@ def ngram_jaccard_pairs_ds(
         return pa.table({"doc_a": b.column("doc_a"),
                          "doc_b": b.column("doc_b")})
 
-    return verify_pairs_jaccard(typed_map(cand, prefilter), docs, k=k,
-                                threshold=threshold).materialize()
-
-
-def ngram_jaccard_dups(
-    sf_dir: str, *, k: int = 3, df_cap: int = NGRAM_DF_CAP,
-    threshold: float = 0.8,
-) -> pd.DataFrame:
-    """``ngram_jaccard_pairs_ds`` materialized to a sorted (doc_a, doc_b,
-    jaccard) frame — the verified pair set is the only driver payload."""
-    return _sorted_pairs(ngram_jaccard_pairs_ds(
-        sf_dir, k=k, df_cap=df_cap, threshold=threshold))
+    return _sorted_pairs(verify_pairs_jaccard(
+        typed_map(cand, prefilter), docs, threshold=threshold))
 
 
 # ---------------------------------------------------------------------------
@@ -921,31 +903,30 @@ def levenshtein_banded(a: str, b: str, cutoff: int) -> int:
     return prev[lb] if prev[lb] <= cutoff else big
 
 
-def edit_distance_pairs_ds(
-    sf_dir: str, *, k: int = 3, df_cap: int = NGRAM_DF_CAP,
-    max_dist: int = EDIT_DIST_MAX,
-) -> Dataset:
+def edit_distance_dups(sf_dir: str) -> pd.DataFrame:
     """Character-edit-distance near-dup pairs over rare-gram-blocked
-    candidates: a pair qualifies iff the docs share >= 1 k-gram with
-    document frequency in [2, df_cap] (``rare_blocked_pair_stats`` —
-    same candidacy definition as ngram_jaccard, restated by the SQL
-    oracle) AND lev(text_a, text_b) <= max_dist.
+    candidates, as a sorted (doc_a, doc_b, edit_dist) frame — the
+    verified pair set is the only driver payload. A pair qualifies iff
+    the docs share >= 1 word 3-gram with document frequency in
+    [2, NGRAM_DF_CAP] (``rare_blocked_pair_stats`` — same candidacy
+    definition as ngram_jaccard, restated by the SQL oracle) AND
+    lev(text_a, text_b) <= EDIT_DIST_MAX.
 
     Catches the byte-level near-dup class Jaccard blurs (small in-place
     edits: dates, counters, typo fixes) with an exact, interpretable
     distance. Two sound prunes keep the banded-DP verify off the
     candidate bulk:
-    - per-row: | n_a - n_b | <= 8*max_dist (gram-count difference is a
-      lower bound on gram symdiff, which lev <= D caps at 8*D — see
+    - per-row: | n_a - n_b | <= 8*EDIT_DIST_MAX (gram-count difference
+      is a lower bound on gram symdiff, which lev <= D caps at 8*D — see
       _GRAMS_PER_EDIT);
     - per-pair: n_a + n_b - 2*inter_ub (the least possible symdiff given
-      the exact shared-rare count) must also be <= 8*max_dist.
+      the exact shared-rare count) must also be <= 8*EDIT_DIST_MAX.
     Survivors join back to text (``_pairs_with_texts``) and the banded
     kernel computes the exact distance, abandoning rows early at the
     cutoff."""
     docs = rd.read_parquet(f"{sf_dir}/documents.parquet",
                            columns=["doc_id", "text"])
-    budget = _GRAMS_PER_EDIT * max_dist
+    budget = _GRAMS_PER_EDIT * EDIT_DIST_MAX
 
     def row_keep(na: np.ndarray, nbn: np.ndarray,
                  ca: np.ndarray, cb: np.ndarray) -> np.ndarray:
@@ -953,12 +934,11 @@ def edit_distance_pairs_ds(
         # edit changes the length by at most 1) — at sf0.1 this window
         # alone cuts the raw pair rows ~11x (1.27M -> 111k measured); the
         # looser gram budget stays as a second belt.
-        chars_ok = np.abs(ca.astype(np.int64) - cb.astype(np.int64)) <= max_dist
+        chars_ok = np.abs(ca.astype(np.int64) - cb.astype(np.int64)) <= EDIT_DIST_MAX
         grams_ok = np.abs(na.astype(np.int64) - nbn.astype(np.int64)) <= budget
         return chars_ok & grams_ok
 
-    cand, _ = rare_blocked_pair_stats(docs, k=k, df_cap=df_cap,
-                                      row_keep=row_keep)
+    cand, _ = rare_blocked_pair_stats(docs, row_keep=row_keep)
 
     def prefilter(b: pa.Table) -> pa.Table:
         _, na, nbn, inter_ub = _pair_stat_arrays(b)
@@ -970,29 +950,19 @@ def edit_distance_pairs_ds(
     def lev_batch(b: pa.Table) -> pa.Table:
         dists = pa.array([
             0 if ta == tb
-            else levenshtein_banded(ta or "", tb or "", max_dist)
+            else levenshtein_banded(ta or "", tb or "", EDIT_DIST_MAX)
             for ta, tb in zip(b.column("text_a").to_pylist(),
                               b.column("text_b").to_pylist())
         ], pa.int64())
-        keep = pc.less_equal(dists, max_dist)
+        keep = pc.less_equal(dists, EDIT_DIST_MAX)
         return pa.table({
             "doc_a": b.column("doc_a").filter(keep),
             "doc_b": b.column("doc_b").filter(keep),
             "edit_dist": dists.filter(keep),
         })
 
-    return _pairs_with_texts(typed_map(cand, prefilter), docs,
-                             lev_batch).materialize()
-
-
-def edit_distance_dups(
-    sf_dir: str, *, k: int = 3, df_cap: int = NGRAM_DF_CAP,
-    max_dist: int = EDIT_DIST_MAX,
-) -> pd.DataFrame:
-    """``edit_distance_pairs_ds`` materialized to a sorted (doc_a, doc_b,
-    edit_dist) frame — the verified pair set is the only driver payload."""
-    return _sorted_pairs(edit_distance_pairs_ds(
-        sf_dir, k=k, df_cap=df_cap, max_dist=max_dist))
+    return _sorted_pairs(_pairs_with_texts(typed_map(cand, prefilter), docs,
+                                           lev_batch))
 
 
 # ---------------------------------------------------------------------------

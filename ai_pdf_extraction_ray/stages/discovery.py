@@ -10,7 +10,7 @@ filtering layer discovery.py:200-248 survives verbatim in spirit):
    pdf_service.py:203-283);
 2. collect ``Label: value`` lines from the flat text of each sample page
    (the same label surface the field extractor reads);
-3. keep labels that appear in >= ``min_support`` fraction of samples;
+3. keep labels that appear in at least half of the samples;
 4. infer each field's type from its observed values (currency symbol /
    parseable date / boolean words / numeric / fallback STRING — mirroring
    discovery's unknown->STRING coercion, discovery.py:205-212);
@@ -26,10 +26,13 @@ from __future__ import annotations
 import itertools
 import re
 
+import pyarrow as pa
+import pyarrow.compute as pc
 from ray.data import Dataset
 
 from ..functions.scalars import normalize_boolean, parse_currency, parse_date
 from ..schema import FieldDefinition, FieldType, SchemaDefinition, coerce_field_name
+from .dedup import collect_table
 from .extract import sniff_kind
 from .html_extract import extract_html
 from .pdf_extract import extract_pdf
@@ -80,13 +83,10 @@ def harvest_labels(flat_text: str) -> dict[str, str]:
     return out
 
 
-def propose_rules(
-    fields: list[str], samples: list[dict[str, float]], tolerance_pct: float = 0.01,
-    min_magnitude: float = 0.1,
-) -> list[str]:
-    """Additive relations ``c == a + b`` that hold on every complete sample
-    (>= 2 supporting samples, and at least one sample where |c| exceeds
-    ``min_magnitude`` — near-zero samples satisfy any relation within the
+def propose_rules(fields: list[str], samples: list[dict[str, float]]) -> list[str]:
+    """Additive relations ``c == a + b`` that hold within 1% on every
+    complete sample (>= 2 supporting samples, and at least one sample where
+    |c| is at least 0.1 — near-zero samples satisfy any relation within the
     absolute tolerance floor and would yield mutually inconsistent rules)."""
     rules: list[str] = []
     for c, a, b in itertools.permutations(fields, 3):
@@ -100,9 +100,9 @@ def propose_rules(
             if va is None or vb is None or vc is None:
                 continue
             support += 1
-            if abs(vc) >= min_magnitude:
+            if abs(vc) >= 0.1:
                 meaningful = True
-            tol = max(abs(vc) * tolerance_pct, 0.02)
+            tol = max(abs(vc) * 0.01, 0.02)
             if abs((va + vb) - vc) > tol:
                 ok = False
                 break
@@ -186,9 +186,7 @@ def convert_discovery_to_schema(
     )
 
 
-def discover_schema(
-    pages: Dataset, *, sample_size: int = 6, min_support: float = 0.5,
-) -> SchemaDefinition:
+def discover_schema(pages: Dataset, *, sample_size: int = 6) -> SchemaDefinition:
     """Sample pages -> inferred SchemaDefinition (driver-side; cheap).
 
     Emits the reference's full discovery surface: document type + reasoning
@@ -198,13 +196,20 @@ def discover_schema(
     Sampling is DETERMINISTIC: when the pages carry a doc_id the sample is
     ``doc_id < sample_size`` (a ``Dataset.limit`` depends on block arrival
     order and can differ across runs — observed flake against the committed
-    golden); otherwise limit() is the fallback."""
-    if "doc_id" in (pages.schema().names or []):
-        sample = pages.filter(expr=f"doc_id < {sample_size}").to_pandas()
-    else:
-        sample = pages.limit(sample_size).to_pandas()
+    golden); otherwise the first ``sample_size`` pages are. No pages (a
+    zero-row table) give the one-``text``-field fallback schema."""
+    def head(b: pa.Table) -> pa.Table:
+        if "doc_id" in b.column_names:
+            return b.filter(pc.less(b.column("doc_id"), sample_size))
+        return b.slice(0, sample_size)
+
+    sample = collect_table(pages.map_batches(head, batch_format="pyarrow"))
+    payloads = (sample.column("html").to_pylist()
+                if "html" in sample.column_names else [])
+    if "doc_id" not in sample.column_names:
+        payloads = payloads[:sample_size]
     harvested: list[dict[str, str]] = []
-    for payload in sample["html"]:
+    for payload in payloads:
         kind = sniff_kind(payload)
         rec = extract_pdf(payload) if kind == "pdf" else extract_html(payload)
         harvested.append(harvest_labels(rec.get("flat_text") or ""))
@@ -214,7 +219,7 @@ def discover_schema(
         for k, v in h.items():
             counts.setdefault(k, []).append(v)
     n = max(1, len(harvested))
-    field_names = [k for k, vs in counts.items() if len(vs) / n >= min_support]
+    field_names = [k for k, vs in counts.items() if len(vs) / n >= 0.5]
 
     proposed = [
         {"name": k, "type": infer_type(counts[k]).value,

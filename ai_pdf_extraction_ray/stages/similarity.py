@@ -112,7 +112,7 @@ def knn_flat(
 
 
 def knn_multiquery(
-    sf_dir: str, queries: np.ndarray, k: int = 10, *, exclude_self: bool = True,
+    sf_dir: str, queries: np.ndarray, k: int = 10, *,
     query_ids: list[int] | None = None,
 ) -> pd.DataFrame:
     """Batched exact top-k: ONE scan answers M queries (the batched-inference
@@ -122,24 +122,25 @@ def knn_multiquery(
     Returns (query_id, vec_id, cos) with k rows per query, ordered by
     rounded cos desc then vec_id (the oracle's exact tie-break).
 
-    ``exclude_self`` only applies when the caller supplies ``query_ids``
-    (i.e. the queries ARE corpus rows): with synthesized 0..M-1 ids,
-    excluding vid == qid would wrongly drop unrelated corpus vectors
-    0..M-1 from external-query results (review finding)."""
+    A query's own row is excluded only when the caller supplies
+    ``query_ids`` (i.e. the queries ARE corpus rows): with synthesized
+    0..M-1 ids, excluding vid == qid would wrongly drop unrelated corpus
+    vectors 0..M-1 from external-query results (review finding)."""
     return _cosine_topk(_embeddings(sf_dir), queries, k, query_ids=query_ids,
-                        exclude_self=exclude_self and query_ids is not None)
+                        exclude_self=query_ids is not None)
 
 
 # ---------------------------------------------------------------------------
 # IVF
 # ---------------------------------------------------------------------------
 
-def train_centroids(X: np.ndarray, nlist: int, iters: int = 10, seed: int = 42) -> np.ndarray:
-    """Plain seeded Lloyd k-means on normalized vectors (deterministic)."""
-    rng = np.random.RandomState(seed)
+def train_centroids(X: np.ndarray, nlist: int) -> np.ndarray:
+    """Plain seeded Lloyd k-means (10 iterations) on normalized vectors
+    (deterministic)."""
+    rng = np.random.RandomState(42)
     Xn = _normalize(X)
     cents = Xn[rng.choice(len(Xn), size=min(nlist, len(Xn)), replace=False)]
-    for _ in range(iters):
+    for _ in range(10):
         assign = np.argmax(Xn @ cents.T, axis=1)
         for c in range(len(cents)):
             members = Xn[assign == c]
@@ -177,13 +178,12 @@ def _train_sample(sf_dir: str, sample_n: int) -> np.ndarray:
     return emb_matrix(keep)
 
 
-def build_ivf_index(
-    sf_dir: str, index_dir: str, *, nlist: int = 16, sample_n: int = 2048,
-) -> np.ndarray:
-    """Train the coarse quantizer, assign every vector, and persist the
-    assignment as parquet PARTITIONED BY list_id (one directory per list).
-    Probed reads then touch only nprobe/nlist of the bytes. Returns the
-    centroid matrix (also persisted next to the partitions for reuse).
+def build_ivf_index(sf_dir: str, index_dir: str, *, nlist: int = 16) -> np.ndarray:
+    """Train the coarse quantizer on a 2,048-vector sample, assign every
+    vector, and persist the assignment as parquet PARTITIONED BY list_id
+    (one directory per list). Probed reads then touch only nprobe/nlist
+    of the bytes. Returns the centroid matrix (also persisted next to the
+    partitions for reuse).
 
     ATOMIC: the index is built in a scratch dir and renamed into place as
     the last step, centroids written first — a crash mid-build can never
@@ -192,7 +192,7 @@ def build_ivf_index(
     import os
     import shutil
 
-    X = _train_sample(sf_dir, sample_n)
+    X = _train_sample(sf_dir, 2048)
     cents = train_centroids(X, nlist)
 
     ds = rd.read_parquet(f"{sf_dir}/embeddings.parquet", columns=["vec_id", "embedding"])

@@ -322,12 +322,11 @@ def approx_distinct(
 # mergeable histogram quantile sketch
 # ---------------------------------------------------------------------------
 
-def approx_quantiles_hist(
-    sf_dir: str, *, nbins: int = 2048, qs: tuple[float, ...] = (0.5, 0.9, 0.99),
-) -> Dataset:
-    """Approximate per-key quantiles via a fixed-bin histogram sketch — the
-    scale path next to the exact ``quantiles`` query (which global-sorts
-    values per key). Error is bounded by one bin width of the global range.
+def approx_quantiles_hist(sf_dir: str) -> Dataset:
+    """Approximate per-key p50/p90/p99 via a fixed 2,048-bin histogram
+    sketch — the scale path next to the exact ``quantiles`` query (which
+    global-sorts values per key). Error is bounded by one bin width of the
+    global range.
 
     Two passes, both streaming:
       1. global min/max (tiny exact aggregate over the pruned column);
@@ -346,6 +345,7 @@ def approx_quantiles_hist(
     from ..functions.rounding import np_round as _npr
     from .dedup import partial_groupby, run_ids, segment_window
 
+    nbins, qs = 2048, (0.5, 0.9, 0.99)
     ds = rd.read_parquet(f"{sf_dir}/events.parquet",
                          columns=["event_type", "value"])
     _schema = pa.schema(

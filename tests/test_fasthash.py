@@ -3,6 +3,9 @@ MinHash/SimHash/HLL/sampling stages (replaced the per-token md5 loops)."""
 
 from __future__ import annotations
 
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -14,6 +17,8 @@ from ai_pdf_extraction_ray.functions.fasthash import (
     splitmix64,
     token_hashes64,
 )
+from ai_pdf_extraction_ray.functions.tokenize import PY_WS_CHARS
+from tests.conftest import REPO_ROOT, SF_CORRECT, SF_SMOKE
 
 
 class TestSplitmix:
@@ -194,3 +199,152 @@ class TestPolyMersenne:
         assert (lo == _MPOLY.span_hashes(data, starts, ends)).all()
         assert hi[2] == hi[3] and lo[2] == lo[3]
         assert (hi[2], lo[2]) != (hi[4], lo[4])
+
+
+def _reference_windows(texts, width: int, stride: int) -> list[tuple]:
+    """``token_windows`` restated one document at a time over
+    ``token_spans``: (row, index, start, end, dh, dl) per window."""
+    from ai_pdf_extraction_ray.functions.fasthash import (
+        _MPOLY, _POLY1, token_spans)
+
+    out = []
+    for row, text in enumerate(texts):
+        data, starts, ends = token_spans(text or "")
+        n = len(starts)
+        if stride == width:
+            n_win = max(1, -(-n // width))
+        else:
+            n_win = max(1, -(-(n - width + 1) // stride))
+        for j in range(n_win):
+            s, e = j * stride, min(j * stride + width, n)
+            span = ((np.array([starts[s]]), np.array([ends[e - 1]]))
+                    if e > s else (np.zeros(1, np.int64),) * 2)
+            out.append((row, j + 1, s, e,
+                        int(_POLY1.span_hashes(data, *span).view(np.int64)[0]),
+                        int(_MPOLY.span_hashes(data, *span).view(np.int64)[0])))
+    return out
+
+
+def _rows(w) -> list[tuple]:  # noqa: ANN001 — TokenWindows
+    return list(zip(*(col.tolist() for col in w)))
+
+
+SHAPES = [(20, 20), (20, 5), (3, 1)]
+
+
+class TestTokenWindows:
+    """The one batch window kernel gives every window, and every digest,
+    that hashing each document alone would."""
+
+    @pytest.fixture(scope="class", params=[SF_SMOKE, SF_CORRECT])
+    def corpus(self, request) -> list:
+        import pyarrow.parquet as pq
+
+        return pq.read_table(f"{request.param}/documents.parquet",
+                             columns=["text"]).column("text").to_pylist()
+
+    @pytest.mark.parametrize("width,stride", SHAPES)
+    def test_matches_per_document_reference(self, corpus, width, stride):
+        from ai_pdf_extraction_ray.functions.fasthash import token_windows
+
+        assert _rows(token_windows(corpus, width, stride)) == \
+            _reference_windows(corpus, width, stride)
+
+    def test_full_3_windows_are_the_shingles(self, corpus):
+        from ai_pdf_extraction_ray.functions.fasthash import token_windows
+        from ai_pdf_extraction_ray.stages.dedup import shingles
+
+        w = token_windows(corpus, 3, 1)
+        full = w.end - w.start == 3
+        for row, text in enumerate(corpus):
+            got = np.unique(w.dh[full & (w.row == row)].view(np.uint64))
+            assert np.array_equal(got, shingles(text or "", 3))
+
+    EDGE = [None, "", "   \t\n ", "İstanbul ΣΟΦΙΑ ΟΔΟΣ", "a İ Σ b ς",
+            "x" + "".join(f"{c}w{i}" for i, c in enumerate(PY_WS_CHARS))]
+
+    @pytest.mark.parametrize("width,stride", SHAPES)
+    def test_edge_texts(self, width, stride):
+        from ai_pdf_extraction_ray.functions.fasthash import token_windows
+
+        sized = [" ".join(f"t{i}" for i in range(n))
+                 for n in (width - 1, width, width + 1)]
+        texts = self.EDGE + sized
+        assert _rows(token_windows(texts, width, stride)) == \
+            _reference_windows(texts, width, stride)
+
+    def test_window_counts(self):
+        """Tiling keeps the short tail; sliding keeps full windows only; a
+        text shorter than the width is one short window; no tokens is one
+        empty window."""
+        from ai_pdf_extraction_ray.functions.fasthash import token_windows
+
+        texts = [" ".join("abcdefg"[:n]) for n in (0, 2, 5, 7)]
+        tile = token_windows(texts, 3, 3)
+        assert np.bincount(tile.row).tolist() == [1, 1, 2, 3]
+        assert tile.end[tile.row == 3].tolist() == [3, 6, 7]
+        slide = token_windows(texts, 3, 1)
+        assert np.bincount(slide.row).tolist() == [1, 1, 3, 5]
+        assert (slide.start[0], slide.end[0]) == (0, 0)
+
+    def test_all_empty_batch_hashes_its_empty_windows(self):
+        from ai_pdf_extraction_ray.functions.fasthash import token_windows
+
+        w = token_windows([None, "", " 　 "], 20, 5)
+        assert w.row.tolist() == [0, 1, 2]
+        assert w.index.tolist() == [1, 1, 1]
+        assert len(set(zip(w.dh.tolist(), w.dl.tolist()))) == 1
+        assert _rows(w) == _reference_windows([None, "", " 　 "], 20, 5)
+
+    def test_empty_batch(self):
+        from ai_pdf_extraction_ray.functions.fasthash import token_windows
+
+        assert all(len(col) == 0 for col in token_windows([], 20, 20))
+
+    def test_mersenne_refuses_a_2gib_buffer(self):
+        """The mod-p prefix sums are exact below 2^31 bytes; a larger
+        batch buffer raises before any work (a zero-stride view stands in
+        for the buffer)."""
+        from ai_pdf_extraction_ray.functions.fasthash import _MPOLY
+
+        data = np.broadcast_to(np.uint64(0), (1 << 31,))
+        one = np.zeros(1, np.int64)
+        with pytest.raises(ValueError):
+            _MPOLY.span_hashes(data, one, one)
+
+
+class TestSingleWindowSite:
+    """Token windows and their digests come only from
+    ``fasthash.token_windows``: the queries module reaches none of the
+    span-hash internals."""
+
+    BANNED = {"token_spans", "span_hashes", "_POLY1", "_MPOLY"}
+
+    @classmethod
+    def stray(cls, path: Path) -> list[int]:
+        """Lines of ``path`` that import or name a banned span-hash
+        internal."""
+        lines = []
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom):
+                names = {a.name for a in node.names}
+            elif isinstance(node, ast.Name):
+                names = {node.id}
+            elif isinstance(node, ast.Attribute):
+                names = {node.attr}
+            else:
+                continue
+            if names & cls.BANNED:
+                lines.append(node.lineno)
+        return sorted(set(lines))
+
+    def test_queries_use_only_token_windows(self):
+        queries = REPO_ROOT / "ai_pdf_extraction_ray" / "pipelines" / "queries.py"
+        assert self.stray(queries) == []
+
+    def test_guard_flags_a_direct_import(self, tmp_path):
+        src = tmp_path / "q.py"
+        src.write_text("def f(t):\n"
+                       "    from x import _MPOLY, _POLY1, token_spans\n"
+                       "    return _POLY1.span_hashes(*token_spans(t))\n")
+        assert self.stray(src) == [2, 3]

@@ -548,6 +548,25 @@ class TestDegenerateInputs:
         typed."""
         self._check_empty(empty_sf, name)
 
+    @pytest.mark.parametrize("name", ["self_dup_spans"])
+    def test_mapped_query_on_empty_tables(self, ray_session, empty_sf, name):
+        """A query whose last step is a map over the read types it through
+        ``typed_map``, so zero rows keep the smoke tables' columns."""
+        self._check_empty(empty_sf, name)
+
+    @pytest.mark.parametrize("name", ["discovered_schema", "schema_listing"])
+    def test_schema_discovery_on_empty_tables(self, ray_session, empty_sf,
+                                              name):
+        """No pages to sample: discovery falls back to its one ``text``
+        field instead of raising, with the smoke tables' columns. These
+        are golden-oracle queries, so the oracle's 0 rows do not apply."""
+        fn = QUERIES[name]["fn"]
+        out = fn(empty_sf)
+        assert _columns(out)[0] == _columns(fn(SF_SMOKE))[0]
+        if name == "discovered_schema":
+            assert list(out["field"]) == ["text"]
+            assert list(out["type"]) == ["string"]
+
 
 def _result_table(out) -> pa.Table:  # noqa: ANN001 — Dataset or DataFrame
     from ai_pdf_extraction_ray.stages.dedup import collect_table
