@@ -92,15 +92,14 @@ def main(argv: list[str] | None = None) -> int:
             print(json.dumps(manifests, indent=2))
         elif args.cmd == "query":
             from .pipelines.queries import QUERIES
+            from .stages.dedup import collect_table
 
             if args.name not in QUERIES:
                 print(f"unknown query {args.name!r}; available: {sorted(QUERIES)}",
                       file=sys.stderr)
                 return 2
-            import pandas as pd
-
-            result = QUERIES[args.name]["fn"](args.sf_dir)
-            df = result if isinstance(result, pd.DataFrame) else result.to_pandas()
+            # collect_table keeps the columns of a zero-row result
+            df = collect_table(QUERIES[args.name]["fn"](args.sf_dir)).to_pandas()
             print(df.head(args.limit).to_string())
             print(f"... {len(df)} rows")
         elif args.cmd == "export":

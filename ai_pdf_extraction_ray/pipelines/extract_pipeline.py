@@ -21,9 +21,11 @@ backpressure; no stage materializes the dataset.
 
 Skew note (north rule): the corpus deliberately gives one host ~1/3 of rows.
 Extraction itself is embarrassingly parallel — blocks are split by Ray Data
-regardless of host — so no shuffle is needed on the hot path. The url-prefix
-hash shuffle (``repartition_by_host``) exists for stages that *do* co-locate
-by host (e.g. per-host aggregates) and for writing host-partitioned output.
+regardless of host — so no shuffle is needed on the hot path, nor for the
+host-keyed consumers: a per-host aggregate merges per-block partials
+(``partial_groupby``), and the host-partitioned sink
+(``write_host_partitioned``) writes each block's rows to their url-prefix
+hash bucket's directory.
 """
 
 from __future__ import annotations
@@ -41,9 +43,9 @@ import ray.data as rd
 from ray.data import Dataset
 from ray.data.aggregate import Count, Mean, Sum
 
+from ..functions.fasthash import hash64_strs
 from ..schema import SchemaDefinition
 from ..sources.corpus import synthesize_pages_batch
-from ..stages.dedup import segment_window
 from ..stages.extract import DocumentExtractor
 from ..state.manifest import lineage_id, manifest_is_valid, write_manifest_atomic
 
@@ -114,39 +116,24 @@ def run_extraction(
     )
 
 
-def repartition_by_host(ds: Dataset, num_partitions: int) -> Dataset:
-    """Url-prefix hash shuffle: co-locate rows by host, breaking the giant
-    host across hash space only when callers key by (host, url). This is one
-    of THE two sanctioned shuffles (SURVEY.md §7.2 step 7)."""
+def write_host_partitioned(
+    extractions: Dataset, out_dir: str, num_buckets: int = 16
+) -> None:
+    """Skew-aware partitioned sink: tag each row with its url-prefix hash
+    bucket, then ``write_parquet(partition_cols=["host_bucket"])`` — one
+    directory per bucket, so per-host consumers read only their partition
+    and a failed bucket can be rewritten alone. The giant host shares its
+    bucket directory but never spills outside it. No shuffle: each block
+    writes its own file per bucket it holds."""
     def add_bucket(batch: pa.Table) -> pa.Table:
-        # vectorized url-prefix hash (one buffer pass), not a per-row
-        # crc32 loop — this is a sanctioned FULL-TABLE shuffle path, the
-        # exact per-row-Python family the round-2 review banned elsewhere
-        from ..functions.fasthash import hash64_strs
-
         hosts = batch.column("host").to_pylist()
-        buckets = (hash64_strs(hosts) % np.uint64(num_partitions)).astype(
+        buckets = (hash64_strs(hosts) % np.uint64(num_buckets)).astype(
             np.int64) if hosts else np.empty(0, dtype=np.int64)
         return batch.append_column("host_bucket",
                                    pa.array(buckets, pa.int64()))
 
-    # segment_window co-locates by sort, so every host_bucket sits in one
-    # block under any shuffle strategy (Dataset.repartition(keys=) needs
-    # the global HASH_SHUFFLE DataContext strategy)
-    return segment_window(ds.map_batches(add_bucket, batch_format="pyarrow"),
-                          "host_bucket", lambda t, starts: t)
-
-
-def write_host_partitioned(
-    extractions: Dataset, out_dir: str, num_buckets: int = 16
-) -> None:
-    """Skew-aware partitioned sink: co-locate by host-hash bucket, then
-    ``write_parquet(partition_cols=["host_bucket"])`` — one directory per
-    bucket, so per-host consumers read only their partition and a failed
-    bucket can be rewritten alone. The giant host shares its bucket
-    directory but never spills outside it."""
-    bucketed = repartition_by_host(extractions, num_buckets)
-    bucketed.write_parquet(out_dir, partition_cols=["host_bucket"])
+    extractions.map_batches(add_bucket, batch_format="pyarrow").write_parquet(
+        out_dir, partition_cols=["host_bucket"])
 
 
 _NO_DOCUMENTS = {"total_documents": 0, "successful_documents": 0,

@@ -1,11 +1,12 @@
 """Query catalog: every operator exposed through the driver contract.
 
-Each entry pairs a Ray-Data-first implementation (``fn(sf_dir) -> Dataset |
-pandas.DataFrame | pyarrow.Table``) with an equivalent DuckDB oracle SQL
-string (``sql=None`` for non-SQL-expressible ops — the driver then records a
-rows-only check). Column names match between both sides by construction;
-float aggregates are rounded identically on both sides so the driver's
-value-hash comparison is stable under summation order.
+Each entry pairs a Ray-Data-first implementation (``fn(sf_dir) -> Dataset``;
+a result finished on the driver is ``rd.from_arrow`` of its ``pa.Table``)
+with an equivalent DuckDB oracle SQL string (``sql=None`` for
+non-SQL-expressible ops — the driver then records a rows-only check).
+Column names match between both sides by construction; float aggregates
+are rounded identically on both sides so the driver's value-hash
+comparison is stable under summation order.
 
 Operator provenance is cited per query (SURVEY.md §2 ids).
 
@@ -30,7 +31,6 @@ import json
 import re
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
 from ..functions.fasthash import token_windows
 from ..functions.tokenize import lower_parity
@@ -570,12 +570,11 @@ def q_revenue_by_nation(sf_dir: str) -> Dataset:
     # Ray read loses the columns.
     import pyarrow.parquet as pq
 
-    nation = pq.read_table(f"{sf_dir}/nation.parquet",
-                           columns=["n_nationkey", "n_name"]).to_pandas()
-    nation_keys = np.sort(nation["n_nationkey"].to_numpy())
-    nation_names = nation.set_index("n_nationkey").loc[
-        nation_keys, "n_name"].to_numpy()
-    return _revenue_rollup(sf_dir, nation_keys, nation_names, "n_name")
+    nation = pq.read_table(f"{sf_dir}/nation.parquet", columns=[
+        "n_nationkey", "n_name"]).sort_by("n_nationkey")
+    return _revenue_rollup(
+        sf_dir, nation.column("n_nationkey").to_numpy(),
+        nation.column("n_name").to_numpy(), "n_name")
 
 
 def _revenue_rollup(sf_dir: str, nation_keys: np.ndarray,
@@ -842,7 +841,7 @@ def _query_vectors(sf_dir: str, n: int) -> tuple[np.ndarray, list[int]]:
     return emb_matrix(emb), emb.column("vec_id").to_pylist()
 
 
-def q_knn_bruteforce(sf_dir: str) -> pd.DataFrame:
+def q_knn_bruteforce(sf_dir: str) -> Dataset:
     """ANN baseline: brute-force cosine top-10 of vector 0 — the
     one-query form of stages/similarity's one cosine top-k kernel (ONE
     implementation backs every kNN operator; review finding)."""
@@ -1044,12 +1043,15 @@ def _nation_region_maps(sf_dir: str):
     Read with pyarrow, not Ray: an empty Ray read loses the columns."""
     import pyarrow.parquet as pq
 
-    nation = pq.read_table(f"{sf_dir}/nation.parquet").to_pandas()
-    region = pq.read_table(f"{sf_dir}/region.parquet").to_pandas()
-    nr = nation.merge(region, left_on="n_regionkey", right_on="r_regionkey")
-    nr = nr.sort_values("n_nationkey")
-    return (nr["n_nationkey"].to_numpy(), nr["n_name"].to_numpy(),
-            nr["r_name"].to_numpy())
+    nation = pq.read_table(f"{sf_dir}/nation.parquet").sort_by("n_nationkey")
+    region = pq.read_table(f"{sf_dir}/region.parquet")
+    # inner join on the region key: a nation with no region drops out
+    pos = pc.index_in(nation.column("n_regionkey"),
+                      value_set=region.column("r_regionkey").combine_chunks())
+    hit = pc.is_valid(pos)
+    return (nation.column("n_nationkey").filter(hit).to_numpy(),
+            nation.column("n_name").filter(hit).to_numpy(),
+            region.column("r_name").take(pos.filter(hit)).to_numpy())
 
 
 def q_region_revenue(sf_dir: str) -> Dataset:
@@ -1178,7 +1180,7 @@ def q_label_centroids(sf_dir: str) -> Dataset:
     return segment_window(typed_map(ds, partial), "label", merge)
 
 
-def q_curation_funnel(sf_dir: str):  # noqa: ANN201 — DataFrame
+def q_curation_funnel(sf_dir: str) -> Dataset:
     """Training-data curation funnel — the composed flagship of the text
     operators: language filter -> quality filter (word count + TTR) ->
     benchmark-contamination filter -> exact dedup, reporting documents
@@ -1255,11 +1257,11 @@ def q_curation_funnel(sf_dir: str):  # noqa: ANN201 — DataFrame
     # a Ray sum over zero rows is None where SQL's count(*) is 0
     stage_counts = [int(counts[f"sum({c})"] or 0)
                     for c in ("n_all", "n_lang", "n_qual", "n_clean")]
-    return pd.DataFrame({
-        "stage_idx": pd.array([1, 2, 3, 4, 5], dtype="int64"),
+    return rd.from_arrow(pa.table({
+        "stage_idx": [1, 2, 3, 4, 5],
         "stage": ["all", "lang_en", "quality", "decontaminated", "deduped"],
-        "n_docs": pd.array(stage_counts + [n_dedup], dtype="int64"),
-    })
+        "n_docs": stage_counts + [n_dedup],
+    }))
 
 
 def q_curation_splits(sf_dir: str) -> Dataset:
@@ -1330,7 +1332,7 @@ def q_incremental_new_docs(sf_dir: str) -> Dataset:
                         on=("digest_hi", "digest_lo"), finish=novel)
 
 
-def q_monthly_revenue_delta(sf_dir: str):  # noqa: ANN201 — DataFrame
+def q_monthly_revenue_delta(sf_dir: str) -> Dataset:
     """Time-series rollup with a window over the AGGREGATE: monthly order
     revenue plus month-over-month delta. Rows reduce to one partial per
     (month, batch) distributed; the lag runs on the materialized monthly
@@ -1346,16 +1348,16 @@ def q_monthly_revenue_delta(sf_dir: str):  # noqa: ANN201 — DataFrame
     monthly = collect_table(partial_groupby(
         ds.map_batches(month, batch_format="pyarrow"), "month",
         raw=("rev", "sum"), n_orders=(None, "count_all"),
-    )).to_pandas().sort_values("month")  # bounded by the calendar
-    rev = _np_round(monthly["raw"].to_numpy(), 2)
-    prev = np.concatenate([[np.nan], rev[:-1]])
-    delta = _np_round(rev - prev, 2)
-    return pd.DataFrame({
-        "month": monthly["month"].to_numpy(),
-        "n_orders": monthly["n_orders"].to_numpy(),
+    )).sort_by("month")  # bounded by the calendar
+    rev = _np_round(monthly.column("raw").to_numpy(), 2)
+    # the first month has no previous one: its delta is null
+    delta = _np_round(rev - np.concatenate([[np.nan], rev[:-1]]), 2)
+    return rd.from_arrow(pa.table({
+        "month": monthly.column("month"),
+        "n_orders": monthly.column("n_orders"),
         "revenue": rev,
-        "delta": [None if np.isnan(x) else float(x) for x in delta],
-    })
+        "delta": pa.array(delta, mask=np.isnan(delta)),
+    }))
 
 
 def q_lineitem_corr(sf_dir: str) -> Dataset:
@@ -1448,7 +1450,7 @@ _PROFILE_COLS = ["o_orderkey", "o_custkey", "o_orderstatus", "o_totalprice",
                  "o_orderpriority"]
 
 
-def q_profile_orders(sf_dir: str):  # noqa: ANN201 — DataFrame
+def q_profile_orders(sf_dir: str) -> Dataset:
     """Table profiling: one row per column of `orders` with null count,
     distinct count, and min/max (as strings). Per-batch partials carry one
     row per (column, distinct-value-count partial...) — null/min/max are
@@ -1501,7 +1503,9 @@ def q_profile_orders(sf_dir: str):  # noqa: ANN201 — DataFrame
 
     nd = collect_table(partial_groupby(
         distinct_pairs, "col", n_distinct=(None, "count_all"),
-    )).to_pandas().set_index("col")  # one row per column
+    ))  # one row per column
+    n_distinct = dict(zip(nd.column("col").to_pylist(),
+                          nd.column("n_distinct").to_pylist()))
 
     # null/min/max meta partials: one row per column per BATCH — bounded by
     # batch count, so the driver merge is on sketch-sized data. min/max are
@@ -1518,11 +1522,13 @@ def q_profile_orders(sf_dir: str):  # noqa: ANN201 — DataFrame
         rows.append({
             "col": c,
             "n_null": sum(r["n_null"] for r in g),
-            "n_distinct": int(nd.loc[c, "n_distinct"]) if c in nd.index else 0,
+            "n_distinct": n_distinct.get(c, 0),
             "vmin": str(min(vmins)) if vmins else None,
             "vmax": str(max(vmaxs)) if vmaxs else None,
         })
-    return pd.DataFrame(rows)
+    return rd.from_arrow(pa.Table.from_pylist(rows, schema=pa.schema({
+        "col": pa.string(), "n_null": pa.int64(), "n_distinct": pa.int64(),
+        "vmin": pa.string(), "vmax": pa.string()})))
 
 
 def q_unigram_logprob(sf_dir: str) -> Dataset:
@@ -1551,7 +1557,7 @@ def q_tfidf_top_terms(sf_dir: str) -> Dataset:
     *raises* their idf, so top-k membership for common-term queries is
     unaffected. Map sides are vectorized (functions/tokenize.py): df via
     per-batch distinct-(doc, term) group_by, scoring via index_in +
-    per-doc pandas rank — no per-token Python (judge round-4 family)."""
+    per-doc ``key_runs`` rank — no per-token Python (judge round-4 family)."""
     from ..functions.tokenize import flat_tokens
 
     docs = _docs(sf_dir, ["doc_id", "text"])
@@ -1566,14 +1572,14 @@ def q_tfidf_top_terms(sf_dir: str) -> Dataset:
     df_tbl = collect_table(partial_groupby(
         docs.map_batches(doc_terms, batch_format="pyarrow"), "token",
         df=(None, "count_all"),
-    )).to_pandas()  # bounded by vocabulary size (see docstring)
+    ))  # bounded by vocabulary size (see docstring)
     # idf table computed ONCE driver-side with math.log (bit-exact with
     # the scalar loop it replaced; np.log drifts ~1 ulp from libm)
     import math
 
-    idf = np.fromiter((math.log(n_docs / int(d)) for d in df_tbl["df"]),
+    idf = np.fromiter((math.log(n_docs / d) for d in df_tbl["df"].to_pylist()),
                       dtype=np.float64, count=len(df_tbl))
-    vocab = pa.array(df_tbl["token"], pa.string())
+    vocab = df_tbl["token"].combine_chunks().cast(pa.string())
 
     def topk(b: pa.Table) -> pa.Table:
         toks, row_idx = flat_tokens(b.column("text"))
@@ -1799,14 +1805,14 @@ def q_vocab_bigrams(sf_dir: str) -> Dataset:
     return vocab_bigrams(sf_dir, k=30)
 
 
-def q_minhash_near_dups(sf_dir: str) -> pd.DataFrame:
+def q_minhash_near_dups(sf_dir: str) -> Dataset:
     """MinHash+LSH near-dup pairs with exact Jaccard verify (rows-only)."""
     from ..stages.dedup import minhash_near_dups
 
     return minhash_near_dups(sf_dir, threshold=0.5)
 
 
-def q_edit_dist_dups(sf_dir: str) -> pd.DataFrame:
+def q_edit_dist_dups(sf_dir: str) -> Dataset:
     """Character-edit-distance near-dup pairs: same rare-gram candidacy as
     ngram_jaccard_dups, verified with exact banded Levenshtein <=
     EDIT_DIST_MAX — the byte-level near-dup class (in-place date/counter/
@@ -1817,7 +1823,7 @@ def q_edit_dist_dups(sf_dir: str) -> pd.DataFrame:
     return edit_distance_dups(sf_dir)
 
 
-def q_ngram_jaccard_dups(sf_dir: str) -> pd.DataFrame:
+def q_ngram_jaccard_dups(sf_dir: str) -> Dataset:
     """Exact word-trigram Jaccard near-dup pairs via rare-gram blocking —
     the deterministic (non-probabilistic) sibling of minhash_near_dups:
     an inverted k-gram index with a [2, NGRAM_DF_CAP] document-frequency
@@ -1837,14 +1843,14 @@ def q_near_dup_clusters(sf_dir: str) -> Dataset:
     return near_dup_clusters(sf_dir, threshold=0.5)
 
 
-def q_simhash_near_dups(sf_dir: str) -> pd.DataFrame:
+def q_simhash_near_dups(sf_dir: str) -> Dataset:
     """Banded SimHash near-dup pairs, Hamming-verified (rows-only)."""
     from ..stages.dedup import simhash_near_dups
 
     return simhash_near_dups(sf_dir, max_hamming=6)
 
 
-def q_knn_ivf(sf_dir: str) -> pd.DataFrame:
+def q_knn_ivf(sf_dir: str) -> Dataset:
     """IVF-bucketed approximate cosine top-k (rows-only: approximate by
     construction; exactness covered by knn_bruteforce's oracle)."""
     from ..stages.similarity import knn_ivf
@@ -1982,7 +1988,7 @@ _ROLLUP_ALL = "ALL"
 _ORDER_DIMS = ("o_orderstatus", "o_orderpriority")
 
 
-def _orders_grouping_sets(sf_dir: str, subtotals: list[str]) -> pd.DataFrame:
+def _orders_grouping_sets(sf_dir: str, subtotals: list[str]) -> Dataset:
     """Order count + revenue per (status, priority), one subtotal level
     per key in ``subtotals`` (the other key reads ``_ROLLUP_ALL``), and a
     grand total — the shared body of ROLLUP and CUBE.
@@ -1993,33 +1999,34 @@ def _orders_grouping_sets(sf_dir: str, subtotals: list[str]) -> pd.DataFrame:
     (~15 rows), never by the input."""
     ds = rd.read_parquet(f"{sf_dir}/orders.parquet",
                          columns=[*_ORDER_DIMS, "o_totalprice"])
-    fine_t = collect_table(partial_groupby(
+    fine = collect_table(partial_groupby(
         ds, list(_ORDER_DIMS),
         raw=("o_totalprice", "sum"), n_orders=("o_totalprice", "count"),
     ))
-    fine = fine_t.to_pandas()
-    levels = [fine]
-    for keep in subtotals:
-        sub = fine_t.group_by(keep).aggregate(
-            [("raw", "sum"), ("n_orders", "sum")]).rename_columns(
-            [keep, "raw", "n_orders"]).to_pandas()
-        sub[next(d for d in _ORDER_DIMS if d != keep)] = _ROLLUP_ALL
-        levels.append(sub)
-    # SUM over no rows is NULL in SQL: min_count=1
-    levels.append(pd.DataFrame({
-        "o_orderstatus": [_ROLLUP_ALL], "o_orderpriority": [_ROLLUP_ALL],
-        "raw": [fine["raw"].sum(min_count=1)], "n_orders": [fine["n_orders"].sum()],
+
+    def level(keys: list[str]) -> pa.Table:
+        """``fine`` summed per ``keys``; the other keys read _ROLLUP_ALL."""
+        t = fine.group_by(keys).aggregate([
+            ("raw", "sum"),
+            ("n_orders", "sum", pc.ScalarAggregateOptions(min_count=0))])
+        return pa.table({
+            **{d: t.column(d) if d in keys else
+               pa.array([_ROLLUP_ALL] * t.num_rows, pa.string())
+               for d in _ORDER_DIMS},
+            "raw": t.column("raw_sum"), "n_orders": t.column("n_orders_sum")})
+
+    # the grand total groups by no key: one row even on zero rows, where
+    # its raw is null (SQL's SUM over no rows) and its count 0
+    out = pa.concat_tables(
+        [fine, *(level([k]) for k in subtotals), level([])])
+    return rd.from_arrow(pa.table({
+        **{d: out.column(d) for d in _ORDER_DIMS},
+        "n_orders": out.column("n_orders"),
+        "revenue": _np_round(out.column("raw").to_numpy(), 2),
     }))
-    out = pd.concat(levels, ignore_index=True)
-    return pd.DataFrame({
-        "o_orderstatus": out["o_orderstatus"],
-        "o_orderpriority": out["o_orderpriority"],
-        "n_orders": out["n_orders"].astype("int64"),
-        "revenue": _np_round(out["raw"].to_numpy(), 2),
-    })
 
 
-def q_orders_rollup(sf_dir: str):  # noqa: ANN201 — DataFrame
+def q_orders_rollup(sf_dir: str) -> Dataset:
     """ROLLUP(status, priority) grouped aggregate: per-(status, priority)
     counts + revenue, per-status subtotals, and a grand total — the OLAP
     subtotal surface over the engine's partial-aggregate groupby
@@ -2027,7 +2034,7 @@ def q_orders_rollup(sf_dir: str):  # noqa: ANN201 — DataFrame
     return _orders_grouping_sets(sf_dir, ["o_orderstatus"])
 
 
-def q_orders_cube(sf_dir: str):  # noqa: ANN201 — DataFrame
+def q_orders_cube(sf_dir: str) -> Dataset:
     """CUBE(status, priority): every grouping-set combination — leaves,
     each single-key subtotal, and the grand total. Same scale shape as
     ROLLUP (``_orders_grouping_sets``)."""
@@ -2171,7 +2178,7 @@ def q_asof_join(sf_dir: str) -> Dataset:
     timestamp of the user's most recent signup AT OR BEFORE the event.
     Composition: ``segment_window`` co-locates each user's events in
     event-time order, and a running maximum over the signup rows' indices
-    forward-fills the latest signup (pd.merge_asof semantics)."""
+    forward-fills the latest signup (as-of join semantics)."""
     ds = _events(sf_dir, ["user_id", "event_id", "ts", "event_type"])
 
     def asof(t: pa.Table, starts: np.ndarray) -> pa.Table:
@@ -2272,7 +2279,7 @@ def q_running_totals(sf_dir: str) -> Dataset:
     return segment_window(ds, "user_id", running, order=_TIME_ORDER)
 
 
-def q_run_report(sf_dir: str) -> pd.DataFrame:
+def q_run_report(sf_dir: str) -> Dataset:
     """Manifest-backed run reporting — the engine's replacement for the
     reference's status/history polling (routers/batches.py:430-542 recomputes
     progress by scanning rows; here counters are cheap manifest reads,
@@ -2286,12 +2293,12 @@ def q_run_report(sf_dir: str) -> pd.DataFrame:
     out_dir = f"/tmp/ray_extract_run_{_hashlib.md5(sf_dir.encode()).hexdigest()[:8]}"
     extract_job([f"{sf_dir}/documents.parquet"], out_dir, INVOICE_SCHEMA)
     m = read_manifest(f"{out_dir}/shard=00000-documents")
-    return pd.DataFrame({
+    return rd.from_arrow(pa.table({
         "shard": [m["shard"]],
-        "n_rows": np.array([m["rows"]], dtype=np.int64),
-        "n_success": np.array([m["successful_documents"]], dtype=np.int64),
-        "n_failed": np.array([m["failed_documents"]], dtype=np.int64),
-    })
+        "n_rows": [m["rows"]],
+        "n_success": [m["successful_documents"]],
+        "n_failed": [m["failed_documents"]],
+    }))
 
 
 def q_line_items(sf_dir: str) -> Dataset:
@@ -2332,13 +2339,10 @@ def q_line_items(sf_dir: str) -> Dataset:
 
 def q_pages_per_host(sf_dir: str) -> Dataset:
     """Host-keyed aggregate over extraction output — the url-prefix skew
-    path: one host owns ~1/3 of rows, so rows are first co-located with the
-    host-hash shuffle (`repartition_by_host`), then aggregated per host
-    with in-partition combines."""
-    from .extract_pipeline import repartition_by_host
-
+    path: one host owns ~1/3 of rows, and ``partial_groupby`` merges one
+    partial per host per block, so the giant host needs no co-location
+    shuffle."""
     ext = run_extraction(pages_dataset(sf_dir)).select_columns(["host", "text"])
-    ext = repartition_by_host(ext, 8)
 
     def chars(batch: pa.Table) -> pa.Table:
         return pa.table({"host": batch.column("host"),
@@ -2380,7 +2384,7 @@ def q_sliding_windows(sf_dir: str) -> Dataset:
         }))
 
 
-def q_approx_distinct_users(sf_dir: str) -> pd.DataFrame:
+def q_approx_distinct_users(sf_dir: str) -> Dataset:
     """HLL sketch: approximate distinct users per event type (rows-only —
     estimate accuracy vs exact is pinned by tests at <2% for this
     cardinality range)."""
@@ -2400,13 +2404,13 @@ def q_media_image_features(sf_dir: str) -> Dataset:
     return image_features(sf_dir)
 
 
-def q_media_audio_video(sf_dir: str) -> pd.DataFrame:
+def q_media_audio_video(sf_dir: str) -> Dataset:
     """Multimodal: audio feature extraction + video frame sampling.
 
     Only small columns reach the driver: audio rows are projected to
     (media_id, rms) and sampled-frame counts are aggregated per batch then
     summed in a tiny groupby — the frame PAYLOADS never leave the cluster
-    (the round-1 version to_pandas()'d every sampled frame's bytes)."""
+    (the round-1 version collected every sampled frame's bytes)."""
     from ..stages.multimodal import audio_features, video_frames
 
     def summary(kind: str, col: str):  # noqa: ANN202 — batch fn
@@ -2421,10 +2425,10 @@ def q_media_audio_video(sf_dir: str) -> pd.DataFrame:
         video_frames(sf_dir, stride=5).select_columns(["media_id"]),
         "media_id", finish=summary("video", "n_sampled_frames"),
         n_sampled_frames=("media_id", "count"))
-    return collect_table(audio.union(video)).to_pandas()
+    return rd.from_arrow(collect_table(audio.union(video)))
 
 
-def q_embedding_near_dups_lsh(sf_dir: str) -> pd.DataFrame:
+def q_embedding_near_dups_lsh(sf_dir: str) -> Dataset:
     """Embedding near-dup via random-hyperplane LSH blocking (the
     content-blind scale path; label-blocked exact form is
     ``embedding_dup_pairs``). Params sized for the driver corpus's cosine
@@ -2449,18 +2453,16 @@ def q_quantiles(sf_dir: str) -> Dataset:
     extreme value skew a single bin can still be lumpy; swap in
     histogram-sketch boundaries (the `approx_quantiles` machinery) for the
     bin edges — the rank algebra is unchanged."""
-    empty = pd.DataFrame({"event_type": pd.Series(dtype="object"),
-                          "n": pd.Series(dtype="int64"),
-                          "p50": pd.Series(dtype="float64"),
-                          "p90": pd.Series(dtype="float64"),
-                          "p99": pd.Series(dtype="float64")})
+    ps = (("p50", 0.50), ("p90", 0.90), ("p99", 0.99))
     ds = _events(sf_dir, ["event_type", "value"]).materialize()
     if ds.count() == 0:
-        return empty
+        return rd.from_arrow(pa.table({
+            "event_type": pa.array([], pa.string()),
+            "n": pa.array([], pa.int64()),
+            **{label: pa.array([], pa.float64()) for label, _ in ps}}))
     bds, totals, type_starts = _binned_counts(ds)
     # driver pass over the COUNT table only: locate, per (type, p), the bin
     # holding rank ceil(p*n) and its 0-based index within that sorted bin
-    ps = (("p50", 0.50), ("p90", 0.90), ("p99", 0.99))
     n_by_type: dict[str, int] = {}
     targets: dict[tuple[str, int], list[tuple[str, int]]] = {}
     types = totals.column("event_type").to_pylist()
@@ -2500,17 +2502,20 @@ def q_quantiles(sf_dir: str) -> Dataset:
 
     picked = collect_table(segment_window(   # <= |types| x 3 rows
         bds.map_batches(keep_target_bins, batch_format="pyarrow"),
-        ["event_type", "bin"], extract, order=("value",))).to_pandas()
-    wide = picked.pivot(index="event_type", columns="which", values="val")
-    out = pd.DataFrame({
-        "event_type": wide.index.to_numpy(),
-        "n": np.array([n_by_type[t] for t in wide.index], dtype=np.int64),
-        **{label: _np_round(wide[label].to_numpy(), 2) for label, _ in ps},
-    })
-    return out.sort_values("event_type").reset_index(drop=True)
+        ["event_type", "bin"], extract, order=("value",)))
+    val = dict(zip(zip(picked.column("event_type").to_pylist(),
+                       picked.column("which").to_pylist()),
+                   picked.column("val").to_pylist()))
+    types = sorted(n_by_type)
+    return rd.from_arrow(pa.table({
+        "event_type": pa.array(types, pa.string()),
+        "n": pa.array([n_by_type[t] for t in types], pa.int64()),
+        **{label: _np_round(np.array([val[t, label] for t in types]), 2)
+           for label, _ in ps},
+    }))
 
 
-def q_schema_listing(sf_dir: str) -> pd.DataFrame:
+def q_schema_listing(sf_dir: str) -> Dataset:
     """O2: schema listing ordered created_at DESC (reference
     routers/schemas.py:114-118). Builds a deterministic registry (the
     built-in invoice schema + the schema discovered from the corpus sample)
@@ -2527,10 +2532,10 @@ def q_schema_listing(sf_dir: str) -> pd.DataFrame:
     save_schema(reg, INVOICE_SCHEMA, created_at="2024-01-01T00:00:00")
     discovered = discover_schema(pages_dataset(sf_dir), sample_size=6)
     save_schema(reg, discovered, created_at="2024-02-01T00:00:00")
-    return list_schemas(reg)
+    return rd.from_arrow(list_schemas(reg))
 
 
-def q_heavy_hitters(sf_dir: str) -> pd.DataFrame:
+def q_heavy_hitters(sf_dir: str) -> Dataset:
     """Heavy hitters: exact corpus-wide top-20 tokens via the two-pass
     Misra-Gries shape (per-batch mergeable sketch -> candidate set ->
     broadcast candidates -> exact partial counts -> tiny groupby). The
@@ -2542,7 +2547,7 @@ def q_heavy_hitters(sf_dir: str) -> pd.DataFrame:
     return heavy_hitters(ds, "text", top_k=20, capacity=256)
 
 
-def q_knn_multiquery(sf_dir: str) -> pd.DataFrame:
+def q_knn_multiquery(sf_dir: str) -> Dataset:
     """Batched ANN: top-10 for 5 query vectors in ONE corpus scan (the
     map's closure carries the query matrix; per-batch (n x d) @ (d x 5)
     matmul, per-query partial top-k merge)."""
@@ -3783,7 +3788,7 @@ def q_top_terms_per_lang(sf_dir: str) -> Dataset:
                           order=[("n", "descending"), "term"])
 
 
-def q_export_csv_check(sf_dir: str) -> pd.DataFrame:
+def q_export_csv_check(sf_dir: str) -> Dataset:
     """S8 CSV export under the driver gate: runs the REAL sink
     (exports.export_csv — header order, all-cells-quoted with doubled
     quotes, ``" | "``-joined arrays with ``,``→``"; "`` inside objects,
@@ -3809,11 +3814,10 @@ def q_export_csv_check(sf_dir: str) -> pd.DataFrame:
             digest = _hl.md5(fh.read()).hexdigest()
     finally:
         _os.unlink(path)
-    return pd.DataFrame({"n_rows": np.array([n], dtype=np.int64),
-                         "content_md5": [digest]})
+    return rd.from_arrow(pa.table({"n_rows": [n], "content_md5": [digest]}))
 
 
-def q_export_json_check(sf_dir: str) -> pd.DataFrame:
+def q_export_json_check(sf_dir: str) -> Dataset:
     """S9 JSON envelope under the driver gate (reference
     EditableResultsTable.tsx:267-288): the real sink with fixed
     batch_id/exported_at (no wall clock in the engine), url-sorted
@@ -3835,14 +3839,14 @@ def q_export_json_check(sf_dir: str) -> pd.DataFrame:
             digest = _hl.md5(fh.read()).hexdigest()
     finally:
         _os.unlink(path)
-    return pd.DataFrame({
-        "total_documents": np.array([env["total_documents"]], dtype=np.int64),
+    return rd.from_arrow(pa.table({
+        "total_documents": [env["total_documents"]],
         "avg_confidence": [_py_round(env["average_confidence"], 6)],
         "content_md5": [digest],
-    })
+    }))
 
 
-def q_discovered_schema(sf_dir: str) -> pd.DataFrame:
+def q_discovered_schema(sf_dir: str) -> Dataset:
     """T2 schema discovery over a deterministic sample — the full reference
     surface: document type + reasoning (schema name/description), typed
     fields, and proposed validation rules (golden-value oracle: the output
@@ -3850,22 +3854,22 @@ def q_discovered_schema(sf_dir: str) -> pd.DataFrame:
     from ..stages.discovery import discover_schema
 
     schema = discover_schema(pages_dataset(sf_dir), sample_size=6)
-    rules = "; ".join(schema.validation_rules)
-    return pd.DataFrame({
+    n = len(schema.fields)  # >= 1: discovery falls back to a text field
+    return rd.from_arrow(pa.table({
         "field": schema.field_names,
         "type": [f.type.value for f in schema.fields],
         "required": [f.required for f in schema.fields],
-        "doc_type": schema.name,
-        "reasoning": schema.description,
-        "rules": rules,
-    })
+        "doc_type": [schema.name] * n,
+        "reasoning": [schema.description] * n,
+        "rules": ["; ".join(schema.validation_rules)] * n,
+    }))
 
 
 # ---------------------------------------------------------------------------
 # round-5 additions: corpus-fit signals + exact-k sampling
 # ---------------------------------------------------------------------------
 
-def _token_freq(docs: Dataset) -> pd.DataFrame:
+def _token_freq(docs: Dataset) -> pa.Table:
     """Corpus term-frequency table (token, n): per-batch ``value_counts``
     partials -> one vocabulary-bounded groupby (prune by min count at web
     scale). THE tokenization/count rule for every vocab consumer —
@@ -3886,7 +3890,7 @@ def _token_freq(docs: Dataset) -> pd.DataFrame:
 
     return collect_table(partial_groupby(
         docs.map_batches(tf_partial, batch_format="pyarrow"),
-        "token", n=("n", "sum"))).to_pandas()  # bounded by vocabulary
+        "token", n=("n", "sum")))  # bounded by vocabulary
 
 
 def _unigram_logp(docs: Dataset) -> tuple[pa.Array, np.ndarray]:
@@ -3899,10 +3903,11 @@ def _unigram_logp(docs: Dataset) -> tuple[pa.Array, np.ndarray]:
     import math
 
     freq = _token_freq(docs)
-    total = int(freq["n"].sum())
-    logp = np.fromiter((math.log(int(c) / total) for c in freq["n"]),
-                       dtype=np.float64, count=len(freq))
-    return pa.array(freq["token"], pa.string()), logp
+    counts = freq.column("n").to_pylist()
+    total = sum(counts)
+    logp = np.fromiter((math.log(c / total) for c in counts),
+                       dtype=np.float64, count=len(counts))
+    return freq.column("token").combine_chunks().cast(pa.string()), logp
 
 
 def _unigram_scores(b: pa.Table, vocab: pa.Array,
@@ -4011,10 +4016,9 @@ def q_oov_rate(sf_dir: str) -> Dataset:
     from ..functions.tokenize import flat_tokens
 
     docs = _docs(sf_dir, ["doc_id", "text"])
-    freq = _token_freq(docs).sort_values(
-        ["n", "token"], ascending=[False, True],
-        kind="mergesort").head(OOV_VOCAB_K)
-    vocab = pa.array(freq["token"], pa.string())
+    freq = _token_freq(docs).sort_by(
+        [("n", "descending"), ("token", "ascending")]).slice(0, OOV_VOCAB_K)
+    vocab = freq.column("token").combine_chunks().cast(pa.string())
 
     def rate(b: pa.Table) -> pa.Table:
         toks, row_idx = flat_tokens(b.column("text"))
@@ -4038,7 +4042,7 @@ def q_oov_rate(sf_dir: str) -> Dataset:
 BOTTOMK_K = 100  # exact sample size
 
 
-def q_bottomk_sample(sf_dir: str) -> pd.DataFrame:
+def q_bottomk_sample(sf_dir: str) -> Dataset:
     """Exact-k uniform sample via a bottom-k (KMV) sketch: keep the K docs
     with the smallest ``splitmix64(doc_id)`` — a deterministic,
     rerun/cluster-stable uniform sample of EXACTLY K rows (hash_sample's
@@ -4062,8 +4066,9 @@ def q_bottomk_sample(sf_dir: str) -> pd.DataFrame:
         return b.append_column("hv", pa.array(hv, pa.uint64()))
 
     cands = collect_table(typed_map(docs, partial))  # <= K x blocks rows
-    return cands.sort_by([("hv", "ascending"), ("doc_id", "ascending")]).slice(
-        0, BOTTOMK_K).drop_columns(["hv"]).to_pandas()
+    return rd.from_arrow(cands.sort_by(
+        [("hv", "ascending"), ("doc_id", "ascending")]).slice(
+        0, BOTTOMK_K).drop_columns(["hv"]))
 
 
 SELF_DUP_WIN = 3  # tokens per window; stride 1 (intra-doc repetition grain)

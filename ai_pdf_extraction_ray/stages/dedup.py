@@ -27,10 +27,9 @@ finding).
 
 from __future__ import annotations
 
-from collections.abc import Callable, Sequence
+from collections.abc import Callable, Mapping, Sequence
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
@@ -536,11 +535,10 @@ def minhash_candidate_pairs(
 
 
 def _sorted_pairs(ds: Dataset, keys: Sequence[str] = ("doc_a", "doc_b")
-                  ) -> pd.DataFrame:
-    """A bounded pair set as one driver frame, rows sorted by its two id
+                  ) -> pa.Table:
+    """A bounded pair set as one driver table, rows sorted by its two id
     columns. ``collect_table`` keeps the typed columns of an empty set."""
-    return collect_table(ds).sort_by(
-        [(k, "ascending") for k in keys]).to_pandas()
+    return collect_table(ds).sort_by([(k, "ascending") for k in keys])
 
 
 def _pairs_with_texts(cand: Dataset, docs: Dataset,
@@ -606,7 +604,7 @@ def verify_pairs_jaccard(cand: Dataset, docs: Dataset, *, k: int = 3,
     return _pairs_with_texts(cand, docs, jac_batch)
 
 
-def minhash_near_dups(sf_dir: str, *, threshold: float = 0.8) -> pd.DataFrame:
+def minhash_near_dups(sf_dir: str, *, threshold: float = 0.8) -> Dataset:
     """MinHash LSH candidates + distributed exact-Jaccard verify.
 
     Returns (doc_a, doc_b, jaccard) pairs at/above threshold. End-to-end
@@ -615,7 +613,8 @@ def minhash_near_dups(sf_dir: str, *, threshold: float = 0.8) -> pd.DataFrame:
     J >= 0.9, where 16-band/4-row LSH recall is ~1 - 1e-44, so the result
     equals the SQL all-pairs form exactly (queries.py minhash_near_dups).
     """
-    return _sorted_pairs(minhash_near_dup_pairs_ds(sf_dir, threshold=threshold))
+    return rd.from_arrow(_sorted_pairs(
+        minhash_near_dup_pairs_ds(sf_dir, threshold=threshold)))
 
 
 def minhash_near_dup_pairs_ds(
@@ -790,9 +789,9 @@ def _pair_stat_arrays(
     return c, na, nbn, inter_ub
 
 
-def ngram_jaccard_dups(sf_dir: str, *, threshold: float = 0.8) -> pd.DataFrame:
+def ngram_jaccard_dups(sf_dir: str, *, threshold: float = 0.8) -> Dataset:
     """Exact word-3-gram Jaccard near-dup pairs via rare-gram blocking, as
-    a sorted (doc_a, doc_b, jaccard) frame — the verified pair set is the
+    a sorted (doc_a, doc_b, jaccard) Dataset — the verified pair set is the
     only driver payload.
 
     The deterministic sibling of MinHash LSH: a pair qualifies iff the
@@ -837,8 +836,8 @@ def ngram_jaccard_dups(sf_dir: str, *, threshold: float = 0.8) -> pd.DataFrame:
         return pa.table({"doc_a": b.column("doc_a"),
                          "doc_b": b.column("doc_b")})
 
-    return _sorted_pairs(verify_pairs_jaccard(
-        typed_map(cand, prefilter), docs, threshold=threshold))
+    return rd.from_arrow(_sorted_pairs(verify_pairs_jaccard(
+        typed_map(cand, prefilter), docs, threshold=threshold)))
 
 
 # ---------------------------------------------------------------------------
@@ -903,9 +902,9 @@ def levenshtein_banded(a: str, b: str, cutoff: int) -> int:
     return prev[lb] if prev[lb] <= cutoff else big
 
 
-def edit_distance_dups(sf_dir: str) -> pd.DataFrame:
+def edit_distance_dups(sf_dir: str) -> Dataset:
     """Character-edit-distance near-dup pairs over rare-gram-blocked
-    candidates, as a sorted (doc_a, doc_b, edit_dist) frame — the
+    candidates, as a sorted (doc_a, doc_b, edit_dist) Dataset — the
     verified pair set is the only driver payload. A pair qualifies iff
     the docs share >= 1 word 3-gram with document frequency in
     [2, NGRAM_DF_CAP] (``rare_blocked_pair_stats`` — same candidacy
@@ -961,8 +960,8 @@ def edit_distance_dups(sf_dir: str) -> pd.DataFrame:
             "edit_dist": dists.filter(keep),
         })
 
-    return _sorted_pairs(_pairs_with_texts(typed_map(cand, prefilter), docs,
-                                           lev_batch))
+    return rd.from_arrow(_sorted_pairs(_pairs_with_texts(
+        typed_map(cand, prefilter), docs, lev_batch)))
 
 
 # ---------------------------------------------------------------------------
@@ -1085,7 +1084,7 @@ def _simhash_bucket_pairs(
 
 
 def simhash_near_dups(sf_dir: str, *, max_hamming: int = 3,
-                      bucket_cap: int = BUCKET_CAP) -> pd.DataFrame:
+                      bucket_cap: int = BUCKET_CAP) -> Dataset:
     """Banded SimHash near-dup: docs sharing any 16-bit sub-band are
     candidates (guarantees recall for Hamming distance <= 3 over 4 bands),
     verified by full Hamming distance.
@@ -1134,8 +1133,8 @@ def simhash_near_dups(sf_dir: str, *, max_hamming: int = 3,
     # dedupe pairs found in multiple bands: hamming is a function of the
     # two signatures so duplicates agree on it — a native Min aggregate
     # keeps the value
-    return _sorted_pairs(partial_groupby(cand, ["doc_a", "doc_b"],
-                                         hamming=("hamming", "min")))
+    return rd.from_arrow(_sorted_pairs(partial_groupby(
+        cand, ["doc_a", "doc_b"], hamming=("hamming", "min"))))
 
 
 # ---------------------------------------------------------------------------
@@ -1235,7 +1234,7 @@ def _cosine_bucket_pairs(g: pa.Table, threshold: float,
 def embedding_near_dups_lsh(
     sf_dir: str, *, threshold: float = 0.9, bits: int = 8, tables: int = 8,
     bucket_cap: int = BUCKET_CAP,
-) -> pd.DataFrame:
+) -> Dataset:
     """Embedding-cosine near-dup pairs via hyperplane LSH blocking + exact
     cosine verify — the content-blind scale path next to the label-blocked
     exact form (queries.q_embedding_dup_pairs).
@@ -1265,9 +1264,9 @@ def embedding_near_dups_lsh(
     # cross-table dedupe: one tiny aggregate over survivors (cos is
     # identical for the same pair in every table, so max is a no-op
     # merge), never the candidate set
-    return _sorted_pairs(partial_groupby(verified, ["vec_a", "vec_b"],
-                                         cos=("cos", "max")),
-                         ("vec_a", "vec_b"))
+    return rd.from_arrow(_sorted_pairs(
+        partial_groupby(verified, ["vec_a", "vec_b"], cos=("cos", "max")),
+        ("vec_a", "vec_b")))
 
 
 # ---------------------------------------------------------------------------
@@ -1284,8 +1283,10 @@ def dedup_extractions_by_payload(extractions: Dataset) -> Dataset:
 # near-dup cluster formation (connected components -> canonical doc)
 # ---------------------------------------------------------------------------
 
-def cluster_pairs(pairs: pd.DataFrame) -> tuple[dict[int, int], dict[int, int]]:
-    """Union-find (path compression) over (doc_a, doc_b) edges.
+def cluster_pairs(pairs: Mapping[str, Sequence[int]]
+                  ) -> tuple[dict[int, int], dict[int, int]]:
+    """Union-find (path compression) over (doc_a, doc_b) edges, read by
+    column name (``pa.Table.to_pydict()``).
 
     Returns (label, size): every node appearing in a pair maps to its
     connected component's MIN doc_id; size counts members per label.
@@ -1415,7 +1416,7 @@ def near_dup_clusters(sf_dir: str, *, threshold: float = 0.5) -> "Dataset":
     docs = rd.read_parquet(f"{sf_dir}/documents.parquet", columns=["doc_id"])
 
     if fits_broadcast(pairs):
-        label, size = cluster_pairs(collect_table(pairs).to_pandas())
+        label, size = cluster_pairs(collect_table(pairs).to_pydict())
         clusters = rd.from_arrow(pa.table({
             "node": pa.array(list(label), pa.int64()),
             "cluster_id": pa.array(list(label.values()), pa.int64()),

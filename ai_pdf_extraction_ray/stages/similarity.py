@@ -25,7 +25,6 @@ from __future__ import annotations
 from collections.abc import Iterable
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
 
 import ray.data as rd
@@ -60,7 +59,7 @@ _emb_matrix = emb_matrix  # internal call sites predate the public name
 def _cosine_topk(ds: Dataset, queries: np.ndarray, k: int, *,
                  query_ids: list[int] | None = None,
                  exclude: Iterable[int] = (),
-                 exclude_self: bool = False) -> pd.DataFrame:
+                 exclude_self: bool = False) -> pa.Table:
     """Exact cosine top-k of each query row of ``queries`` over ``ds``'s
     (vec_id, embedding) rows: (query_id, vec_id, cos), k rows per query,
     ranked by cos rounded to 6 dp (descending) then vec_id — the oracles'
@@ -95,7 +94,7 @@ def _cosine_topk(ds: Dataset, queries: np.ndarray, k: int, *,
                              "vec_id": pa.array(ids[r], pa.int64()),
                              "cos": pa.array(cos[r, m], pa.float64())}))
 
-    return top(collect_table(typed_map(ds, local_topk))).to_pandas()
+    return top(collect_table(typed_map(ds, local_topk)))
 
 
 def _embeddings(sf_dir: str) -> Dataset:
@@ -105,16 +104,16 @@ def _embeddings(sf_dir: str) -> Dataset:
 
 def knn_flat(
     sf_dir: str, query: np.ndarray, k: int = 10, *, exclude: set[int] | None = None
-) -> pd.DataFrame:
+) -> Dataset:
     """Exact cosine top-k of one query vector: (vec_id, cos)."""
-    return _cosine_topk(_embeddings(sf_dir), query, k,
-                        exclude=exclude or ()).drop(columns=["query_id"])
+    top = _cosine_topk(_embeddings(sf_dir), query, k, exclude=exclude or ())
+    return rd.from_arrow(top.drop_columns(["query_id"]))
 
 
 def knn_multiquery(
     sf_dir: str, queries: np.ndarray, k: int = 10, *,
     query_ids: list[int] | None = None,
-) -> pd.DataFrame:
+) -> Dataset:
     """Batched exact top-k: ONE scan answers M queries (the batched-inference
     shape — per-batch (n x d) @ (d x M) matmul; the shuffle carries M*k
     partial rows per batch, never vectors).
@@ -126,8 +125,9 @@ def knn_multiquery(
     ``query_ids`` (i.e. the queries ARE corpus rows): with synthesized
     0..M-1 ids, excluding vid == qid would wrongly drop unrelated corpus
     vectors 0..M-1 from external-query results (review finding)."""
-    return _cosine_topk(_embeddings(sf_dir), queries, k, query_ids=query_ids,
-                        exclude_self=query_ids is not None)
+    top = _cosine_topk(_embeddings(sf_dir), queries, k, query_ids=query_ids,
+                       exclude_self=query_ids is not None)
+    return rd.from_arrow(top)
 
 
 # ---------------------------------------------------------------------------
@@ -251,7 +251,7 @@ def read_probed_lists(index_dir: str, probe: list[int]) -> Dataset:
 def knn_ivf(
     sf_dir: str, query: np.ndarray, k: int = 10, *, nlist: int = 16,
     nprobe: int = 4, exclude: set[int] | None = None,
-) -> pd.DataFrame:
+) -> Dataset:
     """Approximate top-k: read only the nprobe partitions nearest the query.
 
     Index builds lazily on first use and is reused across queries (the
@@ -265,5 +265,6 @@ def knn_ivf(
         cents = build_ivf_index(sf_dir, index_dir, nlist=nlist)
     q = _normalize(np.asarray(query, dtype=np.float64))
     probe = np.argsort(-(cents @ q))[:nprobe].tolist()
-    return _cosine_topk(read_probed_lists(index_dir, probe), query, k,
-                        exclude=exclude or ()).drop(columns=["query_id"])
+    top = _cosine_topk(read_probed_lists(index_dir, probe), query, k,
+                       exclude=exclude or ())
+    return rd.from_arrow(top.drop_columns(["query_id"]))

@@ -13,10 +13,10 @@ finding), p=12 (4096 registers, ~1.6% standard error).
 from __future__ import annotations
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
+import ray.data as rd
 from ray.data import Dataset
 
 from ..functions.fasthash import hash64_ints, hash64_strs
@@ -177,7 +177,7 @@ def mg_merge(sketches: list[dict], capacity: int) -> dict:
 
 def heavy_hitters(
     ds: Dataset, tokenize_col: str, *, top_k: int = 20, capacity: int = 256
-) -> pd.DataFrame:
+) -> Dataset:
     """Exact corpus-wide top-k tokens via the two-pass MG shape:
 
     pass 1 — one MG sketch per batch (map_batches), tree-merged IN THE
@@ -273,18 +273,14 @@ def heavy_hitters(
     exact = collect_table(partial_groupby(
         partials.map_batches(exact_partial, batch_format="pyarrow"), "token",
         n=("n_part", "sum"),
-    )).to_pandas()
-    exact["n"] = exact["n"].astype("int64")
-    return (
-        exact.sort_values(["n", "token"], ascending=[False, True])
-        .head(top_k)
-        .reset_index(drop=True)
-    )
+    ))
+    return rd.from_arrow(exact.sort_by(
+        [("n", "descending"), ("token", "ascending")]).slice(0, top_k))
 
 
 def approx_distinct(
     ds: Dataset, key_col: str, value_col: str
-) -> pd.DataFrame:
+) -> Dataset:
     """Per-key approximate distinct count of ``value_col``.
 
     Stage 1 (map_batches): one sketch per key per batch.
@@ -310,12 +306,8 @@ def approx_distinct(
         return pa.table({key_col: t.column(key_col).take(starts),
                          "approx_distinct": pa.array(est, pa.int64())})
 
-    return (
-        collect_table(segment_window(typed_map(ds, partial), key_col, merge))
-        .to_pandas()
-        .sort_values(key_col)
-        .reset_index(drop=True)
-    )
+    return rd.from_arrow(collect_table(
+        segment_window(typed_map(ds, partial), key_col, merge)).sort_by(key_col))
 
 
 # ---------------------------------------------------------------------------

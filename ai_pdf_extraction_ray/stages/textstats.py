@@ -14,7 +14,6 @@ from functools import cached_property
 
 import numpy as np
 from ..functions.tokenize import lower_parity
-import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 

@@ -13,7 +13,7 @@ import json
 import os
 import tempfile
 
-import pandas as pd
+import pyarrow as pa
 
 from ..schema import SchemaDefinition
 
@@ -42,7 +42,11 @@ def save_schema(
     return dest
 
 
-def list_schemas(registry_dir: str) -> pd.DataFrame:
+_LISTING = pa.schema({"name": pa.string(), "version": pa.string(),
+                      "n_fields": pa.int64(), "created_at": pa.string()})
+
+
+def list_schemas(registry_dir: str) -> pa.Table:
     """(name, version, n_fields, created_at) ordered created_at DESC then
     name — the reference's listing order with a deterministic tie-break."""
     rows = []
@@ -64,10 +68,8 @@ def list_schemas(registry_dir: str) -> pd.DataFrame:
                 # must not break listing for every schema — the same
                 # tolerance manifest.py applies (review finding)
                 continue
-    df = pd.DataFrame(rows, columns=["name", "version", "n_fields", "created_at"])
-    df["n_fields"] = df["n_fields"].astype("int64")
-    return (df.sort_values(["created_at", "name"], ascending=[False, True])
-            .reset_index(drop=True))
+    return pa.Table.from_pylist(rows, schema=_LISTING).sort_by(
+        [("created_at", "descending"), ("name", "ascending")])
 
 
 def load_schema(registry_dir: str, name: str, version: str) -> SchemaDefinition:

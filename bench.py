@@ -85,13 +85,8 @@ BENCH_QUERIES = [
 ]
 
 
-def _consume(result) -> int:  # noqa: ANN001 — Dataset | DataFrame | Table
-    import pandas as pd
-    import pyarrow as pa
-
-    if isinstance(result, (pd.DataFrame, pa.Table)):
-        return len(result)
-    # Dataset: full consumption through the streaming executor
+def _consume(result) -> int:  # noqa: ANN001 — Dataset
+    """Rows of a query's Dataset, consumed through the streaming executor."""
     n = 0
     for batch in result.iter_batches(batch_size=4096, batch_format="pyarrow"):
         n += batch.num_rows

@@ -273,7 +273,8 @@ class TestBucketWindow:
             SimHasher, _simhash_bucket_pairs, simhash_near_dups)
 
         sf_dir, docs, _ = corpus
-        got = simhash_near_dups(sf_dir, max_hamming=6, bucket_cap=cap)
+        got = simhash_near_dups(sf_dir, max_hamming=6,
+                                bucket_cap=cap).to_pandas()
         sigs = SimHasher()(docs).to_pandas()
         rows = pd.concat([
             sigs[["doc_id", "simhash"]].assign(band_id=band,
@@ -301,7 +302,7 @@ class TestBucketWindow:
         sf_dir, _, emb = corpus
         assert self._blocks(f"{sf_dir}/embeddings.parquet") >= 8
         got = embedding_near_dups_lsh(sf_dir, threshold=0.4, bits=4,
-                                      tables=16, bucket_cap=cap)
+                                      tables=16, bucket_cap=cap).to_pandas()
         rows = HyperplaneHasher(4, 16, carry_vectors=True)(emb).to_pandas()
 
         def kernel(g: pd.DataFrame) -> set:
@@ -339,7 +340,7 @@ class TestSingletonBuckets:
         import pyarrow.parquet as pq
 
         from ai_pdf_extraction_ray.stages.dedup import (
-            SimHasher, simhash_near_dups)
+            SimHasher, collect_table, simhash_near_dups)
 
         docs = pa.table({"doc_id": pa.array([0, 1], pa.int64()), "text": [
             "alpha beta gamma delta epsilon", "one two three four five"]})
@@ -347,7 +348,7 @@ class TestSingletonBuckets:
         assert all(len(set(sigs.column(f"band_{b}").to_pylist())) == 2
                    for b in range(4))
         pq.write_table(docs, tmp_path / "documents.parquet")
-        got = simhash_near_dups(str(tmp_path))
+        got = collect_table(simhash_near_dups(str(tmp_path))).to_pandas()
         assert len(got) == 0
         assert dict(got.dtypes.astype(str)) == {
             "doc_a": "int64", "doc_b": "int64", "hamming": "int64"}
@@ -356,7 +357,8 @@ class TestSingletonBuckets:
         import pyarrow as pa
         import pyarrow.parquet as pq
 
-        from ai_pdf_extraction_ray.stages.dedup import embedding_near_dups_lsh
+        from ai_pdf_extraction_ray.stages.dedup import (
+            collect_table, embedding_near_dups_lsh)
 
         v = np.random.RandomState(3).normal(size=16).astype(np.float32)
         # v and -v fall on opposite sides of every hyperplane
@@ -365,7 +367,8 @@ class TestSingletonBuckets:
             "embedding": pa.array([v.tolist(), (-v).tolist()],
                                   pa.list_(pa.float32()))}),
             tmp_path / "embeddings.parquet")
-        got = embedding_near_dups_lsh(str(tmp_path), threshold=-1.0)
+        got = collect_table(embedding_near_dups_lsh(
+            str(tmp_path), threshold=-1.0)).to_pandas()
         assert len(got) == 0
         assert dict(got.dtypes.astype(str)) == {
             "vec_a": "int64", "vec_b": "int64", "cos": "float64"}
@@ -495,7 +498,7 @@ class TestSimilarity:
         order = np.lexsort((emb.vec_id.values, -np.round(cos, 6)))
         expected = [v for v in emb.vec_id.values[order] if v != 0][:5]
 
-        got = knn_flat(SF, X[0], k=5, exclude={0})
+        got = knn_flat(SF, X[0], k=5, exclude={0}).to_pandas()
         assert got.vec_id.tolist() == expected
 
     def test_ivf_recall_vs_flat(self, ray_session):
@@ -505,11 +508,13 @@ class TestSimilarity:
 
         emb = pq.read_table(f"{SF}/embeddings.parquet").to_pandas()
         X = np.stack(emb.embedding.values).astype(np.float64)
-        exact = set(knn_flat(SF, X[0], k=10, exclude={0}).vec_id)
-        approx = set(knn_ivf(SF, X[0], k=10, nlist=8, nprobe=8, exclude={0}).vec_id)
+        exact = set(knn_flat(SF, X[0], k=10, exclude={0}).to_pandas().vec_id)
+        approx = set(knn_ivf(SF, X[0], k=10, nlist=8, nprobe=8,
+                             exclude={0}).to_pandas().vec_id)
         # nprobe == nlist => exhaustive => equal to exact
         assert approx == exact
-        some = set(knn_ivf(SF, X[0], k=10, nlist=8, nprobe=3, exclude={0}).vec_id)
+        some = set(knn_ivf(SF, X[0], k=10, nlist=8, nprobe=3,
+                           exclude={0}).to_pandas().vec_id)
         assert len(some & exact) >= 5  # partial probe keeps decent recall
 
 
@@ -546,7 +551,8 @@ class TestHyperLogLog:
 
         ds = rd.read_parquet("/root/testdata/sf0.001/events.parquet",
                              columns=["event_type", "user_id"])
-        approx = approx_distinct(ds, "event_type", "user_id").set_index("event_type")
+        approx = approx_distinct(ds, "event_type", "user_id").to_pandas(
+        ).set_index("event_type")
         exact = (
             rd.read_parquet("/root/testdata/sf0.001/events.parquet",
                             columns=["event_type", "user_id"])
@@ -598,7 +604,8 @@ class TestEmptyCandidates:
         import pyarrow as pa
         import pyarrow.parquet as pq
 
-        from ai_pdf_extraction_ray.stages.dedup import minhash_near_dups
+        from ai_pdf_extraction_ray.stages.dedup import (
+            collect_table, minhash_near_dups)
 
         tbl = pa.table({
             "doc_id": pa.array([0, 1], pa.int64()),
@@ -606,7 +613,8 @@ class TestEmptyCandidates:
                      "one two three four five six seven"],
         })
         pq.write_table(tbl, tmp_path / "documents.parquet")
-        out = minhash_near_dups(str(tmp_path), threshold=0.5)
+        out = collect_table(minhash_near_dups(str(tmp_path),
+                                              threshold=0.5)).to_pandas()
         assert len(out) == 0
         assert list(out.columns) == ["doc_a", "doc_b", "jaccard"]
         assert out.doc_a.dtype == "int64"
@@ -641,7 +649,8 @@ class TestHeavyHitters:
             "text": (["alpha beta gamma"] * 50 + ["beta gamma"] * 30
                      + [f"rare{i}" for i in range(40)]),
         })
-        out = heavy_hitters(rd.from_pandas(docs), "text", top_k=3, capacity=32)
+        out = heavy_hitters(rd.from_pandas(docs), "text", top_k=3,
+                            capacity=32).to_pandas()
         assert out.token.tolist() == ["beta", "gamma", "alpha"]
         assert out.n.tolist() == [80, 80, 50]
 
@@ -654,9 +663,9 @@ class TestMultiQuery:
 
         emb = pq.read_table(f"{SF}/embeddings.parquet").to_pandas()
         X = np.stack(emb.embedding.values).astype(np.float64)
-        got = knn_multiquery(SF, X[:3], k=5, query_ids=[0, 1, 2])
+        got = knn_multiquery(SF, X[:3], k=5, query_ids=[0, 1, 2]).to_pandas()
         for qid in range(3):
-            expect = knn_flat(SF, X[qid], k=5, exclude={qid})
+            expect = knn_flat(SF, X[qid], k=5, exclude={qid}).to_pandas()
             sub = got[got.query_id == qid]
             assert sub.vec_id.tolist() == expect.vec_id.tolist(), qid
             assert np.allclose(sub.cos.to_numpy(), expect.cos.to_numpy())
@@ -672,7 +681,7 @@ class TestMultiQuery:
 
         emb = pq.read_table(f"{SF}/embeddings.parquet").to_pandas()
         X = np.stack(emb.embedding.values).astype(np.float64)
-        got = knn_multiquery(SF, X[:2], k=3)   # no query_ids supplied
+        got = knn_multiquery(SF, X[:2], k=3).to_pandas()  # no query_ids
         top = got[got.query_id == 0].iloc[0]
         assert top.vec_id == 0 and top.cos == 1.0
         top1 = got[got.query_id == 1].iloc[0]
@@ -697,7 +706,7 @@ class TestEmbeddingLsh:
         })
         pq.write_table(tbl, tmp_path / "embeddings.parquet")
         out = embedding_near_dups_lsh(str(tmp_path), threshold=0.95,
-                                      bits=8, tables=8)
+                                      bits=8, tables=8).to_pandas()
         found = set(map(tuple, out[["vec_a", "vec_b"]].to_numpy()))
         # exact duplicates share every bucket in every table -> always found
         assert (3, 150) in found
@@ -948,7 +957,7 @@ class TestNgramJaccard:
         })
         pq.write_table(tbl, tmp_path / "documents.parquet")
 
-        out = ngram_jaccard_dups(str(tmp_path), threshold=0.8)
+        out = ngram_jaccard_dups(str(tmp_path), threshold=0.8).to_pandas()
         got = set(zip(out.doc_a, out.doc_b))
         assert got == {(0, 1), (2, len(texts) - 1)}
         j = dict(zip(zip(out.doc_a, out.doc_b), out.jaccard))
@@ -962,7 +971,8 @@ class TestNgramJaccard:
         import pyarrow as pa
         import pyarrow.parquet as pq
 
-        from ai_pdf_extraction_ray.stages.dedup import ngram_jaccard_dups
+        from ai_pdf_extraction_ray.stages.dedup import (
+            collect_table, ngram_jaccard_dups)
 
         shared = "alpha beta gamma"
         tbl = pa.table({
@@ -971,7 +981,8 @@ class TestNgramJaccard:
                      shared + " " + " ".join(f"y{i}" for i in range(30))],
         })
         pq.write_table(tbl, tmp_path / "documents.parquet")
-        out = ngram_jaccard_dups(str(tmp_path), threshold=0.8)
+        out = collect_table(ngram_jaccard_dups(
+            str(tmp_path), threshold=0.8)).to_pandas()
         assert len(out) == 0
         assert list(out.columns) == ["doc_a", "doc_b", "jaccard"]
 
@@ -981,7 +992,8 @@ class TestNgramJaccard:
         import pyarrow as pa
         import pyarrow.parquet as pq
 
-        from ai_pdf_extraction_ray.stages.dedup import ngram_jaccard_dups
+        from ai_pdf_extraction_ray.stages.dedup import (
+            collect_table, ngram_jaccard_dups)
 
         tbl = pa.table({
             "doc_id": pa.array([0, 1], pa.int64()),
@@ -989,7 +1001,8 @@ class TestNgramJaccard:
                      "one two three four five six seven"],
         })
         pq.write_table(tbl, tmp_path / "documents.parquet")
-        out = ngram_jaccard_dups(str(tmp_path), threshold=0.8)
+        out = collect_table(ngram_jaccard_dups(
+            str(tmp_path), threshold=0.8)).to_pandas()
         assert len(out) == 0
         assert out.doc_a.dtype == "int64"
 
@@ -1086,7 +1099,7 @@ class TestEditDistance:
         tbl = pa.table({"doc_id": pa.array(range(len(texts)), pa.int64()),
                         "text": texts})
         pq.write_table(tbl, tmp_path / "documents.parquet")
-        out = edit_distance_dups(str(tmp_path))
+        out = edit_distance_dups(str(tmp_path)).to_pandas()
         got = {(a, b): d for a, b, d in
                zip(out.doc_a, out.doc_b, out.edit_dist)}
         assert got[(0, 1)] == 5
@@ -1100,7 +1113,8 @@ class TestEditDistance:
         import pyarrow as pa
         import pyarrow.parquet as pq
 
-        from ai_pdf_extraction_ray.stages.dedup import edit_distance_dups
+        from ai_pdf_extraction_ray.stages.dedup import (
+            collect_table, edit_distance_dups)
 
         tbl = pa.table({
             "doc_id": pa.array([0, 1], pa.int64()),
@@ -1108,7 +1122,7 @@ class TestEditDistance:
                      "one two three four five six seven"],
         })
         pq.write_table(tbl, tmp_path / "documents.parquet")
-        out = edit_distance_dups(str(tmp_path))
+        out = collect_table(edit_distance_dups(str(tmp_path))).to_pandas()
         assert len(out) == 0
         assert list(out.columns) == ["doc_a", "doc_b", "edit_dist"]
         assert out.edit_dist.dtype == "int64"

@@ -237,7 +237,7 @@ class TestSchemaRegistry:
         reg = str(tmp_path / "reg")
         save_schema(reg, a, created_at="2024-01-01T00:00:00")
         save_schema(reg, b, created_at="2024-03-01T00:00:00")
-        df = list_schemas(reg)
+        df = list_schemas(reg).to_pandas()
         # newest first (reference ORDER BY created_at DESC)
         assert df.name.tolist() == ["beta", "alpha"]
         assert df.n_fields.tolist() == [2, 1]
@@ -252,13 +252,13 @@ class TestSchemaRegistry:
         s = SchemaDefinition(name="dup", fields=[FieldDefinition("f")])
         save_schema(reg, s, created_at="2024-01-01T00:00:00")
         save_schema(reg, s, created_at="2024-06-01T00:00:00")
-        df = list_schemas(reg)
+        df = list_schemas(reg).to_pandas()
         assert len(df) == 1
         assert df.created_at.iloc[0] == "2024-06-01T00:00:00"
 
     def test_empty_registry(self, tmp_path):
         from ai_pdf_extraction_ray.state.schema_registry import list_schemas
 
-        df = list_schemas(str(tmp_path / "missing"))
+        df = list_schemas(str(tmp_path / "missing")).to_pandas()
         assert len(df) == 0
         assert list(df.columns) == ["name", "version", "n_fields", "created_at"]

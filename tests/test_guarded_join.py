@@ -18,6 +18,7 @@ import pytest
 
 from ai_pdf_extraction_ray.pipelines.goldens import GOLDEN_SQL
 from ai_pdf_extraction_ray.pipelines.queries import QUERIES, q_pagerank
+from ai_pdf_extraction_ray.stages.dedup import collect_table
 from tests.conftest import REPO_ROOT, SF_SMOKE
 
 PKG = REPO_ROOT / "ai_pdf_extraction_ray"
@@ -60,16 +61,12 @@ SEGMENT_WINDOW_CALLERS = sorted(
        "simhash_near_dups", "embedding_near_dups_lsh", "near_dup_clusters"})
 
 
-def _rows(out) -> int:  # noqa: ANN001 — Dataset or DataFrame
-    return len(out) if isinstance(out, pd.DataFrame) else len(out.take_all())
+def _rows(out) -> int:  # noqa: ANN001 — Dataset
+    return len(out.take_all())
 
 
-def _columns(out) -> tuple[list[str], int]:  # noqa: ANN001 — Dataset or DataFrame
+def _columns(out) -> tuple[list[str], int]:  # noqa: ANN001 — Dataset
     """The result's column names, in order, and its row count."""
-    from ai_pdf_extraction_ray.stages.dedup import collect_table
-
-    if isinstance(out, pd.DataFrame):
-        return list(out.columns), len(out)
     t = collect_table(out)
     return t.column_names, t.num_rows
 
@@ -539,13 +536,15 @@ class TestDegenerateInputs:
         self._check_empty(empty_sf, name)
 
     @pytest.mark.parametrize("name", [
-        "bottomk_sample", "knn_bruteforce", "knn_ivf", "knn_multiquery",
+        "bottomk_sample", "edit_dist_dups", "knn_bruteforce", "knn_ivf",
+        "knn_multiquery", "ngram_jaccard_dups", "run_report",
         "unigram_logprob"])
     def test_collected_query_on_empty_tables(self, ray_session, empty_sf,
                                              name):
-        """Queries that pick query vectors or collect per-block partials
-        into one table: no query row and no partial row give no rows,
-        typed."""
+        """Queries that pick query vectors, collect per-block partials
+        into one table or report a job's manifest: no query row and no
+        partial row give the oracle's rows, typed (``rd.from_arrow`` of
+        the driver's table)."""
         self._check_empty(empty_sf, name)
 
     @pytest.mark.parametrize("name", ["self_dup_spans"])
@@ -554,26 +553,64 @@ class TestDegenerateInputs:
         ``typed_map``, so zero rows keep the smoke tables' columns."""
         self._check_empty(empty_sf, name)
 
-    @pytest.mark.parametrize("name", ["discovered_schema", "schema_listing"])
+    def test_cli_prints_columns_on_empty_tables(self, ray_session, empty_sf,
+                                                monkeypatch, capsys):
+        """The CLI reads a result through ``collect_table``: a typed
+        zero-row result prints its columns, which ``Dataset.to_pandas()``
+        drops."""
+        import ray
+
+        from ai_pdf_extraction_ray.__main__ import main
+
+        # the CLI ends its Ray session; keep the test session's
+        monkeypatch.setattr(ray, "shutdown", lambda: None)
+        assert main(["query", "pricing_summary", "--sf-dir", empty_sf]) == 0
+        cols = _columns(QUERIES["pricing_summary"]["fn"](SF_SMOKE))[0]
+        out = capsys.readouterr().out
+        assert f"Columns: [{', '.join(cols)}]" in out
+        assert "... 0 rows" in out
+
+    @pytest.mark.parametrize("name", [
+        "discovered_schema", "export_csv_check", "export_json_check",
+        "schema_listing"])
     def test_schema_discovery_on_empty_tables(self, ray_session, empty_sf,
                                               name):
-        """No pages to sample: discovery falls back to its one ``text``
-        field instead of raising, with the smoke tables' columns. These
-        are golden-oracle queries, so the oracle's 0 rows do not apply."""
+        """No pages: discovery falls back to its one ``text`` field instead
+        of raising, and the export checks run the real sink on an empty
+        extraction, with the smoke tables' columns. These are
+        golden-oracle queries, so the oracle's 0 rows do not apply."""
         fn = QUERIES[name]["fn"]
-        out = fn(empty_sf)
-        assert _columns(out)[0] == _columns(fn(SF_SMOKE))[0]
+        out = collect_table(fn(empty_sf))
+        assert out.column_names == _columns(fn(SF_SMOKE))[0]
         if name == "discovered_schema":
-            assert list(out["field"]) == ["text"]
-            assert list(out["type"]) == ["string"]
+            assert out.column("field").to_pylist() == ["text"]
+            assert out.column("type").to_pylist() == ["string"]
 
 
-def _result_table(out) -> pa.Table:  # noqa: ANN001 — Dataset or DataFrame
-    from ai_pdf_extraction_ray.stages.dedup import collect_table
+class TestNoPandas:
+    """One result type: every query returns a Dataset, a value finished on
+    the driver is a ``pa.Table`` (returned as ``rd.from_arrow``), and no
+    module in the package imports pandas."""
 
-    if isinstance(out, pd.DataFrame):
-        return pa.Table.from_pandas(out, preserve_index=False)
-    return collect_table(out)
+    def test_no_pandas_import(self):
+        stray = [
+            f"{path.relative_to(REPO_ROOT)}:{node.lineno}"
+            for path in sorted(PKG.rglob("*.py"))
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Import)
+            and any(a.name.split(".")[0] == "pandas" for a in node.names)
+            or isinstance(node, ast.ImportFrom)
+            and (node.module or "").split(".")[0] == "pandas"]
+        assert stray == []
+
+    def test_every_query_annotated_dataset(self):
+        tree = ast.parse((PKG / "pipelines" / "queries.py").read_text())
+        stray = [node.name for node in tree.body
+                 if isinstance(node, ast.FunctionDef)
+                 and node.name.startswith("q_")
+                 and (node.returns is None
+                      or ast.unparse(node.returns) != "Dataset")]
+        assert stray == []
 
 
 class TestSortPathParity:
@@ -586,9 +623,9 @@ class TestSortPathParity:
         from ai_pdf_extraction_ray.stages import dedup
 
         fn = QUERIES[name]["fn"]
-        want = _result_table(fn(SF_SMOKE))
+        want = dedup.collect_table(fn(SF_SMOKE))
         monkeypatch.setattr(dedup, "_BROADCAST_MAX_BYTES", -1)
-        got = _result_table(fn(SF_SMOKE))
+        got = dedup.collect_table(fn(SF_SMOKE))
         assert got.schema == want.schema
         assert _text_rows(got) == _text_rows(want)
 

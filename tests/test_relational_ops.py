@@ -12,16 +12,6 @@ import pytest
 from tests.conftest import SF_SMOKE
 
 
-def _df(result) -> pd.DataFrame:
-    import pyarrow as pa
-
-    if isinstance(result, pd.DataFrame):
-        return result
-    if isinstance(result, pa.Table):
-        return result.to_pandas()
-    return result.to_pandas()
-
-
 @pytest.mark.usefixtures("ray_session")
 class TestSemiAntiJoin:
     def test_semi_and_anti_partition_customers(self):
@@ -34,8 +24,8 @@ class TestSemiAntiJoin:
             q_customers_semi_join,
         )
 
-        semi = _df(q_customers_semi_join(SF_SMOKE))
-        anti = _df(q_customers_anti_join(SF_SMOKE))
+        semi = q_customers_semi_join(SF_SMOKE).to_pandas()
+        anti = q_customers_anti_join(SF_SMOKE).to_pandas()
         all_keys = set(
             pq.read_table(
                 f"{SF_SMOKE}/customer.parquet", columns=["c_custkey"]
@@ -51,7 +41,7 @@ class TestSemiAntiJoin:
 
         from ai_pdf_extraction_ray.pipelines.queries import q_customers_semi_join
 
-        semi = _df(q_customers_semi_join(SF_SMOKE)).set_index("c_custkey")
+        semi = q_customers_semi_join(SF_SMOKE).to_pandas().set_index("c_custkey")
         truth = duckdb.sql(
             f"""SELECT o_custkey, count(*) n FROM
                 read_parquet('{SF_SMOKE}/orders.parquet')
@@ -67,7 +57,7 @@ class TestRollup:
         measures; every (status, priority) leaf appears exactly once."""
         from ai_pdf_extraction_ray.pipelines.queries import q_orders_rollup
 
-        df = _df(q_orders_rollup(SF_SMOKE))
+        df = q_orders_rollup(SF_SMOKE).to_pandas()
         leaves = df[(df.o_orderstatus != "ALL") & (df.o_orderpriority != "ALL")]
         subs = df[(df.o_orderstatus != "ALL") & (df.o_orderpriority == "ALL")]
         total = df[(df.o_orderstatus == "ALL") & (df.o_orderpriority == "ALL")]
@@ -88,7 +78,7 @@ class TestPivot:
 
         from ai_pdf_extraction_ray.pipelines.queries import q_events_pivot
 
-        df = _df(q_events_pivot(SF_SMOKE))
+        df = q_events_pivot(SF_SMOKE).to_pandas()
         truth = duckdb.sql(
             f"""SELECT user_id, event_type, count(*) n FROM
                 read_parquet('{SF_SMOKE}/events.parquet') GROUP BY 1, 2"""
@@ -124,7 +114,7 @@ class TestMonthlyDelta:
     def test_delta_telescopes(self):
         from ai_pdf_extraction_ray.pipelines.queries import q_monthly_revenue_delta
 
-        df = q_monthly_revenue_delta(SF_SMOKE)
+        df = q_monthly_revenue_delta(SF_SMOKE).to_pandas()
         assert df["month"].is_monotonic_increasing
         assert df["delta"].iloc[0] is None or pd.isna(df["delta"].iloc[0])
         # delta telescopes back to the revenue series
@@ -166,8 +156,8 @@ class TestCube:
     def test_cube_contains_all_grouping_sets(self):
         from ai_pdf_extraction_ray.pipelines.queries import q_orders_cube, q_orders_rollup
 
-        cube = q_orders_cube(SF_SMOKE)
-        roll = q_orders_rollup(SF_SMOKE)
+        cube = q_orders_cube(SF_SMOKE).to_pandas()
+        roll = q_orders_rollup(SF_SMOKE).to_pandas()
         # cube ⊇ rollup rows, plus the priority-only subtotals
         key = ["o_orderstatus", "o_orderpriority"]
         cube_keys = set(map(tuple, cube[key].to_numpy()))
@@ -265,7 +255,7 @@ class TestPropsJson:
         pq.write_table(pa.table({
             "event_type": ["a", "a", "a", "b", "b", "b"], "props": props}),
             tmp_path / "events.parquet")
-        got = _df(q_props_json(str(tmp_path))).sort_values("event_type")
+        got = q_props_json(str(tmp_path)).to_pandas().sort_values("event_type")
         assert got.sum_k.tolist() == [-1, 10]
         assert got.n.tolist() == [3, 3]
 

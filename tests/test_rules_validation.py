@@ -405,5 +405,5 @@ class TestFilterRulesParity:
         save_schema(str(tmp_path), sch, created_at="2024-01-01T00:00:00")
         (tmp_path / "notes.json").write_text(_json.dumps({"foo": 1}))
         (tmp_path / "trunc.json").write_text('{"name": "x"')
-        df = list_schemas(str(tmp_path))
+        df = list_schemas(str(tmp_path)).to_pandas()
         assert list(df["name"]) == ["inv"]

@@ -84,7 +84,7 @@ class TestZscoreProfile:
 
         from ai_pdf_extraction_ray.pipelines.queries import q_profile_orders
 
-        got = q_profile_orders(SF_SMOKE).set_index("col")
+        got = q_profile_orders(SF_SMOKE).to_pandas().set_index("col")
         want = duckdb.sql(
             f"""SELECT count(*) - count(o_custkey) AS n_null,
                        count(DISTINCT o_custkey) AS nd,

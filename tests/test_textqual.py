@@ -123,7 +123,7 @@ class TestCurationFunnel:
 
         from ai_pdf_extraction_ray.pipelines.queries import q_curation_funnel
 
-        df = q_curation_funnel(SF_SMOKE)
+        df = q_curation_funnel(SF_SMOKE).to_pandas()
         assert df["stage"].tolist() == [
             "all", "lang_en", "quality", "decontaminated", "deduped"]
         n = df["n_docs"].to_numpy()
@@ -570,11 +570,11 @@ class TestBottomkSample:
         order = np.lexsort((ids, hv))
         want = set(ids[order[:BOTTOMK_K]].tolist())
 
-        out = QUERIES["bottomk_sample"]["fn"](SF_SMOKE)
+        out = QUERIES["bottomk_sample"]["fn"](SF_SMOKE).to_pandas()
         assert len(out) == BOTTOMK_K
         assert set(out["doc_id"]) == want
         # rerun-stable (the whole point vs Dataset.random_shuffle)
-        again = QUERIES["bottomk_sample"]["fn"](SF_SMOKE)
+        again = QUERIES["bottomk_sample"]["fn"](SF_SMOKE).to_pandas()
         assert out["doc_id"].tolist() == again["doc_id"].tolist()
 
 

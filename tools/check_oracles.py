@@ -32,16 +32,6 @@ TABLES = [
 ]
 
 
-def to_pandas(result) -> pd.DataFrame:  # noqa: ANN001
-    import pyarrow as pa
-
-    if isinstance(result, pd.DataFrame):
-        return result
-    if isinstance(result, pa.Table):
-        return result.to_pandas()
-    return result.to_pandas()  # ray Dataset
-
-
 def canon(df: pd.DataFrame) -> pd.DataFrame:
     df = df[sorted(df.columns)].copy()
     # Sort by non-float (key) columns only: float aggregates can differ by
@@ -113,6 +103,7 @@ def main() -> int:
     DataContext.get_current().enable_progress_bars = False
 
     import __ray_entry__ as entrymod
+    from ai_pdf_extraction_ray.stages.dedup import collect_table
 
     qs = entrymod.queries()
     sqls = entrymod.oracle_sql()
@@ -136,7 +127,7 @@ def main() -> int:
 
         t0 = time.perf_counter()
         try:
-            ray_df = to_pandas(fn(sf_dir))
+            ray_df = collect_table(fn(sf_dir)).to_pandas()
         except Exception as e:  # noqa: BLE001
             print(f"FAIL {name}: ray error: {type(e).__name__}: {e}")
             failures += 1

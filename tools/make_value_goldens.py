@@ -83,11 +83,11 @@ def main() -> int:
     DataContext.get_current().enable_progress_bars = False
 
     from ai_pdf_extraction_ray.pipelines.queries import QUERIES
+    from ai_pdf_extraction_ray.stages.dedup import collect_table
 
     out: dict[str, str] = {}
     for name in GOLDEN_QUERIES:
-        result = QUERIES[name]["fn"](SF_DIR)
-        df = result if isinstance(result, pd.DataFrame) else result.to_pandas()
+        df = collect_table(QUERIES[name]["fn"](SF_DIR)).to_pandas()
         sort_cols = [c for c in df.columns if df[c].dtype.kind != "f"]
         df = df.sort_values(sort_cols or list(df.columns)).reset_index(drop=True)
         out[name] = values_sql(df)
