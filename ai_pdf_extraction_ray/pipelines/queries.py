@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import json
 import re
+from collections.abc import Callable
 
 import numpy as np
 import pyarrow as pa
@@ -41,6 +42,7 @@ from ray.data import Dataset
 from ray.data.aggregate import Max, Min, Sum
 
 from ..schema import FieldDefinition, FieldType, SchemaDefinition
+from ..stages.extract import DocumentExtractor
 from .extract_pipeline import pages_dataset, run_extraction
 
 # ---------------------------------------------------------------------------
@@ -63,7 +65,10 @@ INVOICE_SCHEMA = SchemaDefinition(
     validation_rules=["total_amount == subtotal + tax_amount"],
 )
 
-from ..sources.corpus import N_HOSTS as _N_HOSTS  # noqa: E402
+from ..sources.corpus import (  # noqa: E402
+    N_HOSTS as _N_HOSTS,
+    synthesize_pages_batch,
+)
 from ..stages.dedup import (  # noqa: E402
     EDIT_DIST_MAX as _EDIT_DIST_MAX,
     NGRAM_DF_CAP as _NGRAM_DF_CAP,
@@ -75,6 +80,7 @@ from ..stages.dedup import (  # noqa: E402
     run_ids,
     run_ranks,
     segment_window,
+    top_rows,
     typed_map,
 )
 
@@ -175,6 +181,21 @@ def _docs(sf_dir: str, columns: list[str] | None = None) -> Dataset:
     return rd.read_parquet(f"{sf_dir}/documents.parquet", columns=columns)
 
 
+def _extracted(sf_dir: str, fn: Callable[[pa.Table], pa.Table],
+               schema: SchemaDefinition | None = None) -> Dataset:
+    """``fn`` of each documents block synthesized into pages and extracted
+    (``pages_dataset`` -> ``run_extraction`` as one function), through
+    ``typed_map`` over the documents read: zero documents give ``fn``'s
+    columns."""
+    kernel = DocumentExtractor(schema.to_dict() if schema else None)
+    return typed_map(_docs(sf_dir, ["doc_id", "text", "lang"]),
+                     lambda b: fn(kernel(synthesize_pages_batch(b))))
+
+
+def _html_rows(t: pa.Table) -> pa.Table:
+    return t.filter(pc.equal(t.column("kind"), "html"))
+
+
 # ---------------------------------------------------------------------------
 # flagship extraction queries
 # ---------------------------------------------------------------------------
@@ -186,8 +207,7 @@ def q_extract_text(sf_dir: str) -> Dataset:
     truth, so ``SELECT url, kind, text, lang FROM documents`` (restated via
     doc_id rules) reproduces the result exactly.
     """
-    ext = run_extraction(pages_dataset(sf_dir))
-    return ext.select_columns(["url", "kind", "text", "lang"])
+    return _extracted(sf_dir, lambda t: t.select(["url", "kind", "text", "lang"]))
 
 
 def q_extract_spans(sf_dir: str) -> Dataset:
@@ -200,9 +220,7 @@ def q_extract_spans(sf_dir: str) -> Dataset:
     reproduces them exactly by splitting the ground-truth text on the
     separator and running a cumulative-length window. The explode is a
     zero-copy Arrow list flatten — no per-row Python."""
-    ext = run_extraction(pages_dataset(sf_dir))
-    return ext.select_columns(["url", "spans"]).map_batches(
-        explode_spans, batch_format="pyarrow")
+    return _extracted(sf_dir, explode_spans)
 
 
 def explode_spans(b: pa.Table) -> pa.Table:
@@ -231,20 +249,15 @@ def q_schema_extraction(sf_dir: str) -> Dataset:
     HTML lane only (the invoice metadata block is embedded in html
     boilerplate; PDF-lane field extraction is exercised in unit tests).
     """
-    ext = run_extraction(pages_dataset(sf_dir), INVOICE_SCHEMA)
-    ext = ext.filter(expr="kind == 'html'")
-    ext = ext.select_columns([
-        "url", "field_invoice_number", "field_invoice_date", "field_subtotal",
-        "field_tax_amount", "field_total_amount", "field_is_paid",
-    ])
-    return ext.rename_columns({
-        "field_invoice_number": "invoice_number",
-        "field_invoice_date": "invoice_date",
-        "field_subtotal": "subtotal",
-        "field_tax_amount": "tax_amount",
-        "field_total_amount": "total_amount",
-        "field_is_paid": "is_paid",
-    })
+    fields = ["invoice_number", "invoice_date", "subtotal", "tax_amount",
+              "total_amount", "is_paid"]
+
+    def project(t: pa.Table) -> pa.Table:
+        return _html_rows(t).select(
+            ["url"] + [f"field_{f}" for f in fields]).rename_columns(
+            ["url"] + fields)
+
+    return _extracted(sf_dir, project, INVOICE_SCHEMA)
 
 
 def q_extract_counters_by_lang(sf_dir: str) -> Dataset:
@@ -287,8 +300,6 @@ class _PageStatsKernel:
     counting, extraction payload clamp)."""
 
     def __init__(self) -> None:
-        from ..stages.extract import DocumentExtractor
-
         self.kernel = DocumentExtractor(
             None, max_payload_bytes=PAGE_STATS_CAP_BYTES)
 
@@ -347,8 +358,7 @@ def q_pdf_page_stats(sf_dir: str) -> Dataset:
     ``octet_length(encode(text)) + 1 > cap`` (the +1 is the magic-guard
     newline prefixed to every payload).
     """
-    return _docs(sf_dir, ["doc_id", "text"]).map_batches(
-        _PageStatsKernel(), batch_format="pyarrow")
+    return typed_map(_docs(sf_dir, ["doc_id", "text"]), _PageStatsKernel())
 
 
 _BOILERPLATE_LINKS: int | None = None
@@ -430,10 +440,8 @@ def q_page_metadata(sf_dir: str) -> Dataset:
     boilerplate outlink count (``_boilerplate_link_count`` asserts the
     constant across every layout variant); PDF payloads carry none.
     """
-    from .extract_pipeline import pages_dataset
-
-    return pages_dataset(sf_dir).map_batches(
-        _page_metadata_batch, batch_format="pyarrow")
+    return typed_map(_docs(sf_dir, ["doc_id", "text", "lang"]),
+                     lambda b: _page_metadata_batch(synthesize_pages_batch(b)))
 
 
 def q_host_reputation(sf_dir: str) -> Dataset:
@@ -496,7 +504,7 @@ def q_events_sort_limit(sf_dir: str) -> Dataset:
     """O1: ORDER BY ts DESC (tie: event_id DESC) LIMIT 100
     (reference routers/history.py:61-70)."""
     ds = _events(sf_dir, ["event_id", "ts", "user_id", "event_type", "value"])
-    return ds.sort(["ts", "event_id"], descending=[True, True]).limit(100)
+    return top_rows(ds, [("ts", "descending"), ("event_id", "descending")], 100)
 
 
 # event-time order with a unique tie-break (ORDER BY ts, event_id)
@@ -637,10 +645,8 @@ def q_topk_customers(sf_dir: str) -> Dataset:
             "o_custkey": b.column("o_custkey"),
             "revenue": _pc_round(b.column("revenue_raw"), 2),
         }))
-    top = rounded.sort(["revenue", "o_custkey"],
-                       descending=[True, False]).limit(10).materialize()
-    # a Ray sort of zero rows loses the columns; the empty aggregate has them
-    return top if top.count() else rounded
+    return top_rows(rounded, [("revenue", "descending"),
+                              ("o_custkey", "ascending")], 10)
 
 
 def q_pricing_summary(sf_dir: str) -> Dataset:
@@ -781,17 +787,10 @@ def q_content_by_url(sf_dir: str) -> Dataset:
     output: run the extractor, filter to the requested urls. At scale the
     url filter applies to the partitioned result store (pruned read by url
     bucket); here it demonstrates the same select-by-key semantics."""
-    ext = run_extraction(pages_dataset(sf_dir))
-    urls = set(_CONTENT_URLS)
-
-    def keep(b: pa.Table) -> pa.Table:
-        mask = np.isin(np.asarray(b.column("url").to_pylist(), dtype=object),
-                       list(urls))
-        return b.filter(pa.array(mask))
-
-    return ext.map_batches(keep, batch_format="pyarrow").select_columns(
-        ["url", "kind", "text", "lang"]
-    )
+    urls = pa.array(_CONTENT_URLS)
+    return _extracted(sf_dir, lambda t: t.filter(
+        pc.is_in(t.column("url"), value_set=urls)).select(
+        ["url", "kind", "text", "lang"]))
 
 
 def q_token_quality(sf_dir: str) -> Dataset:
@@ -820,7 +819,7 @@ def q_token_quality(sf_dir: str) -> Dataset:
                 mask=(n == 0)),
         })
 
-    return ds.map_batches(stats, batch_format="pyarrow")
+    return typed_map(ds, stats)
 
 
 # ---------------------------------------------------------------------------
@@ -960,12 +959,13 @@ def _binned_counts(ds: Dataset) -> tuple[Dataset, pa.Table, np.ndarray]:
     """Shared decomposition behind q_value_ntile (distributed rank) and
     q_quantiles (distributed selection): equal-width value binning over
     the observed span plus the bounded per-(event_type, bin) count table.
-    ``ds`` must be materialized and non-empty. Returns (binned dataset,
-    count table sorted by (event_type, bin) — |types| x NTILE_VALUE_RANGES
-    rows at most, safe to hold on the driver — and the first row of each
-    event type in it)."""
+    ``ds`` is read twice, so it comes from ``typed_map``. Returns (binned
+    dataset, count table sorted by (event_type, bin) — |types| x
+    NTILE_VALUE_RANGES rows at most, safe to hold on the driver — and the
+    first row of each event type in it)."""
     mm = ds.aggregate(Min("value"), Max("value"))
-    lo, hi = mm["min(value)"], mm["max(value)"]
+    # None on zero rows, which leave no value to bin
+    lo, hi = (mm[f"{fn}(value)"] or 0.0 for fn in ("min", "max"))
     width = ((hi - lo) / NTILE_VALUE_RANGES) or 1.0
 
     def binned(b: pa.Table) -> pa.Table:
@@ -974,7 +974,7 @@ def _binned_counts(ds: Dataset) -> tuple[Dataset, pa.Table, np.ndarray]:
                        0, NTILE_VALUE_RANGES - 1)
         return b.append_column("bin", pa.array(bins, pa.int64()))
 
-    bds = ds.map_batches(binned, batch_format="pyarrow").materialize()
+    bds = typed_map(ds, binned)
 
     totals = collect_table(partial_groupby(
         bds, ["event_type", "bin"], c=(None, "count_all"),
@@ -998,12 +998,8 @@ def q_value_ntile(sf_dir: str) -> Dataset:
     at 100 TB swap in histogram-sketch boundaries (stages/sketches.py) if
     value skew makes equal-width bins lumpy — the offset algebra is
     unchanged."""
-    ds = _events(sf_dir, ["event_id", "event_type", "value"]).materialize()
-    if ds.count() == 0:  # Dataset.aggregate returns None on empty input
-        return rd.from_arrow(pa.table({
-            "event_id": pa.array([], pa.int64()),
-            "event_type": pa.array([], pa.string()),
-            "quartile": pa.array([], pa.int64())}))
+    ds = typed_map(_events(sf_dir, ["event_id", "event_type", "value"]),
+                   lambda t: t)
     bds, totals, type_starts = _binned_counts(ds)
     c = totals.column("c").to_numpy()
     before = np.cumsum(c) - c  # rows of earlier (type, bin) pairs
@@ -1141,7 +1137,7 @@ def q_hash_sample(sf_dir: str) -> Dataset:
         h = hash64_ints(b.column("doc_id").to_numpy(zero_copy_only=False))
         return b.filter(pa.array((h >> np.uint64(56)) < np.uint64(26)))
 
-    return ds.map_batches(keep, batch_format="pyarrow")
+    return typed_map(ds, keep)
 
 
 def q_label_centroids(sf_dir: str) -> Dataset:
@@ -1313,7 +1309,7 @@ def q_incremental_new_docs(sf_dir: str) -> Dataset:
             "is_new": pa.array(ids % 2 == 1),
         })
 
-    d = typed_map(docs, digests).materialize()
+    d = typed_map(docs, digests)
 
     def snapshot(new: bool) -> Dataset:
         return typed_map(d, lambda b: b.filter(
@@ -1410,9 +1406,8 @@ def q_value_zscore(sf_dir: str) -> Dataset:
     ``guarded_join`` puts it on the events. Mean and variance are computed
     as sum/n and sumsq/n - mean^2 on BOTH sides so the oracle restates the
     arithmetic."""
-    # read twice, by the aggregate and by the join: a materialized empty
-    # read has no columns to join on
-    ds = _events(sf_dir, ["event_id", "event_type", "value"])
+    ds = typed_map(_events(sf_dir, ["event_id", "event_type", "value"]),
+                   lambda t: t)
 
     def squares(b: pa.Table) -> pa.Table:
         v = b.column("value")
@@ -1627,9 +1622,7 @@ def q_cohort_retention(sf_dir: str) -> Dataset:
     table comes from the partial-min pattern, and one ``guarded_join``
     puts it on the events; each event's cohort day and week offset are
     Arrow arithmetic on the joined columns."""
-    # read twice, by the aggregate and by the join: a materialized empty
-    # read has no columns to join on
-    ds = _events(sf_dir, ["ts", "user_id"])
+    ds = typed_map(_events(sf_dir, ["ts", "user_id"]), lambda t: t)
     firsts = partial_groupby(ds, "user_id", first_ts=("ts", "min"))
 
     def tag(b: pa.Table) -> pa.Table:
@@ -1668,7 +1661,7 @@ def q_dataset_split(sf_dir: str) -> Dataset:
         return pa.table({"doc_id": b.column("doc_id"),
                          "split": pa.array(splits, pa.string())})
 
-    return ds.map_batches(assign, batch_format="pyarrow")
+    return typed_map(ds, assign)
 
 
 PACK_CAPACITY = 512        # tokens per training sequence (bin)
@@ -1705,7 +1698,7 @@ def q_sequence_packing(sf_dir: str) -> Dataset:
     # materialized: consumed twice (range totals + pack pass); the counted
     # table is 3 int64 columns — tiny next to the text it replaces, and
     # materializing avoids tokenizing every document twice
-    cds = typed_map(docs, counts).materialize()
+    cds = typed_map(docs, counts)
     offsets = _key_offsets(cds, "range_id", weight="n_tokens")
 
     def pack(t: pa.Table, starts: np.ndarray) -> pa.Table:
@@ -2166,11 +2159,8 @@ def q_clean_text(sf_dir: str) -> Dataset:
             "text": pa.array(dirtied, pa.string()),
         })
 
-    # stateless instance: no actor pool to reserve CPUs (TextCleaner holds
-    # no state; see repair stage deadlock note)
-    return docs.map_batches(dirty, batch_format="pyarrow").map_batches(
-        TextCleaner(), batch_format="pyarrow"
-    )
+    cleaner = TextCleaner()
+    return typed_map(docs, lambda b: cleaner(dirty(b)))
 
 
 def q_asof_join(sf_dir: str) -> Dataset:
@@ -2283,16 +2273,16 @@ def q_run_report(sf_dir: str) -> Dataset:
     """Manifest-backed run reporting — the engine's replacement for the
     reference's status/history polling (routers/batches.py:430-542 recomputes
     progress by scanning rows; here counters are cheap manifest reads,
-    A5/A6 + O1-over-manifests). Runs the resumable job (idempotent: a valid
-    manifest short-circuits) then reports per-shard counters."""
-    import hashlib as _hashlib
+    A5/A6 + O1-over-manifests). Runs the resumable job into a temporary
+    directory, removed after it, so every call runs it, then reports its
+    manifest's counters."""
+    import tempfile
 
-    from ..state.manifest import read_manifest
     from .extract_pipeline import extract_job
 
-    out_dir = f"/tmp/ray_extract_run_{_hashlib.md5(sf_dir.encode()).hexdigest()[:8]}"
-    extract_job([f"{sf_dir}/documents.parquet"], out_dir, INVOICE_SCHEMA)
-    m = read_manifest(f"{out_dir}/shard=00000-documents")
+    with tempfile.TemporaryDirectory() as out_dir:
+        m, = extract_job([f"{sf_dir}/documents.parquet"], out_dir,
+                         INVOICE_SCHEMA)
     return rd.from_arrow(pa.table({
         "shard": [m["shard"]],
         "n_rows": [m["rows"]],
@@ -2307,10 +2297,8 @@ def q_line_items(sf_dir: str) -> Dataset:
     binding, reference FieldType.ARRAY 'table rows' models.py:18)."""
     import json as _json
 
-    ext = run_extraction(pages_dataset(sf_dir), INVOICE_SCHEMA)
-    ext = ext.filter(expr="kind == 'html'")
-
     def explode(batch: pa.Table) -> pa.Table:
+        batch = _html_rows(batch)
         out = {"url": [], "item_index": [], "description": [], "quantity": [],
                "unit_price": [], "total": []}
         from ..functions.scalars import parse_currency as _pcur
@@ -2334,7 +2322,7 @@ def q_line_items(sf_dir: str) -> Dataset:
             "total": pa.array(out["total"], pa.float64()),
         })
 
-    return ext.map_batches(explode, batch_format="pyarrow")
+    return _extracted(sf_dir, explode, INVOICE_SCHEMA)
 
 
 def q_pages_per_host(sf_dir: str) -> Dataset:
@@ -2454,12 +2442,7 @@ def q_quantiles(sf_dir: str) -> Dataset:
     histogram-sketch boundaries (the `approx_quantiles` machinery) for the
     bin edges — the rank algebra is unchanged."""
     ps = (("p50", 0.50), ("p90", 0.90), ("p99", 0.99))
-    ds = _events(sf_dir, ["event_type", "value"]).materialize()
-    if ds.count() == 0:
-        return rd.from_arrow(pa.table({
-            "event_type": pa.array([], pa.string()),
-            "n": pa.array([], pa.int64()),
-            **{label: pa.array([], pa.float64()) for label, _ in ps}}))
+    ds = typed_map(_events(sf_dir, ["event_type", "value"]), lambda t: t)
     bds, totals, type_starts = _binned_counts(ds)
     # driver pass over the COUNT table only: locate, per (type, p), the bin
     # holding rank ceil(p*n) and its 0-based index within that sorted bin
@@ -2501,7 +2484,7 @@ def q_quantiles(sf_dir: str) -> Dataset:
                          "val": pa.array(vals, pa.float64())})
 
     picked = collect_table(segment_window(   # <= |types| x 3 rows
-        bds.map_batches(keep_target_bins, batch_format="pyarrow"),
+        typed_map(bds, keep_target_bins),
         ["event_type", "bin"], extract, order=("value",)))
     val = dict(zip(zip(picked.column("event_type").to_pylist(),
                        picked.column("which").to_pylist()),
@@ -2519,20 +2502,18 @@ def q_schema_listing(sf_dir: str) -> Dataset:
     """O2: schema listing ordered created_at DESC (reference
     routers/schemas.py:114-118). Builds a deterministic registry (the
     built-in invoice schema + the schema discovered from the corpus sample)
-    and lists it — content is reproducible, so the oracle is exact."""
-    import hashlib as _hashlib
+    and lists it — content is reproducible, so the oracle is exact. The
+    registry lives in a temporary directory, removed after the listing."""
+    import tempfile
 
     from ..stages.discovery import discover_schema
     from ..state.schema_registry import list_schemas, save_schema
 
-    reg = f"/tmp/ray_schema_registry_{_hashlib.md5(sf_dir.encode()).hexdigest()[:8]}"
-    import shutil as _shutil
-
-    _shutil.rmtree(reg, ignore_errors=True)
-    save_schema(reg, INVOICE_SCHEMA, created_at="2024-01-01T00:00:00")
     discovered = discover_schema(pages_dataset(sf_dir), sample_size=6)
-    save_schema(reg, discovered, created_at="2024-02-01T00:00:00")
-    return rd.from_arrow(list_schemas(reg))
+    with tempfile.TemporaryDirectory() as reg:
+        save_schema(reg, INVOICE_SCHEMA, created_at="2024-01-01T00:00:00")
+        save_schema(reg, discovered, created_at="2024-02-01T00:00:00")
+        return rd.from_arrow(list_schemas(reg))
 
 
 def q_heavy_hitters(sf_dir: str) -> Dataset:
@@ -2576,10 +2557,9 @@ def q_repair_completion(sf_dir: str) -> Dataset:
     (reference repair.py:57-223 as deterministic equation solving)."""
     import json as _json
 
-    from ..stages.repair import _repair_batch
+    from ..stages.repair import RepairStage
 
-    ext = run_extraction(pages_dataset(sf_dir), INVOICE_SCHEMA)
-    ext = ext.filter(expr="kind == 'html'")
+    repair = RepairStage(INVOICE_SCHEMA.to_dict())
 
     def drop_tax(batch: pa.Table) -> pa.Table:
         fields = [_json.loads(x) for x in batch.column("fields_json").to_pylist()]
@@ -2590,13 +2570,8 @@ def q_repair_completion(sf_dir: str) -> Dataset:
             pa.array([_json.dumps(f, sort_keys=True) for f in fields], pa.string()),
         )
 
-    repaired = ext.map_batches(drop_tax, batch_format="pyarrow").map_batches(
-        _repair_batch,
-        fn_kwargs={"schema_json": _json.dumps(INVOICE_SCHEMA.to_dict(), sort_keys=True)},
-        batch_format="pyarrow",
-    )
-
     def project(batch: pa.Table) -> pa.Table:
+        batch = repair(drop_tax(_html_rows(batch)))
         fields = [_json.loads(x) for x in batch.column("fields_json").to_pylist()]
         audits = [_json.loads(x) for x in batch.column("repaired_json").to_pylist()]
         return pa.table({
@@ -2605,7 +2580,7 @@ def q_repair_completion(sf_dir: str) -> Dataset:
             "was_repaired": pa.array(["tax_amount" in a for a in audits], pa.bool_()),
         })
 
-    return repaired.map_batches(project, batch_format="pyarrow")
+    return _extracted(sf_dir, project, INVOICE_SCHEMA)
 
 
 def q_merge_chunked(sf_dir: str) -> Dataset:
@@ -2695,7 +2670,7 @@ def q_passage_dedup(sf_dir: str) -> Dataset:
                          "dh": w.dh, "dl": w.dl})
 
     # consumed twice (winners groupby + join probe)
-    seg = typed_map(docs, explode).materialize()
+    seg = typed_map(docs, explode)
     winners = partial_groupby(seg, ["dh", "dl"], first_rank=("rank", "min"))
 
     def per_doc(b: pa.Table) -> pa.Table:
@@ -2772,7 +2747,7 @@ def q_dup_spans(sf_dir: str) -> Dataset:
                          "dh": w.dh, "dl": w.dl, "e": w.end})
 
     # consumed twice (hot groupby + join probe)
-    wins = typed_map(docs, explode).materialize()
+    wins = typed_map(docs, explode)
     # only digests seen >= 2 times can produce a duplicate span: the join's
     # build side shrinks to the duplicated population before any row moves
     hot = partial_groupby(
@@ -2927,7 +2902,7 @@ def q_url_host_filter(sf_dir: str) -> Dataset:
         t = pa.table({"doc_id": b.column("doc_id"), "url": url, "host": host})
         return t.filter(mask)
 
-    return docs.map_batches(keep, batch_format="pyarrow")
+    return typed_map(docs, keep)
 
 
 URL_NOISE_CLASSES = 9   # raw-capture noise classes, keyed by doc_id % 9
@@ -3220,13 +3195,8 @@ def q_pagerank(sf_dir: str) -> Dataset:
     becomes edges⋈ranks (the propagate_min_labels shape).
     """
     docs = _docs(sf_dir, ["doc_id"])
-    n = docs.count()  # parquet-metadata count, no scan
-    if n == 0:  # no nodes: no rank mass to spread
-        return rd.from_arrow(pa.table({
-            "bucket": pa.array([], pa.int64()),
-            "n_docs": pa.array([], pa.int64()),
-            "sum_rank": pa.array([], pa.float64()),
-            "max_rank": pa.array([], pa.float64())}))
+    # parquet-metadata count, no scan; an empty corpus has no rank to divide
+    n = max(docs.count(), 1)
     teleport = (1.0 - PAGERANK_DAMPING) / n
 
     def init(b: pa.Table) -> pa.Table:
@@ -3261,7 +3231,7 @@ def q_pagerank(sf_dir: str) -> Dataset:
 
     # each round's finish damps the summed contributions into ranks, then
     # emits the next round's contributions (the last round: rank buckets)
-    ranks = docs.map_batches(lambda b: emit(init(b)), batch_format="pyarrow")
+    ranks = typed_map(docs, lambda b: emit(init(b)))
     for then in [emit] * (PAGERANK_ITERS - 1) + [bucketize]:
         ranks = partial_groupby(
             ranks, "dst", w_in=("w", "sum"),
@@ -3447,7 +3417,7 @@ def q_compression_ratio(sf_dir: str) -> Dataset:
             "zlib_ratio": pa.array(ratios, pa.float64()),
         })
 
-    return docs.map_batches(comp, batch_format="pyarrow")
+    return typed_map(docs, comp)
 
 
 BOILER_MIN_DOCS = 2  # a passage in >= this many docs of ONE host is boilerplate
@@ -3488,7 +3458,7 @@ def q_host_boilerplate(sf_dir: str) -> Dataset:
         })
 
     # consumed twice (template groupby + join probe)
-    seg = typed_map(docs, explode).materialize()
+    seg = typed_map(docs, explode)
     grp = partial_groupby(
         seg.select_columns(["host_id", "dh", "dl"]), ["host_id", "dh", "dl"],
         n_docs=(None, "count_all"), finish=lambda b: b.filter(
@@ -3548,7 +3518,7 @@ def q_bpe_token_stats(sf_dir: str) -> Dataset:
             "tokens_per_word": ratio,
         })
 
-    return ds.map_batches(stats, batch_format="pyarrow")
+    return typed_map(ds, stats)
 
 
 # PII patterns (RE2 — identical engine in Arrow and DuckDB, so the oracle
@@ -3617,7 +3587,7 @@ def q_pii_redaction(sf_dir: str) -> Dataset:
         total = pc.add(pc.add(n_e, n_p), n_i)
         return t.filter(pc.greater(total, 0))
 
-    return docs.map_batches(redact, batch_format="pyarrow")
+    return typed_map(docs, redact)
 
 
 SHUFFLE_SEED = 20260817      # epoch seed: change it, get a new global order
@@ -3652,7 +3622,7 @@ def q_training_shuffle(sf_dir: str) -> Dataset:
                             .astype(np.int64)),
         })
 
-    kds = typed_map(docs, keyed).materialize()
+    kds = typed_map(docs, keyed)
     offsets = _key_offsets(kds, "bin")
 
     def order_bin(t: pa.Table, starts: np.ndarray) -> pa.Table:
@@ -3702,7 +3672,7 @@ def q_curriculum_order(sf_dir: str) -> Dataset:
             "grp": pa.array(grp),
         })
 
-    kds = typed_map(docs, keyed).materialize()
+    kds = typed_map(docs, keyed)
     offsets = _key_offsets(kds, "grp")
 
     def order_grp(t: pa.Table, starts: np.ndarray) -> pa.Table:
@@ -3751,7 +3721,7 @@ def q_domain_weighted_sample(sf_dir: str) -> Dataset:
         t = pa.table({"doc_id": b.column("doc_id"), "host": host})
         return t.filter(pa.array(top < thresh))
 
-    return docs.map_batches(keep, batch_format="pyarrow")
+    return typed_map(docs, keep)
 
 
 TOP_TERMS_K = 5
@@ -3961,7 +3931,7 @@ def q_perplexity_buckets(sf_dir: str) -> Dataset:
         return s.add_column(1, "lang", b.column("lang")).filter(
             pc.greater(s.column("n_tokens"), 0)).drop_columns(["n_tokens"])
 
-    scores = typed_map(docs, score).materialize()
+    scores = typed_map(docs, score)
 
     # bounded distinct-(lang, score) count table -> driver rank algebra
     counts, starts = key_runs(collect_table(partial_groupby(

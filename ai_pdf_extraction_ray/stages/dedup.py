@@ -140,7 +140,8 @@ def guarded_join(
     When no row can come out (an empty left side, or an empty side of an
     ``inner`` join), the result is ``finish`` of the join of the two
     sides' empty tables. An empty side with no columns (a map over zero
-    rows keeps none) raises ``ValueError``: build it with ``typed_map``.
+    rows keeps none) raises ``ValueError``: build it with ``typed_map``,
+    the package's zero-row rule, whose result is typed on zero rows.
     Otherwise the join takes one of two physical paths, chosen from each
     side's ``size_bytes()`` (also block metadata); an empty right side of
     a ``left_outer`` join (size 0) gives every left row with null right
@@ -342,14 +343,38 @@ def partial_groupby(ds: Dataset, keys: str | list[str], *,
 
 
 def typed_map(ds: Dataset, fn: Callable[[pa.Table], pa.Table]) -> Dataset:
-    """``ds.map_batches(fn)`` over Arrow blocks that keeps ``fn``'s columns
-    on zero rows. Ray 2.49 never calls a map on a zero-row block, which
-    then leaves the map without columns, so a ``segment_window`` after it
-    could not type its empty result. One extra zero-row block, ``fn`` of
-    an empty table of ``ds.schema()``, carries them; ``ds`` needs a schema
-    (a read has one)."""
-    return ds.map_batches(fn, batch_format="pyarrow").union(
-        rd.from_arrow(fn(ds.schema().base_schema.empty_table())))
+    """``ds.map_batches(fn)`` over Arrow blocks, materialized, that keeps
+    ``fn``'s columns on zero rows — the package's one zero-row rule.
+    Ray 2.49 never calls a map on a zero-row block, so a map, a filter or
+    a sort that ends with zero rows has no columns. When the map gives
+    rows they are the result; when it gives none, the result is ``fn`` of
+    an empty table of ``ds.schema()`` (asked only then: a read, and a
+    ``typed_map`` result, have one; without one ``fn`` gets a table with
+    no columns)."""
+    return _typed(ds, ds.map_batches(fn, batch_format="pyarrow"), fn)
+
+
+def _typed(ds: Dataset, out: Dataset,
+           fn: Callable[[pa.Table], pa.Table]) -> Dataset:
+    """``out`` (a map of ``ds`` by ``fn``) materialized, or, on zero rows,
+    ``fn`` of an empty table of ``ds.schema()``."""
+    out = out.materialize()
+    if out.count():
+        return out
+    schema = ds.schema()
+    return rd.from_arrow(fn(schema.base_schema.empty_table() if schema
+                            else pa.table({})))
+
+
+def top_rows(ds: Dataset, order: list[tuple[str, str]], k: int) -> Dataset:
+    """The first ``k`` rows of ``ds`` in ``order`` (``(column, "ascending"
+    | "descending")`` pairs), typed on zero rows: each block's first ``k``
+    through ``typed_map``, merged on the driver (at most ``k`` rows per
+    block) — no Ray sort, which loses the columns of zero rows."""
+    def top(t: pa.Table) -> pa.Table:
+        return t.sort_by(order).slice(0, k)
+
+    return rd.from_arrow(top(collect_table(typed_map(ds, top))))
 
 
 def key_runs(t: pa.Table, keys: list[str],
@@ -395,23 +420,17 @@ def segment_window(ds: Dataset, keys: str | list[str],
     table. Memory bound: one key's rows must fit a worker heap (~40 MB per
     10^6 events; ``TestHotKeyGroups`` runs one user with 10^6).
 
-    The output is materialized and counted; on zero rows it is ``fn`` of
-    an empty table of ``ds.schema()``, so it keeps ``fn``'s columns. A
-    map over zero rows has no schema (see ``typed_map``); ``fn`` then gets
-    a table without columns.
+    The result follows ``typed_map``'s zero-row rule: on zero rows it is
+    ``fn`` of an empty table of ``ds.schema()`` and no starts.
     """
     keys = [keys] if isinstance(keys, str) else list(keys)
 
     def run(t: pa.Table) -> pa.Table:
         return fn(*key_runs(t, keys, order))
 
-    out = ds.sort(keys).map_batches(
-        run, batch_format="pyarrow", batch_size=None).materialize()
-    if out.count():
-        return out
-    schema = ds.schema()
-    empty = schema.base_schema.empty_table() if schema else pa.table({})
-    return rd.from_arrow(fn(empty, np.zeros(0, np.int64)))
+    return _typed(ds, ds.sort(keys).map_batches(
+        run, batch_format="pyarrow", batch_size=None),
+        lambda t: fn(t, np.zeros(0, np.int64)))
 
 
 class MinHasher:
@@ -547,13 +566,13 @@ def _pairs_with_texts(cand: Dataset, docs: Dataset,
     BOTH sides -> (doc_a, doc_b, text_a, text_b), then run ``verify`` on
     each block of it as the second join's ``finish``. Shared scaffold of
     every pairwise verify kernel (Jaccard, edit distance)."""
-    def _typed(b: pa.Table) -> pa.Table:
+    def int_ids(b: pa.Table) -> pa.Table:
         # dtype pin only (int64 pair ids for the join key resolution)
         return pa.table({"doc_a": b.column("doc_a").cast(pa.int64()),
                          "doc_b": b.column("doc_b").cast(pa.int64())})
 
     with_a = guarded_join(
-        typed_map(cand, _typed), docs, on=("doc_a",), right_on=("doc_id",),
+        typed_map(cand, int_ids), docs, on=("doc_a",), right_on=("doc_id",),
         finish=lambda t: t.rename_columns(["doc_a", "doc_b", "text_a"]))
     return guarded_join(
         with_a, docs, on=("doc_b",), right_on=("doc_id",),
@@ -703,7 +722,7 @@ def rare_blocked_pair_stats(
             "c": c[row].astype(np.int64)})
 
     # consumed twice (df count + index join) — pin the lineage once
-    index = typed_map(docs, explode).materialize()
+    index = typed_map(docs, explode)
 
     # the grams in two or more docs, consumed twice (rare window + hot
     # counts) — materialize
@@ -1352,7 +1371,7 @@ def propagate_min_labels(pairs: Dataset) -> Dataset:
             "label": pc.min_element_wise(b.column("label").cast(pa.int64()),
                                          b.column(other).cast(pa.int64()))})
 
-    edges = typed_map(pairs, sym).materialize()
+    edges = typed_map(pairs, sym)
 
     # round 0: label(u) = min(u, min neighbor)
     labels = partial_groupby(edges, "u", label=("v", "min"),

@@ -36,9 +36,11 @@ import struct
 import numpy as np
 import pyarrow as pa
 
+import ray.data as rd
 from ray.data import Dataset
 
 from ..functions.rounding import py_round
+from .dedup import typed_map
 
 DEFAULT_MEDIA_BATCH = 16  # large binary rows: keep batch x payload <= block budget
 
@@ -304,29 +306,38 @@ def synthesize_media_batch(batch: pa.Table) -> pa.Table:
 _KIND_RESIDUE = {"image": 0, "audio": 1, "video": 2}
 
 
+def _of_kind(b: pa.Table, kind: str) -> pa.Table:
+    """A documents block's rows whose media type is ``kind``."""
+    ids = b.column("doc_id").to_numpy(zero_copy_only=False)
+    return b.filter(pa.array(ids % 3 == _KIND_RESIDUE[kind]))
+
+
 def media_dataset(sf_dir: str, kind: str | None = None) -> Dataset:
     """Synthesize the media table; with ``kind``, prefilter doc_ids BEFORE
     encoding so only the requested lane pays the encode cost (review
     finding: filtering after synthesis wasted 2/3 of the work)."""
-    import ray.data as rd
-
     docs = rd.read_parquet(f"{sf_dir}/documents.parquet", columns=["doc_id"])
     if kind is not None:
-        residue = _KIND_RESIDUE[kind]
-
-        def keep(b: pa.Table) -> pa.Table:
-            ids = b.column("doc_id").to_numpy(zero_copy_only=False)
-            return b.filter(pa.array(ids % 3 == residue))
-
-        docs = docs.map_batches(keep, batch_format="pyarrow")
+        docs = docs.map_batches(lambda b: _of_kind(b, kind),
+                                batch_format="pyarrow")
     return docs.map_batches(synthesize_media_batch, batch_format="pyarrow",
                             batch_size=DEFAULT_MEDIA_BATCH * 8)
 
 
 def image_features(sf_dir: str) -> Dataset:
-    ds = media_dataset(sf_dir, kind="image")
-    return ds.map_batches(ImageFeatures(), batch_format="pyarrow",
-                          batch_size=DEFAULT_MEDIA_BATCH)
+    """``ImageFeatures`` of the image rows, typed on zero rows: one
+    ``typed_map`` over the documents read keeps the image rows, then
+    synthesizes and decodes ``DEFAULT_MEDIA_BATCH`` of them at a time."""
+    kernel = ImageFeatures()
+
+    def features(b: pa.Table) -> pa.Table:
+        b = _of_kind(b, "image")
+        return pa.concat_tables([
+            kernel(synthesize_media_batch(b.slice(i, DEFAULT_MEDIA_BATCH)))
+            for i in range(0, max(b.num_rows, 1), DEFAULT_MEDIA_BATCH)])
+
+    return typed_map(rd.read_parquet(f"{sf_dir}/documents.parquet",
+                                     columns=["doc_id"]), features)
 
 
 def audio_features(sf_dir: str) -> Dataset:

@@ -25,6 +25,7 @@ _WORD = re.compile(r"[a-zA-Zà-ÿÀ-ß]+")
 
 
 from ..functions.rounding import py_round as _shared_round
+from .dedup import partial_groupby, top_rows, typed_map
 
 
 def _r4(x: float) -> float:
@@ -75,7 +76,7 @@ class LangId:
 
 def language_id(sf_dir: str) -> Dataset:
     docs = rd.read_parquet(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"])
-    return docs.map_batches(LangId(), batch_format="pyarrow")
+    return typed_map(docs, LangId())
 
 
 # ---------------------------------------------------------------------------
@@ -122,7 +123,7 @@ class QualityScorer:
 
 def quality_scores(sf_dir: str) -> Dataset:
     docs = rd.read_parquet(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"])
-    return docs.map_batches(QualityScorer(), batch_format="pyarrow")
+    return typed_map(docs, QualityScorer())
 
 
 # ---------------------------------------------------------------------------
@@ -237,7 +238,7 @@ class Fingerprinter:
 
 def fingerprints(sf_dir: str) -> Dataset:
     docs = rd.read_parquet(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"])
-    return docs.map_batches(Fingerprinter(), batch_format="pyarrow")
+    return typed_map(docs, Fingerprinter())
 
 
 # ---------------------------------------------------------------------------
@@ -283,7 +284,7 @@ class GopherSignals:
 
 def gopher_quality(sf_dir: str) -> Dataset:
     docs = rd.read_parquet(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"])
-    return docs.map_batches(GopherSignals(), batch_format="pyarrow")
+    return typed_map(docs, GopherSignals())
 
 
 # ---------------------------------------------------------------------------
@@ -492,14 +493,14 @@ def contamination_flags(sf_dir: str) -> Dataset:
 def vocab_bigrams(sf_dir: str, *, k: int = 30) -> Dataset:
     """Global top-k bigram counts (vocabulary/statistics building).
 
-    Per-batch partials -> groupby sum -> global sort + limit: the
-    shuffle carries one row per distinct bigram per batch (already
-    combined), not one per occurrence — same partial-aggregate shape as
-    heavy_hitters' exact pass, here with full-ordering output. The map
+    Per-batch partials -> groupby sum -> ``top_rows`` (each block's top
+    k, merged on the driver): the shuffle carries one row per distinct
+    bigram per batch (already combined), not one per occurrence — same
+    partial-aggregate shape as heavy_hitters' exact pass, here with
+    full-ordering output. The map
     side is vectorized (functions/tokenize.py): adjacent same-row token
     pairs joined and counted by Arrow kernels, no per-token Python."""
     from ..functions.tokenize import flat_tokens
-    from .dedup import partial_groupby
 
     docs = rd.read_parquet(f"{sf_dir}/documents.parquet", columns=["text"])
 
@@ -513,8 +514,7 @@ def vocab_bigrams(sf_dir: str, *, k: int = 30) -> Dataset:
         return pa.table({
             "bigram": pc.binary_join_element_wise(left, right, " ")})
 
-    agg = partial_groupby(docs.map_batches(bigrams, batch_format="pyarrow"),
-                          "bigram", n=(None, "count_all"))
-    top = agg.sort(["n", "bigram"], descending=[True, False]).limit(k).materialize()
-    # a Ray sort of zero rows loses the columns; the empty aggregate has them
-    return top if top.count() else agg
+    return top_rows(
+        partial_groupby(docs.map_batches(bigrams, batch_format="pyarrow"),
+                        "bigram", n=(None, "count_all")),
+        [("n", "descending"), ("bigram", "ascending")], k)

@@ -5,6 +5,7 @@ per-key ordered-work site (the sort both others run on above 8 MiB)."""
 from __future__ import annotations
 
 import ast
+import functools
 import inspect
 import re
 from pathlib import Path
@@ -470,32 +471,64 @@ class TestPlanShape:
         assert not [op for op in ops if "Join" in op or "Aggregate" in op]
 
 
-@pytest.fixture(scope="module")
-def empty_sf(tmp_path_factory) -> str:
-    """Every smoke-scale table, same schema, zero rows."""
-    out = tmp_path_factory.mktemp("sf_empty")
+def _first_rows_sf(tmp_path_factory, name: str, n: int) -> str:
+    """Every smoke-scale table cut to its first ``n`` rows, same schema."""
+    out = tmp_path_factory.mktemp(name)
     for src in sorted(Path(SF_SMOKE).glob("*.parquet")):
-        pq.write_table(pq.read_schema(src).empty_table(), out / src.name)
+        pq.write_table(pq.read_table(src).slice(0, n), out / src.name)
     return str(out)
 
 
-def _oracle_rows(sf_dir: str, name: str) -> int:
-    """Rows the query's DuckDB oracle returns on ``sf_dir`` (0 for a
+@pytest.fixture(scope="module")
+def empty_sf(tmp_path_factory) -> str:
+    return _first_rows_sf(tmp_path_factory, "sf_empty", 0)
+
+
+@pytest.fixture(scope="module")
+def one_row_sf(tmp_path_factory) -> str:
+    return _first_rows_sf(tmp_path_factory, "sf_one_row", 1)
+
+
+def _oracle(sf_dir: str, name: str) -> pd.DataFrame | None:
+    """The query's DuckDB oracle result on ``sf_dir``; None for a
     rows-only query, which has no SQL twin, and for a golden-oracle query,
-    whose SQL is its pinned sf0.01 values)."""
+    whose SQL is its pinned sf0.01 values."""
     import duckdb
 
     sql = QUERIES[name]["sql"]
     if sql is None or name in GOLDEN_SQL:
-        return 0
+        return None
     con = duckdb.connect()
     for table in Path(sf_dir).glob("*.parquet"):
         con.execute(f"CREATE VIEW {table.stem} AS SELECT * FROM "
                     f"read_parquet('{table}')")
-    return len(con.execute(sql).fetchall())
+    return con.execute(sql).df()
+
+
+@functools.cache
+def _smoke_columns(name: str) -> list[str]:
+    return _columns(QUERIES[name]["fn"](SF_SMOKE))[0]
+
+
+# the per-query lists of the zero-row sweep besides the primitives' callers
+COLLECTED = ["bottomk_sample", "edit_dist_dups", "knn_bruteforce", "knn_ivf",
+             "knn_multiquery", "ngram_jaccard_dups", "run_report",
+             "unigram_logprob"]
+SCHEMA_DISCOVERY = ["discovered_schema", "export_csv_check",
+                    "export_json_check", "schema_listing"]
+MAPPED = sorted(set(QUERIES).difference(
+    DIRECT_CALLERS, PARTIAL_GROUPBY_CALLERS, SEGMENT_WINDOW_CALLERS,
+    COLLECTED, SCHEMA_DISCOVERY))
 
 
 class TestDegenerateInputs:
+    """One zero-row check, ``_check_empty``, over every ``QUERIES`` entry.
+    Each entry runs under the name of the way its empty result is typed:
+    a join, an aggregate or a ``segment_window`` (the primitives' callers,
+    found by name), a driver-side collect, a schema discovery, or, for
+    every other query, a last ``typed_map``. One-row tables run every
+    query once more, against DuckDB where the oracle is SQL."""
+
     def test_direct_callers_found(self):
         assert len(DIRECT_CALLERS) >= 10
 
@@ -510,12 +543,19 @@ class TestDegenerateInputs:
 
     @staticmethod
     def _check_empty(empty_sf: str, name: str) -> None:
-        """The oracle's rows on the empty tables, and the columns, in
-        order, the same query gives on the smoke tables."""
-        fn = QUERIES[name]["fn"]
-        cols, rows = _columns(fn(empty_sf))
-        assert rows == _oracle_rows(empty_sf, name)
-        assert cols == _columns(fn(SF_SMOKE))[0]
+        """No rows in, no exception out: the rows the oracle gives on the
+        same empty tables — 0, except where SQL aggregates without a
+        GROUP BY (profile_orders' 5 column rows, the ROLLUP/CUBE grand
+        total) — with the columns, in order, the smoke tables give. No
+        pages: discovery falls back to its one ``text`` field."""
+        out = collect_table(QUERIES[name]["fn"](empty_sf))
+        oracle = _oracle(empty_sf, name)
+        if oracle is not None:
+            assert out.num_rows == len(oracle)
+        assert out.column_names == _smoke_columns(name)
+        if name == "discovered_schema":
+            assert out.column("field").to_pylist() == ["text"]
+            assert out.column("type").to_pylist() == ["string"]
 
     @pytest.mark.parametrize("name", DIRECT_CALLERS)
     def test_join_query_on_empty_tables(self, ray_session, empty_sf, name):
@@ -524,10 +564,6 @@ class TestDegenerateInputs:
     @pytest.mark.parametrize("name", PARTIAL_GROUPBY_CALLERS)
     def test_aggregate_query_on_empty_tables(self, ray_session, empty_sf,
                                              name):
-        """No rows in, no exception out: the rows the oracle gives on the
-        same empty tables — 0, except where SQL aggregates without a
-        GROUP BY (profile_orders' 5 column rows, the ROLLUP/CUBE grand
-        total) — with the smoke tables' columns."""
         self._check_empty(empty_sf, name)
 
     @pytest.mark.parametrize("name", SEGMENT_WINDOW_CALLERS)
@@ -535,23 +571,32 @@ class TestDegenerateInputs:
                                                   name):
         self._check_empty(empty_sf, name)
 
-    @pytest.mark.parametrize("name", [
-        "bottomk_sample", "edit_dist_dups", "knn_bruteforce", "knn_ivf",
-        "knn_multiquery", "ngram_jaccard_dups", "run_report",
-        "unigram_logprob"])
+    @pytest.mark.parametrize("name", COLLECTED)
     def test_collected_query_on_empty_tables(self, ray_session, empty_sf,
                                              name):
-        """Queries that pick query vectors, collect per-block partials
-        into one table or report a job's manifest: no query row and no
-        partial row give the oracle's rows, typed (``rd.from_arrow`` of
-        the driver's table)."""
         self._check_empty(empty_sf, name)
 
-    @pytest.mark.parametrize("name", ["self_dup_spans"])
-    def test_mapped_query_on_empty_tables(self, ray_session, empty_sf, name):
-        """A query whose last step is a map over the read types it through
-        ``typed_map``, so zero rows keep the smoke tables' columns."""
+    @pytest.mark.parametrize("name", SCHEMA_DISCOVERY)
+    def test_schema_discovery_on_empty_tables(self, ray_session, empty_sf,
+                                              name):
         self._check_empty(empty_sf, name)
+
+    @pytest.mark.parametrize("name", MAPPED)
+    def test_mapped_query_on_empty_tables(self, ray_session, empty_sf, name):
+        self._check_empty(empty_sf, name)
+
+    @pytest.mark.parametrize("name", sorted(QUERIES))
+    def test_query_on_one_row_tables(self, ray_session, one_row_sf, name):
+        """The first row of every table: the smoke tables' columns, in
+        order, and the DuckDB oracle's rows and values (the comparison of
+        tools/check_oracles.py) where the oracle is SQL."""
+        from tools.check_oracles import compare
+
+        out = collect_table(QUERIES[name]["fn"](one_row_sf))
+        assert out.column_names == _smoke_columns(name)
+        oracle = _oracle(one_row_sf, name)
+        if oracle is not None:
+            assert compare(name, out.to_pandas(), oracle) == []
 
     def test_cli_prints_columns_on_empty_tables(self, ray_session, empty_sf,
                                                 monkeypatch, capsys):
@@ -565,26 +610,9 @@ class TestDegenerateInputs:
         # the CLI ends its Ray session; keep the test session's
         monkeypatch.setattr(ray, "shutdown", lambda: None)
         assert main(["query", "pricing_summary", "--sf-dir", empty_sf]) == 0
-        cols = _columns(QUERIES["pricing_summary"]["fn"](SF_SMOKE))[0]
         out = capsys.readouterr().out
-        assert f"Columns: [{', '.join(cols)}]" in out
+        assert f"Columns: [{', '.join(_smoke_columns('pricing_summary'))}]" in out
         assert "... 0 rows" in out
-
-    @pytest.mark.parametrize("name", [
-        "discovered_schema", "export_csv_check", "export_json_check",
-        "schema_listing"])
-    def test_schema_discovery_on_empty_tables(self, ray_session, empty_sf,
-                                              name):
-        """No pages: discovery falls back to its one ``text`` field instead
-        of raising, and the export checks run the real sink on an empty
-        extraction, with the smoke tables' columns. These are
-        golden-oracle queries, so the oracle's 0 rows do not apply."""
-        fn = QUERIES[name]["fn"]
-        out = collect_table(fn(empty_sf))
-        assert out.column_names == _columns(fn(SF_SMOKE))[0]
-        if name == "discovered_schema":
-            assert out.column("field").to_pylist() == ["text"]
-            assert out.column("type").to_pylist() == ["string"]
 
 
 class TestNoPandas:
@@ -1075,6 +1103,34 @@ class TestSegmentWindow:
                                            "k", _ranked_fn(), order=SEG_ORDER))
         assert got.column_names == AGG_INPUT.column_names + [
             "rank", "size", "first_i"]
+
+
+    def test_typed_map_asks_schema_only_on_zero_rows(self, ray_session,
+                                                      tmp_path, monkeypatch):
+        """typed_map is one map, no union: rows come straight from it, and
+        ``ds.schema()`` is asked only when it gives none, to type ``fn``
+        of the empty table."""
+        import ray.data as rd
+        from ray.data import Dataset
+
+        from ai_pdf_extraction_ray.stages.dedup import collect_table, typed_map
+
+        asked = []
+        schema = Dataset.schema
+        monkeypatch.setattr(Dataset, "schema", lambda ds, *a, **k: (
+            asked.append(ds), schema(ds, *a, **k))[1])
+        pq.write_table(AGG_INPUT, tmp_path / "t.parquet")
+        read = rd.read_parquet(str(tmp_path / "t.parquet"))
+        out = typed_map(read, lambda t: t.select(["k", "g"]))
+        assert asked == []
+        assert [op for op in _operators(out) if "Union" in op] == []
+        assert collect_table(out).num_rows == AGG_INPUT.num_rows
+        out = typed_map(read, lambda t: t.filter(
+            pc.equal(t.column("i"), -1)).select(["k", "g"]))
+        assert asked == [read]
+        got = collect_table(out)
+        assert got.num_rows == 0
+        assert got.schema == AGG_INPUT.select(["k", "g"]).schema
 
 
 class TestSingleSegmentSite:

@@ -386,6 +386,36 @@ class TestInterruptedRunResumes:
             assert list(a["payload_sha256"]) == list(b["payload_sha256"])
 
 
+class TestReportsLeaveNoState:
+    def test_two_calls_run_again_and_leave_no_directory(
+            self, ray_session, tmp_path, monkeypatch):
+        """``run_report`` runs its job in a temporary directory and
+        ``schema_listing`` keeps its registry in one: a second call runs
+        the job again (an earlier run's manifest cannot answer it), and
+        neither call leaves a directory behind."""
+        import tempfile
+
+        from ai_pdf_extraction_ray.pipelines import extract_pipeline as EP
+        from ai_pdf_extraction_ray.pipelines.queries import QUERIES
+        from ai_pdf_extraction_ray.stages.dedup import collect_table
+
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        manifests = []
+        real = EP.extract_job
+
+        def recorded(*args, **kwargs):  # noqa: ANN002, ANN003, ANN202
+            manifests.extend(real(*args, **kwargs))
+            return manifests[-1:]
+
+        monkeypatch.setattr(EP, "extract_job", recorded)
+        for name in ("run_report", "schema_listing"):
+            first, second = (collect_table(QUERIES[name]["fn"](SF_SMOKE))
+                             for _ in range(2))
+            assert first.equals(second)
+        assert [m["skipped"] for m in manifests] == [False, False]
+        assert list(tmp_path.iterdir()) == []
+
+
 class TestChunkedWarningsPropagate:
     def test_chunk_warnings_survive_merge(self):
         from ai_pdf_extraction_ray.sources.corpus import build_pdf_pages
