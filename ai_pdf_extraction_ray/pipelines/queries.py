@@ -43,7 +43,7 @@ from ray.data.aggregate import Max, Min, Sum
 
 from ..schema import FieldDefinition, FieldType, SchemaDefinition
 from ..stages.extract import DocumentExtractor
-from .extract_pipeline import pages_dataset, run_extraction
+from .extract_pipeline import DEFAULT_BATCH_SIZE, pages_dataset, run_extraction
 
 # ---------------------------------------------------------------------------
 # shared config
@@ -181,15 +181,29 @@ def _docs(sf_dir: str, columns: list[str] | None = None) -> Dataset:
     return rd.read_parquet(f"{sf_dir}/documents.parquet", columns=columns)
 
 
+def _over_pages(sf_dir: str, fn: Callable[[pa.Table], pa.Table]) -> Dataset:
+    """``fn`` of the documents synthesized into pages, through
+    ``typed_map`` over the documents read, so zero documents give
+    ``fn``'s columns. Each block is synthesized and passed to ``fn``
+    ``DEFAULT_BATCH_SIZE`` documents at a time, the step of
+    ``pages_dataset``, so a worker holds the pages of one step at once."""
+    def step(b: pa.Table) -> pa.Table:
+        return pa.concat_tables([
+            fn(synthesize_pages_batch(b.slice(i, DEFAULT_BATCH_SIZE)))
+            for i in range(0, max(b.num_rows, 1), DEFAULT_BATCH_SIZE)])
+
+    return typed_map(_docs(sf_dir, ["doc_id", "text", "lang"]), step)
+
+
 def _extracted(sf_dir: str, fn: Callable[[pa.Table], pa.Table],
                schema: SchemaDefinition | None = None) -> Dataset:
-    """``fn`` of each documents block synthesized into pages and extracted
-    (``pages_dataset`` -> ``run_extraction`` as one function), through
-    ``typed_map`` over the documents read: zero documents give ``fn``'s
-    columns."""
+    """``fn`` of the pages' extraction, typed on zero documents
+    (``_over_pages``). The queries whose extraction feeds a
+    ``partial_groupby``, a ``segment_window`` or a sorted export stay on
+    ``run_extraction(pages_dataset(...))``: that step types their empty
+    result, and the extraction streams into it unmaterialized."""
     kernel = DocumentExtractor(schema.to_dict() if schema else None)
-    return typed_map(_docs(sf_dir, ["doc_id", "text", "lang"]),
-                     lambda b: fn(kernel(synthesize_pages_batch(b))))
+    return _over_pages(sf_dir, lambda pages: fn(kernel(pages)))
 
 
 def _html_rows(t: pa.Table) -> pa.Table:
@@ -440,8 +454,7 @@ def q_page_metadata(sf_dir: str) -> Dataset:
     boilerplate outlink count (``_boilerplate_link_count`` asserts the
     constant across every layout variant); PDF payloads carry none.
     """
-    return typed_map(_docs(sf_dir, ["doc_id", "text", "lang"]),
-                     lambda b: _page_metadata_batch(synthesize_pages_batch(b)))
+    return _over_pages(sf_dir, _page_metadata_batch)
 
 
 def q_host_reputation(sf_dir: str) -> Dataset:
@@ -3231,7 +3244,7 @@ def q_pagerank(sf_dir: str) -> Dataset:
 
     # each round's finish damps the summed contributions into ranks, then
     # emits the next round's contributions (the last round: rank buckets)
-    ranks = typed_map(docs, lambda b: emit(init(b)))
+    ranks = docs.map_batches(lambda b: emit(init(b)), batch_format="pyarrow")
     for then in [emit] * (PAGERANK_ITERS - 1) + [bucketize]:
         ranks = partial_groupby(
             ranks, "dst", w_in=("w", "sum"),
