@@ -70,18 +70,44 @@ def pages_dataset(
     scale work volume; urls repeat across replicas). ``override_num_blocks``
     splits the read's output into that many blocks, but it does not add
     read tasks: one parquet file is one read task
-    (``ReadParquet->SplitBlocks(n)``). That task's streaming generator
-    buffers 2 blocks (Ray's ``DEFAULT_MAX_NUM_BLOCKS_IN_STREAMING_GEN_BUFFER``)
-    and the executor drains them once per 100-ms poll, so the maps behind
-    it receive about 2 blocks per poll: ~2.5k pages/s at 125 pages per
-    block, so more blocks do not speed it up. (perfbench ``extract_web``,
-    48 blocks on 4 logical CPUs: the read spans 2.3 s for 0.04 s of task
-    time.)
+    (``ReadParquet->SplitBlocks(n)``). The synthesis and extraction maps run
+    behind that one task, so the read is unpaced (see ``_pages_from_files``).
     """
-    ds = rd.read_parquet(
+    return _pages_from_files(
         [f"{sf_dir}/documents.parquet"] * max(1, replicate),
+        include_doc_id=include_doc_id,
+        override_num_blocks=override_num_blocks,
+        inflate=inflate,
+    )
+
+
+def _pages_from_files(
+    paths: list[str],
+    *,
+    include_doc_id: bool = True,
+    override_num_blocks: int | None = None,
+    inflate: int = 1,
+) -> Dataset:
+    """The documents files -> synthesized pages, the read feeding extraction.
+
+    The read hands over its blocks as soon as they are read. Its memory
+    bound is then what its running tasks have read, not 2 blocks each: the
+    three pruned columns of their files, a small part of the pages the maps
+    make from them (the html payloads are synthesized behind the read). A
+    read of raw pages would carry whole payloads, so ``extract_job``'s
+    raw-pages lane keeps Ray's pacing.
+    """
+    # Ray paces a read task's streaming generator at 2 blocks
+    # (``DEFAULT_MAX_NUM_BLOCKS_IN_STREAMING_GEN_BUFFER``) and the executor
+    # drains it once per 100-ms poll: the maps behind a one-file read got
+    # about 2 blocks per poll (perfbench ``extract_web``, 48 blocks on 4
+    # logical CPUs: the read spanned 2.2 s for 0.04 s of task time). -1
+    # turns the pacing off for this read only.
+    ds = rd.read_parquet(
+        paths,
         columns=["doc_id", "text", "lang"],
         override_num_blocks=override_num_blocks,
+        ray_remote_args={"_generator_backpressure_num_objects": -1},
     )
     return ds.map_batches(
         lambda b: synthesize_pages_batch(b, include_doc_id=include_doc_id,
@@ -198,9 +224,13 @@ def extract_job(
     """Resumable multi-shard extraction run.
 
     One shard per input file; a shard with a valid manifest (matching
-    lineage) is skipped. ``repair=True`` appends the rule-driven completion
-    stage (T3) after extraction (reference on-demand smart repair,
-    routers/documents.py:80-201, as a pipeline flag — SURVEY §2.10).
+    lineage) is skipped. ``synthesize=True`` reads documents files through
+    ``pages_dataset``'s unpaced read and synthesis map; ``synthesize=False``
+    reads raw pages files, whose blocks carry whole payloads, so that read
+    keeps Ray's default 2-block buffer. ``repair=True`` appends the
+    rule-driven completion stage (T3) after extraction (reference on-demand
+    smart repair, routers/documents.py:80-201, as a pipeline flag — SURVEY
+    §2.10).
     Returns the manifest list (one per shard).
     """
     manifests: list[dict[str, Any]] = []
@@ -231,11 +261,9 @@ def extract_job(
 
         t0 = time.perf_counter()
         if synthesize:
-            ds = rd.read_parquet(path, columns=["doc_id", "text", "lang"])
-            ds = ds.map_batches(synthesize_pages_batch, batch_format="pyarrow",
-                                batch_size=DEFAULT_BATCH_SIZE)
+            ds = _pages_from_files([path])
         else:
-            ds = rd.read_parquet(path)
+            ds = rd.read_parquet(path)  # whole payloads: keep Ray's pacing
         ext = run_extraction(ds, schema, batch_size=DEFAULT_BATCH_SIZE)
         if repair and schema is not None:
             from ..stages.repair import repair_extractions

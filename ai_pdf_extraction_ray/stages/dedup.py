@@ -921,6 +921,15 @@ def levenshtein_banded(a: str, b: str, cutoff: int) -> int:
     return prev[lb] if prev[lb] <= cutoff else big
 
 
+def _char_histograms(texts: list[str]) -> np.ndarray:
+    """Each text's code points mod 256, counted: one row of 256 per text."""
+    lengths = np.fromiter(map(len, texts), np.int64, len(texts))
+    codes = np.frombuffer("".join(texts).encode("utf-32-le"), np.uint32) & 255
+    rows = np.repeat(np.arange(len(texts)), lengths)
+    return np.bincount(rows * 256 + codes,
+                       minlength=len(texts) * 256).reshape(len(texts), 256)
+
+
 def edit_distance_dups(sf_dir: str) -> Dataset:
     """Character-edit-distance near-dup pairs over rare-gram-blocked
     candidates, as a sorted (doc_a, doc_b, edit_dist) Dataset — the
@@ -939,9 +948,9 @@ def edit_distance_dups(sf_dir: str) -> Dataset:
       _GRAMS_PER_EDIT);
     - per-pair: n_a + n_b - 2*inter_ub (the least possible symdiff given
       the exact shared-rare count) must also be <= 8*EDIT_DIST_MAX.
-    Survivors join back to text (``_pairs_with_texts``) and the banded
-    kernel computes the exact distance, abandoning rows early at the
-    cutoff."""
+    Survivors join back to text (``_pairs_with_texts``); a character
+    histogram bound drops most of them, and the banded kernel computes
+    the exact distance of the rest, abandoning rows early at the cutoff."""
     docs = rd.read_parquet(f"{sf_dir}/documents.parquet",
                            columns=["doc_id", "text"])
     budget = _GRAMS_PER_EDIT * EDIT_DIST_MAX
@@ -966,11 +975,17 @@ def edit_distance_dups(sf_dir: str) -> Dataset:
                          "doc_b": b.column("doc_b")})
 
     def lev_batch(b: pa.Table) -> pa.Table:
+        texts_a = [t or "" for t in b.column("text_a").to_pylist()]
+        texts_b = [t or "" for t in b.column("text_b").to_pylist()]
+        # lev(a, b) >= ceil(L1(h_a, h_b) / 2) for character histograms h: a
+        # substitution moves L1 by at most 2, an insert or a delete by 1,
+        # and binning code points mod 256 only lowers L1. Most candidate
+        # pairs fail it, so the DP runs on few.
+        l1 = np.abs(_char_histograms(texts_a) - _char_histograms(texts_b)).sum(axis=1)
+        near = ((l1 + 1) // 2 <= EDIT_DIST_MAX).tolist()
         dists = pa.array([
-            0 if ta == tb
-            else levenshtein_banded(ta or "", tb or "", EDIT_DIST_MAX)
-            for ta, tb in zip(b.column("text_a").to_pylist(),
-                              b.column("text_b").to_pylist())
+            levenshtein_banded(ta, tb, EDIT_DIST_MAX) if ok else EDIT_DIST_MAX + 1
+            for ta, tb, ok in zip(texts_a, texts_b, near)
         ], pa.int64())
         keep = pc.less_equal(dists, EDIT_DIST_MAX)
         return pa.table({

@@ -33,7 +33,7 @@ from ..schema import (
     round_confidence,
 )
 from ..functions.scalars import normalize_number, parse_currency, parse_date
-from .html_extract import compile_field_patterns, extract_fields, extract_html
+from .html_extract import compile_field_patterns, extract_fields, extract_html_batch
 from .pdf_extract import extract_pdf, page_count
 
 CHUNK_THRESHOLD_PAGES = 10  # reference: single call <= 10 pages (extraction.py:493-513)
@@ -190,13 +190,18 @@ class DocumentExtractor:
             for f in self.schema.fields:
                 out[f"field_{f.name}"] = []
 
-        for url, payload in zip(urls, payloads):
+        # the HTML lane runs as one batch scan over the batch's pages
+        kinds = [sniff_kind(p) for p in payloads]
+        html_rows = [i for i, k in enumerate(kinds) if k == "html"]
+        html_recs = dict(zip(html_rows, extract_html_batch(
+            [payloads[i][: self.max_payload_bytes] for i in html_rows])))
+
+        for row, (url, payload, kind) in enumerate(zip(urls, payloads, kinds)):
             host = urlparse(url).netloc if url else ""
             out["host"].append(host)
             out["payload_sha256"].append(
                 hashlib.sha256(payload).hexdigest() if payload else ""
             )
-            kind = sniff_kind(payload)
             oversize = payload is not None and len(payload) > self.max_payload_bytes
             if kind == "error":
                 rec = {
@@ -216,13 +221,11 @@ class DocumentExtractor:
                 else:
                     rec = self._extract_pdf_maybe_chunked(payload)
             else:
+                rec = html_recs[row]
                 if oversize:
-                    rec = extract_html(payload[: self.max_payload_bytes])
                     rec["warnings"] = list(rec["warnings"]) + [
                         f"oversize payload truncated to {self.max_payload_bytes} bytes"
                     ]
-                else:
-                    rec = extract_html(payload)
             if rec["error"] is not None:
                 kind = "error"
             out["kind"].append(kind)

@@ -5,10 +5,15 @@ The deterministic replacement for the reference's LLM extraction kernel
 slots into; the kernel itself is new, built from the public
 Boilerpipe/Readability literature — see PAPERS.md):
 
-1. a single streaming pass (the ``_FastScanner`` regex tokenizer, 2.2x the
-   stdlib parser; ``html.parser.HTMLParser`` remains the equivalence
-   baseline and fallback) segments the page into text **blocks** at
-   block-level tag boundaries, tracking per block:
+1. a tokenizer segments the page into text **blocks** at block-level tag
+   boundaries. A batch of pages (``extract_html_batch``, the extraction
+   stage's HTML lane) is tokenized at once by ``scan_batch``: one RE2 pass
+   over all pages, stack counters as per-page running sums, and a per-page
+   nesting check; a page it cannot take (misnested tags, ``<`` inside
+   ``script``/``style``, CDATA) goes to ``_FastScanner``, its only
+   fallback. One page (``extract_html``) goes to ``_FastScanner``, a regex
+   tokenizer 2.2x the stdlib parser; ``html.parser.HTMLParser`` remains
+   the equivalence baseline. Per block they track:
    char count, word count, chars inside ``<a>`` (link chars), and whether
    the block sits under a semantic content container (``article``/``main``)
    or a semantic boilerplate container (``nav``/``header``/``footer``/
@@ -45,9 +50,14 @@ boilerplate): each schema field compiles to a label pattern
 
 from __future__ import annotations
 
+import html as _html_mod
 import re
 from dataclasses import dataclass
 from html.parser import HTMLParser
+
+import numpy as np
+import pyarrow as pa
+import pyarrow.compute as pc
 
 from ..schema import SchemaDefinition, round_confidence
 
@@ -328,9 +338,6 @@ class _FastScanner:
         return self.blocks
 
 
-import html as _html_mod  # noqa: E402 — used by the scanner above
-
-
 def parse_blocks(payload: bytes | str) -> list[Block]:
     """Decode + parse one page into ordered text blocks (fast scanner with
     stdlib-parser fallback)."""
@@ -403,6 +410,283 @@ def _error_record(msg: str) -> dict:
         "text": None, "spans": [], "confidence": 0.0, "n_blocks": 0,
         "warnings": [], "error": msg, "flat_text": "",
     }
+
+
+# ---------------------------------------------------------------------------
+# batch scanner — _FastScanner's blocks for a whole batch from one tokenization
+# ---------------------------------------------------------------------------
+
+# the characters str.isspace() accepts; Arrow's utf8 whitespace kernels
+# (trim, split) accept the same set (pinned by a test)
+_WS = ("\t\n\x0b\x0c\r\x1c\x1d\x1e\x1f \x85\xa0\u1680\u2000\u2001\u2002\u2003"
+       "\u2004\u2005\u2006\u2007\u2008\u2009\u200a\u2028\u2029\u202f\u205f\u3000")
+# _TAG_RE for RE2, which finds the same leftmost-first matches. The tag's
+# attributes are greedy here: lazy or greedy, they end at the first '>'
+# outside quotes, and a '/' before it is the self-close slash either way.
+_MARKUP_RE2 = (
+    r"(?s)<(?:!--.*?--[" + _WS + r"]*>|!\[CDATA\[.*?\]\]>|![^>]*>|\?[^>]*>"
+    r"|/?[a-zA-Z](?:\"[^\"]*\"|'[^']*'|[^>\"'])*>)"
+)
+_SEP = "\x01"
+# pages left to _FastScanner whatever their tags: the token separator, CDATA,
+# and U+0130, whose lower() is two characters long and so moves the
+# scanner's search for a raw-text close tag
+_SCANNER_ONLY_RE2 = "\x01|\u0130|<!\\[CDATA\\["
+# per markup token: the context counter its element opens or closes
+_NO_COUNTER, _IGNORE, _CONTENT, _BOILER, _ANCHOR = range(5)
+# rows of _markup_table
+_NAME, _FLUSH, _RAW, _PUSH, _POP, _COUNTER, _UNPARSED = range(7)
+
+
+def _markup_table(markup: list[str]) -> np.ndarray:
+    """What ``_FastScanner.scan`` does with each distinct markup string, one
+    column each: name id, flushes a block, opens raw text, pushes, pops,
+    context counter, and whether ``_TAG_RE`` fails to match it whole."""
+    names: dict[str, int] = {}
+    table = np.zeros((7, len(markup)), np.int32)
+    for i, token in enumerate(markup):
+        m = _TAG_RE.match(token)
+        if m is None or m.end() != len(token):
+            table[_UNPARSED, i] = 1
+            continue
+        endslash, tag, selfslash = m.group(1, 2, 4)
+        if tag is None:
+            continue  # comment / doctype / PI: no effect
+        tag = tag.lower()
+        closing = endslash == "/"
+        selfclose = selfslash == "/"
+        void = tag in VOID_TAGS
+        raw = not closing and not selfclose and tag in _RAW_TEXT_TAGS
+        counter = (_IGNORE if tag in IGNORE_TAGS else _CONTENT if tag in CONTENT_ANCESTORS
+                   else _BOILER if tag in BOILER_ANCESTORS else _ANCHOR if tag == "a"
+                   else _NO_COUNTER)
+        table[:, i] = (names.setdefault(tag, len(names)), tag in BLOCK_TAGS, raw,
+                       not (closing or selfclose or void or raw), closing and not void,
+                       counter, 0)
+    return table
+
+
+@dataclass
+class BatchBlocks:
+    """The blocks ``scan_batch`` found, one entry per block, pages in order.
+
+    ``fallback`` marks the pages it left to ``_FastScanner``; they have no
+    entries here."""
+
+    page: np.ndarray
+    text: pa.Array
+    link_chars: np.ndarray
+    words: np.ndarray
+    in_content: np.ndarray
+    in_boiler: np.ndarray
+    fallback: np.ndarray
+
+
+def _page_cumsum(delta: np.ndarray, starts: np.ndarray, page: np.ndarray) -> np.ndarray:
+    """Running sum of ``delta`` within each page, up to and including each
+    token (every page starts with a data token, whose delta is 0)."""
+    total = np.cumsum(delta, dtype=delta.dtype)
+    return total - total[starts][page]
+
+
+def _misnested_pages(delta: np.ndarray, name: np.ndarray, page: np.ndarray,
+                     starts: np.ndarray) -> np.ndarray:
+    """The pages where a pop (``delta`` -1) does not close the innermost
+    open element, a push (+1) of the same name.
+
+    A pop at stack level L must close the last push at level L, the event
+    before it when events sort by (page, level); where every pop does, the
+    stack depth never goes below 0 either."""
+    depth = _page_cumsum(delta, starts, page) - delta  # before the token
+    events = np.flatnonzero(delta)
+    pop = delta[events] < 0
+    level = depth[events] - pop
+    order = np.lexsort((level, page[events]))  # stable: events stay in order
+    events, level, pop = events[order], level[order], pop[order]
+    closes = np.flatnonzero(pop)
+    cur, prev = events[closes], events[closes - 1]
+    matched = ((closes > 0) & (page[prev] == page[cur])
+               & (level[closes - 1] == level[closes]) & ~pop[closes - 1]
+               & (name[prev] == name[cur]))
+    return page[cur[~matched]]
+
+
+def scan_batch(pages: list[str]) -> BatchBlocks:
+    """``_FastScanner().scan(page)`` for the pages of a batch, from one
+    tokenization.
+
+    RE2 marks every markup token, so each page splits into alternating data
+    and markup tokens. Each distinct markup string is classified once, and
+    the stack's context counters are running sums of the pushes and pops
+    per page. Running sums equal the scanner's stack only where every close
+    tag closes the innermost open element, so the nesting is checked per
+    page. A misnested page, a raw-text element whose content holds ``<``,
+    and a page ``_SCANNER_ONLY_RE2`` matches are left to ``_FastScanner``.
+    """
+    n = len(pages)
+    arr = pa.array(pages, pa.string())
+    fallback = np.asarray(pc.match_substring_regex(arr, _SCANNER_ONLY_RE2), bool)
+    tokens = pc.split_pattern(
+        pc.replace_substring_regex(arr, _MARKUP_RE2, _SEP + r"\0" + _SEP), _SEP)
+    flat = tokens.flatten()
+    offsets = np.asarray(tokens.offsets, np.int32) - tokens.offsets[0].as_py()
+    count = np.diff(offsets)
+    starts = offsets[:-1]
+    page = np.repeat(np.arange(n, dtype=np.int32), count)
+    local = np.arange(len(flat), dtype=np.int32) - starts[page]
+    is_markup = (local & 1).astype(bool)
+    at = np.flatnonzero(is_markup)
+    enc = flat.filter(pa.array(is_markup)).dictionary_encode()
+    table, distinct = _markup_table(enc.dictionary.to_pylist()), np.asarray(enc.indices)
+
+    def on_tokens(row: int) -> np.ndarray:
+        out = np.zeros(len(flat), np.int32)
+        out[at] = table[row][distinct]
+        return out
+
+    name = on_tokens(_NAME)
+    push = on_tokens(_PUSH).astype(bool)
+    pop = on_tokens(_POP).astype(bool)
+    fallback[page[at[table[_UNPARSED][distinct] == 1]]] = True
+
+    # a raw-text element is skipped whole: its open tag, its content and
+    # its close tag (the content runs to the page's end if it has none)
+    raw = at[table[_RAW][distinct] == 1]
+    content = raw + 1
+    closed = raw[local[raw] + 2 < count[page[raw]]]
+    close = closed + 2
+    fallback[page[closed[(name[close] != name[closed]) | ~pop[close]]]] = True
+    fallback[page[raw[np.asarray(pc.match_substring(flat.take(content), "<"), bool)]]] = True
+    skip = np.zeros(len(flat), bool)
+    skip[raw] = skip[content] = skip[close] = True
+    push &= ~skip
+    pop &= ~skip
+
+    delta = push.astype(np.int32) - pop
+    fallback[_misnested_pages(delta, name, page, starts)] = True
+
+    counter = on_tokens(_COUNTER)
+    opened = {}
+    for c in (_IGNORE, _CONTENT, _BOILER, _ANCHOR):
+        opened[c] = _page_cumsum(np.where(counter == c, delta, 0), starts, page) > 0
+    block = np.cumsum(on_tokens(_FLUSH).astype(bool) & ~skip, dtype=np.int32)
+
+    keep = np.flatnonzero(~is_markup & ~skip & ~opened[_IGNORE] & ~fallback[page]
+                          & (np.asarray(pc.binary_length(flat)) > 0))
+    segments = flat.take(keep)
+    has_amp = pc.match_substring(segments, "&")
+    if pc.any(has_amp).as_py():
+        decoded = [_html_mod.unescape(s) for s in segments.filter(has_amp).to_pylist()]
+        segments = pc.replace_with_mask(segments, has_amp, pa.array(decoded, pa.string()))
+    seg_page, seg_block = page[keep], block[keep]
+    starts_block = np.ones(len(keep), bool)
+    starts_block[1:] = (seg_page[1:] != seg_page[:-1]) | (seg_block[1:] != seg_block[:-1])
+    first = np.flatnonzero(starts_block)
+    raw_text = pc.binary_join(pa.ListArray.from_arrays(
+        pa.array(np.r_[first, len(keep)], pa.int32()), segments), "")
+    text = pc.utf8_trim_whitespace(raw_text)
+    chars = np.asarray(pc.utf8_length(text), np.int64)
+    anchor_chars = np.asarray(pc.utf8_length(segments), np.int64) * opened[_ANCHOR][keep]
+    link = np.add.reduceat(anchor_chars, first) if len(first) else chars
+    words = np.asarray(pc.list_value_length(pc.utf8_split_whitespace(text)), np.int64)
+    nonempty = chars > 0
+    head = keep[first]
+    return BatchBlocks(
+        page=seg_page[first][nonempty], text=text.filter(pa.array(nonempty)),
+        link_chars=np.minimum(link, chars)[nonempty], words=words[nonempty],
+        in_content=opened[_CONTENT][head][nonempty],
+        in_boiler=opened[_BOILER][head][nonempty], fallback=fallback)
+
+
+def parse_blocks_batch(pages: list[str]) -> list[list[Block]]:
+    """``parse_blocks`` for many pages: ``scan_batch``, and ``_FastScanner``
+    for the pages it leaves."""
+    b = scan_batch(pages)
+    out: list[list[Block]] = [[] for _ in pages]
+    for p, *fields in zip(b.page.tolist(), b.text.to_pylist(), b.link_chars.tolist(),
+                          b.words.tolist(), b.in_content.tolist(), b.in_boiler.tolist()):
+        out[p].append(Block(*fields))
+    for p in np.flatnonzero(b.fallback).tolist():
+        out[p] = _FastScanner().scan(pages[p])
+    return out
+
+
+# pages per scan_batch call: bounds the scan's working memory (~50 KB a
+# page) whatever the block size, and single-core pages/s peaks near it
+_SCAN_PAGES = 256
+
+
+def extract_html_batch(payloads: list[bytes | str]) -> list[dict]:
+    """``[extract_html(p) for p in payloads]``, ``_SCAN_PAGES`` pages per
+    ``scan_batch``."""
+    records: list[dict] = []
+    for lo in range(0, len(payloads), _SCAN_PAGES):
+        records += _extract_html_scanned(payloads[lo:lo + _SCAN_PAGES])
+    return records
+
+
+def _extract_html_scanned(payloads: list[bytes | str]) -> list[dict]:
+    """The records of one ``scan_batch``: its blocks are classified and
+    joined as Arrow and numpy columns, and the pages it leaves go through
+    ``extract_html``."""
+    pages = [p.decode("utf-8", errors="replace") if isinstance(p, bytes) else p
+             for p in payloads]
+    try:
+        b = scan_batch(pages)
+    except (UnicodeEncodeError, pa.ArrowCapacityError):
+        # str pages with lone surrogates have no UTF-8 form, and a string
+        # array holds at most 2 GiB: these pages go one at a time
+        return [extract_html(p) for p in payloads]
+    n = len(pages)
+    chars = np.asarray(pc.utf8_length(b.text), np.int64)
+    density = b.link_chars / np.maximum(1, chars)
+    score = (1.0 - density) * np.minimum(1.0, b.words / MANY_WORDS)
+    # classify_blocks' cascade; neighbours are the page's blocks either side
+    many = b.words >= MANY_WORDS
+    same_page = b.page[1:] == b.page[:-1]
+    near_many = np.zeros(len(many), bool)
+    near_many[1:] |= many[:-1] & same_page
+    near_many[:-1] |= many[1:] & same_page
+    content = np.flatnonzero(
+        ~(b.in_boiler & ~b.in_content) & ~(density > MAX_LINK_DENSITY)
+        & (b.in_content | many | ((b.words >= SOME_WORDS) & near_many)))
+
+    def joined(rows: np.ndarray | None, sep: str) -> tuple[list[str], np.ndarray]:
+        pages_of = b.page if rows is None else b.page[rows]
+        per_page = np.bincount(pages_of, minlength=n)
+        offsets = np.r_[0, np.cumsum(per_page)]
+        texts = b.text if rows is None else b.text.take(pa.array(rows))
+        lists = pa.ListArray.from_arrays(pa.array(offsets, pa.int32()), texts)
+        return pc.binary_join(lists, sep).to_pylist(), offsets
+
+    flat_text, block_offsets = joined(None, "\n")
+    text, offsets = joined(content, "\n\n")
+    lengths = chars[content].tolist()
+    weighted = (score[content] * chars[content]).tolist()
+    offsets, block_offsets = offsets.tolist(), block_offsets.tolist()
+    records: list[dict] = []
+    for p in range(n):
+        lo, hi = offsets[p], offsets[p + 1]
+        spans, pos = [], 0
+        for i, length in enumerate(lengths[lo:hi]):
+            spans.append({"field": f"block_{i}", "start": pos, "end": pos + length})
+            pos += length + 2
+        records.append({
+            "text": text[p],
+            "spans": spans,
+            "confidence": round_confidence(sum(weighted[lo:hi]) / sum(lengths[lo:hi]))
+            if hi > lo else 0.0,
+            "n_blocks": block_offsets[p + 1] - block_offsets[p],
+            "warnings": [] if hi > lo else ["no content blocks detected"],
+            "error": None,
+            "flat_text": flat_text[p],
+        })
+    for p in np.flatnonzero(b.fallback).tolist():
+        records[p] = extract_html(payloads[p])
+    for p, payload in enumerate(payloads):
+        if not payload:
+            records[p] = _error_record("empty payload")
+    return records
 
 
 # ---------------------------------------------------------------------------

@@ -24,6 +24,12 @@ from ai_pdf_extraction_ray.stages.html_extract import (
 from ai_pdf_extraction_ray.stages.pdf_extract import extract_pdf, page_count
 
 SF_SMOKE = "/root/testdata/sf0.001"
+SF_CORRECT = "/root/testdata/sf0.01"
+SF_BENCH = "/root/testdata/sf0.1"
+
+
+def _block_key(blocks):
+    return [(b.text, b.link_chars, b.words, b.in_content, b.in_boiler) for b in blocks]
 
 
 class TestHtmlExtractor:
@@ -245,17 +251,27 @@ class TestFastScannerEquivalence:
         "",
     ]
 
-    def _key(self, blocks):
-        return [(b.text, b.link_chars, b.words, b.in_content, b.in_boiler) for b in blocks]
-
     @pytest.mark.parametrize("html", ADVERSARIAL)
     def test_adversarial_equivalence(self, html):
         from ai_pdf_extraction_ray.stages.html_extract import (
             parse_blocks,
+            parse_blocks_batch,
             parse_blocks_stdlib,
         )
 
-        assert self._key(parse_blocks(html)) == self._key(parse_blocks_stdlib(html))
+        expected = _block_key(parse_blocks_stdlib(html))
+        assert _block_key(parse_blocks(html)) == expected
+        assert _block_key(parse_blocks_batch([html])[0]) == expected
+
+    def test_adversarial_pages_as_one_batch(self):
+        from ai_pdf_extraction_ray.stages.html_extract import (
+            parse_blocks_batch,
+            parse_blocks_stdlib,
+        )
+
+        got = parse_blocks_batch(self.ADVERSARIAL)
+        assert [_block_key(b) for b in got] == [
+            _block_key(parse_blocks_stdlib(h)) for h in self.ADVERSARIAL]
 
     def test_corpus_equivalence_sample(self):
         from ai_pdf_extraction_ray.stages.html_extract import (
@@ -270,7 +286,93 @@ class TestFastScannerEquivalence:
             payload = pages.column("html")[i].as_py()
             if payload.startswith(b"%PDF"):
                 continue
-            assert self._key(parse_blocks(payload)) == self._key(parse_blocks_stdlib(payload))
+            assert _block_key(parse_blocks(payload)) == _block_key(parse_blocks_stdlib(payload))
+
+
+class TestBatchScanner:
+    """``scan_batch`` / ``extract_html_batch``: one tokenization per batch,
+    the blocks and records of the per-page path on every page."""
+
+    @staticmethod
+    def _corpus_pages(sf_dir):
+        pages = synthesize_pages_table(pq.read_table(f"{sf_dir}/documents.parquet"))
+        return [p for p in pages.column("html").to_pylist() if p[:4] != b"%PDF"]
+
+    @pytest.mark.parametrize("sf_dir", [SF_CORRECT, SF_BENCH])
+    def test_corpus_blocks_match_stdlib_and_fallback_share(self, sf_dir, record_property):
+        from ai_pdf_extraction_ray.sources.corpus import edge_rows_table
+        from ai_pdf_extraction_ray.stages.html_extract import (
+            parse_blocks_batch,
+            parse_blocks_stdlib,
+            scan_batch,
+        )
+
+        payloads = self._corpus_pages(sf_dir) + [
+            p for p in edge_rows_table().column("html").to_pylist()
+            if p and p[:4] != b"%PDF"]
+        pages = [p.decode("utf-8", errors="replace") for p in payloads]
+        scanned, fallback = [], 0
+        for lo in range(0, len(pages), 256):
+            scanned += parse_blocks_batch(pages[lo:lo + 256])
+            fallback += int(scan_batch(pages[lo:lo + 256]).fallback.sum())
+        for page, blocks in zip(pages, scanned):
+            assert _block_key(blocks) == _block_key(parse_blocks_stdlib(page))
+        share = fallback / len(pages)
+        record_property("fallback_share", share)
+        print(f"batch scanner fallback share: {fallback}/{len(pages)} pages")
+        assert share <= 0.01, f"{fallback} of {len(pages)} corpus pages fell back"
+
+    @pytest.mark.parametrize("sf_dir", [SF_SMOKE, SF_CORRECT])
+    def test_records_equal_per_page_path(self, sf_dir):
+        from ai_pdf_extraction_ray.sources.corpus import edge_rows_table
+        from ai_pdf_extraction_ray.stages.html_extract import extract_html_batch
+
+        payloads = (self._corpus_pages(sf_dir)
+                    + edge_rows_table().column("html").to_pylist()
+                    + [b"", "", "<p>str page</p>"]
+                    + TestFastScannerEquivalence.ADVERSARIAL)
+        assert extract_html_batch(payloads) == [extract_html(p) for p in payloads]
+        assert extract_html_batch([]) == []
+        # a str page with a lone surrogate has no UTF-8 form for the scan
+        odd = ["<p>a\ud800b</p>", "<main><p>ok</p></main>"]
+        assert extract_html_batch(odd) == [extract_html(p) for p in odd]
+
+    @pytest.mark.parametrize("html, falls_back", [
+        ("<div><p>a &amp; b</p><br/><img src=x><p>unclosed at the end", False),
+        ("<body><script>var q=[];</script><main><p>x</p></main></body>", False),
+        ("<p>stray < and a stray </nope> close</p>", True),
+        ("<main><p>misnested</main></p>", True),
+        ("</a><a>a close before any open, an open never closed", True),
+        ("<script>if (a < b) {}</script><p>x</p>", True),
+        ("<p><![CDATA[x]]></p>", True),
+        ("<p>\u0130</p>", True),
+    ])
+    def test_fallback_decision(self, html, falls_back):
+        from ai_pdf_extraction_ray.stages.html_extract import (
+            _FastScanner,
+            parse_blocks_batch,
+            scan_batch,
+        )
+
+        assert bool(scan_batch([html]).fallback[0]) is falls_back
+        assert _block_key(parse_blocks_batch([html])[0]) == _block_key(_FastScanner().scan(html))
+
+    def test_whitespace_matches_python(self):
+        """Block text strips and splits on ``str.isspace`` characters; the
+        Arrow kernels the batch path uses must agree on every code point."""
+        import pyarrow as pa
+        import pyarrow.compute as pc
+
+        from ai_pdf_extraction_ray.stages.html_extract import _WS
+
+        points = [c for c in range(1, 0x110000) if not 0xD800 <= c < 0xE000]
+        assert sorted(map(ord, _WS)) == [c for c in points if chr(c).isspace()]
+        words = pc.list_value_length(pc.utf8_split_whitespace(
+            pa.array(["a" + chr(c) + "b" for c in points]))).to_pylist()
+        assert [c for c, n in zip(points, words) if (n == 2) != chr(c).isspace()] == []
+        trimmed = pc.utf8_trim_whitespace(
+            pa.array([chr(c) + "x" + chr(c) for c in points])).to_pylist()
+        assert [c for c, t in zip(points, trimmed) if (t == "x") != chr(c).isspace()] == []
 
 
 class TestArrayTableExtraction:

@@ -193,6 +193,55 @@ class TestEmptyShard:
         assert again[0]["skipped"] is True
 
 
+class TestUnpacedRead:
+    """The documents read that feeds extraction hands over all its blocks at
+    once: Ray's default 2-block generator buffer fed the maps behind a
+    one-file read about 2 blocks per executor poll. Raw pages keep it."""
+
+    KEY = "_generator_backpressure_num_objects"
+
+    @staticmethod
+    def _read_op(ds):
+        from ray.data._internal.logical.operators.read_operator import Read
+
+        ops = [ds._logical_plan.dag]
+        while ops:
+            op = ops.pop()
+            if isinstance(op, Read):
+                return op
+            ops.extend(op.input_dependencies)
+        raise AssertionError(f"no Read op in {ds._logical_plan.dag}")
+
+    def test_pages_dataset_read_is_unpaced(self, ray_session):
+        from ai_pdf_extraction_ray.pipelines.extract_pipeline import pages_dataset
+
+        for ds in (pages_dataset(SF_SMOKE), pages_dataset(SF_SMOKE, replicate=2,
+                                                          override_num_blocks=8)):
+            assert self._read_op(ds)._ray_remote_args[self.KEY] == -1
+
+    def test_extract_job_lanes(self, ray_session, tmp_path, monkeypatch):
+        from ai_pdf_extraction_ray.pipelines import extract_pipeline
+
+        class Planned(Exception):
+            pass
+
+        planned = []
+
+        def plan_only(pages, schema=None, **kwargs):
+            planned.append(pages)
+            raise Planned
+
+        monkeypatch.setattr(extract_pipeline, "run_extraction", plan_only)
+        docs = f"{SF_SMOKE}/documents.parquet"
+        for synthesize in (True, False):
+            with pytest.raises(Planned):
+                extract_pipeline.extract_job([docs], str(tmp_path / str(synthesize)),
+                                             synthesize=synthesize)
+        synthesized, raw_pages = (self._read_op(ds)._ray_remote_args for ds in planned)
+        assert synthesized[self.KEY] == -1
+        assert self.KEY not in raw_pages
+
+
 class TestTaskStage:
     """Every kernel runs as task-based maps that Ray fuses with the maps
     and the write around them; no stage holds CPUs the others need."""

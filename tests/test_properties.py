@@ -63,6 +63,103 @@ class TestHtmlRoundTrip:
         assert pos - 2 == len(rec["text"])
 
 
+# malformed HTML for the batch scanner: tags of every class, in any case and
+# nesting, with unclosed and stray closes; stray '<'; raw text holding '<';
+# CDATA; comments; entities cut by tags; NUL bytes and odd whitespace
+_tag_name = st.sampled_from([
+    "p", "P", "div", "DIV", "span", "b", "a", "A", "main", "MAIN", "article", "nav",
+    "header", "footer", "aside", "li", "ul", "table", "td", "h1", "br", "hr", "img",
+    "head", "title", "noscript", "template", "svg", "textarea", "script", "Script",
+    "style", "STYLE", "x-y", "o:p",
+])
+_attrs = st.sampled_from([
+    "", " class='c'", ' title="a > b"', " data-x='<p>'", " href=/x", " /",
+    " a='open", ' q="x/"', "\n", " s=a/",
+])
+_open_tag = st.builds(lambda n, a, slash: f"<{n}{a}{'/' if slash else ''}>",
+                      _tag_name, _attrs, st.booleans())
+_close_tag = st.builds(lambda n, a: f"</{n}{a}>", _tag_name, st.sampled_from(["", " ", " x"]))
+_chars = st.text(alphabet=st.sampled_from(
+    list("ab c\n\t&;#<>/!-?x") + ["\x00", "\xa0", "\u2028", "\x1c", "\u0130", "\xe9",
+                                  "\u3000", "\x01"]), max_size=10)
+_oddments = st.sampled_from([
+    "<", "< p>", "</", "<p", "<!-- c -->", "<!-- <p>x</p> -->", "<!--->", "<!-- a -- b -->",
+    "<![CDATA[x<y]]>", "<!DOCTYPE html>", "<?xml v?>", "&amp;", "&am", "&#65;", "&lt",
+    "&nbsp;", "&#x3C;", "<script>a<b</script>", "<style>p>a{}</style>",
+    "<script>x</scripts>", "<script>", "</script>", "<script>q</SCRIPT >", "<style></style>",
+])
+_fragment = st.one_of(_open_tag, _close_tag, _chars, _oddments)
+_page = st.lists(_fragment, max_size=40).map("".join)
+# nested pages with a slip: an element may close under another element's
+# name (an ancestor's, which closes several at once, or one not open at
+# all) or not close; text sits between the tags
+_misnested_page = st.recursive(
+    st.sampled_from(["x", " y ", "z z", "&amp;", ""]),
+    lambda inner: st.builds(
+        lambda n, kids, close: f"<{n}>{''.join(kids)}" + (
+            f"</{n}>" if close == "own" else f"</{close}>" if close else ""),
+        st.sampled_from(["p", "a", "main", "nav", "b", "div"]),
+        st.lists(inner, max_size=4),
+        st.sampled_from(["own", "own", "own", "", "p", "a", "main", "nav"])),
+    max_leaves=20,
+)
+# a script or style element between well-nested parts, closed or not, its
+# content holding '<', quotes, a '</script' that is no tag, or a tag
+_raw_text_page = st.builds(
+    lambda before, tag, content, close, after: f"{before}<{tag}>{content}{close}{after}",
+    st.sampled_from(["", "<p>x</p>", "<main><p>y z</p></main>"]),
+    st.sampled_from(["script", "style", "SCRIPT"]),
+    st.lists(st.sampled_from(list("ab <>/\"'=") + ["</script", "</style", "<br>"]),
+             max_size=8).map("".join),
+    st.sampled_from(["</script>", "</style>", "</SCRIPT x>", "</scripts>", "<br>", "", "</p>"]),
+    st.sampled_from(["", "tail", "<p>after</p>", " <br> tail"]),
+)
+# well-formed pages that take the batch path, to mix with the malformed ones
+_nested_page = st.recursive(
+    _chars.map(lambda t: t.replace("<", "").replace("\x01", "")),
+    lambda inner: st.builds(lambda n, a, kids: f"<{n}{a}>{''.join(kids)}</{n}>",
+                            st.sampled_from(["p", "div", "a", "main", "nav", "b", "li"]),
+                            st.sampled_from(["", " class='c'", ' t="a > b"']),
+                            st.lists(inner, max_size=4)),
+    max_leaves=20,
+)
+
+
+class TestBatchScannerProperties:
+    """The batch scanner gives every page ``_FastScanner``'s blocks, whether
+    it scans the page itself or hands it to ``_FastScanner``."""
+
+    @staticmethod
+    def _key(blocks):
+        return [(b.text, b.link_chars, b.words, b.in_content, b.in_boiler) for b in blocks]
+
+    @settings(max_examples=300, deadline=None)
+    @given(pages=st.lists(st.one_of(_page, _nested_page, _misnested_page, _raw_text_page), min_size=1, max_size=6))
+    def test_blocks_equal_fast_scanner(self, pages: list[str]):
+        from ai_pdf_extraction_ray.stages.html_extract import _FastScanner, parse_blocks_batch
+
+        got = parse_blocks_batch(pages)
+        assert [self._key(b) for b in got] == [
+            self._key(_FastScanner().scan(p)) for p in pages]
+
+    @settings(max_examples=100, deadline=None)
+    @given(pages=st.lists(st.one_of(_page, _nested_page, _misnested_page, _raw_text_page), min_size=2, max_size=6))
+    def test_mixed_batch_gives_each_page_its_own_blocks(self, pages: list[str]):
+        from ai_pdf_extraction_ray.stages.html_extract import parse_blocks_batch
+
+        together = parse_blocks_batch(pages)
+        for page, blocks in zip(pages, together):
+            assert self._key(blocks) == self._key(parse_blocks_batch([page])[0])
+
+    @settings(max_examples=100, deadline=None)
+    @given(pages=st.lists(st.one_of(_page, _nested_page, _misnested_page, _raw_text_page), min_size=1, max_size=6))
+    def test_records_equal_extract_html(self, pages: list[str]):
+        from ai_pdf_extraction_ray.stages.html_extract import extract_html_batch
+
+        payloads = [p.encode("utf-8") for p in pages]
+        assert extract_html_batch(payloads) == [extract_html(p) for p in payloads]
+
+
 class TestPdfRoundTrip:
     @settings(max_examples=100, deadline=None)
     @given(doc_id=st.integers(min_value=0, max_value=10_000), text=_pdf_text)

@@ -353,7 +353,8 @@ class TestGramSetMatcher:
     def test_automaton_scan_is_sublinear_in_gram_count(self):
         """The planted 10^4-gram test: automaton scan time must not grow
         ~linearly with the gram count the way the per-gram scan does
-        (generous 8x bound vs the 100x gram growth; VM noise tolerant)."""
+        (generous 8x bound vs the 100x gram growth). Each scan's time is
+        the fastest of 3: host noise only ever adds time to a ~9 ms scan."""
         import random
         import time
 
@@ -367,10 +368,13 @@ class TestGramSetMatcher:
             grams = [" ".join(rng.choices(words, k=13))
                      for _ in range(n_grams)]
             ac = _AhoCorasick(grams)
-            t0 = time.perf_counter()
-            for t in texts:
-                ac.match_ids(t)
-            return time.perf_counter() - t0
+            times = []
+            for _ in range(3):
+                t0 = time.perf_counter()
+                for t in texts:
+                    ac.match_ids(t)
+                times.append(time.perf_counter() - t0)
+            return min(times)
 
         t_small, t_big = scan_time(100), scan_time(10_000)
         assert t_big < 8 * max(t_small, 1e-3), (t_small, t_big)
