@@ -924,10 +924,27 @@ def levenshtein_banded(a: str, b: str, cutoff: int) -> int:
 def _char_histograms(texts: list[str]) -> np.ndarray:
     """Each text's code points mod 256, counted: one row of 256 per text."""
     lengths = np.fromiter(map(len, texts), np.int64, len(texts))
-    codes = np.frombuffer("".join(texts).encode("utf-32-le"), np.uint32) & 255
-    rows = np.repeat(np.arange(len(texts)), lengths)
-    return np.bincount(rows * 256 + codes,
-                       minlength=len(texts) * 256).reshape(len(texts), 256)
+    bins = np.repeat(np.arange(len(texts), dtype=np.int64) * 256, lengths)
+    bins += np.frombuffer("".join(texts).encode("utf-32-le"), np.uint32) & 255
+    return np.bincount(bins, minlength=len(texts) * 256).reshape(len(texts), 256)
+
+
+_HIST_PAIRS = 4096  # pairs per L1 step: caps each of its (pairs, 256) int64 arrays at 8 MiB
+
+
+def _histogram_bounds(texts_a: list[str], texts_b: list[str]) -> np.ndarray:
+    """ceil(L1(h_a, h_b) / 2) for each pair of texts, h the texts'
+    ``_char_histograms``. Pairs repeat texts, so each distinct text is
+    counted once and the pairs index into those rows."""
+    index: dict[str, int] = {}
+    ia = np.array([index.setdefault(t, len(index)) for t in texts_a], np.intp)
+    ib = np.array([index.setdefault(t, len(index)) for t in texts_b], np.intp)
+    hist = _char_histograms(list(index))
+    l1 = np.empty(len(ia), np.int64)
+    for lo in range(0, len(ia), _HIST_PAIRS):
+        part = slice(lo, lo + _HIST_PAIRS)
+        l1[part] = np.abs(hist[ia[part]] - hist[ib[part]]).sum(axis=1)
+    return (l1 + 1) // 2
 
 
 def edit_distance_dups(sf_dir: str) -> Dataset:
@@ -981,8 +998,7 @@ def edit_distance_dups(sf_dir: str) -> Dataset:
         # substitution moves L1 by at most 2, an insert or a delete by 1,
         # and binning code points mod 256 only lowers L1. Most candidate
         # pairs fail it, so the DP runs on few.
-        l1 = np.abs(_char_histograms(texts_a) - _char_histograms(texts_b)).sum(axis=1)
-        near = ((l1 + 1) // 2 <= EDIT_DIST_MAX).tolist()
+        near = (_histogram_bounds(texts_a, texts_b) <= EDIT_DIST_MAX).tolist()
         dists = pa.array([
             levenshtein_banded(ta, tb, EDIT_DIST_MAX) if ok else EDIT_DIST_MAX + 1
             for ta, tb, ok in zip(texts_a, texts_b, near)

@@ -29,7 +29,8 @@ Boilerpipe/Readability literature — see PAPERS.md):
      - >= 10 words and an adjacent block has >= 20 words -> content
      - else                                 -> boilerplate
 
-3. output text = content block texts joined by "\\n\\n"; spans give each
+3. ``_record`` builds each page's record from its blocks, on either path:
+   output text = content block texts joined by "\\n\\n"; spans give each
    block's [start, end) char range in the output; confidence is the
    char-weighted mean block score ``(1 - link_density) * min(1, words/20)``,
    rounded to 3dp (rounding per reference models.py:201-205).
@@ -368,41 +369,45 @@ def extract_html(payload: bytes | str) -> dict:
     try:
         if not payload:
             return _error_record("empty payload")
-        blocks = parse_blocks(payload)
-        labels = classify_blocks(blocks)
-        content = [b for b, keep in zip(blocks, labels) if keep]
-
-        parts: list[str] = []
-        spans: list[dict] = []
-        pos = 0
-        for i, b in enumerate(content):
-            if parts:
-                pos += 2  # "\n\n"
-            parts.append(b.text)
-            spans.append({"field": f"block_{i}", "start": pos, "end": pos + len(b.text)})
-            pos += len(b.text)
-        text = "\n\n".join(parts)
-
-        warnings: list[str] = []
-        if not content:
-            warnings.append("no content blocks detected")
-            confidence = 0.0
-        else:
-            total = sum(len(b.text) for b in content)
-            confidence = round_confidence(
-                sum(b.score * len(b.text) for b in content) / total
-            )
-        return {
-            "text": text,
-            "spans": spans,
-            "confidence": confidence,
-            "n_blocks": len(blocks),
-            "warnings": warnings,
-            "error": None,
-            "flat_text": "\n".join(b.text for b in blocks),
-        }
+        return _record(parse_blocks(payload))
     except Exception as e:  # noqa: BLE001 — failure is data, not a crash
         return _error_record(f"html parse error: {e}")
+
+
+def _record(blocks: list[Block]) -> dict:
+    """A page's blocks -> its extraction record (see ``extract_html``)."""
+    labels = classify_blocks(blocks)
+    content = [b for b, keep in zip(blocks, labels) if keep]
+
+    parts: list[str] = []
+    spans: list[dict] = []
+    pos = 0
+    for i, b in enumerate(content):
+        if parts:
+            pos += 2  # "\n\n"
+        parts.append(b.text)
+        spans.append({"field": f"block_{i}", "start": pos, "end": pos + len(b.text)})
+        pos += len(b.text)
+    text = "\n\n".join(parts)
+
+    warnings: list[str] = []
+    if not content:
+        warnings.append("no content blocks detected")
+        confidence = 0.0
+    else:
+        total = sum(len(b.text) for b in content)
+        confidence = round_confidence(
+            sum(b.score * len(b.text) for b in content) / total
+        )
+    return {
+        "text": text,
+        "spans": spans,
+        "confidence": confidence,
+        "n_blocks": len(blocks),
+        "warnings": warnings,
+        "error": None,
+        "flat_text": "\n".join(b.text for b in blocks),
+    }
 
 
 def _error_record(msg: str) -> dict:
@@ -599,93 +604,55 @@ def scan_batch(pages: list[str]) -> BatchBlocks:
 
 
 def parse_blocks_batch(pages: list[str]) -> list[list[Block]]:
-    """``parse_blocks`` for many pages: ``scan_batch``, and ``_FastScanner``
+    """``parse_blocks`` for many pages: ``scan_batch``, and ``parse_blocks``
     for the pages it leaves."""
     b = scan_batch(pages)
-    out: list[list[Block]] = [[] for _ in pages]
-    for p, *fields in zip(b.page.tolist(), b.text.to_pylist(), b.link_chars.tolist(),
-                          b.words.tolist(), b.in_content.tolist(), b.in_boiler.tolist()):
-        out[p].append(Block(*fields))
+    blocks = list(map(Block, b.text.to_numpy(zero_copy_only=False).tolist(),
+                      b.link_chars.tolist(), b.words.tolist(),
+                      b.in_content.tolist(), b.in_boiler.tolist()))
+    bounds = np.searchsorted(b.page, np.arange(len(pages) + 1)).tolist()
+    out = [blocks[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
     for p in np.flatnonzero(b.fallback).tolist():
-        out[p] = _FastScanner().scan(pages[p])
+        out[p] = parse_blocks(pages[p])
     return out
 
 
-# pages per scan_batch call: bounds the scan's working memory (~50 KB a
-# page) whatever the block size, and single-core pages/s peaks near it
-_SCAN_PAGES = 256
+# characters per scan_batch call (~80 of the corpus's ~3.2 KB pages): bounds
+# the scan's working memory (~5 MB) whatever the block and page sizes, and
+# keeps its strings far below an Arrow string array's 2 GiB. Halving it costs
+# ~10% of the HTML lane's pages/s; doubling it gains none.
+_SCAN_CHARS = 1 << 18
+
+
+def _scan_slices(payloads: list) -> list[slice]:
+    """Consecutive slices of ``payloads`` of at most ``_SCAN_CHARS``
+    characters each (a larger page gets its own)."""
+    slices, lo, size = [], 0, 0
+    for hi, p in enumerate(payloads):
+        n = len(p) if p else 0
+        if hi > lo and size + n > _SCAN_CHARS:
+            slices.append(slice(lo, hi))
+            lo, size = hi, 0
+        size += n
+    if lo < len(payloads):
+        slices.append(slice(lo, len(payloads)))
+    return slices
 
 
 def extract_html_batch(payloads: list[bytes | str]) -> list[dict]:
-    """``[extract_html(p) for p in payloads]``, ``_SCAN_PAGES`` pages per
-    ``scan_batch``."""
+    """``[extract_html(p) for p in payloads]``, one ``scan_batch`` per
+    ``_scan_slices`` slice. A slice whose scan raises (a str page with a
+    lone surrogate has no UTF-8 form) goes through ``extract_html``."""
     records: list[dict] = []
-    for lo in range(0, len(payloads), _SCAN_PAGES):
-        records += _extract_html_scanned(payloads[lo:lo + _SCAN_PAGES])
-    return records
-
-
-def _extract_html_scanned(payloads: list[bytes | str]) -> list[dict]:
-    """The records of one ``scan_batch``: its blocks are classified and
-    joined as Arrow and numpy columns, and the pages it leaves go through
-    ``extract_html``."""
-    pages = [p.decode("utf-8", errors="replace") if isinstance(p, bytes) else p
-             for p in payloads]
-    try:
-        b = scan_batch(pages)
-    except (UnicodeEncodeError, pa.ArrowCapacityError):
-        # str pages with lone surrogates have no UTF-8 form, and a string
-        # array holds at most 2 GiB: these pages go one at a time
-        return [extract_html(p) for p in payloads]
-    n = len(pages)
-    chars = np.asarray(pc.utf8_length(b.text), np.int64)
-    density = b.link_chars / np.maximum(1, chars)
-    score = (1.0 - density) * np.minimum(1.0, b.words / MANY_WORDS)
-    # classify_blocks' cascade; neighbours are the page's blocks either side
-    many = b.words >= MANY_WORDS
-    same_page = b.page[1:] == b.page[:-1]
-    near_many = np.zeros(len(many), bool)
-    near_many[1:] |= many[:-1] & same_page
-    near_many[:-1] |= many[1:] & same_page
-    content = np.flatnonzero(
-        ~(b.in_boiler & ~b.in_content) & ~(density > MAX_LINK_DENSITY)
-        & (b.in_content | many | ((b.words >= SOME_WORDS) & near_many)))
-
-    def joined(rows: np.ndarray | None, sep: str) -> tuple[list[str], np.ndarray]:
-        pages_of = b.page if rows is None else b.page[rows]
-        per_page = np.bincount(pages_of, minlength=n)
-        offsets = np.r_[0, np.cumsum(per_page)]
-        texts = b.text if rows is None else b.text.take(pa.array(rows))
-        lists = pa.ListArray.from_arrays(pa.array(offsets, pa.int32()), texts)
-        return pc.binary_join(lists, sep).to_pylist(), offsets
-
-    flat_text, block_offsets = joined(None, "\n")
-    text, offsets = joined(content, "\n\n")
-    lengths = chars[content].tolist()
-    weighted = (score[content] * chars[content]).tolist()
-    offsets, block_offsets = offsets.tolist(), block_offsets.tolist()
-    records: list[dict] = []
-    for p in range(n):
-        lo, hi = offsets[p], offsets[p + 1]
-        spans, pos = [], 0
-        for i, length in enumerate(lengths[lo:hi]):
-            spans.append({"field": f"block_{i}", "start": pos, "end": pos + length})
-            pos += length + 2
-        records.append({
-            "text": text[p],
-            "spans": spans,
-            "confidence": round_confidence(sum(weighted[lo:hi]) / sum(lengths[lo:hi]))
-            if hi > lo else 0.0,
-            "n_blocks": block_offsets[p + 1] - block_offsets[p],
-            "warnings": [] if hi > lo else ["no content blocks detected"],
-            "error": None,
-            "flat_text": flat_text[p],
-        })
-    for p in np.flatnonzero(b.fallback).tolist():
-        records[p] = extract_html(payloads[p])
-    for p, payload in enumerate(payloads):
-        if not payload:
-            records[p] = _error_record("empty payload")
+    for part in _scan_slices(payloads):
+        chunk = payloads[part]
+        try:
+            pages = [p.decode("utf-8", errors="replace") if isinstance(p, bytes) else p
+                     for p in chunk]
+            records += [_record(blocks) if p else _error_record("empty payload")
+                        for p, blocks in zip(chunk, parse_blocks_batch(pages))]
+        except Exception:  # noqa: BLE001 — failure is data, page by page
+            records += [extract_html(p) for p in chunk]
     return records
 
 

@@ -1078,6 +1078,30 @@ class TestEditDistance:
                 want = true if true <= cutoff else cutoff + 1
                 assert got == want, (a, b, cutoff)
 
+    def test_histogram_bound_is_a_lower_bound(self, monkeypatch):
+        """The character-histogram bound never exceeds the edit distance,
+        also for code points that share a bin mod 256, and the chunked,
+        distinct-text form equals the direct one per pair."""
+        import random
+
+        import numpy as np
+
+        from ai_pdf_extraction_ray.stages import dedup
+
+        monkeypatch.setattr(dedup, "_HIST_PAIRS", 7)
+        rng = random.Random(5)
+        alpha = "ab xšɡ\U0001F600"  # U+0161 and U+0261 share a bin
+        pool = ["".join(rng.choice(alpha) for _ in range(rng.randint(0, 20)))
+                for _ in range(40)]
+        texts_a = [rng.choice(pool) for _ in range(200)]
+        texts_b = [rng.choice(pool) for _ in range(200)]
+        got = dedup._histogram_bounds(texts_a, texts_b)
+        for a, b, bound in zip(texts_a, texts_b, got.tolist()):
+            h = dedup._char_histograms([a, b])
+            assert bound == (np.abs(h[0] - h[1]).sum() + 1) // 2
+            assert bound <= self._naive(a, b), (a, b)
+        assert dedup._histogram_bounds([], []).tolist() == []
+
     def test_planted_edit_family(self, ray_session, tmp_path):
         """Pairs within the cutoff are found with exact distances; a pair
         sharing rare grams but beyond the cutoff is excluded."""

@@ -337,6 +337,40 @@ class TestBatchScanner:
         odd = ["<p>a\ud800b</p>", "<main><p>ok</p></main>"]
         assert extract_html_batch(odd) == [extract_html(p) for p in odd]
 
+    def test_scan_slices_bound_characters(self, monkeypatch):
+        from ai_pdf_extraction_ray.stages import html_extract
+
+        monkeypatch.setattr(html_extract, "_SCAN_CHARS", 10)
+        payloads = [b"aaaa"] * 5 + [b"x" * 30, b"", b"a", b"b", b"y" * 10]
+        slices = html_extract._scan_slices(payloads)
+        assert [(s.start, s.stop) for s in slices] == [
+            (0, 2), (2, 4), (4, 5), (5, 6), (6, 9), (9, 10)]
+        assert html_extract._scan_slices([]) == []
+
+    def test_oversize_pages_scan_in_small_slices(self, monkeypatch):
+        """A batch of pages whose sum passes the character budget scans in
+        several slices and gives the per-page records."""
+        from ai_pdf_extraction_ray.stages import html_extract
+
+        payloads = self._corpus_pages(SF_SMOKE)[:40]
+        monkeypatch.setattr(html_extract, "_SCAN_CHARS", 3 * max(map(len, payloads)))
+        scans = []
+        scan = html_extract.scan_batch
+        monkeypatch.setattr(html_extract, "scan_batch",
+                            lambda pages: scans.append(len(pages)) or scan(pages))
+        assert html_extract.extract_html_batch(payloads) == [extract_html(p) for p in payloads]
+        assert sum(scans) == len(payloads) and max(scans) <= 3 and len(scans) >= 14
+
+    def test_a_failed_scan_falls_back_page_by_page(self, monkeypatch):
+        from ai_pdf_extraction_ray.stages import html_extract
+
+        def broken(pages):
+            raise RuntimeError("scan failed")
+
+        payloads = self._corpus_pages(SF_SMOKE)[:20] + [b"", b"<p>x</p>"]
+        monkeypatch.setattr(html_extract, "scan_batch", broken)
+        assert html_extract.extract_html_batch(payloads) == [extract_html(p) for p in payloads]
+
     @pytest.mark.parametrize("html, falls_back", [
         ("<div><p>a &amp; b</p><br/><img src=x><p>unclosed at the end", False),
         ("<body><script>var q=[];</script><main><p>x</p></main></body>", False),
