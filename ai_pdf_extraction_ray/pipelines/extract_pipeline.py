@@ -53,6 +53,8 @@ DEFAULT_BATCH_SIZE = 256
 # Not read by the pipeline (extraction runs as tasks); perfbench/run.py
 # imports it for its reported pool_size.
 DEFAULT_CONCURRENCY = 4
+# blocks the documents read may run ahead of synthesis and extraction
+READ_AHEAD_BLOCKS = 3
 
 
 def pages_dataset(
@@ -71,7 +73,8 @@ def pages_dataset(
     splits the read's output into that many blocks, but it does not add
     read tasks: one parquet file is one read task
     (``ReadParquet->SplitBlocks(n)``). The synthesis and extraction maps run
-    behind that one task, so the read is unpaced (see ``_pages_from_files``).
+    behind that one task, so how far the read may run ahead of them sets
+    how fast they start (see ``_pages_from_files``).
     """
     return _pages_from_files(
         [f"{sf_dir}/documents.parquet"] * max(1, replicate),
@@ -90,24 +93,25 @@ def _pages_from_files(
 ) -> Dataset:
     """The documents files -> synthesized pages, the read feeding extraction.
 
-    The read hands over its blocks as soon as they are read. Its memory
-    bound is then what its running tasks have read, not 2 blocks each: the
-    three pruned columns of their files, a small part of the pages the maps
-    make from them (the html payloads are synthesized behind the read). A
-    read of raw pages would carry whole payloads, so ``extract_job``'s
-    raw-pages lane keeps Ray's pacing.
+    The read runs at most ``READ_AHEAD_BLOCKS`` blocks ahead of the maps
+    behind it: the three pruned columns of those rows (the html payloads are
+    synthesized behind the read). A read of raw pages carries whole
+    payloads, so ``extract_job``'s raw-pages lane keeps Ray's 2 blocks.
     """
-    # Ray paces a read task's streaming generator at 2 blocks
-    # (``DEFAULT_MAX_NUM_BLOCKS_IN_STREAMING_GEN_BUFFER``) and the executor
-    # drains it once per 100-ms poll: the maps behind a one-file read got
-    # about 2 blocks per poll (perfbench ``extract_web``, 48 blocks on 4
-    # logical CPUs: the read spanned 2.2 s for 0.04 s of task time). -1
-    # turns the pacing off for this read only.
+    # Ray's streaming generator holds 2 objects per block (the block and its
+    # metadata) and the executor drains it once per 100-ms poll, so a
+    # one-file read feeds its maps READ_AHEAD_BLOCKS blocks per poll. Ray's
+    # default of 2 is less than one extraction task's input in perfbench
+    # ``extract_web`` (3 blocks of 125 pages), so each task waited 1.5
+    # polls: 2.2 s of read wall for 0.04 s of read work. 3 start one task
+    # per poll, with CPUs to spare. Without a bound (-1) every task started
+    # at once, took every CPU, and the pass wall followed the machine's load
+    # from run to run (BASELINE.md).
     ds = rd.read_parquet(
         paths,
         columns=["doc_id", "text", "lang"],
         override_num_blocks=override_num_blocks,
-        ray_remote_args={"_generator_backpressure_num_objects": -1},
+        ray_remote_args={"_generator_backpressure_num_objects": 2 * READ_AHEAD_BLOCKS},
     )
     return ds.map_batches(
         lambda b: synthesize_pages_batch(b, include_doc_id=include_doc_id,
@@ -225,12 +229,12 @@ def extract_job(
 
     One shard per input file; a shard with a valid manifest (matching
     lineage) is skipped. ``synthesize=True`` reads documents files through
-    ``pages_dataset``'s unpaced read and synthesis map; ``synthesize=False``
-    reads raw pages files, whose blocks carry whole payloads, so that read
-    keeps Ray's default 2-block buffer. ``repair=True`` appends the
-    rule-driven completion stage (T3) after extraction (reference on-demand
-    smart repair, routers/documents.py:80-201, as a pipeline flag — SURVEY
-    §2.10).
+    ``pages_dataset``'s read and synthesis map (``READ_AHEAD_BLOCKS`` ahead);
+    ``synthesize=False`` reads raw pages files, whose blocks carry whole
+    payloads, so that read keeps Ray's default 2-block buffer.
+    ``repair=True`` appends the rule-driven completion stage (T3) after
+    extraction (reference on-demand smart repair,
+    routers/documents.py:80-201, as a pipeline flag — SURVEY §2.10).
     Returns the manifest list (one per shard).
     """
     manifests: list[dict[str, Any]] = []

@@ -193,10 +193,12 @@ class TestEmptyShard:
         assert again[0]["skipped"] is True
 
 
-class TestUnpacedRead:
-    """The documents read that feeds extraction hands over all its blocks at
-    once: Ray's default 2-block generator buffer fed the maps behind a
-    one-file read about 2 blocks per executor poll. Raw pages keep it."""
+class TestReadAhead:
+    """The documents read that feeds extraction runs ``READ_AHEAD_BLOCKS``
+    blocks ahead of its maps: with Ray's default of 2 a one-file read fed
+    them less than one extraction task per executor poll, and without a
+    bound every task started at once and the pass wall followed the
+    machine's load. Raw pages keep Ray's default."""
 
     KEY = "_generator_backpressure_num_objects"
 
@@ -212,12 +214,17 @@ class TestUnpacedRead:
             ops.extend(op.input_dependencies)
         raise AssertionError(f"no Read op in {ds._logical_plan.dag}")
 
-    def test_pages_dataset_read_is_unpaced(self, ray_session):
-        from ai_pdf_extraction_ray.pipelines.extract_pipeline import pages_dataset
+    def test_pages_dataset_read_runs_ahead_a_bounded_amount(self, ray_session):
+        from ai_pdf_extraction_ray.pipelines.extract_pipeline import (
+            READ_AHEAD_BLOCKS,
+            pages_dataset,
+        )
 
+        assert READ_AHEAD_BLOCKS > 2  # more than Ray's default, and bounded
         for ds in (pages_dataset(SF_SMOKE), pages_dataset(SF_SMOKE, replicate=2,
                                                           override_num_blocks=8)):
-            assert self._read_op(ds)._ray_remote_args[self.KEY] == -1
+            # two generator objects per block: the block and its metadata
+            assert self._read_op(ds)._ray_remote_args[self.KEY] == 2 * READ_AHEAD_BLOCKS
 
     def test_extract_job_lanes(self, ray_session, tmp_path, monkeypatch):
         from ai_pdf_extraction_ray.pipelines import extract_pipeline
@@ -238,7 +245,7 @@ class TestUnpacedRead:
                 extract_pipeline.extract_job([docs], str(tmp_path / str(synthesize)),
                                              synthesize=synthesize)
         synthesized, raw_pages = (self._read_op(ds)._ray_remote_args for ds in planned)
-        assert synthesized[self.KEY] == -1
+        assert synthesized[self.KEY] == 2 * extract_pipeline.READ_AHEAD_BLOCKS
         assert self.KEY not in raw_pages
 
 
